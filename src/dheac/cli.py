@@ -636,6 +636,8 @@ MC_FIELDS = ["trial", "succeeded", "attempts_total", "latency", "winners",
 
 
 def _cmd_mc(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     net = _build_network(args)
     k_req = _resolve_k_req(args, net)
     params = _single_point_params(args)

@@ -13,6 +13,14 @@ indices; randomizing the arrangement restores the anonymity of the lottery
 (symmetric networks come out exactly symmetric in distribution) and the
 closed-form oracle below averages over arrangements in the same way.
 
+Delivery only matters through two facts per group of qubits: the sum of
+their capped attempt counts and whether any of them ran out of attempts.
+``run_trial`` draws one truncated geometric per qubit. ``simulate_batch``
+draws the same law per group instead: one multinomial over the outcomes
+{delivered on attempt 1, ..., delivered on attempt M, failed} for the
+selection qubits and one for each winner's quota block, so its cost no
+longer grows with k_req.
+
 Streams are derived counter-style: ``trial_rng(seed, point, trial)`` gives
 the same generator no matter which worker runs the trial. The bulk
 estimators consume one per-point stream sequentially and are deterministic
@@ -29,12 +37,15 @@ import numpy as np
 
 from .analytics import ancilla_bits, ecdf, jain_index
 from .analytics import LATENCY_MODES, ModelParams
-from .errors import CapacityError
+from .errors import CapacityError, InvariantViolationError
 from .netgen import NetworkConfig, Request
 from .partition import quota_round, safe_select_k
 
 DEFAULT_BETA = 0.10
 _BLOCK = 16384
+# bytes one simulate_batch block may hold; every m <= 32 point at the
+# default max_attempts still fits a full _BLOCK of rows
+_BLOCK_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -119,6 +130,12 @@ def run_trial(net: NetworkConfig, req: Request, params: ModelParams,
     by_qlan = dict(zip(arrangement, arranged_quotas))
     winners = tuple(sorted(by_qlan))
     quotas = tuple(by_qlan[i] for i in winners)
+    if sum(quotas) != req.k_req:
+        raise InvariantViolationError(
+            f"quotas {quotas} do not sum to k_req={req.k_req}")
+    if any(q > net.caps[i] for i, q in zip(winners, quotas)):
+        raise InvariantViolationError(
+            f"quotas {quotas} exceed the capacities of winners {winners}")
     winning_nodes = tuple(sample_inner(net.caps[i], by_qlan[i], rng) for i in winners)
 
     p_att = 1.0 - params.q
@@ -146,8 +163,6 @@ def run_trial(net: NetworkConfig, req: Request, params: ModelParams,
         stage2 = max(stage2, params.t_gen + params.t_dist * span + params.t_meas)
         offset += q_i
 
-    assert sum(quotas) == req.k_req
-    assert all(q <= net.caps[i] for i, q in zip(winners, quotas))
     return TrialOutcome(
         succeeded=succeeded,
         winners=winners,
@@ -176,19 +191,49 @@ def _quota_round_rows(k_req: int, caps_rows: np.ndarray, cap_bound: int) -> np.n
     ranks = np.empty_like(order)
     np.put_along_axis(ranks, order, np.broadcast_to(np.arange(K), (rows, K)), axis=1)
     quotas = floors + (ranks < residual[:, None])
-    assert (quotas <= caps_rows).all(), "rounding must respect caps"
-    assert (quotas.sum(axis=1) == k_req).all(), "rounding must conserve k_req"
+    if not (quotas <= caps_rows).all():
+        raise InvariantViolationError("rounding must respect caps")
+    if not (quotas.sum(axis=1) == k_req).all():
+        raise InvariantViolationError("rounding must conserve k_req")
     return quotas
+
+
+def _delivery_law(q: float, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome probabilities and attempt costs of one capped delivery.
+
+    Outcome j < M is delivery on attempt j + 1, outcome M is running out
+    of attempts; the last attempt of a failed qubit still costs M.
+    """
+    j = np.arange(M)
+    pvals = np.append((1.0 - q) * q ** j, q ** M)
+    cost = np.append(j + 1, M)
+    return pvals, cost
+
+
+def _block_rows(m: int, K: int, M: int) -> int:
+    """Trials per simulate_batch block under the _BLOCK_BYTES budget.
+
+    Counts the int64 words alive per row at a block's peak: the permuted
+    arrangement and its tiled source (2m), about ten rounding temporaries
+    (10K) and the quota-block outcome counts (K(M + 1)).
+    """
+    row_bytes = 8 * (2 * m + K * (M + 11))
+    return max(1, min(_BLOCK, _BLOCK_BYTES // row_bytes))
 
 
 def simulate_batch(net: NetworkConfig, req: Request, params: ModelParams,
                    mode: str, trials: int, rng: np.random.Generator) -> BatchStats:
-    """Vectorized delivery trials; same chain as run_trial, batched.
+    """Vectorized delivery trials; same law as run_trial, sampled per group.
 
     Returns the empirical success rate and mean latency with standard
-    errors. Quota arrangements, node draws and attempt counts are sampled
-    exactly as in run_trial, only the per-node winner identities are not
-    materialized (they do not influence delivery).
+    errors. Quota arrangements are sampled exactly as in run_trial. Delivery
+    is one multinomial draw over the capped-attempt outcomes per group of
+    qubits: the winner and non-winner selection qubits (optimistic mode) or
+    all selection and ancilla qubits (conservative mode), and each winner's
+    quota block. A group's attempt sum and failure count have the same law
+    as the per-qubit draws of run_trial; node identities are not
+    materialized (they do not influence delivery). Trials run in blocks
+    sized by a fixed memory budget, so peak memory does not grow with m.
     """
     _check_mode(mode)
     if trials < 1:
@@ -198,59 +243,56 @@ def simulate_batch(net: NetworkConfig, req: Request, params: ModelParams,
     m = net.m
     caps = np.asarray(net.caps, dtype=np.int64)
     cap_bound = int(caps.max()) + 1
-    p_att = 1.0 - params.q
     M = params.max_attempts
+    pvals, cost = _delivery_law(params.q, M)
+    base = params.t_gen + params.t_meas
+    block = _block_rows(m, K, M)
 
     n_success = 0
-    lat_sum = 0.0
-    lat_sq = 0.0
+    lat_mean = 0.0
+    lat_m2 = 0.0
     qlan_ids = np.arange(m, dtype=np.int64)
-    for start in range(0, trials, _BLOCK):
-        t = min(_BLOCK, trials - start)
+    for start in range(0, trials, block):
+        t = min(block, trials - start)
         arrangement = rng.permuted(
             np.tile(qlan_ids, (t, 1)), axis=1)[:, :K]
-        w_caps = caps[arrangement]
-        quotas = _quota_round_rows(req.k_req, w_caps, cap_bound)
-        quota_mat = np.zeros((t, m), dtype=np.int64)
-        np.put_along_axis(quota_mat, arrangement, quotas, axis=1)
-        winner_mask = np.zeros((t, m), dtype=bool)
-        np.put_along_axis(winner_mask, arrangement, True, axis=1)
-
-        g_outer = rng.geometric(p_att, size=(t, m + ell))
-        g_inner = rng.geometric(p_att, size=(t, req.k_req))
-        att_outer = np.minimum(g_outer, M)
-        att_inner = np.minimum(g_inner, M)
+        quotas = _quota_round_rows(req.k_req, caps[arrangement], cap_bound)
+        # the [:, :K] view pins the whole (t, m) permutation; free it (and
+        # the outcome counts below) before the next large array is built
+        del arrangement
 
         if mode == "optimistic":
-            sel_ok = ((g_outer[:, :m] <= M) | ~winner_mask).all(axis=1)
-            stage1_att = att_outer[:, :m].sum(axis=1)
+            winners = rng.multinomial(K, pvals, size=t)
+            sel_ok = winners[:, M] == 0
+            stage1_att = (winners + rng.multinomial(m - K, pvals, size=t)) @ cost
         else:
-            sel_ok = (g_outer <= M).all(axis=1)
-            stage1_att = att_outer.sum(axis=1)
-        ok = sel_ok & (g_inner <= M).all(axis=1)
+            outer = rng.multinomial(m + ell, pvals, size=t)
+            sel_ok = outer[:, M] == 0
+            stage1_att = outer @ cost
+        blocks = rng.multinomial(quotas, pvals)
+        ok = sel_ok & (blocks[:, :, M] == 0).all(axis=1)
+        stage2_att = (blocks @ cost).max(axis=1)
+        del blocks
+        lat = (base + params.t_dist * stage1_att) + (
+            base + params.t_dist * stage2_att)
 
-        # per-winner attempt sums: expand QLAN ids by quota, then bincount
-        owner = np.repeat(np.tile(qlan_ids, t), quota_mat.reshape(-1))
-        trial_of = np.repeat(np.arange(t, dtype=np.int64), req.k_req)
-        sums = np.bincount(trial_of * m + owner, weights=att_inner.reshape(-1),
-                           minlength=t * m).reshape(t, m)
-        stage2 = params.t_gen + params.t_meas + params.t_dist * sums.max(axis=1)
-        lat = (params.t_gen + params.t_meas + params.t_dist * stage1_att) + stage2
-
+        # Chan et al. pairwise merge of per-block mean and M2
+        b_mean = float(lat.mean())
+        b_m2 = float(np.square(lat - b_mean).sum())
+        n_new = start + t
+        delta = b_mean - lat_mean
+        lat_mean += delta * t / n_new
+        lat_m2 += b_m2 + delta * delta * start * t / n_new
         n_success += int(ok.sum())
-        lat_sum += float(lat.sum())
-        lat_sq += float((lat * lat).sum())
 
     rate = n_success / trials
-    lat_mean = lat_sum / trials
-    lat_var = max(lat_sq / trials - lat_mean * lat_mean, 0.0)
     return BatchStats(
         mode=mode,
         trials=trials,
         success_rate=rate,
         success_se=math.sqrt(rate * (1.0 - rate) / trials),
         latency_mean=lat_mean,
-        latency_se=math.sqrt(lat_var / trials),
+        latency_se=math.sqrt(lat_m2 / trials / trials),
     )
 
 

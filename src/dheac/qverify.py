@@ -17,6 +17,7 @@ compared directly.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -122,27 +123,55 @@ def measure(state: SparseState, rng: np.random.Generator) -> Outcome:
 def measure_many(state: SparseState, rng: np.random.Generator,
                  draws: int) -> dict[Outcome, int]:
     """Draw many outcomes at once; returns counts per label (zeros kept)."""
+    keys, counts = _sample_counts(state, rng, draws)
+    return dict(zip(keys, counts.tolist()))
+
+
+def _sample_counts(state: SparseState, rng: np.random.Generator,
+                   draws: int) -> tuple[list[Outcome], np.ndarray]:
+    """measure_many without the per-label dict: sorted labels and the
+    number of draws that landed on each."""
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
     keys = state.outcomes()
     probs = _prob_array(state, keys)
     idx = rng.choice(len(keys), size=draws, p=probs)
-    counts = np.bincount(idx, minlength=len(keys))
-    return {key: int(c) for key, c in zip(keys, counts)}
+    return keys, np.bincount(idx, minlength=len(keys))
 
 
 def _prob_array(state: SparseState, keys: list[Outcome]) -> np.ndarray:
     state.check_normalized()
-    probs = np.array([state.amplitudes[k] ** 2 for k in keys], dtype=float)
+    amps = state.amplitudes
+    probs = np.fromiter((amps[k] ** 2 for k in keys), dtype=float,
+                        count=len(keys))
     return probs / probs.sum()
+
+
+def _branch_stats(state: SparseState
+                  ) -> tuple[dict[tuple[int, ...], float], float]:
+    """Outer marginal, and the largest deviation of any conditional from
+    uniform; the per-label probabilities are freed on return.
+
+    Each branch is summed exactly: a branch can hold ~10^6 terms, and plain
+    + drifts past NORM_TOL on a correctly normalized state.
+    """
+    branches: dict[tuple[int, ...], list[float]] = {}
+    for (subset, _vec), amp in state.amplitudes.items():
+        branches.setdefault(subset, []).append(amp * amp)
+    marg: dict[tuple[int, ...], float] = {}
+    conditional_max_dev = 0.0
+    for subset, probs in branches.items():
+        total = math.fsum(probs)
+        flat = 1.0 / len(probs)
+        dev = max(abs(p / total - flat) for p in probs)
+        conditional_max_dev = max(conditional_max_dev, dev)
+        marg[subset] = total
+    return marg, conditional_max_dev
 
 
 def marginal_outer(state: SparseState) -> dict[tuple[int, ...], float]:
     """Distribution over winner subsets after tracing out the quotas."""
-    marg: dict[tuple[int, ...], float] = {}
-    for (subset, _vec), amp in state.amplitudes.items():
-        marg[subset] = marg.get(subset, 0.0) + amp * amp
-    return marg
+    return _branch_stats(state)[0]
 
 
 def conditional_inner(state: SparseState,
@@ -208,15 +237,21 @@ class VerificationReport:
 
 def _label_violations(state: SparseState, net: NetworkConfig,
                       k_req: int, K: int) -> set[Outcome]:
+    # subset checks run once per subset; None marks an invalid subset
+    subset_caps: dict[tuple[int, ...], tuple[int, ...] | None] = {}
     bad = set()
     for (subset, vec) in state.amplitudes:
-        ok = (len(subset) == K
+        if subset not in subset_caps:
+            valid = (len(subset) == K
+                     and all(0 <= i < net.m for i in subset)
+                     and list(subset) == sorted(set(subset)))
+            subset_caps[subset] = (tuple(net.caps[i] for i in subset)
+                                   if valid else None)
+        caps = subset_caps[subset]
+        ok = (caps is not None
               and len(vec) == K
-              and all(0 <= i < net.m for i in subset)
-              and list(subset) == sorted(set(subset))
-              and all(v >= 0 for v in vec)
               and sum(vec) == k_req
-              and all(v <= net.caps[i] for i, v in zip(subset, vec)))
+              and all(0 <= v <= c for v, c in zip(vec, caps)))
         if not ok:
             bad.add((subset, vec))
     return bad
@@ -242,7 +277,7 @@ def verify_state(state: SparseState, net: NetworkConfig, k_req: int, K: int,
     if bad_labels:
         failures.append(f"{len(bad_labels)} infeasible labels in support")
 
-    marg = marginal_outer(state)
+    marg, conditional_max_dev = _branch_stats(state)
     n_subsets = math.comb(net.m, K)
     uniform = 1.0 / n_subsets
     marginal_max_dev = max(abs(p - uniform) for p in marg.values())
@@ -254,15 +289,6 @@ def verify_state(state: SparseState, net: NetworkConfig, k_req: int, K: int,
         failures.append(
             f"outer marginal deviates from uniform by {marginal_max_dev:.3e}")
 
-    branch_probs: dict[tuple[int, ...], list[float]] = {}
-    for (subset, _vec), amp in state.amplitudes.items():
-        branch_probs.setdefault(subset, []).append(amp * amp)
-    conditional_max_dev = 0.0
-    for probs in branch_probs.values():
-        total = math.fsum(probs)
-        flat = 1.0 / len(probs)
-        dev = max(abs(p / total - flat) for p in probs)
-        conditional_max_dev = max(conditional_max_dev, dev)
     if conditional_max_dev > NORM_TOL:
         failures.append(
             f"some conditional deviates from uniform by "
@@ -274,15 +300,15 @@ def verify_state(state: SparseState, net: NetworkConfig, k_req: int, K: int,
     min_expected = float("inf")
     jain_u = float("nan")
     if not failures:
-        counts = measure_many(state, rng, draws)
-        drawn_violations = sum(c for key, c in counts.items() if key in bad_labels)
-        # zero-count cells must stay in the arrays or the dof would shrink
-        support: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for (subset, vec) in state.outcomes():
-            support.setdefault(subset, []).append(vec)
-        obs_outer = np.array([
-            sum(counts.get((s, v), 0) for v in vecs)
-            for s, vecs in sorted(support.items())])
+        keys, counts = _sample_counts(state, rng, draws)
+        drawn_violations = sum(int(counts[bisect.bisect_left(keys, key)])
+                               for key in bad_labels)
+        # keys are sorted, so each subset's labels form one slice of counts;
+        # zero-count cells must stay in the slices or the dof would shrink
+        starts = [i for i, (subset, _vec) in enumerate(keys)
+                  if i == 0 or subset != keys[i - 1][0]]
+        branches = [counts[a:b] for a, b in zip(starts, starts[1:] + [len(keys)])]
+        obs_outer = np.array([obs.sum() for obs in branches])
         min_expected = draws / n_subsets
         outer_chi2, outer_p = stats.chisquare(obs_outer)
         outer_dof = n_subsets - 1
@@ -292,8 +318,7 @@ def verify_state(state: SparseState, net: NetworkConfig, k_req: int, K: int,
 
         stat_sum = 0.0
         dof_sum = 0
-        for subset, vecs in sorted(support.items()):
-            obs = np.array([counts.get((subset, v), 0) for v in vecs])
+        for obs in branches:
             total = obs.sum()
             if total == 0 or len(obs) < 2:
                 continue

@@ -195,6 +195,13 @@ def test_usage_errors():
     assert main(["verify-quantum", "--k-req", "4"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_mc_rejects_nonpositive_trials(trials, capsys):
+    assert main(["mc", "--caps", "3,3,3,3", "--k-req", "4",
+                 "--trials", trials]) == EXIT_USAGE
+    assert "--trials must be >= 1" in capsys.readouterr().err
+
+
 def test_io_error_exit():
     assert main(["breakeven", "--ms", "2", "--qs", "0.05",
                  "--out", "/nonexistent-dir/x.csv"]) == EXIT_IO

@@ -6,6 +6,7 @@ tolerances. Lossy behaviour is checked statistically under frozen seeds.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import hypothesis.strategies as st
 
 from dheac import (
     CapacityError,
+    InvariantViolationError,
     ModelParams,
     NetworkConfig,
     Request,
@@ -29,7 +31,16 @@ from dheac import (
     simulate_batch,
     trial_rng,
 )
-from dheac.lottery import _quota_round_rows
+from dheac import lottery
+from dheac.analytics import ancilla_bits
+from dheac.lottery import (
+    _BLOCK_BYTES,
+    _block_rows,
+    _delivery_law,
+    _quota_round_rows,
+)
+from dheac.netgen import demand_to_kreq
+from dheac.partition import safe_select_k
 
 SYM = NetworkConfig.from_caps((3, 3, 3, 3))
 LOSSFREE = ModelParams(q=0.0)
@@ -109,8 +120,66 @@ def test_batch_lossfree_matches_closed_form_exactly():
                                trial_rng(9))
         assert stats.success_rate == 1.0
         assert stats.latency_mean == pytest.approx(lat, rel=1e-12)
-        # single-pass variance leaves cancellation dust on constant data
+        # constant latency: the standard error is zero up to rounding
         assert stats.latency_se == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("q, M", [(0.0, 1), (0.0, 3), (0.05, 1), (0.15, 3),
+                                  (0.5, 7), (0.9, 2)])
+def test_delivery_law_is_a_pmf_with_the_closed_form_mean(q, M):
+    pvals, cost = _delivery_law(q, M)
+    assert pvals.shape == cost.shape == (M + 1,)
+    assert (pvals >= 0).all()
+    assert math.fsum(pvals) == pytest.approx(1.0, abs=1e-15)
+    assert list(cost) == list(range(1, M + 1)) + [M]
+    expected = ModelParams(q=q, max_attempts=M).expected_attempts
+    assert math.fsum(pvals * cost) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["optimistic", "conservative"])
+def test_batch_single_winner_latency_matches_closed_form(mode):
+    # one winner carries the whole request, so the stage-2 maximum is a
+    # single block sum and both stages have mean a * (qubit count)
+    net = NetworkConfig.from_caps((10, 10, 10))
+    k_req = 4
+    params = ModelParams(q=0.3, max_attempts=3)
+    assert safe_select_k(k_req, net.caps, params.beta) == 1
+    n_stage1 = net.m + (ancilla_bits(net.caps) if mode == "conservative" else 0)
+    expect = (2 * (params.t_gen + params.t_meas)
+              + params.t_dist * params.expected_attempts * (n_stage1 + k_req))
+    stats = simulate_batch(net, Request(k_req), params, mode, 20000,
+                           trial_rng(41))
+    assert stats.latency_se > 0
+    assert abs(stats.latency_mean - expect) < 5 * stats.latency_se
+
+
+def test_batch_memory_stays_within_block_budget_at_large_m():
+    net = generate_network(1024, 1.0, 10240)
+    k_req = demand_to_kreq(0.4, net.total)
+    params = ModelParams()
+    K = safe_select_k(k_req, net.caps, params.beta)
+    rows = _block_rows(net.m, K, params.max_attempts)
+    trials = 2 * rows + 1
+    tracemalloc.start()
+    try:
+        stats = simulate_batch(net, Request(k_req), params, "conservative",
+                               trials, trial_rng(43))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.trials == trials
+    assert peak < _BLOCK_BYTES
+
+
+def test_run_trial_rejects_rounding_that_loses_pairs(monkeypatch):
+    def short_round(k_req, caps):
+        quotas = list(quota_round(k_req, caps))
+        quotas[0] -= 1
+        return tuple(quotas)
+
+    monkeypatch.setattr(lottery, "quota_round", short_round)
+    with pytest.raises(InvariantViolationError):
+        run_trial(SYM, Request(4), LOSSY, "conservative", trial_rng(5))
 
 
 def test_batch_rate_tracks_the_matching_bound():

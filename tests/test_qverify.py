@@ -28,6 +28,7 @@ from dheac import (
     trial_rng,
     verify_state,
 )
+from dheac.qverify import NORM_TOL
 
 SYM = NetworkConfig.from_caps((3, 3, 3, 3))
 
@@ -67,6 +68,19 @@ def test_embedded_outer_marginal_is_exactly_uniform():
     assert len(marg) == math.comb(6, 5)
     for p in marg.values():
         assert p == pytest.approx(1 / 6, abs=1e-14)
+
+
+def test_large_branch_marginal_has_no_summation_drift():
+    # one subset with 10^5 equal weights: summing them with plain + drifts
+    # 1.9e-12 from 1, past NORM_TOL, on a correctly normalized state
+    c = 99999
+    net = NetworkConfig.from_caps((c, c))
+    amp = math.sqrt(1.0 / (c + 1))
+    state = SparseState({((0, 1), (i, c - i)): amp for i in range(c + 1)})
+    assert abs(marginal_outer(state)[(0, 1)] - 1.0) <= NORM_TOL
+    report = verify_state(state, net, c, 2, 1000, trial_rng(12))
+    assert report.marginal_max_dev <= NORM_TOL
+    assert not any("marginal" in f for f in report.failures)
 
 
 def test_embedded_conditional_is_uniform_per_subset():
