@@ -16,6 +16,7 @@ arrive: K + k_req for the upper bound, m + ell_anc + k_req for the lower.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,13 +50,12 @@ class ModelParams:
             raise ValueError(f"q must lie in [0, 1), got {self.q}")
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        for name in ("t_gen", "t_dist", "t_meas", "t_ctl"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for name in ("t_gen", "t_dist", "t_meas", "t_ctl", "beta"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.rounds < 0:
             raise ValueError(f"rounds must be >= 0, got {self.rounds}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
 
     @property
     def unit_success(self) -> float:
@@ -86,7 +86,6 @@ class MetricsRecord:
     THR_lower: float
     THR_upper: float
     THR_b2: float
-    jain: float = float("nan")
 
 
 def ancilla_bits(caps) -> int:

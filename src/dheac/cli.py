@@ -23,6 +23,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 from . import __version__
 from .analytics import (
     LATENCY_MODES,
@@ -37,7 +39,7 @@ from .errors import CapacityError, InvariantViolationError, ResourceShortageErro
 from .lottery import (
     estimate_fairness,
     exact_node_probs,
-    run_trial,
+    sample_rounds,
     simulate_batch,
     trial_rng,
 )
@@ -148,6 +150,8 @@ def _fmt(value) -> str:
         return str(int(value))
     if isinstance(value, float):
         return format(value, ".10g")
+    if isinstance(value, list):
+        return _fmt_seq(value, sep=";")
     return str(value)
 
 
@@ -288,7 +292,7 @@ def _sweep_point(task) -> list[dict]:
             ratio_thr_conservative=rec.THR_b2 / rec.THR_lower,
         ))
     if mode in ("mc", "both"):
-        req = Request(k_req, demand=demand, max_attempts=params.max_attempts)
+        req = Request(k_req, demand=demand)
         chis = LATENCY_MODES if chi == "both" else (chi,)
         row = dict(context, mode="mc", trials=trials, seed=seed)
         for sub, lmode in enumerate(LATENCY_MODES):
@@ -421,8 +425,7 @@ def _cmd_fairness(args) -> int:
                 k_req = demand_to_kreq(demand, net.total)
                 row = {"status": "ok", "m": m, "demand": demand, "skew": skew,
                        "total": net.total, "k_req": k_req}
-                req = Request(k_req, demand=demand,
-                              max_attempts=spec.params.max_attempts)
+                req = Request(k_req, demand=demand)
                 try:
                     row["K"] = safe_select_k(k_req, net.caps, spec.params.beta)
                     probs, method, trials = _fairness_probs(
@@ -641,27 +644,34 @@ def _cmd_mc(args) -> int:
     net = _build_network(args)
     k_req = _resolve_k_req(args, net)
     params = _single_point_params(args)
-    req = Request(k_req, demand=args.demand, max_attempts=params.max_attempts)
+    req = Request(k_req, demand=args.demand)
     rec = evaluate_point(net.caps, k_req, params)
 
-    rows = []
     n_ok = 0
     lat_sum = 0.0
-    for t in range(args.trials):
-        outcome = run_trial(net, req, params, args.chi, trial_rng(args.seed, t))
-        n_ok += outcome.succeeded
-        lat_sum += outcome.latency
-        rows.append({"trial": t, "succeeded": outcome.succeeded,
-                     "attempts_total": outcome.attempts_total,
-                     "latency": outcome.latency,
-                     "winners": _fmt_seq(outcome.winners, sep=";"),
-                     "quotas": _fmt_seq(outcome.quotas, sep=";")})
+
+    def rows():
+        nonlocal n_ok, lat_sum
+        done = 0
+        for arrangement, quotas, ok, attempts, lat in sample_rounds(
+                net, req, params, args.chi, args.trials, trial_rng(args.seed)):
+            n_ok += int(ok.sum())
+            lat_sum += float(lat.sum())
+            # winners in ascending order, each quota moved with its winner
+            order = np.argsort(arrangement, axis=1)
+            columns = (range(done, done + len(lat)), ok.tolist(),
+                       attempts.tolist(), lat.tolist(),
+                       np.take_along_axis(arrangement, order, axis=1).tolist(),
+                       np.take_along_axis(quotas, order, axis=1).tolist())
+            done += len(lat)
+            yield from (dict(zip(MC_FIELDS, row)) for row in zip(*columns))
+
     comments = [f"dheac {__version__} mc",
                 f"chi={args.chi} seed={args.seed} trials={args.trials}",
                 f"m={net.m} skew={net.skew:g} total={net.total} "
                 f"caps={_fmt_seq(net.caps)} k_req={k_req} K={rec.K}",
                 _param_comment(params) + f" q={params.q:g}"]
-    _write_csv(args.out, comments, MC_FIELDS, rows)
+    _write_csv(args.out, comments, MC_FIELDS, rows())
 
     if args.out != "-":
         rate = n_ok / args.trials

@@ -15,11 +15,14 @@ closed-form oracle below averages over arrangements in the same way.
 
 Delivery only matters through two facts per group of qubits: the sum of
 their capped attempt counts and whether any of them ran out of attempts.
-``run_trial`` draws one truncated geometric per qubit. ``simulate_batch``
-draws the same law per group instead: one multinomial over the outcomes
-{delivered on attempt 1, ..., delivered on attempt M, failed} for the
-selection qubits and one for each winner's quota block, so its cost no
-longer grows with k_req.
+``sample_rounds`` is the one round kernel: per block of trials it draws
+the arrangements, rounds them, and samples each group's delivery as one
+multinomial over the outcomes {delivered on attempt 1, ..., delivered on
+attempt M, failed}, so its cost does not grow with k_req. ``simulate_batch``
+reduces its blocks to batch statistics, the ``mc`` dump formats them, and
+``estimate_fairness`` uses its arrangement and rounding step alone.
+``run_trial`` is the per-qubit reference: one truncated geometric per qubit
+and explicit winning nodes, kept for tests to compare the kernel against.
 
 Streams are derived counter-style: ``trial_rng(seed, point, trial)`` gives
 the same generator no matter which worker runs the trial. The bulk
@@ -43,7 +46,7 @@ from .partition import quota_round, safe_select_k
 
 DEFAULT_BETA = 0.10
 _BLOCK = 16384
-# bytes one simulate_batch block may hold; every m <= 32 point at the
+# bytes one sample_rounds block may hold; every m <= 32 point at the
 # default max_attempts still fits a full _BLOCK of rows
 _BLOCK_BYTES = 64 << 20
 
@@ -70,7 +73,11 @@ class TrialOutcome:
 
 @dataclass(frozen=True, eq=False)
 class FairnessReport:
-    """Per-node win frequencies from the loss-free lottery chain."""
+    """Per-node win probabilities from the loss-free lottery chain.
+
+    Sampled over the outer lottery and the rounding only: each node's
+    entry is its QLAN's mean quota over its capacity.
+    """
 
     node_probs: np.ndarray
     jain: float
@@ -82,7 +89,6 @@ class FairnessReport:
 class BatchStats:
     """Aggregates from a vectorized batch of delivery trials."""
 
-    mode: str
     trials: int
     success_rate: float
     success_se: float
@@ -93,14 +99,6 @@ class BatchStats:
 def trial_rng(seed: int, *indices: int) -> np.random.Generator:
     """Counter-derived stream for (seed, point index, trial index, ...)."""
     return np.random.default_rng(np.random.SeedSequence((seed, *indices)))
-
-
-def sample_outer(m: int, K: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """Uniformly random K-subset of QLAN indices, ascending."""
-    if not 1 <= K <= m:
-        raise ValueError(f"need 1 <= K <= m, got K={K}, m={m}")
-    picked = rng.choice(m, size=K, replace=False)
-    return tuple(int(i) for i in sorted(picked))
 
 
 def sample_inner(n: int, k: int, rng: np.random.Generator) -> tuple[int, ...]:
@@ -120,7 +118,11 @@ def _check_mode(mode: str) -> None:
 
 def run_trial(net: NetworkConfig, req: Request, params: ModelParams,
               mode: str, rng: np.random.Generator) -> TrialOutcome:
-    """Sample one full protocol round under the given accounting mode."""
+    """Sample one full protocol round under the given accounting mode.
+
+    Draws one truncated geometric per qubit and the winning nodes: the
+    per-qubit reference for sample_rounds, not used by the CLI.
+    """
     _check_mode(mode)
     K = safe_select_k(req.k_req, net.caps, params.beta)
     ell = ancilla_bits(net.caps)
@@ -181,13 +183,14 @@ def _quota_round_rows(k_req: int, caps_rows: np.ndarray, cap_bound: int) -> np.n
     key; cap_bound must exceed every capacity so remainders dominate it).
     """
     rows, K = caps_rows.shape
-    c_total = caps_rows.sum(axis=1, keepdims=True)
-    num = k_req * caps_rows
-    floors = num // c_total
-    rems = num - floors * c_total
+    floors, key = np.divmod(k_req * caps_rows,
+                            caps_rows.sum(axis=1, keepdims=True))
     residual = k_req - floors.sum(axis=1)
-    key = rems * cap_bound + caps_rows
-    order = np.argsort(-key, axis=1, kind="stable")
+    # key = -(remainder * cap_bound + capacity), built in place
+    key *= -cap_bound
+    key -= caps_rows
+    order = np.argsort(key, axis=1, kind="stable")
+    del key
     ranks = np.empty_like(order)
     np.put_along_axis(ranks, order, np.broadcast_to(np.arange(K), (rows, K)), axis=1)
     quotas = floors + (ranks < residual[:, None])
@@ -211,29 +214,44 @@ def _delivery_law(q: float, M: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _block_rows(m: int, K: int, M: int) -> int:
-    """Trials per simulate_batch block under the _BLOCK_BYTES budget.
+    """Trials per block under the _BLOCK_BYTES budget.
 
     Counts the int64 words alive per row at a block's peak: the permuted
-    arrangement and its tiled source (2m), about ten rounding temporaries
+    arrangement and its tiled source (2m), up to ten rounding temporaries
     (10K) and the quota-block outcome counts (K(M + 1)).
     """
     row_bytes = 8 * (2 * m + K * (M + 11))
     return max(1, min(_BLOCK, _BLOCK_BYTES // row_bytes))
 
 
-def simulate_batch(net: NetworkConfig, req: Request, params: ModelParams,
-                   mode: str, trials: int, rng: np.random.Generator) -> BatchStats:
-    """Vectorized delivery trials; same law as run_trial, sampled per group.
+def _arranged_quotas(caps: np.ndarray, k_req: int, K: int, trials: int,
+                     block: int, rng: np.random.Generator):
+    """Yield (arrangement, quotas) for successive blocks of at most block rows.
 
-    Returns the empirical success rate and mean latency with standard
-    errors. Quota arrangements are sampled exactly as in run_trial. Delivery
-    is one multinomial draw over the capped-attempt outcomes per group of
-    qubits: the winner and non-winner selection qubits (optimistic mode) or
-    all selection and ancilla qubits (conservative mode), and each winner's
-    quota block. A group's attempt sum and failure count have the same law
-    as the per-qubit draws of run_trial; node identities are not
-    materialized (they do not influence delivery). Trials run in blocks
-    sized by a fixed memory budget, so peak memory does not grow with m.
+    Each row is one round's first K QLANs of a uniformly random permutation,
+    in arrangement order, and quota_round applied to their capacities.
+    """
+    cap_bound = int(caps.max()) + 1
+    qlan_ids = np.arange(len(caps), dtype=np.int64)
+    for start in range(0, trials, block):
+        t = min(block, trials - start)
+        # copy the (t, K) slice so the (t, m) permutation is freed at once
+        arrangement = rng.permuted(
+            np.tile(qlan_ids, (t, 1)), axis=1)[:, :K].copy()
+        yield arrangement, _quota_round_rows(k_req, caps[arrangement], cap_bound)
+
+
+def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
+                  mode: str, trials: int, rng: np.random.Generator):
+    """The one round kernel: yield per-trial arrays, one tuple per block.
+
+    Each tuple is (arrangement, quotas, succeeded, attempts_total, latency):
+    the (t, K) winners in arrangement order (not sorted) with their quotas,
+    then three (t,) arrays with run_trial's accounting. Delivery is one
+    multinomial per group of qubits (winner and non-winner selection
+    qubits, or selection plus ancilla qubits, and each quota block), with
+    the law of run_trial's per-qubit draws; node identities are not drawn.
+    Blocks fit a fixed memory budget, so peak memory does not grow with m.
     """
     _check_mode(mode)
     if trials < 1:
@@ -242,52 +260,60 @@ def simulate_batch(net: NetworkConfig, req: Request, params: ModelParams,
     ell = ancilla_bits(net.caps)
     m = net.m
     caps = np.asarray(net.caps, dtype=np.int64)
-    cap_bound = int(caps.max()) + 1
     M = params.max_attempts
     pvals, cost = _delivery_law(params.q, M)
     base = params.t_gen + params.t_meas
-    block = _block_rows(m, K, M)
 
-    n_success = 0
-    lat_mean = 0.0
-    lat_m2 = 0.0
-    qlan_ids = np.arange(m, dtype=np.int64)
-    for start in range(0, trials, block):
-        t = min(block, trials - start)
-        arrangement = rng.permuted(
-            np.tile(qlan_ids, (t, 1)), axis=1)[:, :K]
-        quotas = _quota_round_rows(req.k_req, caps[arrangement], cap_bound)
-        # the [:, :K] view pins the whole (t, m) permutation; free it (and
-        # the outcome counts below) before the next large array is built
-        del arrangement
-
+    for arrangement, quotas in _arranged_quotas(
+            caps, req.k_req, K, trials, _block_rows(m, K, M), rng):
+        t = len(quotas)
         if mode == "optimistic":
             winners = rng.multinomial(K, pvals, size=t)
             sel_ok = winners[:, M] == 0
-            stage1_att = (winners + rng.multinomial(m - K, pvals, size=t)) @ cost
+            sel_att = winners @ cost
+            stage1_att = sel_att + rng.multinomial(m - K, pvals, size=t) @ cost
         else:
             outer = rng.multinomial(m + ell, pvals, size=t)
             sel_ok = outer[:, M] == 0
-            stage1_att = outer @ cost
+            sel_att = stage1_att = outer @ cost
         blocks = rng.multinomial(quotas, pvals)
         ok = sel_ok & (blocks[:, :, M] == 0).all(axis=1)
-        stage2_att = (blocks @ cost).max(axis=1)
-        del blocks
+        block_att = blocks @ cost
+        attempts = sel_att + block_att.sum(axis=1)
         lat = (base + params.t_dist * stage1_att) + (
-            base + params.t_dist * stage2_att)
+            base + params.t_dist * block_att.max(axis=1))
+        del blocks, block_att
+        yield arrangement, quotas, ok, attempts, lat
+        # free this block's (t, K) arrays before the next block is drawn
+        del arrangement, quotas
 
+
+def simulate_batch(net: NetworkConfig, req: Request, params: ModelParams,
+                   mode: str, trials: int, rng: np.random.Generator) -> BatchStats:
+    """Success rate and mean latency, with standard errors, over sample_rounds.
+
+    Per-block latency means and sums of squares are merged pairwise, so
+    memory stays at one block whatever the trial count.
+    """
+    n_done = 0
+    n_success = 0
+    lat_mean = 0.0
+    lat_m2 = 0.0
+    # rebinding _ keeps no (t, K) array alive while the next block is drawn
+    for _, _, ok, _, lat in sample_rounds(net, req, params, mode, trials, rng):
         # Chan et al. pairwise merge of per-block mean and M2
+        t = len(lat)
         b_mean = float(lat.mean())
         b_m2 = float(np.square(lat - b_mean).sum())
-        n_new = start + t
+        n_new = n_done + t
         delta = b_mean - lat_mean
         lat_mean += delta * t / n_new
-        lat_m2 += b_m2 + delta * delta * start * t / n_new
+        lat_m2 += b_m2 + delta * delta * n_done * t / n_new
         n_success += int(ok.sum())
+        n_done = n_new
 
     rate = n_success / trials
     return BatchStats(
-        mode=mode,
         trials=trials,
         success_rate=rate,
         success_se=math.sqrt(rate * (1.0 - rate) / trials),
@@ -299,46 +325,26 @@ def simulate_batch(net: NetworkConfig, req: Request, params: ModelParams,
 def estimate_fairness(net: NetworkConfig, req: Request, trials: int,
                       rng: np.random.Generator,
                       beta: float = DEFAULT_BETA) -> FairnessReport:
-    """Per-node win frequencies over the loss-free lottery chain.
+    """Per-node win probabilities over the loss-free lottery chain.
 
-    Delivery loss is ignored on purpose: fairness concerns who is granted
-    access, not whether the grant survives the channel.
+    Rao-Blackwellized: a winner QLAN's winning nodes are a uniform
+    quota-subset of its nodes, so each node of QLAN i wins with probability
+    E[quota_i] / caps_i; only the outer lottery and the rounding are
+    sampled. Delivery loss is ignored on purpose: fairness concerns who is
+    granted access, not whether the grant survives the channel.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     K = safe_select_k(req.k_req, net.caps, beta)
-    m = net.m
     caps = np.asarray(net.caps, dtype=np.int64)
-    cap_bound = int(caps.max()) + 1
-    offsets = np.concatenate(([0], np.cumsum(caps)))
-    n_nodes = int(offsets[-1])
-    if n_nodes == 0:
-        raise ValueError("network has no nodes")
-    win_counts = np.zeros(n_nodes, dtype=np.int64)
-    qlan_ids = np.arange(m, dtype=np.int64)
-
-    for start in range(0, trials, _BLOCK):
-        t = min(_BLOCK, trials - start)
-        arrangement = rng.permuted(np.tile(qlan_ids, (t, 1)), axis=1)[:, :K]
-        quotas = _quota_round_rows(req.k_req, caps[arrangement], cap_bound)
-        quota_mat = np.zeros((t, m), dtype=np.int64)
-        np.put_along_axis(quota_mat, arrangement, quotas, axis=1)
-        for i in range(m):
-            n_i = int(caps[i])
-            if n_i == 0:
-                continue
-            k_col = quota_mat[:, i]
-            # ranks of i.i.d. uniforms give a uniform random permutation per
-            # trial; a node wins iff its rank falls below the QLAN quota
-            u = rng.random((t, n_i))
-            order = np.argsort(u, axis=1)
-            ranks = np.empty_like(order)
-            np.put_along_axis(ranks, order,
-                              np.broadcast_to(np.arange(n_i), (t, n_i)), axis=1)
-            wins = ranks < k_col[:, None]
-            win_counts[offsets[i]:offsets[i + 1]] += wins.sum(axis=0)
-
-    probs = win_counts / float(trials)
+    quota_sums = np.zeros(net.m)
+    # no delivery counts, so the block budget holds no outcome columns
+    for arrangement, quotas in _arranged_quotas(
+            caps, req.k_req, K, trials, _block_rows(net.m, K, 0), rng):
+        quota_sums += np.bincount(arrangement.ravel(), weights=quotas.ravel(),
+                                  minlength=net.m)
+    # a zero-capacity QLAN has no nodes, so repeat drops its entry
+    probs = np.repeat(quota_sums / (trials * np.maximum(caps, 1)), caps)
     return FairnessReport(node_probs=probs, jain=jain_index(probs),
                           trials=trials, ecdf=ecdf(probs))
 
@@ -394,9 +400,4 @@ def exact_node_probs(net: NetworkConfig, req: Request,
         for i, e in zip(subset, expected):
             if net.caps[i] > 0:
                 qlan_prob[i] += e / net.caps[i]
-    out = np.empty(net.total, dtype=float)
-    pos = 0
-    for i in range(net.m):
-        out[pos:pos + net.caps[i]] = qlan_prob[i] / n_subsets
-        pos += net.caps[i]
-    return out
+    return np.repeat(np.array(qlan_prob) / n_subsets, net.caps)

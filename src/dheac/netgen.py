@@ -36,7 +36,7 @@ class NetworkConfig:
             raise ValueError(f"caps has {len(self.caps)} entries, expected m={self.m}")
         if any(c < 0 or c != int(c) for c in self.caps):
             raise ValueError(f"caps must be non-negative integers, got {self.caps}")
-        if self.skew < 0:
+        if not self.skew >= 0:
             raise ValueError(f"skew must be >= 0, got {self.skew}")
         if self.total == -1:
             object.__setattr__(self, "total", sum(self.caps))
@@ -55,27 +55,20 @@ class Request:
 
     ``demand`` is the requested fraction of total capacity when the request
     was derived from one (None for requests stated directly in pairs).
-    ``max_attempts`` is the per-pair delivery retry limit carried by the
-    request envelope; the delivery model itself reads the limit from
-    ModelParams.
     """
 
     k_req: int
     demand: float | None = None
-    max_attempts: int = 3
 
     def __post_init__(self):
         if self.k_req < 1:
             raise ValueError(f"k_req must be >= 1, got {self.k_req}")
         if self.demand is not None and not 0.0 < self.demand <= 1.0:
             raise ValueError(f"demand must lie in (0, 1], got {self.demand}")
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
 
     @classmethod
-    def from_demand(cls, net: NetworkConfig, demand: float, max_attempts: int = 3) -> "Request":
-        return cls(k_req=demand_to_kreq(demand, net.total), demand=demand,
-                   max_attempts=max_attempts)
+    def from_demand(cls, net: NetworkConfig, demand: float) -> "Request":
+        return cls(k_req=demand_to_kreq(demand, net.total), demand=demand)
 
 
 def generate_network(m: int, skew: float, total: int) -> NetworkConfig:
@@ -90,7 +83,7 @@ def generate_network(m: int, skew: float, total: int) -> NetworkConfig:
         raise ValueError(f"m must be >= 1, got {m}")
     if total < 0:
         raise ValueError(f"total must be >= 0, got {total}")
-    if skew < 0:
+    if not skew >= 0:
         raise ValueError(f"skew must be >= 0, got {skew}")
     weights = [float(i) ** -skew for i in range(1, m + 1)]
     wsum = math.fsum(weights)

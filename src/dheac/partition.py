@@ -31,17 +31,6 @@ class Allocation:
         if any(q < 0 for q in self.quotas):
             raise ValueError(f"quotas must be non-negative, got {self.quotas}")
 
-    @property
-    def k_total(self) -> int:
-        return sum(self.quotas)
-
-    def quota_vector(self, m: int) -> tuple[int, ...]:
-        """Scatter quotas into a length-m vector with zeros for non-winners."""
-        full = [0] * m
-        for i, q in zip(self.winners, self.quotas):
-            full[i] = q
-        return tuple(full)
-
 
 @dataclass(frozen=True)
 class PartitionSet:

@@ -2,10 +2,27 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+import tempfile
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from dheac import ModelParams, evaluate_point, generate_network
+import dheac
+from dheac import (
+    LATENCY_MODES,
+    ModelParams,
+    Request,
+    evaluate_point,
+    generate_network,
+    safe_select_k,
+    simulate_batch,
+    trial_rng,
+)
+from dheac import lottery
 from dheac.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -183,6 +200,50 @@ def test_mc_dump_shape(tmp_path):
     assert [int(v) for v in rows[3]["quotas"].split(";")] == [2, 2]
 
 
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(1, 8), skew=st.floats(0.0, 2.0), seed=st.integers(0, 99),
+       chi=st.sampled_from(LATENCY_MODES), data=st.data())
+def test_mc_dump_rows_keep_the_round_invariants(m, skew, seed, chi, data):
+    net = generate_network(m, skew, 8 * m)
+    k_req = data.draw(st.integers(1, net.total))
+    K = safe_select_k(k_req, net.caps, ModelParams().beta)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "mc.csv")
+        assert main(["mc", "--caps", ",".join(map(str, net.caps)),
+                     "--k-req", str(k_req), "--q", "0.1", "--chi", chi,
+                     "--trials", "40", "--seed", str(seed),
+                     "--out", out]) == EXIT_OK
+        _, _, rows = read_csv(out)
+    assert [int(r["trial"]) for r in rows] == list(range(40))
+    for r in rows:
+        winners = [int(v) for v in r["winners"].split(";")]
+        quotas = [int(v) for v in r["quotas"].split(";")]
+        assert len(winners) == len(quotas) == K
+        assert winners == sorted(set(winners))
+        assert all(0 <= i < m for i in winners)
+        assert sum(quotas) == k_req
+        assert all(q <= net.caps[i] for i, q in zip(winners, quotas))
+
+
+def test_mc_dump_is_the_batch_kernel_across_blocks(tmp_path, monkeypatch):
+    # tiny blocks: the dump must number rows across block boundaries and
+    # consume the same stream as simulate_batch
+    monkeypatch.setattr(lottery, "_BLOCK", 7)
+    out = tmp_path / "mc.csv"
+    assert main(["mc", "--m", "8", "--skew", "1", "--demand", "0.4",
+                 "--q", "0.2", "--chi", "optimistic", "--trials", "25",
+                 "--seed", "3", "--out", str(out)]) == EXIT_OK
+    _, _, rows = read_csv(out)
+    assert [int(r["trial"]) for r in rows] == list(range(25))
+    net = generate_network(8, 1.0, 80)
+    stats = simulate_batch(net, Request(32), ModelParams(q=0.2),
+                           "optimistic", 25, trial_rng(3))
+    assert sum(int(r["succeeded"]) for r in rows) == round(
+        stats.success_rate * 25)
+    assert sum(float(r["latency"]) for r in rows) / 25 == pytest.approx(
+        stats.latency_mean, rel=1e-9)
+
+
 def test_mc_shortage_exit():
     assert main(["mc", "--caps", "2,2", "--k-req", "5",
                  "--trials", "5"]) == EXIT_SHORTAGE
@@ -205,3 +266,31 @@ def test_mc_rejects_nonpositive_trials(trials, capsys):
 def test_io_error_exit():
     assert main(["breakeven", "--ms", "2", "--qs", "0.05",
                  "--out", "/nonexistent-dir/x.csv"]) == EXIT_IO
+
+
+ONE_CELL = ["--ms", "4", "--demands", "0.4"]
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["sweep", *ONE_CELL, "--skews", "0", "--t-dist", "inf"], "t_dist"),
+    (["sweep", *ONE_CELL, "--skews", "0", "--mode", "mc", "--trials", "10",
+      "--t-gen", "nan"], "t_gen"),
+    (["mc", "--caps", "3,3,3,3", "--k-req", "4", "--beta", "nan"], "beta"),
+    (["fairness", *ONE_CELL, "--skews", "0", "--beta", "inf"], "beta"),
+    (["fairness", *ONE_CELL, "--skews", "nan"], "skew"),
+])
+def test_non_finite_model_inputs_are_usage_errors(argv, field, tmp_path,
+                                                  capsys):
+    assert main([*argv, "--out", str(tmp_path / "out.csv")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be")
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    src = os.path.dirname(os.path.dirname(dheac.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, dheac.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -89,5 +89,3 @@ def test_request_from_demand():
 def test_request_validation():
     with pytest.raises(ValueError):
         Request(0)
-    with pytest.raises(ValueError):
-        Request(4, max_attempts=0)

@@ -28,7 +28,7 @@ from dheac import (
     trial_rng,
     verify_state,
 )
-from dheac.qverify import NORM_TOL
+from dheac.qverify import NORM_TOL, _chisquare
 
 SYM = NetworkConfig.from_caps((3, 3, 3, 3))
 
@@ -211,3 +211,13 @@ def test_check_normalized_raises():
     state = SparseState({((0,), (1,)): 0.5})
     with pytest.raises(InvariantViolationError):
         state.check_normalized()
+
+
+@pytest.mark.parametrize("obs", [[16, 18, 16, 14, 12, 12], [5, 0, 0, 9],
+                                 [1000, 1010, 990], [3, 3, 3, 3], [0, 7]])
+def test_chisquare_helper_equals_scipy_stats(obs):
+    from scipy import stats
+
+    obs = np.array(obs)
+    stat, pvalue = stats.chisquare(obs)
+    assert _chisquare(obs) == (float(stat), float(pvalue))
