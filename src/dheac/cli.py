@@ -411,6 +411,8 @@ FAIRNESS_FIELDS = ["status", "m", "demand", "skew", "total", "k_req", "K",
 
 
 def _cmd_fairness(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     spec = _resolve_spec(args)
     if args.trials < 10 ** 4:
         print(f"warning: {args.trials} trials is below the recommended 10^4",
@@ -649,12 +651,14 @@ def _cmd_mc(args) -> int:
 
     n_ok = 0
     lat_sum = 0.0
+    # checked before the output is opened; the blocks are drawn as rows go out
+    rounds = sample_rounds(net, req, params, args.chi, args.trials,
+                           trial_rng(args.seed))
 
     def rows():
         nonlocal n_ok, lat_sum
         done = 0
-        for arrangement, quotas, ok, attempts, lat in sample_rounds(
-                net, req, params, args.chi, args.trials, trial_rng(args.seed)):
+        for arrangement, quotas, ok, attempts, lat in rounds:
             n_ok += int(ok.sum())
             lat_sum += float(lat.sum())
             # winners in ascending order, each quota moved with its winner
@@ -728,12 +732,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p)
     p.add_argument("--method", choices=("auto", "exact", "mc"),
                    default="auto",
-                   help="exact subset enumeration, sampling, or exact with "
-                        "sampling fallback")
+                   help="exact enumeration over capacity classes, "
+                        "sampling, or exact with sampling fallback")
     p.add_argument("--trials", type=int, default=100000)
     p.add_argument("--max-subsets", dest="max_subsets", type=int,
                    default=10 ** 6,
-                   help="enumeration guard for the exact method")
+                   help="largest C(m, K) winner-subset count the exact "
+                        "method takes on")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", default="-")
     p.add_argument("--ecdf-out", dest="ecdf_out", default=None,

@@ -32,8 +32,8 @@ for a fixed seed and fixed inputs.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,10 +218,17 @@ def _block_rows(m: int, K: int, M: int) -> int:
 
     Counts the int64 words alive per row at a block's peak: the permuted
     arrangement and its tiled source (2m), up to ten rounding temporaries
-    (10K) and the quota-block outcome counts (K(M + 1)).
+    (10K) and the quota-block outcome counts (K(M + 1)). Raises
+    CapacityError when a single row exceeds the budget, which only a huge
+    max_attempts M can cause at any realistic m.
     """
     row_bytes = 8 * (2 * m + K * (M + 11))
-    return max(1, min(_BLOCK, _BLOCK_BYTES // row_bytes))
+    if row_bytes > _BLOCK_BYTES:
+        raise CapacityError(
+            f"max_attempts={M} needs {row_bytes} bytes per trial at m={m}, "
+            f"K={K}, over the {_BLOCK_BYTES}-byte block budget; "
+            "lower max_attempts")
+    return min(_BLOCK, _BLOCK_BYTES // row_bytes)
 
 
 def _arranged_quotas(caps: np.ndarray, k_req: int, K: int, trials: int,
@@ -243,7 +250,7 @@ def _arranged_quotas(caps: np.ndarray, k_req: int, K: int, trials: int,
 
 def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
                   mode: str, trials: int, rng: np.random.Generator):
-    """The one round kernel: yield per-trial arrays, one tuple per block.
+    """The one round kernel: an iterator of per-trial arrays, one per block.
 
     Each tuple is (arrangement, quotas, succeeded, attempts_total, latency):
     the (t, K) winners in arrangement order (not sorted) with their quotas,
@@ -252,40 +259,47 @@ def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
     qubits, or selection plus ancilla qubits, and each quota block), with
     the law of run_trial's per-qubit draws; node identities are not drawn.
     Blocks fit a fixed memory budget, so peak memory does not grow with m.
+    The arguments are checked before anything is drawn: raises CapacityError
+    when one trial's outcome table alone exceeds that budget.
     """
     _check_mode(mode)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     K = safe_select_k(req.k_req, net.caps, params.beta)
+    M = params.max_attempts
+    block = _block_rows(net.m, K, M)
     ell = ancilla_bits(net.caps)
     m = net.m
     caps = np.asarray(net.caps, dtype=np.int64)
-    M = params.max_attempts
     pvals, cost = _delivery_law(params.q, M)
     base = params.t_gen + params.t_meas
 
-    for arrangement, quotas in _arranged_quotas(
-            caps, req.k_req, K, trials, _block_rows(m, K, M), rng):
-        t = len(quotas)
-        if mode == "optimistic":
-            winners = rng.multinomial(K, pvals, size=t)
-            sel_ok = winners[:, M] == 0
-            sel_att = winners @ cost
-            stage1_att = sel_att + rng.multinomial(m - K, pvals, size=t) @ cost
-        else:
-            outer = rng.multinomial(m + ell, pvals, size=t)
-            sel_ok = outer[:, M] == 0
-            sel_att = stage1_att = outer @ cost
-        blocks = rng.multinomial(quotas, pvals)
-        ok = sel_ok & (blocks[:, :, M] == 0).all(axis=1)
-        block_att = blocks @ cost
-        attempts = sel_att + block_att.sum(axis=1)
-        lat = (base + params.t_dist * stage1_att) + (
-            base + params.t_dist * block_att.max(axis=1))
-        del blocks, block_att
-        yield arrangement, quotas, ok, attempts, lat
-        # free this block's (t, K) arrays before the next block is drawn
-        del arrangement, quotas
+    def blocks_of_rounds():
+        for arrangement, quotas in _arranged_quotas(
+                caps, req.k_req, K, trials, block, rng):
+            t = len(quotas)
+            if mode == "optimistic":
+                winners = rng.multinomial(K, pvals, size=t)
+                sel_ok = winners[:, M] == 0
+                sel_att = winners @ cost
+                stage1_att = sel_att + rng.multinomial(
+                    m - K, pvals, size=t) @ cost
+            else:
+                outer = rng.multinomial(m + ell, pvals, size=t)
+                sel_ok = outer[:, M] == 0
+                sel_att = stage1_att = outer @ cost
+            blocks = rng.multinomial(quotas, pvals)
+            ok = sel_ok & (blocks[:, :, M] == 0).all(axis=1)
+            block_att = blocks @ cost
+            attempts = sel_att + block_att.sum(axis=1)
+            lat = (base + params.t_dist * stage1_att) + (
+                base + params.t_dist * block_att.max(axis=1))
+            del blocks, block_att
+            yield arrangement, quotas, ok, attempts, lat
+            # free this block's (t, K) arrays before the next block is drawn
+            del arrangement, quotas
+
+    return blocks_of_rounds()
 
 
 def simulate_batch(net: NetworkConfig, req: Request, params: ModelParams,
@@ -378,15 +392,31 @@ def _expected_quotas(k_req: int, caps: tuple[int, ...]) -> list[float]:
     return expected
 
 
+def _compositions(sizes: tuple[int, ...], K: int):
+    """Yield every (j_c) with 0 <= j_c <= sizes[c] and sum(j_c) == K."""
+    if not sizes:
+        if K == 0:
+            yield ()
+        return
+    rest = sum(sizes[1:])
+    for j in range(max(0, K - rest), min(sizes[0], K) + 1):
+        for tail in _compositions(sizes[1:], K - j):
+            yield (j, *tail)
+
+
 def exact_node_probs(net: NetworkConfig, req: Request,
                      beta: float = DEFAULT_BETA,
                      max_subsets: int = 10 ** 6) -> np.ndarray:
-    """Exact per-node win probabilities by enumerating winner subsets.
+    """Exact per-node win probabilities over capacity-class compositions.
 
     P(node in QLAN i wins) = mean over K-subsets containing i of
-    E[quota_i] / caps_i, with E over the random winner arrangement.
-    Raises CapacityError when C(m, K) exceeds max_subsets; use
-    estimate_fairness for such instances.
+    E[quota_i] / caps_i, with E over the random winner arrangement. QLANs
+    of equal capacity are exchangeable, so the subsets are grouped by
+    composition: j_c winners from the n_c QLANs of capacity c, reached by
+    prod C(n_c, j_c) subsets that share one expected quota per class, and
+    each QLAN of class c is among the winners in a j_c / n_c share of them.
+    The guard still counts subsets: raises CapacityError when C(m, K)
+    exceeds max_subsets; use estimate_fairness for such instances.
     """
     K = safe_select_k(req.k_req, net.caps, beta)
     n_subsets = math.comb(net.m, K)
@@ -394,10 +424,20 @@ def exact_node_probs(net: NetworkConfig, req: Request,
         raise CapacityError(
             f"C({net.m}, {K}) = {n_subsets} subsets exceed {max_subsets}; "
             "use estimate_fairness instead")
-    qlan_prob = [0.0] * net.m
-    for subset in itertools.combinations(range(net.m), K):
-        expected = _expected_quotas(req.k_req, tuple(net.caps[i] for i in subset))
-        for i, e in zip(subset, expected):
-            if net.caps[i] > 0:
-                qlan_prob[i] += e / net.caps[i]
+    class_size = Counter(net.caps)
+    classes = sorted(class_size)
+    sizes = tuple(class_size[c] for c in classes)
+    # per class: sum over subsets of j_c * E[quota] / c (divided by n_c below)
+    class_sum = dict.fromkeys(classes, 0.0)
+    for counts in _compositions(sizes, K):
+        winners = tuple(c for c, j in zip(classes, counts) for _ in range(j))
+        expected = _expected_quotas(req.k_req, winners)
+        weight = math.prod(math.comb(n, j) for n, j in zip(sizes, counts))
+        first = 0
+        for c, j in zip(classes, counts):
+            # the class's j winners share one expected quota
+            if j and c:
+                class_sum[c] += weight * j * expected[first] / c
+            first += j
+    qlan_prob = [class_sum[c] / class_size[c] for c in net.caps]
     return np.repeat(np.array(qlan_prob) / n_subsets, net.caps)

@@ -286,6 +286,27 @@ def test_non_finite_model_inputs_are_usage_errors(argv, field, tmp_path,
     assert err.startswith(f"error: {field} must be")
 
 
+def test_mc_rejects_a_max_attempts_beyond_the_block_budget(tmp_path, capsys):
+    # one trial's outcome table alone would hold 8 * (10^7 + 15) bytes
+    out = tmp_path / "mc.csv"
+    assert main(["mc", "--caps", "3,3", "--k-req", "2", "--trials", "2",
+                 "--max-attempts", "10000000", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: max_attempts=10000000 ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["auto", "exact", "mc"])
+def test_fairness_rejects_nonpositive_trials(method, tmp_path, capsys):
+    # every cell of this grid is exact, so only the check can refuse it
+    out = tmp_path / "fair.csv"
+    assert main(["fairness", "--method", method, "--trials", "0",
+                 *ONE_CELL, "--skews", "0", "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(
+        "error: --trials must be >= 1, got 0")
+    assert not out.exists()
+
+
 def test_cli_import_does_not_load_scipy_stats():
     src = os.path.dirname(os.path.dirname(dheac.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -294,3 +315,18 @@ def test_cli_import_does_not_load_scipy_stats():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_quota_rounding_diagnostic_script_runs():
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                          "quota_rounding_diagnostic.py")
+    proc = subprocess.run([sys.executable, script, "--ms", "4", "--skews",
+                           "0,1", "--demands", "0.1"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split()[:4] == ["m", "skew", "demand", "K"]
+    # one row per (skew, demand) cell, after the header and its rule
+    rows = [line.split() for line in lines[2:4]]
+    assert [row[:3] for row in rows] == [["4", "0", "0.1"], ["4", "1", "0.1"]]
+    assert all(0.0 < float(row[5]) <= 1.0 for row in rows)

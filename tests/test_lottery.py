@@ -5,8 +5,10 @@ latencies become exact integers and the tests can pin them down without
 tolerances. Lossy behaviour is checked statistically under frozen seeds.
 """
 
+import itertools
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -158,6 +160,16 @@ def test_batch_memory_stays_within_block_budget_at_large_m():
     assert peak < _BLOCK_BYTES
 
 
+def test_kernel_refuses_a_max_attempts_beyond_the_block_budget():
+    params = ModelParams(q=0.05, max_attempts=10 ** 7)
+    # raised on the call, before the caller iterates or anything is drawn
+    with pytest.raises(CapacityError, match="max_attempts=10000000"):
+        sample_rounds(SYM, Request(4), params, "conservative", 2,
+                      trial_rng(1))
+    # at the default max_attempts every m <= 32 point keeps full blocks
+    assert _block_rows(32, 32, 3) == lottery._BLOCK
+
+
 def test_run_trial_rejects_rounding_that_loses_pairs(monkeypatch):
     def short_round(k_req, caps):
         quotas = list(quota_round(k_req, caps))
@@ -260,6 +272,62 @@ def test_exact_probs_frozen_skewed_instance():
     assert jain_index(probs) == pytest.approx(0.990648178, rel=1e-8)
     assert float(probs.min()) == pytest.approx(0.3625, rel=1e-9)
     assert float(probs.max()) == pytest.approx(0.4583333333, rel=1e-8)
+
+
+def _subset_reference(net, req, beta=lottery.DEFAULT_BETA):
+    """The oracle by direct enumeration: one _expected_quotas per K-subset."""
+    K = safe_select_k(req.k_req, net.caps, beta)
+    qlan_prob = [0.0] * net.m
+    for subset in itertools.combinations(range(net.m), K):
+        expected = lottery._expected_quotas(
+            req.k_req, tuple(net.caps[i] for i in subset))
+        for i, e in zip(subset, expected):
+            if net.caps[i] > 0:
+                qlan_prob[i] += e / net.caps[i]
+    return np.repeat(np.array(qlan_prob) / math.comb(net.m, K), net.caps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(caps=st.lists(st.integers(0, 5), min_size=1, max_size=9)
+       .filter(lambda caps: sum(caps) > 0),
+       data=st.data())
+def test_exact_probs_over_compositions_match_subset_enumeration(caps, data):
+    net = NetworkConfig.from_caps(tuple(caps))
+    req = Request(data.draw(st.integers(1, net.total)))
+    got = exact_node_probs(net, req)
+    ref = _subset_reference(net, req)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max(initial=0.0) <= 1e-12
+    # certain and impossible wins stay exact (c06 compares them with ==)
+    fixed = (ref == 0) | (ref == 1)
+    assert np.array_equal(got[fixed], ref[fixed])
+    assert np.array_equal((got == 0) | (got == 1), fixed)
+
+
+def test_exact_probs_call_the_rounding_once_per_composition(monkeypatch):
+    net = generate_network(32, 1.0, 320)
+    req = Request(demand_to_kreq(0.4, net.total))
+    K = safe_select_k(req.k_req, net.caps, lottery.DEFAULT_BETA)
+    assert (K, math.comb(net.m, K)) == (28, 35960)
+    sizes = Counter(net.caps).values()
+    # compositions = coefficient of x^K in prod_c (1 + x + ... + x^n_c)
+    poly = [1]
+    for n in sizes:
+        poly = [sum(poly[d - j] for j in range(n + 1) if 0 <= d - j < len(poly))
+                for d in range(len(poly) + n)]
+    calls = 0
+    expected_quotas = lottery._expected_quotas
+
+    def counted(k_req, caps):
+        nonlocal calls
+        calls += 1
+        return expected_quotas(k_req, caps)
+
+    monkeypatch.setattr(lottery, "_expected_quotas", counted)
+    exact_node_probs(net, req)
+    assert calls == poly[K]
+    assert calls <= math.prod(n + 1 for n in sizes)
+    assert 10 * calls < math.comb(net.m, K)
 
 
 def test_exact_probs_guard():
