@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -597,10 +598,10 @@ def _cmd_verify_quantum(args) -> int:
     state = build_embedded(net, k_req, K)
     if args.corrupt:
         # test hook: damage one amplitude so every invariant check trips
-        key = state.outcomes()[0]
-        damaged = dict(state.amplitudes)
-        damaged[key] *= 1.05
-        state = SparseState(damaged)
+        amps = state.amps.copy()
+        amps[0] *= 1.05
+        state = SparseState.from_arrays(state.subsets, state.offsets,
+                                        state.vectors, amps)
     report = verify_state(state, net, k_req, K, args.draws,
                           trial_rng(args.seed), significance=args.alpha)
 
@@ -624,10 +625,15 @@ def _cmd_verify_quantum(args) -> int:
     except CapacityError:
         print("fairness of the rounding chain:  skipped (too many subsets)")
     if args.json:
+        # the statistics a structural failure left unsampled are NaN (inf
+        # for min_expected_cell); strict JSON has null for them
         payload = {f.name: getattr(report, f.name)
                    for f in fields(report)} | {"passed": report.passed}
+        payload = {key: None if isinstance(value, float)
+                   and not math.isfinite(value) else value
+                   for key, value in payload.items()}
         with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     if report.passed:
         print("result: PASS")

@@ -8,6 +8,14 @@ winner set uniformly and a quota vector uniformly conditioned on it. This
 module builds that state explicitly over its (sparse) support, measures it,
 and checks the structural invariants a faithful preparation must satisfy.
 
+A state is a few arrays in sorted label order (see ``SparseState``): the
+winner subsets, one integer row per quota vector, and one amplitude per
+label. Building, normalization, the feasibility checks, marginals and
+sampling are array arithmetic over those rows; Python loops run at most
+once per subset or per QLAN. Labels become tuples only at the edges: the
+``amplitudes`` view, ``measure``, ``measure_many`` and
+``conditional_inner``.
+
 Note the deliberate asymmetry with the sampling chain in ``lottery``: there
 quotas come from deterministic capacity-proportional rounding, here from
 the uniform distribution over all feasible vectors. Both are implemented;
@@ -20,15 +28,15 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .analytics import jain_index
 from .errors import CapacityError, InvariantViolationError, ResourceShortageError
 from .netgen import NetworkConfig
-from .partition import count_partitions, enum_partitions
+from .partition import count_partitions
 
 # (winner subset, quota vector); the quota vector is empty for bare
 # subset-selection states
@@ -39,14 +47,88 @@ MAX_SPARSE_OUTCOMES = 10 ** 6
 NORM_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class SparseState:
-    """Amplitude map over outcome labels; probabilities are amplitude^2."""
+def _int_dtype(lo: int, hi: int) -> type:
+    """Smallest signed integer dtype that holds lo..hi."""
+    return next((dt for dt in (np.int8, np.int16, np.int32)
+                 if np.iinfo(dt).min <= lo and hi <= np.iinfo(dt).max),
+                np.int64)
 
-    amplitudes: dict[Outcome, float]
+
+class SparseState:
+    """Amplitudes over outcome labels (S, v); probabilities are amplitude^2.
+
+    The state is four read-only arrays, labels in ascending order:
+
+    - ``subsets``: (n_subsets, K) int64, the distinct winner subsets;
+    - ``offsets``: (n_subsets + 1,) int64; subset s owns label rows
+      ``offsets[s]:offsets[s + 1]`` of the two arrays below;
+    - ``vectors``: (n_labels, width) quota vectors in the smallest signed
+      integer dtype that holds them, ascending within each subset (width 0
+      for bare subset-selection states);
+    - ``amps``: (n_labels,) float64 amplitudes.
+
+    ``SparseState(mapping)`` converts a {label: amplitude} mapping once, for
+    hand-built states; its labels must share one subset width and one
+    vector width. ``from_arrays`` takes arrays that already keep the order
+    above. ``amplitudes`` is a read-only mapping view in label order.
+    """
+
+    def __init__(self, amplitudes: Mapping[Outcome, float]):
+        labels = sorted(amplitudes)
+        widths = sorted({(len(s), len(v)) for s, v in labels})
+        if len(widths) > 1:
+            raise ValueError("labels must share one subset width and one "
+                             f"vector width, got {widths}")
+        k_sub, k_vec = widths[0] if widths else (0, 0)
+        n = len(labels)
+        rows = np.array([s for s, _ in labels],
+                        dtype=np.int64).reshape(n, k_sub)
+        flat = [x for _, v in labels for x in v]
+        dtype = _int_dtype(min(flat, default=0), max(flat, default=0))
+        first = np.ones(n, dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        starts = np.flatnonzero(first)
+        self._set(rows[starts], np.append(starts, n),
+                  np.array(flat, dtype=dtype).reshape(n, k_vec),
+                  np.array([amplitudes[label] for label in labels],
+                           dtype=float))
+
+    @classmethod
+    def from_arrays(cls, subsets: np.ndarray, offsets: np.ndarray,
+                    vectors: np.ndarray, amps: np.ndarray) -> SparseState:
+        """Wrap arrays that are already in the class's layout and order;
+        they are marked read-only, not copied."""
+        state = cls.__new__(cls)
+        state._set(subsets, offsets, vectors, amps)
+        return state
+
+    def _set(self, subsets, offsets, vectors, amps) -> None:
+        if not (len(offsets) == len(subsets) + 1 and offsets[0] == 0
+                and offsets[-1] == len(vectors) == len(amps)):
+            raise ValueError("offsets must run from 0 to the label count, "
+                             "one entry per subset plus one")
+        for name, arr in (("subsets", subsets), ("offsets", offsets),
+                          ("vectors", vectors), ("amps", amps)):
+            arr = np.asarray(arr)
+            arr.flags.writeable = False
+            setattr(self, name, arr)
+
+    @property
+    def amplitudes(self) -> Mapping[Outcome, float]:
+        return _AmplitudeView(self)
+
+    def _label(self, i: int) -> Outcome:
+        """The label of row i."""
+        s = int(np.searchsorted(self.offsets, i, side="right")) - 1
+        return tuple(self.subsets[s].tolist()), tuple(self.vectors[i].tolist())
+
+    def _subset_rows(self, subset) -> slice:
+        """The label rows of one winner subset; KeyError if absent."""
+        s = _find_row(self.subsets, 0, len(self.subsets), tuple(subset))
+        return slice(int(self.offsets[s]), int(self.offsets[s + 1]))
 
     def norm_sq(self) -> float:
-        return math.fsum(a * a for a in self.amplitudes.values())
+        return math.fsum(np.square(self.amps))
 
     def check_normalized(self, tol: float = NORM_TOL) -> None:
         norm = self.norm_sq()
@@ -54,8 +136,43 @@ class SparseState:
             raise InvariantViolationError(
                 f"state norm^2 deviates from 1 by {abs(norm - 1.0):.3e}")
 
-    def outcomes(self) -> list[Outcome]:
-        return sorted(self.amplitudes)
+
+class _AmplitudeView(Mapping):
+    """{label: amplitude} over a SparseState's arrays, in label order."""
+
+    def __init__(self, state: SparseState):
+        self._state = state
+
+    def __len__(self) -> int:
+        return len(self._state.amps)
+
+    def __iter__(self):
+        state = self._state
+        for s, subset in enumerate(state.subsets.tolist()):
+            subset = tuple(subset)
+            rows = state.vectors[state.offsets[s]:state.offsets[s + 1]]
+            for vec in rows.tolist():
+                yield subset, tuple(vec)
+
+    def __getitem__(self, label: Outcome) -> float:
+        state = self._state
+        try:
+            subset, vec = label
+            rows = state._subset_rows(subset)
+            i = _find_row(state.vectors, rows.start, rows.stop, tuple(vec))
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(label) from None
+        return float(state.amps[i])
+
+
+def _find_row(arr: np.ndarray, lo: int, hi: int, key: tuple) -> int:
+    """Index of the row equal to key among the ascending rows lo..hi-1 of
+    arr; KeyError if there is none."""
+    i = lo + bisect.bisect_left(range(lo, hi), key,
+                                key=lambda r: tuple(arr[r].tolist()))
+    if i == hi or tuple(arr[i].tolist()) != key:
+        raise KeyError(key)
+    return i
 
 
 def build_dicke(m: int, K: int) -> SparseState:
@@ -64,10 +181,42 @@ def build_dicke(m: int, K: int) -> SparseState:
         raise ValueError(f"need 1 <= K <= m, got K={K}, m={m}")
     if m > MAX_DICKE_WIDTH:
         raise CapacityError(f"m={m} exceeds the m <= {MAX_DICKE_WIDTH} guard")
-    amp = 1.0 / math.sqrt(math.comb(m, K))
-    amplitudes = {(subset, ()): amp
-                  for subset in itertools.combinations(range(m), K)}
-    return SparseState(amplitudes)
+    n = math.comb(m, K)
+    subsets = np.array(list(itertools.combinations(range(m), K)),
+                       dtype=np.int64)
+    return SparseState.from_arrays(
+        subsets, np.arange(n + 1), np.empty((n, 0), dtype=np.int8),
+        np.full(n, 1.0 / math.sqrt(n)))
+
+
+def _enum_rows(k: int, caps: np.ndarray, dtype=np.int64) -> np.ndarray:
+    """Every bounded split of k over each row of caps, stacked row after
+    row, each row's splits in ascending lexicographic order: row by row,
+    the same vectors in the same order as ``enum_partitions``.
+
+    Built one slot at a time over all rows at once. Slot j of a partial
+    vector with r parts left takes x parts, max(0, r - rest_j) <= x <=
+    min(caps_j, r), where rest_j is the capacity of the slots after j. So
+    every partial vector extends to at least one full one, and no level
+    holds more rows than the result.
+    """
+    caps = np.asarray(caps, dtype=np.int64)
+    rest = np.cumsum(caps[:, ::-1], axis=1)[:, ::-1] - caps
+    owner = np.flatnonzero(caps.sum(axis=1) >= k)  # caps row of each vector
+    left = np.full(len(owner), k, dtype=np.int64)  # parts not yet placed
+    vectors = np.zeros((len(owner), caps.shape[1]), dtype=dtype)
+    for j in range(caps.shape[1]):
+        lo = np.maximum(left - rest[owner, j], 0)
+        n_child = np.minimum(caps[owner, j], left) - lo + 1
+        # child c of a parent whose first child is row f takes x = lo + c - f
+        x = np.arange(n_child.sum())
+        x -= np.repeat(np.cumsum(n_child) - n_child - lo, n_child)
+        vectors = np.repeat(vectors, n_child, axis=0)
+        vectors[:, j] = x
+        left = np.repeat(left, n_child)
+        left -= x
+        owner = np.repeat(owner, n_child)
+    return vectors
 
 
 def build_embedded(net: NetworkConfig, k_req: int, K: int) -> SparseState:
@@ -89,6 +238,7 @@ def build_embedded(net: NetworkConfig, k_req: int, K: int) -> SparseState:
         raise ResourceShortageError(
             f"total capacity {net.total} cannot cover k_req={k_req}")
     n_subsets = math.comb(net.m, K)
+    sizes = []
     max_size = 0
     for subset in itertools.combinations(range(net.m), K):
         size = count_partitions(k_req, tuple(net.caps[i] for i in subset))
@@ -96,94 +246,98 @@ def build_embedded(net: NetworkConfig, k_req: int, K: int) -> SparseState:
             raise InvariantViolationError(
                 f"subset {subset} has no feasible quota vector for "
                 f"k_req={k_req}; winner count K={K} is too small")
+        sizes.append(size)
         max_size = max(max_size, size)
         if n_subsets * max_size > MAX_SPARSE_OUTCOMES:
             raise CapacityError(
                 f"C({net.m}, {K}) * max|Omega_S| = {n_subsets * max_size} "
                 f"exceeds the {MAX_SPARSE_OUTCOMES} sparse guard; reduce m, "
                 "K or k_req")
-    amplitudes: dict[Outcome, float] = {}
-    outer_amp_sq = 1.0 / n_subsets
-    for subset in itertools.combinations(range(net.m), K):
-        omega = enum_partitions(k_req, tuple(net.caps[i] for i in subset))
-        amp = math.sqrt(outer_amp_sq / len(omega))
-        for vec in omega:
-            amplitudes[(subset, vec)] = amp
-    return SparseState(amplitudes)
+    subsets = np.array(list(itertools.combinations(range(net.m), K)),
+                       dtype=np.int64)
+    vectors = _enum_rows(k_req, np.asarray(net.caps)[subsets],
+                         _int_dtype(0, k_req))
+    sizes = np.array(sizes, dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    if offsets[-1] != len(vectors):
+        raise InvariantViolationError(
+            f"enumerated {len(vectors)} quota vectors, counted {offsets[-1]}")
+    amps = np.repeat(np.sqrt((1.0 / n_subsets) / sizes), sizes)
+    return SparseState.from_arrays(subsets, offsets, vectors, amps)
 
 
 def measure(state: SparseState, rng: np.random.Generator) -> Outcome:
     """Draw a single outcome label with probability amplitude^2."""
-    keys = state.outcomes()
-    probs = _prob_array(state, keys)
-    idx = rng.choice(len(keys), p=probs)
-    return keys[int(idx)]
+    probs = _prob_array(state)
+    return state._label(int(rng.choice(len(probs), p=probs)))
 
 
 def measure_many(state: SparseState, rng: np.random.Generator,
                  draws: int) -> dict[Outcome, int]:
     """Draw many outcomes at once; returns counts per label (zeros kept)."""
-    keys, counts = _sample_counts(state, rng, draws)
-    return dict(zip(keys, counts.tolist()))
+    counts = _sample_counts(state, rng, draws)
+    return dict(zip(state.amplitudes, counts.tolist()))
 
 
 def _sample_counts(state: SparseState, rng: np.random.Generator,
-                   draws: int) -> tuple[list[Outcome], np.ndarray]:
-    """measure_many without the per-label dict: sorted labels and the
-    number of draws that landed on each."""
+                   draws: int) -> np.ndarray:
+    """measure_many without the labels: draws per label row."""
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
-    keys = state.outcomes()
-    probs = _prob_array(state, keys)
-    idx = rng.choice(len(keys), size=draws, p=probs)
-    return keys, np.bincount(idx, minlength=len(keys))
+    probs = _prob_array(state)
+    idx = rng.choice(len(probs), size=draws, p=probs)
+    return np.bincount(idx, minlength=len(probs))
 
 
-def _prob_array(state: SparseState, keys: list[Outcome]) -> np.ndarray:
+def _prob_array(state: SparseState) -> np.ndarray:
+    """Normalized amp ** 2 per label row, the vector every draw uses.
+
+    Squares come from Python's float ``**`` (libm pow), one call per run of
+    equal amplitudes: pow and amp * amp differ in the last bit for some
+    values, and pow fixes the sampled stream.
+    """
     state.check_normalized()
-    amps = state.amplitudes
-    probs = np.fromiter((amps[k] ** 2 for k in keys), dtype=float,
-                        count=len(keys))
+    amps = state.amps
+    starts = np.flatnonzero(np.append(True, amps[1:] != amps[:-1]))
+    probs = np.repeat([a ** 2 for a in amps[starts].tolist()],
+                      np.diff(np.append(starts, len(amps))))
     return probs / probs.sum()
 
 
-def _branch_stats(state: SparseState
-                  ) -> tuple[dict[tuple[int, ...], float], float]:
-    """Outer marginal, and the largest deviation of any conditional from
-    uniform; the per-label probabilities are freed on return.
+def _branch_stats(state: SparseState) -> tuple[np.ndarray, float]:
+    """Per-subset probability totals, and the largest deviation of any
+    conditional from uniform.
 
     Each branch is summed exactly: a branch can hold ~10^6 terms, and plain
     + drifts past NORM_TOL on a correctly normalized state.
     """
-    branches: dict[tuple[int, ...], list[float]] = {}
-    for (subset, _vec), amp in state.amplitudes.items():
-        branches.setdefault(subset, []).append(amp * amp)
-    marg: dict[tuple[int, ...], float] = {}
-    conditional_max_dev = 0.0
-    for subset, probs in branches.items():
-        total = math.fsum(probs)
-        flat = 1.0 / len(probs)
-        dev = max(abs(p / total - flat) for p in probs)
-        conditional_max_dev = max(conditional_max_dev, dev)
-        marg[subset] = total
-    return marg, conditional_max_dev
+    probs = np.square(state.amps)
+    bounds = state.offsets.tolist()
+    totals = np.array([math.fsum(probs[a:b])
+                       for a, b in zip(bounds, bounds[1:])])
+    sizes = np.diff(state.offsets)
+    dev = probs / np.repeat(totals, sizes)
+    dev -= np.repeat(1.0 / sizes, sizes)
+    return totals, float(np.abs(dev, out=dev).max(initial=0.0))
 
 
 def marginal_outer(state: SparseState) -> dict[tuple[int, ...], float]:
     """Distribution over winner subsets after tracing out the quotas."""
-    return _branch_stats(state)[0]
+    totals, _ = _branch_stats(state)
+    return dict(zip(map(tuple, state.subsets.tolist()), totals.tolist()))
 
 
 def conditional_inner(state: SparseState,
                       subset: tuple[int, ...]) -> dict[tuple[int, ...], float]:
     """Distribution over quota vectors conditioned on a winner subset."""
-    subset = tuple(subset)
-    branch = {vec: amp * amp for (s, vec), amp in state.amplitudes.items()
-              if s == subset}
-    if not branch:
-        raise ValueError(f"subset {subset} is not in the state's support")
-    total = math.fsum(branch.values())
-    return {vec: p / total for vec, p in branch.items()}
+    try:
+        rows = state._subset_rows(subset)
+    except KeyError:
+        raise ValueError(
+            f"subset {tuple(subset)} is not in the state's support") from None
+    probs = np.square(state.amps[rows])
+    cond = probs / math.fsum(probs)
+    return dict(zip(map(tuple, state.vectors[rows].tolist()), cond.tolist()))
 
 
 def node_win_probs(state: SparseState, caps) -> np.ndarray:
@@ -191,20 +345,27 @@ def node_win_probs(state: SparseState, caps) -> np.ndarray:
 
     Uniform-quota counterpart of the rounding-based chain: useful as a
     diagnostic for how much the deterministic rounding distorts fairness.
+    Each QLAN's terms p * v / cap are added left to right in label order
+    (``np.cumsum``), so the sums do not depend on numpy's pairwise
+    reduction.
     """
-    caps = tuple(int(c) for c in caps)
-    qlan_prob = [0.0] * len(caps)
-    for (subset, vec), amp in state.amplitudes.items():
-        p = amp * amp
-        for i, v in zip(subset, vec):
-            if caps[i] > 0:
-                qlan_prob[i] += p * v / caps[i]
-    out = np.empty(sum(caps), dtype=float)
-    pos = 0
-    for i, c in enumerate(caps):
-        out[pos:pos + c] = qlan_prob[i]
-        pos += c
-    return out
+    caps = np.array([int(c) for c in caps], dtype=np.int64)
+    probs = np.square(state.amps)
+    sizes = np.diff(state.offsets)
+    qlan_prob = np.zeros(len(caps))
+    for i in np.flatnonzero(caps > 0):
+        owner, slot = np.nonzero(state.subsets == i)
+        n = sizes[owner]
+        if not n.sum():
+            continue
+        # the label rows of every subset holding QLAN i, in label order
+        rows = np.arange(n.sum())
+        rows += np.repeat(state.offsets[owner] - (np.cumsum(n) - n), n)
+        terms = probs[rows]
+        terms *= state.vectors[rows, np.repeat(slot, n)]
+        terms /= caps[i]
+        qlan_prob[i] = np.cumsum(terms, out=terms)[-1]
+    return np.repeat(qlan_prob, caps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,32 +396,46 @@ class VerificationReport:
         return not self.failures
 
 
+
+
 def _label_violations(state: SparseState, net: NetworkConfig,
-                      k_req: int, K: int) -> set[Outcome]:
-    # subset checks run once per subset; None marks an invalid subset
-    subset_caps: dict[tuple[int, ...], tuple[int, ...] | None] = {}
-    bad = set()
-    for (subset, vec) in state.amplitudes:
-        if subset not in subset_caps:
-            valid = (len(subset) == K
-                     and all(0 <= i < net.m for i in subset)
-                     and list(subset) == sorted(set(subset)))
-            subset_caps[subset] = (tuple(net.caps[i] for i in subset)
-                                   if valid else None)
-        caps = subset_caps[subset]
-        ok = (caps is not None
-              and len(vec) == K
-              and sum(vec) == k_req
-              and all(0 <= v <= c for v, c in zip(vec, caps)))
-        if not ok:
-            bad.add((subset, vec))
-    return bad
+                      k_req: int, K: int) -> np.ndarray:
+    """Mask of the label rows that are not a feasible (S, v) for k_req.
+
+    A label is feasible when its subset has K distinct QLANs of the network
+    in ascending order, and its vector has K entries 0 <= v <= cap summing
+    to k_req.
+    """
+    subsets, vectors = state.subsets, state.vectors
+    if subsets.shape[1] != K or vectors.shape[1] != K:
+        return np.ones(len(vectors), dtype=bool)
+    sound = (((subsets >= 0) & (subsets < net.m)).all(axis=1)
+             & (np.diff(subsets, axis=1) > 0).all(axis=1))
+    caps = np.asarray(net.caps)[np.where(sound[:, None], subsets, 0)]
+    # a cap above the dtype's range bounds no representable v
+    caps = np.minimum(caps, np.iinfo(vectors.dtype).max).astype(vectors.dtype)
+    sizes = np.diff(state.offsets)
+    ok = np.repeat(sound, sizes)
+    ok &= vectors.sum(axis=1) == k_req
+    ok &= (vectors >= 0).all(axis=1)
+    ok &= (vectors <= np.repeat(caps, sizes, axis=0)).all(axis=1)
+    return ~ok
+
+
+def _chi2_pvalue(stat: float, dof: int) -> float:
+    """Upper tail of chi-square with dof degrees of freedom; a test with no
+    degrees of freedom is vacuous and reads 1.0."""
+    if dof == 0:
+        return 1.0
+    from scipy.special import chdtrc  # only verification pays for scipy
+
+    return float(chdtrc(dof, stat))
 
 
 def _chisquare(obs: np.ndarray) -> tuple[float, float]:
     """Pearson's chi-square against equal cell counts, and its p-value."""
     stat = float(((obs - obs.mean()) ** 2 / obs.mean()).sum())
-    return stat, float(chdtrc(len(obs) - 1, stat))
+    return stat, _chi2_pvalue(stat, len(obs) - 1)
 
 
 def verify_state(state: SparseState, net: NetworkConfig, k_req: int, K: int,
@@ -272,7 +447,9 @@ def verify_state(state: SparseState, net: NetworkConfig, k_req: int, K: int,
     conditional statistics are pooled (their sum is chi-square with summed
     degrees of freedom given the subset counts) and tested once, which
     keeps the false-alarm rate at the chosen significance independent of
-    how many subsets the state has.
+    how many subsets the state has. With a single subset the outer test is
+    vacuous and its p-value is 1.0. When a structural check fails nothing
+    is sampled, and the statistics stay NaN (min_expected_cell: inf).
     """
     failures: list[str] = []
     norm_dev = abs(state.norm_sq() - 1.0)
@@ -280,16 +457,17 @@ def verify_state(state: SparseState, net: NetworkConfig, k_req: int, K: int,
         failures.append(f"norm^2 deviates from 1 by {norm_dev:.3e}")
 
     bad_labels = _label_violations(state, net, k_req, K)
-    if bad_labels:
-        failures.append(f"{len(bad_labels)} infeasible labels in support")
+    support_violations = int(bad_labels.sum())
+    if support_violations:
+        failures.append(f"{support_violations} infeasible labels in support")
 
-    marg, conditional_max_dev = _branch_stats(state)
+    totals, conditional_max_dev = _branch_stats(state)
     n_subsets = math.comb(net.m, K)
     uniform = 1.0 / n_subsets
-    marginal_max_dev = max(abs(p - uniform) for p in marg.values())
-    if len(marg) != n_subsets:
+    marginal_max_dev = float(np.abs(totals - uniform).max())
+    if len(totals) != n_subsets:
         failures.append(
-            f"support covers {len(marg)} of {n_subsets} subsets")
+            f"support covers {len(totals)} of {n_subsets} subsets")
         marginal_max_dev = max(marginal_max_dev, uniform)
     if marginal_max_dev > NORM_TOL:
         failures.append(
@@ -306,15 +484,11 @@ def verify_state(state: SparseState, net: NetworkConfig, k_req: int, K: int,
     min_expected = float("inf")
     jain_u = float("nan")
     if not failures:
-        keys, counts = _sample_counts(state, rng, draws)
-        drawn_violations = sum(int(counts[bisect.bisect_left(keys, key)])
-                               for key in bad_labels)
-        # keys are sorted, so each subset's labels form one slice of counts;
-        # zero-count cells must stay in the slices or the dof would shrink
-        starts = [i for i, (subset, _vec) in enumerate(keys)
-                  if i == 0 or subset != keys[i - 1][0]]
-        branches = [counts[a:b] for a, b in zip(starts, starts[1:] + [len(keys)])]
-        obs_outer = np.array([obs.sum() for obs in branches])
+        counts = _sample_counts(state, rng, draws)
+        drawn_violations = int(counts[bad_labels].sum())
+        # zero-count cells stay in the branches or the dof would shrink
+        branches = np.split(counts, state.offsets[1:-1])
+        obs_outer = np.add.reduceat(counts, state.offsets[:-1])
         min_expected = draws / n_subsets
         outer_chi2, outer_p = _chisquare(obs_outer)
         outer_dof = n_subsets - 1
@@ -333,7 +507,7 @@ def verify_state(state: SparseState, net: NetworkConfig, k_req: int, K: int,
             dof_sum += len(obs) - 1
         pooled_chi2 = stat_sum
         pooled_dof = dof_sum
-        pooled_p = float(chdtrc(dof_sum, stat_sum)) if dof_sum else 1.0
+        pooled_p = _chi2_pvalue(stat_sum, dof_sum)
         if pooled_p < significance:
             failures.append(
                 f"conditional uniformity rejected (p={pooled_p:.4g} < "
@@ -344,12 +518,12 @@ def verify_state(state: SparseState, net: NetworkConfig, k_req: int, K: int,
 
     return VerificationReport(
         n_subsets=n_subsets,
-        n_outcomes=len(state.amplitudes),
+        n_outcomes=len(state.amps),
         draws=draws,
         norm_dev=norm_dev,
         marginal_max_dev=marginal_max_dev,
         conditional_max_dev=conditional_max_dev,
-        support_violations=len(bad_labels),
+        support_violations=support_violations,
         drawn_violations=drawn_violations,
         outer_chi2=float(outer_chi2),
         outer_dof=outer_dof,

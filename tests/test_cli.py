@@ -186,6 +186,30 @@ def test_verify_quantum_corruption_hook():
                  "--draws", "2000", "--corrupt"]) == EXIT_VERIFY
 
 
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+@pytest.mark.parametrize("argv, code", [
+    # K = m: one winner subset, so the outer test is vacuous
+    (["--caps", "3,3,3,3", "--k-req", "10"], EXIT_OK),
+    (["--caps", "3,3,3,3", "--k-req", "4", "--corrupt"], EXIT_VERIFY),
+])
+def test_verify_quantum_json_is_strict(tmp_path, argv, code):
+    report = tmp_path / "report.json"
+    assert main(["verify-quantum", *argv, "--draws", "2000",
+                 "--json", str(report)]) == code
+    payload = json.loads(report.read_text(), parse_constant=_reject_constant)
+    if code == EXIT_OK:
+        assert payload["n_subsets"] == 1
+        assert payload["outer_pvalue"] == 1.0
+    else:
+        # a structural failure skips sampling: no statistic was computed
+        for name in ("outer_chi2", "outer_pvalue", "pooled_chi2",
+                     "pooled_pvalue", "min_expected_cell", "jain_uniform"):
+            assert payload[name] is None
+
+
 def test_mc_dump_shape(tmp_path):
     out = tmp_path / "mc.csv"
     assert main(["mc", "--caps", "3,3,3,3", "--k-req", "4", "--q", "0",
@@ -311,10 +335,11 @@ def test_cli_import_does_not_load_scipy_stats():
     src = os.path.dirname(os.path.dirname(dheac.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, dheac.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, dheac.cli; print('scipy.stats' in sys.modules); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines() == ["False", "[]"]
 
 
 def test_quota_rounding_diagnostic_script_runs():

@@ -6,29 +6,38 @@ feasible split. That equivalence is a closed-form statement about the
 amplitudes, so it is asserted without sampling tolerance.
 """
 
+import dataclasses
+import itertools
 import math
+import tracemalloc
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from dheac import (
     CapacityError,
     InvariantViolationError,
+    ModelParams,
     NetworkConfig,
     SparseState,
     build_dicke,
     build_embedded,
     conditional_inner,
     count_partitions,
+    demand_to_kreq,
+    enum_partitions,
     generate_network,
     marginal_outer,
     measure,
     measure_many,
     node_win_probs,
+    safe_select_k,
     trial_rng,
     verify_state,
 )
-from dheac.qverify import NORM_TOL, _chisquare
+from dheac.qverify import NORM_TOL, _chisquare, _enum_rows, _prob_array
 
 SYM = NetworkConfig.from_caps((3, 3, 3, 3))
 
@@ -174,6 +183,29 @@ def test_verify_flags_infeasible_support():
     assert report.support_violations == 1
 
 
+def test_verify_counts_each_kind_of_infeasible_label():
+    amplitudes = dict(build_embedded(SYM, 4, 2).amplitudes)
+    bad = [((1, 0), (2, 2)),   # subset not ascending
+           ((0, 0), (2, 2)),   # QLAN repeated
+           ((0, 9), (2, 2)),   # QLAN outside the network
+           ((0, 1), (1, 1)),   # sums to 2, not k_req
+           ((0, 1), (5, -1)),  # negative part, part above its cap
+           ((0, 1), (1, 3))]   # feasible, but not the builder's (drawn as is)
+    amplitudes.update(dict.fromkeys(bad, 1e-3))
+    report = verify_state(SparseState(amplitudes), SYM, 4, 2, 1000,
+                          trial_rng(13))
+    assert report.support_violations == 5
+    # a width other than K makes every label infeasible
+    report = verify_state(build_embedded(SYM, 4, 2), SYM, 4, 3, 1000,
+                          trial_rng(13))
+    assert report.support_violations == 18
+    # a negative part that every other check lets through
+    net = NetworkConfig.from_caps((6, 6))
+    state = SparseState({((0, 1), (-1, 5)): 0.6, ((0, 1), (2, 2)): 0.8})
+    report = verify_state(state, net, 4, 2, 1000, trial_rng(13))
+    assert report.support_violations == 1
+
+
 def test_verify_flags_missing_subset():
     state = build_embedded(SYM, 4, 2)
     amplitudes = {key: amp for key, amp in state.amplitudes.items()
@@ -207,6 +239,17 @@ def test_verify_flags_nonuniform_conditional():
     assert report.conditional_max_dev > 1e-3
 
 
+def test_draws_square_amplitudes_with_pow():
+    # x ** 2 (libm pow) and x * x differ in the last bit for this x; the
+    # sampled stream has always used x ** 2
+    x = 0.9503546630566793
+    assert x ** 2 != x * x
+    y = math.sqrt(1 - x ** 2)
+    state = SparseState({((0,), (0,)): x, ((0,), (1,)): y})
+    probs = np.array([x ** 2, y ** 2])
+    assert np.array_equal(_prob_array(state), probs / probs.sum())
+
+
 def test_check_normalized_raises():
     state = SparseState({((0,), (1,)): 0.5})
     with pytest.raises(InvariantViolationError):
@@ -221,3 +264,79 @@ def test_chisquare_helper_equals_scipy_stats(obs):
     obs = np.array(obs)
     stat, pvalue = stats.chisquare(obs)
     assert _chisquare(obs) == (float(stat), float(pvalue))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), width=st.integers(1, 8), n_rows=st.integers(1, 3))
+def test_enum_rows_matches_enum_partitions_in_content_and_order(
+        data, width, n_rows):
+    caps = [data.draw(st.lists(st.integers(0, 6), min_size=width,
+                               max_size=width)) for _ in range(n_rows)]
+    k = data.draw(st.integers(0, max(map(sum, caps)) + 2))
+    got = _enum_rows(k, np.array(caps)).tolist()
+    # row after row, each row's splits in the oracle's lexicographic order;
+    # k > sum(caps) gives that row nothing
+    want = [list(vec) for row in caps for vec in enum_partitions(k, row)]
+    assert got == want
+
+
+def _dict_reference(net, k_req, K):
+    """The embedded state as a {label: amplitude} dict, one enum_partitions
+    per subset: the builder before states were held as arrays."""
+    amplitudes = {}
+    outer_amp_sq = 1.0 / math.comb(net.m, K)
+    for subset in itertools.combinations(range(net.m), K):
+        omega = enum_partitions(k_req, tuple(net.caps[i] for i in subset))
+        amp = math.sqrt(outer_amp_sq / len(omega))
+        for vec in omega:
+            amplitudes[(subset, vec)] = amp
+    return amplitudes
+
+
+def _cli_point(m, skew, demand):
+    net = generate_network(m, skew, 10 * m)
+    k_req = demand_to_kreq(demand, net.total)
+    return net, k_req, safe_select_k(k_req, net.caps, ModelParams().beta)
+
+
+@pytest.mark.parametrize("net, k_req, K", [
+    (SYM, 4, 2),
+    _cli_point(6, 1.0, 0.4),  # the README point
+    _cli_point(8, 0.5, 0.2),  # 56 subsets of unequal sizes
+])
+def test_array_state_equals_dict_reference(net, k_req, K):
+    state = build_embedded(net, k_req, K)
+    ref = _dict_reference(net, k_req, K)
+    assert list(state.amplitudes.items()) == list(ref.items())
+    assert state.amplitudes == ref
+    # the draws' probability vector and the uniform-quota fairness, bit for
+    # bit against the per-label computations
+    probs = np.array([a ** 2 for a in ref.values()])
+    assert np.array_equal(_prob_array(state), probs / probs.sum())
+    qlan_prob = [0.0] * net.m
+    for (subset, vec), amp in ref.items():
+        for i, v in zip(subset, vec):
+            if net.caps[i] > 0:
+                qlan_prob[i] += amp * amp * v / net.caps[i]
+    assert np.array_equal(node_win_probs(state, net.caps),
+                          np.repeat(qlan_prob, net.caps))
+    reports = [dataclasses.asdict(verify_state(s, net, k_req, K, 20000,
+                                               trial_rng(3)))
+               for s in (state, SparseState(ref))]
+    assert reports[0] == reports[1]
+    assert reports[0]["failures"] == []
+
+
+def test_largest_verify_cell_builds_and_verifies_in_bounded_memory():
+    net, k_req, K = _cli_point(8, 1.0, 0.6)
+    tracemalloc.start()
+    try:
+        state = build_embedded(net, k_req, K)
+        report = verify_state(state, net, k_req, K, 200000, trial_rng(42))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_outcomes == len(state.amplitudes) == 948496
+    assert report.n_subsets == 1 and report.outer_pvalue == 1.0
+    assert report.passed
+    assert peak < 100e6
