@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -86,14 +88,6 @@ class SweepSpec:
     skews: tuple[float, ...] = GRID_SKEWS
     nodes_per_qlan: int = NODES_PER_QLAN
     params: ModelParams = ModelParams()
-
-    def points(self):
-        """Grid points in canonical order: m, then q, demand, skew."""
-        for m in self.ms:
-            for q in self.qs:
-                for demand in self.demands:
-                    for skew in self.skews:
-                        yield m, q, demand, skew
 
 
 def _load_grid_file(path: str) -> dict:
@@ -256,44 +250,76 @@ def _sweep_fieldnames(mode: str, chi: str) -> list[str]:
     return names
 
 
-def _sweep_point(task) -> list[dict]:
-    """All rows for one grid point; module level so pools can pickle it."""
-    idx, m, q, demand, skew, nodes_per_qlan, base, mode, chi, trials, seed = task
-    params = base.with_q(q)
-    net = generate_network(m, skew, nodes_per_qlan * m)
-    k_req = demand_to_kreq(demand, net.total)
-    context = {"status": "ok", "m": m, "q": q, "demand": demand, "skew": skew,
-               "total": net.total, "k_req": k_req}
-    try:
-        rec = evaluate_point(net.caps, k_req, params)
-    except ResourceShortageError:
-        context["status"] = "shortage"
-        return [dict(context, mode=row_mode)
-                for row_mode in (("analytic", "mc") if mode == "both"
-                                 else (mode,))]
-    context.update(K=rec.K, ell_anc=rec.ell_anc,
+def _analytic_row(rec) -> dict:
+    """Closed-form columns of one point; breakeven picks its own subset."""
+    return dict(
+        K=rec.K,
+        p_lower=rec.P_lower,
+        p_upper=rec.P_upper,
+        p_b2=rec.P_b2,
+        l_d_optimistic=rec.L_d_optimistic,
+        l_d_conservative=rec.L_d_conservative,
+        l_b2=rec.L_b2,
+        thr_lower=rec.THR_lower,
+        thr_upper=rec.THR_upper,
+        thr_b2=rec.THR_b2,
+        ratio_l_optimistic=rec.L_d_optimistic / rec.L_b2,
+        ratio_l_conservative=rec.L_d_conservative / rec.L_b2,
+        ratio_thr_optimistic=rec.THR_b2 / rec.THR_upper,
+        ratio_thr_conservative=rec.THR_b2 / rec.THR_lower,
+    )
+
+
+_AXIS_NAMES = {"ms": "m", "qs": "q", "demands": "demand", "skews": "skew"}
+
+
+def _grid_rows(spec: SweepSpec, axes: tuple[str, ...], point_rows,
+               workers: int = 1) -> list[dict]:
+    """Rows of every grid point, points in the order of ``axes`` (outermost
+    first), each point's rows in the order ``point_rows`` returns them.
+
+    ``point_rows(idx, point, net, params)`` gets the point's index, its
+    context (axis values, total, k_req, status), its network and the model
+    constants at its q; the context is merged under each row it returns.
+    It must be picklable (module level or a partial of one) when workers > 1.
+    """
+    names = [_AXIS_NAMES[axis] for axis in axes]
+    tasks = [(point_rows, spec, idx, dict(zip(names, values)))
+             for idx, values in enumerate(
+                 itertools.product(*(getattr(spec, axis) for axis in axes)))]
+    if workers > 1:
+        chunk = max(1, len(tasks) // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_grid_point, tasks, chunksize=chunk))
+    else:
+        results = map(_grid_point, tasks)
+    return [row for rows in results for row in rows]
+
+
+def _grid_point(task) -> list[dict]:
+    """All rows of one grid point; module level so pools can pickle it.
+
+    demand_to_kreq keeps k_req <= total, so no point is short of capacity.
+    """
+    point_rows, spec, idx, point = task
+    m = point["m"]
+    net = generate_network(m, point["skew"], spec.nodes_per_qlan * m)
+    point.update(status="ok", total=net.total,
+                 k_req=demand_to_kreq(point["demand"], net.total))
+    params = spec.params.with_q(point["q"]) if "q" in point else spec.params
+    return [point | row for row in point_rows(idx, point, net, params)]
+
+
+def _sweep_rows(mode, chi, trials, seed, idx, point, net, params):
+    k_req = point["k_req"]
+    rec = evaluate_point(net.caps, k_req, params)
+    context = dict(K=rec.K, ell_anc=rec.ell_anc,
                    k_max_b2=max(quota_round(k_req, net.caps)))
     rows = []
     if mode in ("analytic", "both"):
-        rows.append(dict(
-            context,
-            mode="analytic",
-            p_lower=rec.P_lower,
-            p_upper=rec.P_upper,
-            p_b2=rec.P_b2,
-            l_d_optimistic=rec.L_d_optimistic,
-            l_d_conservative=rec.L_d_conservative,
-            l_b2=rec.L_b2,
-            thr_lower=rec.THR_lower,
-            thr_upper=rec.THR_upper,
-            thr_b2=rec.THR_b2,
-            ratio_l_optimistic=rec.L_d_optimistic / rec.L_b2,
-            ratio_l_conservative=rec.L_d_conservative / rec.L_b2,
-            ratio_thr_optimistic=rec.THR_b2 / rec.THR_upper,
-            ratio_thr_conservative=rec.THR_b2 / rec.THR_lower,
-        ))
+        rows.append(context | _analytic_row(rec) | {"mode": "analytic"})
     if mode in ("mc", "both"):
-        req = Request(k_req, demand=demand)
+        req = Request(k_req, demand=point["demand"])
         chis = LATENCY_MODES if chi == "both" else (chi,)
         row = dict(context, mode="mc", trials=trials, seed=seed)
         for sub, lmode in enumerate(LATENCY_MODES):
@@ -311,17 +337,10 @@ def _sweep_point(task) -> list[dict]:
 
 def _cmd_sweep(args) -> int:
     spec = _resolve_spec(args)
-    tasks = [(idx, m, q, demand, skew, spec.nodes_per_qlan, spec.params,
-              args.mode, args.chi, args.trials, args.seed)
-             for idx, (m, q, demand, skew) in enumerate(spec.points())]
-    if args.workers > 1:
-        chunk = max(1, len(tasks) // (args.workers * 4))
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_sweep_point, tasks, chunksize=chunk))
-    else:
-        results = [_sweep_point(task) for task in tasks]
-    rows = [row for point_rows in results for row in point_rows]
-
+    rows = _grid_rows(spec, ("ms", "qs", "demands", "skews"),
+                      partial(_sweep_rows, args.mode, args.chi, args.trials,
+                              args.seed),
+                      workers=args.workers)
     comments = [f"dheac {__version__} sweep",
                 f"mode={args.mode} chi={args.chi} seed={args.seed} "
                 f"trials={args.trials}",
@@ -329,28 +348,10 @@ def _cmd_sweep(args) -> int:
                 "times in ms, thr in grants per ms"]
     _write_csv(args.out, comments, _sweep_fieldnames(args.mode, args.chi),
                rows)
-
-    shortages = sum(1 for r in rows if r["status"] != "ok")
-    if shortages and args.out != "-":
-        print(f"{shortages} rows flagged status=shortage")
     if args.svg:
-        _sweep_svg(args.svg, spec, rows)
+        _ratio_svg(args.svg, spec, rows, "ratio_l_optimistic",
+                   "latency ratio, lottery / arbitration (optimistic)")
     return EXIT_OK
-
-
-def _sweep_svg(path: str, spec: SweepSpec, rows: list[dict]) -> None:
-    """Heatmap of the optimistic latency ratio over (m, q) at the first
-    demand/skew of the grid."""
-    demand, skew = spec.demands[0], spec.skews[0]
-    cell = {(r["m"], r["q"]): r.get("ratio_l_optimistic")
-            for r in rows if r["mode"] == "analytic"
-            and r["demand"] == demand and r["skew"] == skew}
-    values = [[cell.get((m, q)) for m in spec.ms] for q in spec.qs]
-    title = (f"latency ratio, lottery / arbitration (optimistic), "
-             f"demand={demand:g}, skew={skew:g}")
-    _write_svg_heatmap(path, [str(m) for m in spec.ms],
-                       [format(q, "g") for q in spec.qs], values,
-                       title, x_name="m (QLANs)", y_name="loss q")
 
 
 def _blend(far, t: float) -> str:
@@ -370,13 +371,19 @@ def _ratio_color(value, lo: float, hi: float) -> str:
     return _blend((178, 24, 43), t)
 
 
-def _write_svg_heatmap(path: str, col_labels: list[str],
-                       row_labels: list[str], values: list[list],
-                       title: str, x_name: str, y_name: str) -> None:
+def _ratio_svg(path: str, spec: SweepSpec, rows: list[dict], key: str,
+               title: str) -> None:
+    """Heatmap of one ratio column over (m, q) at the first demand and skew
+    of the grid; mc rows carry no ratio and are skipped."""
+    demand, skew = spec.demands[0], spec.skews[0]
+    cell = {(r["m"], r["q"]): r[key] for r in rows
+            if key in r and r["demand"] == demand and r["skew"] == skew}
+    values = [[cell.get((m, q)) for m in spec.ms] for q in spec.qs]
+    title = f"{title}, demand={demand:g}, skew={skew:g}"
     cw, ch = 86, 42
     left, top = 96, 64
-    width = left + cw * len(col_labels) + 24
-    height = top + ch * len(row_labels) + 56
+    width = left + cw * len(spec.ms) + 24
+    height = top + ch * len(spec.qs) + 56
     finite = [v for row in values for v in row if v is not None]
     lo = min(finite, default=1.0)
     hi = max(finite, default=1.0)
@@ -384,15 +391,15 @@ def _write_svg_heatmap(path: str, col_labels: list[str],
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" font-family="monospace" font-size="12">',
         f'<text x="{left}" y="22">{title}</text>',
-        f'<text x="{left}" y="{top - 26}">{x_name}</text>',
-        f'<text x="12" y="{top - 8}">{y_name}</text>',
+        f'<text x="{left}" y="{top - 26}">m (QLANs)</text>',
+        f'<text x="12" y="{top - 8}">loss q</text>',
     ]
-    for c, label in enumerate(col_labels):
+    for c, m in enumerate(spec.ms):
         out.append(f'<text x="{left + c * cw + cw // 2 - 8}" '
-                   f'y="{top - 8}">{label}</text>')
-    for r, rlabel in enumerate(row_labels):
+                   f'y="{top - 8}">{m}</text>')
+    for r, q in enumerate(spec.qs):
         y = top + r * ch
-        out.append(f'<text x="12" y="{y + ch // 2 + 4}">{rlabel}</text>')
+        out.append(f'<text x="12" y="{y + ch // 2 + 4}">{q:g}</text>')
         for c, value in enumerate(values[r]):
             x = left + c * cw
             color = _ratio_color(value, lo, hi)
@@ -411,6 +418,28 @@ FAIRNESS_FIELDS = ["status", "m", "demand", "skew", "total", "k_req", "K",
                    "method", "trials", "jain", "p_min", "p_max"]
 
 
+def _fairness_rows(args, idx, point, net, params):
+    req = Request(point["k_req"], demand=point["demand"])
+    K = safe_select_k(req.k_req, net.caps, params.beta)
+    method, trials = "mc", args.trials
+    if args.method in ("auto", "exact"):
+        try:
+            probs = exact_node_probs(net, req, beta=params.beta,
+                                     max_subsets=args.max_subsets)
+            method, trials = "exact", None
+        except CapacityError:
+            if args.method == "exact":
+                raise
+    if method == "mc":
+        probs = estimate_fairness(net, req, args.trials,
+                                  trial_rng(args.seed, idx),
+                                  beta=params.beta).node_probs
+    # probs is no CSV column; the ECDF files read it
+    return [dict(K=K, method=method, trials=trials, jain=jain_index(probs),
+                 p_min=float(probs.min()), p_max=float(probs.max()),
+                 probs=probs)]
+
+
 def _cmd_fairness(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
@@ -418,33 +447,8 @@ def _cmd_fairness(args) -> int:
     if args.trials < 10 ** 4:
         print(f"warning: {args.trials} trials is below the recommended 10^4",
               file=sys.stderr)
-    rows = []
-    ecdf_jobs = []
-    idx = 0
-    for m in spec.ms:
-        for demand in spec.demands:
-            for skew in spec.skews:
-                net = generate_network(m, skew, spec.nodes_per_qlan * m)
-                k_req = demand_to_kreq(demand, net.total)
-                row = {"status": "ok", "m": m, "demand": demand, "skew": skew,
-                       "total": net.total, "k_req": k_req}
-                req = Request(k_req, demand=demand)
-                try:
-                    row["K"] = safe_select_k(k_req, net.caps, spec.params.beta)
-                    probs, method, trials = _fairness_probs(
-                        net, req, args, spec.params.beta, idx)
-                except ResourceShortageError:
-                    row["status"] = "shortage"
-                    rows.append(row)
-                    idx += 1
-                    continue
-                row.update(method=method, trials=trials,
-                           jain=jain_index(probs),
-                           p_min=float(probs.min()), p_max=float(probs.max()))
-                rows.append(row)
-                if args.ecdf_out and m == 16 and demand == 0.40:
-                    ecdf_jobs.append((m, demand, skew, ecdf(probs)))
-                idx += 1
+    rows = _grid_rows(spec, ("ms", "demands", "skews"),
+                      partial(_fairness_rows, args))
     comments = [
         f"dheac {__version__} fairness",
         f"method={args.method} seed={args.seed} trials={args.trials} "
@@ -457,32 +461,20 @@ def _cmd_fairness(args) -> int:
     _write_csv(args.out, comments, FAIRNESS_FIELDS, rows)
     if args.ecdf_out:
         os.makedirs(args.ecdf_out, exist_ok=True)
-        for m, demand, skew, pairs in ecdf_jobs:
+        ecdf_rows = [r for r in rows if r["m"] == 16 and r["demand"] == 0.40]
+        for r in ecdf_rows:
+            m, demand, skew = r["m"], r["demand"], r["skew"]
             name = f"ecdf_m{m}_demand{demand:g}_skew{skew:g}.csv"
             _write_csv(os.path.join(args.ecdf_out, name),
                        [f"dheac {__version__} fairness ecdf",
                         f"m={m} demand={demand:g} skew={skew:g}"],
                        ["win_prob", "cum_fraction"],
                        [{"win_prob": v, "cum_fraction": c}
-                        for v, c in pairs])
-        if not ecdf_jobs and args.out != "-":
+                        for v, c in ecdf(r["probs"])])
+        if not ecdf_rows and args.out != "-":
             print("no (m=16, demand=0.4) points in the grid; "
                   "no ecdf files written")
     return EXIT_OK
-
-
-def _fairness_probs(net, req, args, beta, idx):
-    if args.method in ("auto", "exact"):
-        try:
-            probs = exact_node_probs(net, req, beta=beta,
-                                     max_subsets=args.max_subsets)
-            return probs, "exact", None
-        except CapacityError:
-            if args.method == "exact":
-                raise
-    report = estimate_fairness(net, req, args.trials,
-                               trial_rng(args.seed, idx), beta=beta)
-    return report.node_probs, "mc", args.trials
 
 
 BREAKEVEN_FIELDS = ["status", "q", "demand", "skew", "m", "total", "k_req",
@@ -491,36 +483,15 @@ BREAKEVEN_FIELDS = ["status", "q", "demand", "skew", "m", "total", "k_req",
                     "ratio_l_optimistic", "ratio_l_conservative"]
 
 
+def _breakeven_rows(idx, point, net, params):
+    return [_analytic_row(evaluate_point(net.caps, point["k_req"], params))]
+
+
 def _cmd_breakeven(args) -> int:
-    spec = _resolve_spec(args, default_ms=BREAKEVEN_MS,
-                         default_demands=(0.40,))
-    rows = []
-    for q in spec.qs:
-        params = spec.params.with_q(q)
-        for demand in spec.demands:
-            for m in spec.ms:
-                net = generate_network(m, args.skew, spec.nodes_per_qlan * m)
-                k_req = demand_to_kreq(demand, net.total)
-                row = {"status": "ok", "q": q, "demand": demand,
-                       "skew": args.skew, "m": m, "total": net.total,
-                       "k_req": k_req}
-                try:
-                    rec = evaluate_point(net.caps, k_req, params)
-                except ResourceShortageError:
-                    row["status"] = "shortage"
-                    rows.append(row)
-                    continue
-                row.update(
-                    K=rec.K,
-                    thr_upper=rec.THR_upper,
-                    thr_lower=rec.THR_lower,
-                    thr_b2=rec.THR_b2,
-                    ratio_thr_optimistic=rec.THR_b2 / rec.THR_upper,
-                    ratio_thr_conservative=rec.THR_b2 / rec.THR_lower,
-                    ratio_l_optimistic=rec.L_d_optimistic / rec.L_b2,
-                    ratio_l_conservative=rec.L_d_conservative / rec.L_b2,
-                )
-                rows.append(row)
+    spec = replace(_resolve_spec(args, default_ms=BREAKEVEN_MS,
+                                 default_demands=(0.40,)),
+                   skews=(args.skew,))
+    rows = _grid_rows(spec, ("qs", "demands", "skews", "ms"), _breakeven_rows)
     comments = [f"dheac {__version__} breakeven",
                 f"skew={args.skew:g} ms={_fmt_seq(spec.ms)} "
                 f"qs={_fmt_seq(spec.qs)} demands={_fmt_seq(spec.demands)} "
@@ -530,31 +501,17 @@ def _cmd_breakeven(args) -> int:
                 "values < 1 favour the lottery"]
     _write_csv(args.out, comments, BREAKEVEN_FIELDS, rows)
     if args.svg:
-        _breakeven_svg(args.svg, spec, args.skew, rows)
+        _ratio_svg(args.svg, spec, rows, "ratio_thr_optimistic",
+                   "throughput ratio, baseline / lottery (optimistic)")
     if args.out != "-":
         _print_breakeven_summary(spec, rows)
     return EXIT_OK
 
 
-def _breakeven_svg(path: str, spec: SweepSpec, skew: float,
-                   rows: list[dict]) -> None:
-    demand = spec.demands[0]
-    cell = {(r["m"], r["q"]): r.get("ratio_thr_optimistic")
-            for r in rows if r["demand"] == demand}
-    values = [[cell.get((m, q)) for m in spec.ms] for q in spec.qs]
-    title = (f"throughput ratio, baseline / lottery (optimistic), "
-             f"demand={demand:g}, skew={skew:g}")
-    _write_svg_heatmap(path, [str(m) for m in spec.ms],
-                       [format(q, "g") for q in spec.qs], values,
-                       title, x_name="m (QLANs)", y_name="loss q")
-
-
 def _print_breakeven_summary(spec: SweepSpec, rows: list[dict]) -> None:
     for q in spec.qs:
         for demand in spec.demands:
-            group = [r for r in rows
-                     if r["q"] == q and r["demand"] == demand
-                     and r["status"] == "ok"]
+            group = [r for r in rows if r["q"] == q and r["demand"] == demand]
             parts = []
             for mode, key in (("optimistic", "ratio_thr_optimistic"),
                               ("conservative", "ratio_thr_conservative")):
@@ -773,8 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-req", dest="k_req", type=int, default=None)
     p.add_argument("--demand", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--max-attempts", dest="max_attempts", type=int,
-                   default=None)
     p.add_argument("--draws", type=int, default=200000)
     p.add_argument("--alpha", type=float, default=0.01,
                    help="significance for the uniformity tests")

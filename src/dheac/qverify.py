@@ -112,6 +112,7 @@ class SparseState:
             arr = np.asarray(arr)
             arr.flags.writeable = False
             setattr(self, name, arr)
+        self._norm_sq = None
 
     @property
     def amplitudes(self) -> Mapping[Outcome, float]:
@@ -128,7 +129,10 @@ class SparseState:
         return slice(int(self.offsets[s]), int(self.offsets[s + 1]))
 
     def norm_sq(self) -> float:
-        return math.fsum(np.square(self.amps))
+        # amps is read-only, so one exact pass serves every caller
+        if self._norm_sq is None:
+            self._norm_sq = math.fsum(np.square(self.amps))
+        return self._norm_sq
 
     def check_normalized(self, tol: float = NORM_TOL) -> None:
         norm = self.norm_sq()
@@ -240,8 +244,13 @@ def build_embedded(net: NetworkConfig, k_req: int, K: int) -> SparseState:
     n_subsets = math.comb(net.m, K)
     sizes = []
     max_size = 0
+    # the count depends on the caps multiset only: size each one once
+    counted: dict[tuple[int, ...], int] = {}
     for subset in itertools.combinations(range(net.m), K):
-        size = count_partitions(k_req, tuple(net.caps[i] for i in subset))
+        caps = tuple(sorted(net.caps[i] for i in subset))
+        size = counted.get(caps)
+        if size is None:
+            size = counted[caps] = count_partitions(k_req, caps)
         if size == 0:
             raise InvariantViolationError(
                 f"subset {subset} has no feasible quota vector for "
@@ -502,8 +511,10 @@ def verify_state(state: SparseState, net: NetworkConfig, k_req: int, K: int,
             total = obs.sum()
             if total == 0 or len(obs) < 2:
                 continue
-            min_expected = min(min_expected, total / len(obs))
-            stat_sum += _chisquare(obs)[0]
+            # equals obs.mean() bit for bit: integer counts sum exactly
+            mean = total / len(obs)
+            min_expected = min(min_expected, mean)
+            stat_sum += float(((obs - mean) ** 2 / mean).sum())
             dof_sum += len(obs) - 1
         pooled_chi2 = stat_sum
         pooled_dof = dof_sum

@@ -16,6 +16,7 @@ from dheac import (
     LATENCY_MODES,
     ModelParams,
     Request,
+    demand_to_kreq,
     evaluate_point,
     generate_network,
     safe_select_k,
@@ -111,6 +112,61 @@ def test_sweep_svg(tmp_path):
                  *TINY_GRID]) == EXIT_OK
     text = svg.read_text()
     assert text.startswith("<svg ") and "</svg>" in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--mode", "both", "--trials", "100", "--demands", "0.4",
+     "--skews", "1"],
+    ["breakeven"],
+])
+def test_ratio_heatmaps_have_one_cell_per_m_and_q(argv, tmp_path):
+    # mc rows carry no ratio: every cell must still come from the
+    # analytic row of its (m, q)
+    svg = tmp_path / "map.svg"
+    assert main([*argv, "--ms", "4,8,16", "--qs", "0.01,0.1",
+                 "--out", str(tmp_path / "out.csv"),
+                 "--svg", str(svg)]) == EXIT_OK
+    text = svg.read_text()
+    assert text.count("<rect") == 6
+    assert "n/a" not in text
+
+
+def test_breakeven_rows_are_the_sweep_analytic_rows(tmp_path):
+    axes = ["--ms", "2,4,8", "--qs", "0.01,0.1", "--demands", "0.2,0.6"]
+    sweep = tmp_path / "sweep.csv"
+    breakeven = tmp_path / "breakeven.csv"
+    assert main(["sweep", *axes, "--skews", "0.5",
+                 "--out", str(sweep)]) == EXIT_OK
+    assert main(["breakeven", *axes, "--skew", "0.5",
+                 "--out", str(breakeven)]) == EXIT_OK
+    _, sweep_header, sweep_rows = read_csv(sweep)
+    _, header, rows = read_csv(breakeven)
+    shared = [name for name in header if name in sweep_header]
+    assert shared == header
+
+    def key(r):
+        return r["m"], r["q"], r["demand"], r["skew"]
+
+    by_point = {key(r): r for r in sweep_rows}
+    assert len(rows) == len(by_point) == 12
+    for r in rows:
+        assert {n: r[n] for n in shared} == {
+            n: by_point[key(r)][n] for n in shared}
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 64), skew=st.floats(0.0, 4.0),
+       nodes_per_qlan=st.integers(1, 12),
+       demand=st.floats(0.0, 1.0, exclude_min=True))
+def test_grid_points_are_never_short_of_capacity(m, skew, nodes_per_qlan,
+                                                 demand):
+    # why the grid commands have no shortage path: every demand in (0, 1]
+    # asks for at most the network's total capacity
+    net = generate_network(m, skew, nodes_per_qlan * m)
+    k_req = demand_to_kreq(demand, net.total)
+    assert 1 <= k_req <= net.total
+    rec = evaluate_point(net.caps, k_req, ModelParams())
+    assert 1 <= rec.K <= m
 
 
 def test_grid_file_overrides_and_validation(tmp_path):

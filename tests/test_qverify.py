@@ -37,7 +37,14 @@ from dheac import (
     trial_rng,
     verify_state,
 )
-from dheac.qverify import NORM_TOL, _chisquare, _enum_rows, _prob_array
+from dheac import qverify
+from dheac.qverify import (
+    NORM_TOL,
+    _chisquare,
+    _enum_rows,
+    _prob_array,
+    _sample_counts,
+)
 
 SYM = NetworkConfig.from_caps((3, 3, 3, 3))
 
@@ -254,6 +261,66 @@ def test_check_normalized_raises():
     state = SparseState({((0,), (1,)): 0.5})
     with pytest.raises(InvariantViolationError):
         state.check_normalized()
+    # the norm is taken once per state, and measurement still refuses it
+    assert state.norm_sq() == 0.25
+    with pytest.raises(InvariantViolationError):
+        measure(state, trial_rng(0))
+    with pytest.raises(InvariantViolationError):
+        measure_many(state, trial_rng(0), 10)
+
+
+def test_verify_takes_one_full_norm_pass(monkeypatch):
+    net = generate_network(6, 1.0, 60)
+    k_req = demand_to_kreq(0.4, net.total)
+    K = safe_select_k(k_req, net.caps)
+    state = build_embedded(net, k_req, K)
+    lengths = []
+    fsum = math.fsum
+
+    def counting_fsum(values):
+        values = list(values)
+        lengths.append(len(values))
+        return fsum(values)
+
+    monkeypatch.setattr(math, "fsum", counting_fsum)
+    report = verify_state(state, net, k_req, K, 2000, trial_rng(1))
+    assert report.passed
+    # the other fsum passes are per winner subset, each shorter
+    assert lengths.count(len(state.amps)) == 1
+    assert len(state.subsets) > 1
+
+
+def test_build_sizes_each_caps_multiset_once(monkeypatch):
+    calls = []
+
+    def counting(k, caps):
+        calls.append(caps)
+        return count_partitions(k, caps)
+
+    monkeypatch.setattr(qverify, "count_partitions", counting)
+    net = NetworkConfig.from_caps((2, 1, 3, 1, 2, 1))
+    state = build_embedded(net, 5, 4)
+    multisets = {tuple(sorted(net.caps[i] for i in s))
+                 for s in itertools.combinations(range(net.m), 4)}
+    assert sorted(calls) == sorted(multisets)
+    assert len(calls) < math.comb(net.m, 4)
+    assert np.diff(state.offsets).tolist() == [
+        count_partitions(5, tuple(net.caps[i] for i in s))
+        for s in itertools.combinations(range(net.m), 4)]
+
+
+@pytest.mark.parametrize("m, skew, demand", [(6, 1.0, 0.4), (8, 0.5, 0.2)])
+def test_pooled_statistic_is_the_sum_of_branch_chisquares(m, skew, demand):
+    net = generate_network(m, skew, 10 * m)
+    k_req = demand_to_kreq(demand, net.total)
+    K = safe_select_k(k_req, net.caps)
+    state = build_embedded(net, k_req, K)
+    report = verify_state(state, net, k_req, K, 5000, trial_rng(3))
+    counts = _sample_counts(state, trial_rng(3), 5000)
+    branches = [obs for obs in np.split(counts, state.offsets[1:-1])
+                if obs.sum() and len(obs) > 1]
+    assert report.pooled_chi2 == sum(_chisquare(obs)[0] for obs in branches)
+    assert report.pooled_dof == sum(len(obs) - 1 for obs in branches)
 
 
 @pytest.mark.parametrize("obs", [[16, 18, 16, 14, 12, 12], [5, 0, 0, 9],
