@@ -40,10 +40,10 @@ from .analytics import (
 from .baselines import b1_evaluate, b2_evaluate
 from .errors import CapacityError, InvariantViolationError, ResourceShortageError
 from .lottery import (
+    batch_stats,
     estimate_fairness,
     exact_node_probs,
     sample_rounds,
-    simulate_batch,
     trial_rng,
 )
 from .netgen import NetworkConfig, Request, demand_to_kreq, generate_network
@@ -322,15 +322,13 @@ def _sweep_rows(mode, chi, trials, seed, idx, point, net, params):
         req = Request(k_req, demand=point["demand"])
         chis = LATENCY_MODES if chi == "both" else (chi,)
         row = dict(context, mode="mc", trials=trials, seed=seed)
-        for sub, lmode in enumerate(LATENCY_MODES):
-            if lmode not in chis:
-                continue
-            stats = simulate_batch(net, req, params, lmode, trials,
-                                   trial_rng(seed, idx, sub))
-            row[f"mc_p_{lmode}"] = stats.success_rate
-            row[f"mc_p_{lmode}_se"] = stats.success_se
-            row[f"mc_l_{lmode}"] = stats.latency_mean
-            row[f"mc_l_{lmode}_se"] = stats.latency_se
+        # both accountings read the same rounds; chi only picks columns
+        stats = batch_stats(net, req, params, trials, trial_rng(seed, idx))
+        for lmode in chis:
+            row[f"mc_p_{lmode}"] = stats[lmode].success_rate
+            row[f"mc_p_{lmode}_se"] = stats[lmode].success_se
+            row[f"mc_l_{lmode}"] = stats[lmode].latency_mean
+            row[f"mc_l_{lmode}_se"] = stats[lmode].latency_se
         rows.append(row)
     return rows
 
@@ -615,13 +613,14 @@ def _cmd_mc(args) -> int:
     n_ok = 0
     lat_sum = 0.0
     # checked before the output is opened; the blocks are drawn as rows go out
-    rounds = sample_rounds(net, req, params, args.chi, args.trials,
-                           trial_rng(args.seed))
+    rounds = sample_rounds(net, req, params, args.trials, trial_rng(args.seed))
+    acct = LATENCY_MODES.index(args.chi)
 
     def rows():
         nonlocal n_ok, lat_sum
         done = 0
         for arrangement, quotas, ok, attempts, lat in rounds:
+            ok, attempts, lat = ok[acct], attempts[acct], lat[acct]
             n_ok += int(ok.sum())
             lat_sum += float(lat.sum())
             # winners in ascending order, each quota moved with its winner
@@ -680,7 +679,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi", choices=LATENCY_MODES + ("both",), default="both",
                    help="which outer-payload accounting columns to emit")
     p.add_argument("--trials", type=int, default=20000,
-                   help="MC trials per point and accounting mode")
+                   help="MC trials per point (both accountings read the same "
+                        "rounds)")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--workers", type=int, default=1,
                    help="process pool size; output bytes do not depend on it")

@@ -18,8 +18,10 @@ their capped attempt counts and whether any of them ran out of attempts.
 ``sample_rounds`` is the one round kernel: per block of trials it draws
 the arrangements, rounds them, and samples each group's delivery as one
 multinomial over the outcomes {delivered on attempt 1, ..., delivered on
-attempt M, failed}, so its cost does not grow with k_req. ``simulate_batch``
-reduces its blocks to batch statistics, the ``mc`` dump formats them, and
+attempt M, failed}, so its cost does not grow with k_req. Each round is
+drawn once and reported under both accounting modes. ``batch_stats``
+reduces its blocks to both modes' batch statistics (``simulate_batch`` is
+one mode's view), the ``mc`` dump formats one mode's row, and
 ``estimate_fairness`` uses its arrangement and rounding step alone.
 ``run_trial`` is the per-qubit reference: one truncated geometric per qubit
 and explicit winning nodes, kept for tests to compare the kernel against.
@@ -45,7 +47,7 @@ from .netgen import NetworkConfig, Request
 from .partition import quota_round, safe_select_k
 
 DEFAULT_BETA = 0.10
-_BLOCK = 16384
+_BLOCK = 8192
 # bytes one sample_rounds block may hold; every m <= 32 point at the
 # default max_attempts still fits a full _BLOCK of rows
 _BLOCK_BYTES = 64 << 20
@@ -216,13 +218,15 @@ def _delivery_law(q: float, M: int) -> tuple[np.ndarray, np.ndarray]:
 def _block_rows(m: int, K: int, M: int) -> int:
     """Trials per block under the _BLOCK_BYTES budget.
 
-    Counts the int64 words alive per row at a block's peak: the permuted
-    arrangement and its tiled source (2m), up to ten rounding temporaries
-    (10K) and the quota-block outcome counts (K(M + 1)). Raises
+    Bounds the int64 words alive per row at a block's peak by the sum over
+    its stages: the permuted arrangement and its tiled source (2m), up to
+    ten rounding temporaries (10K), the quota-block outcome counts
+    (K(M + 1)), the three selection-group outcome counts (3(M + 1)) and the
+    (2, t) accounting rows with their stage-one counts (8). Raises
     CapacityError when a single row exceeds the budget, which only a huge
     max_attempts M can cause at any realistic m.
     """
-    row_bytes = 8 * (2 * m + K * (M + 11))
+    row_bytes = 8 * (2 * m + (K + 3) * (M + 1) + 10 * K + 8)
     if row_bytes > _BLOCK_BYTES:
         raise CapacityError(
             f"max_attempts={M} needs {row_bytes} bytes per trial at m={m}, "
@@ -249,20 +253,24 @@ def _arranged_quotas(caps: np.ndarray, k_req: int, K: int, trials: int,
 
 
 def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
-                  mode: str, trials: int, rng: np.random.Generator):
+                  trials: int, rng: np.random.Generator):
     """The one round kernel: an iterator of per-trial arrays, one per block.
 
     Each tuple is (arrangement, quotas, succeeded, attempts_total, latency):
     the (t, K) winners in arrangement order (not sorted) with their quotas,
-    then three (t,) arrays with run_trial's accounting. Delivery is one
-    multinomial per group of qubits (winner and non-winner selection
-    qubits, or selection plus ancilla qubits, and each quota block), with
-    the law of run_trial's per-qubit draws; node identities are not drawn.
-    Blocks fit a fixed memory budget, so peak memory does not grow with m.
-    The arguments are checked before anything is drawn: raises CapacityError
-    when one trial's outcome table alone exceeds that budget.
+    then three (2, t) arrays holding run_trial's accounting of the same
+    rounds, one row per LATENCY_MODES entry. Delivery is one multinomial per
+    group of qubits (the K winner selection qubits, the m - K non-winner
+    ones, the ancilla register, and each quota block), with the law of
+    run_trial's per-qubit draws; node identities are not drawn. The
+    optimistic row requires and counts the winner group in stage one's
+    success and attempts, the conservative row all three groups; both ship
+    every selection qubit, conservative also the ancilla register, and both
+    share the quota blocks. Blocks fit a fixed memory budget, so peak
+    memory does not grow with m. The arguments are checked before anything
+    is drawn: raises CapacityError when one trial's outcome table alone
+    exceeds that budget.
     """
-    _check_mode(mode)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     K = safe_select_k(req.k_req, net.caps, params.beta)
@@ -278,23 +286,31 @@ def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
         for arrangement, quotas in _arranged_quotas(
                 caps, req.k_req, K, trials, block, rng):
             t = len(quotas)
-            if mode == "optimistic":
-                winners = rng.multinomial(K, pvals, size=t)
-                sel_ok = winners[:, M] == 0
-                sel_att = winners @ cost
-                stage1_att = sel_att + rng.multinomial(
-                    m - K, pvals, size=t) @ cost
-            else:
-                outer = rng.multinomial(m + ell, pvals, size=t)
-                sel_ok = outer[:, M] == 0
-                sel_att = stage1_att = outer @ cost
+            winners = rng.multinomial(K, pvals, size=t)
+            others = rng.multinomial(m - K, pvals, size=t)
+            ancilla = rng.multinomial(ell, pvals, size=t)
             blocks = rng.multinomial(quotas, pvals)
-            ok = sel_ok & (blocks[:, :, M] == 0).all(axis=1)
+            # rows filled in place: building them with np.stack measured
+            # 3 MB more peak RSS on the mc_grid benchmark, though not more
+            # traced memory (allocator fragmentation)
+            ok = np.empty((2, t), dtype=bool)
+            np.logical_and(winners[:, M] == 0,
+                           (blocks[:, :, M] == 0).all(axis=1), out=ok[0])
+            np.logical_and(ok[0], (others[:, M] == 0) & (ancilla[:, M] == 0),
+                           out=ok[1])
             block_att = blocks @ cost
-            attempts = sel_att + block_att.sum(axis=1)
-            lat = (base + params.t_dist * stage1_att) + (
+            del blocks
+            # stage one ships every selection qubit, conservative also the
+            # ancillas; the optimistic row counts only the winners' attempts
+            win_att = winners @ cost
+            stage1 = np.empty((2, t), dtype=np.int64)
+            np.add(win_att, others @ cost, out=stage1[0])
+            np.add(stage1[0], ancilla @ cost, out=stage1[1])
+            attempts = np.stack((win_att, stage1[1]))
+            attempts += block_att.sum(axis=1)
+            lat = (base + params.t_dist * stage1) + (
                 base + params.t_dist * block_att.max(axis=1))
-            del blocks, block_att
+            del winners, others, ancilla, block_att, stage1
             yield arrangement, quotas, ok, attempts, lat
             # free this block's (t, K) arrays before the next block is drawn
             del arrangement, quotas
@@ -302,38 +318,54 @@ def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
     return blocks_of_rounds()
 
 
-def simulate_batch(net: NetworkConfig, req: Request, params: ModelParams,
-                   mode: str, trials: int, rng: np.random.Generator) -> BatchStats:
-    """Success rate and mean latency, with standard errors, over sample_rounds.
+def batch_stats(net: NetworkConfig, req: Request, params: ModelParams,
+                trials: int, rng: np.random.Generator) -> dict[str, BatchStats]:
+    """Both accountings' success rates and mean latencies over sample_rounds.
 
-    Per-block latency means and sums of squares are merged pairwise, so
-    memory stays at one block whatever the trial count.
+    Keyed by LATENCY_MODES entry; both read the same sampled rounds. Per-block
+    latency means and sums of squares are merged pairwise, so memory stays
+    at one block whatever the trial count.
     """
     n_done = 0
-    n_success = 0
-    lat_mean = 0.0
-    lat_m2 = 0.0
+    n_success = np.zeros(len(LATENCY_MODES), dtype=np.int64)
+    lat_mean = np.zeros(len(LATENCY_MODES))
+    lat_m2 = np.zeros(len(LATENCY_MODES))
     # rebinding _ keeps no (t, K) array alive while the next block is drawn
-    for _, _, ok, _, lat in sample_rounds(net, req, params, mode, trials, rng):
-        # Chan et al. pairwise merge of per-block mean and M2
-        t = len(lat)
-        b_mean = float(lat.mean())
-        b_m2 = float(np.square(lat - b_mean).sum())
+    for _, _, ok, _, lat in sample_rounds(net, req, params, trials, rng):
+        # Chan et al. pairwise merge of per-block mean and M2, per row
+        t = lat.shape[1]
+        b_mean = lat.mean(axis=1)
+        b_m2 = np.square(lat - b_mean[:, None]).sum(axis=1)
         n_new = n_done + t
         delta = b_mean - lat_mean
         lat_mean += delta * t / n_new
         lat_m2 += b_m2 + delta * delta * n_done * t / n_new
-        n_success += int(ok.sum())
+        n_success += ok.sum(axis=1)
         n_done = n_new
 
-    rate = n_success / trials
-    return BatchStats(
-        trials=trials,
-        success_rate=rate,
-        success_se=math.sqrt(rate * (1.0 - rate) / trials),
-        latency_mean=lat_mean,
-        latency_se=math.sqrt(lat_m2 / trials / trials),
-    )
+    stats = {}
+    for mode, succ, mean, m2 in zip(LATENCY_MODES, n_success.tolist(),
+                                    lat_mean.tolist(), lat_m2.tolist()):
+        rate = succ / trials
+        stats[mode] = BatchStats(
+            trials=trials,
+            success_rate=rate,
+            success_se=math.sqrt(rate * (1.0 - rate) / trials),
+            latency_mean=mean,
+            latency_se=math.sqrt(m2 / trials / trials),
+        )
+    return stats
+
+
+def simulate_batch(net: NetworkConfig, req: Request, params: ModelParams,
+                   mode: str, trials: int, rng: np.random.Generator) -> BatchStats:
+    """Success rate and mean latency, with standard errors, of one mode.
+
+    One row of batch_stats, which reads both modes from the same rounds;
+    call that once where both are needed.
+    """
+    _check_mode(mode)
+    return batch_stats(net, req, params, trials, rng)[mode]
 
 
 def estimate_fairness(net: NetworkConfig, req: Request, trials: int,

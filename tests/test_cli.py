@@ -96,6 +96,36 @@ def test_sweep_chi_flag_filters_columns(tmp_path):
     assert "thr_lower" not in header
 
 
+def test_sweep_mc_bounds_are_ordered_on_every_row(tmp_path):
+    # both accountings read the same rounds, so the sampled lower bound can
+    # never cross the sampled upper bound, whatever the point
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--mode", "mc", "--trials", "400", "--seed", "42",
+                 "--ms", "4,8,16", "--qs", "0.05,0.15", "--demands",
+                 "0.2,0.6", "--skews", "0,2", "--out", str(out)]) == EXIT_OK
+    _, _, rows = read_csv(out)
+    assert len(rows) == 24
+    for r in rows:
+        assert float(r["mc_p_conservative"]) <= float(r["mc_p_optimistic"])
+        assert float(r["mc_l_conservative"]) >= float(r["mc_l_optimistic"])
+
+
+@pytest.mark.parametrize("chi", LATENCY_MODES)
+def test_sweep_chi_selects_columns_not_streams(chi, tmp_path):
+    both = tmp_path / "both.csv"
+    one = tmp_path / "one.csv"
+    args = ["sweep", "--mode", "mc", "--trials", "300", "--seed", "5",
+            *TINY_GRID]
+    assert main([*args, "--chi", "both", "--out", str(both)]) == EXIT_OK
+    assert main([*args, "--chi", chi, "--out", str(one)]) == EXIT_OK
+    _, _, rows_both = read_csv(both)
+    _, header, rows_one = read_csv(one)
+    columns = [c for c in header if c.startswith("mc_")]
+    assert columns and all(chi in c for c in columns)
+    assert [[r[c] for c in columns] for r in rows_one] == [
+        [r[c] for c in columns] for r in rows_both]
+
+
 def test_sweep_worker_count_does_not_change_bytes(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -278,6 +308,24 @@ def test_mc_dump_shape(tmp_path):
     assert all(r["attempts_total"] == "16" for r in rows)
     assert all(r["succeeded"] == "1" for r in rows)
     assert [int(v) for v in rows[3]["quotas"].split(";")] == [2, 2]
+
+
+def test_mc_dump_chi_picks_an_accounting_of_the_same_rounds(tmp_path):
+    rows = {}
+    for chi in LATENCY_MODES:
+        out = tmp_path / f"{chi}.csv"
+        assert main(["mc", "--m", "8", "--skew", "1", "--demand", "0.4",
+                     "--q", "0.2", "--chi", chi, "--trials", "60",
+                     "--seed", "9", "--out", str(out)]) == EXIT_OK
+        rows[chi] = read_csv(out)[2]
+    opt, cons = rows["optimistic"], rows["conservative"]
+    for col in ("winners", "quotas"):
+        assert [r[col] for r in opt] == [r[col] for r in cons]
+    # the conservative accounting only adds qubits to the same round
+    for o, c in zip(opt, cons):
+        assert int(c["succeeded"]) <= int(o["succeeded"])
+        assert int(c["attempts_total"]) >= int(o["attempts_total"])
+        assert float(c["latency"]) >= float(o["latency"])
 
 
 @settings(max_examples=30, deadline=None)

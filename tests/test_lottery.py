@@ -164,10 +164,59 @@ def test_kernel_refuses_a_max_attempts_beyond_the_block_budget():
     params = ModelParams(q=0.05, max_attempts=10 ** 7)
     # raised on the call, before the caller iterates or anything is drawn
     with pytest.raises(CapacityError, match="max_attempts=10000000"):
-        sample_rounds(SYM, Request(4), params, "conservative", 2,
-                      trial_rng(1))
+        sample_rounds(SYM, Request(4), params, 2, trial_rng(1))
     # at the default max_attempts every m <= 32 point keeps full blocks
     assert _block_rows(32, 32, 3) == lottery._BLOCK
+
+
+def test_batch_memory_at_a_canonical_point_stays_under_20_mb():
+    net = generate_network(32, 2.0, 320)
+    k_req = demand_to_kreq(0.6, net.total)
+    params = ModelParams()
+    tracemalloc.start()
+    try:
+        simulate_batch(net, Request(k_req), params, "conservative", 20000,
+                       trial_rng(61))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 10 ** 6
+
+
+@pytest.mark.parametrize("q", [0.0, 0.2])
+def test_kernel_accountings_are_coupled_row_by_row(q, monkeypatch):
+    # tiny blocks: the coupling must hold in every block, not on average
+    monkeypatch.setattr(lottery, "_BLOCK", 7)
+    net = generate_network(8, 1.0, 80)
+    k_req = 16
+    # dyadic times keep the latency arithmetic exact
+    params = ModelParams(q=q, t_gen=2.0, t_dist=0.25, t_meas=1.0)
+    K = safe_select_k(k_req, net.caps, params.beta)
+    ell = ancilla_bits(net.caps)
+    n_blocks = 0
+    for _, _, ok, attempts, lat in sample_rounds(
+            net, Request(k_req), params, 50, trial_rng(67)):
+        n_blocks += 1
+        assert ok.shape == attempts.shape == lat.shape == (2, ok.shape[1])
+        assert not (ok[1] & ~ok[0]).any()
+        assert (attempts[1] >= attempts[0]).all()
+        assert (lat[1] >= lat[0]).all()
+        if q == 0.0:
+            assert ok.all()
+            assert (attempts[1] - attempts[0] == net.m - K + ell).all()
+            assert (lat[1] - lat[0] == params.t_dist * ell).all()
+    assert n_blocks == 8
+
+
+def test_simulate_batch_is_one_row_of_batch_stats():
+    net = generate_network(8, 1.0, 80)
+    both = lottery.batch_stats(net, Request(16), LOSSY, 3000, trial_rng(71))
+    assert list(both) == list(LATENCY_MODES)
+    for mode in LATENCY_MODES:
+        assert simulate_batch(net, Request(16), LOSSY, mode, 3000,
+                              trial_rng(71)) == both[mode]
+    with pytest.raises(ValueError, match="mode must be one of"):
+        simulate_batch(net, Request(16), LOSSY, "both", 3000, trial_rng(71))
 
 
 def test_run_trial_rejects_rounding_that_loses_pairs(monkeypatch):
@@ -190,9 +239,10 @@ def test_kernel_agrees_with_the_per_qubit_reference(mode):
     params = ModelParams(q=0.3, max_attempts=3)
     req = Request(k_req)
     K = safe_select_k(k_req, net.caps, params.beta)
-    rounds = list(sample_rounds(net, req, params, mode, 20000, trial_rng(47)))
-    attempts = np.concatenate([r[3] for r in rounds])
-    lat = np.concatenate([r[4] for r in rounds])
+    row = LATENCY_MODES.index(mode)
+    rounds = list(sample_rounds(net, req, params, 20000, trial_rng(47)))
+    attempts = np.concatenate([r[3][row] for r in rounds])
+    lat = np.concatenate([r[4][row] for r in rounds])
     expect = params.expected_attempts * required_pairs(
         mode, net.m, K, k_req, ancilla_bits(net.caps))
     assert abs(attempts.mean() - expect) < 5 * attempts.std() / math.sqrt(
@@ -211,7 +261,7 @@ def test_kernel_rows_are_rounded_arrangements():
     K = safe_select_k(k_req, net.caps, LOSSY.beta)
     caps = np.array(net.caps)
     for arrangement, quotas, *_ in sample_rounds(
-            net, Request(k_req), LOSSY, "optimistic", 200, trial_rng(59)):
+            net, Request(k_req), LOSSY, 200, trial_rng(59)):
         assert arrangement.shape == quotas.shape == (200, K)
         for row, quota_row in zip(arrangement, quotas):
             assert len(set(row.tolist())) == K
