@@ -155,6 +155,11 @@ def _fmt_seq(values, sep: str = ",") -> str:
                     for v in values)
 
 
+def _fmt_ints(values) -> str:
+    """_fmt of a list of ints, without its per-element type checks."""
+    return ";".join(map(str, values))
+
+
 def _write_csv(dest: str, comments: list[str], fieldnames: list[str],
                rows) -> None:
     def emit(fh):
@@ -627,8 +632,10 @@ def _cmd_mc(args) -> int:
             order = np.argsort(arrangement, axis=1)
             columns = (range(done, done + len(lat)), ok.tolist(),
                        attempts.tolist(), lat.tolist(),
-                       np.take_along_axis(arrangement, order, axis=1).tolist(),
-                       np.take_along_axis(quotas, order, axis=1).tolist())
+                       map(_fmt_ints, np.take_along_axis(
+                           arrangement, order, axis=1).tolist()),
+                       map(_fmt_ints, np.take_along_axis(
+                           quotas, order, axis=1).tolist()))
             done += len(lat)
             yield from (dict(zip(MC_FIELDS, row)) for row in zip(*columns))
 
@@ -757,9 +764,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_run_flags(args) -> None:
+    """Flags that numpy or the pool would refuse only mid-run, or not at all."""
+    if getattr(args, "workers", 1) < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
+    if getattr(args, "seed", 0) < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_run_flags(args)
         return args.func(args)
     except ResourceShortageError as exc:
         print(f"error: {exc}", file=sys.stderr)

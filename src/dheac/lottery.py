@@ -10,21 +10,31 @@ Winners enter the rounding step in a uniformly random arrangement. The
 rounding function itself is deterministic, but its remainder ties resolve
 by position, so a fixed arrangement would systematically favour low
 indices; randomizing the arrangement restores the anonymity of the lottery
-(symmetric networks come out exactly symmetric in distribution) and the
-closed-form oracle below averages over arrangements in the same way.
+(symmetric networks come out exactly symmetric in distribution).
+
+The rounding only sees capacities, so QLANs of equal capacity (one
+capacity class) are interchangeable, and inside a class the arrangement
+only decides which members get the extra pairs, not how many do. Where
+only those numbers matter, a round is a composition: how many winners
+each capacity class has. ``_class_round`` is the largest-remainder step
+over the classes of many compositions at once. The closed-form oracle
+``exact_node_probs`` walks every composition through it, and
+``estimate_fairness`` samples compositions directly (a multivariate
+hypergeometric draw, the law of the class counts among the first K QLANs
+of a uniform permutation).
 
 Delivery only matters through two facts per group of qubits: the sum of
 their capped attempt counts and whether any of them ran out of attempts.
 ``sample_rounds`` is the one round kernel: per block of trials it draws
-the arrangements, rounds them, and samples each group's delivery as one
-multinomial over the outcomes {delivered on attempt 1, ..., delivered on
-attempt M, failed}, so its cost does not grow with k_req. Each round is
-drawn once and reported under both accounting modes. ``batch_stats``
-reduces its blocks to both modes' batch statistics (``simulate_batch`` is
-one mode's view), the ``mc`` dump formats one mode's row, and
-``estimate_fairness`` uses its arrangement and rounding step alone.
-``run_trial`` is the per-qubit reference: one truncated geometric per qubit
-and explicit winning nodes, kept for tests to compare the kernel against.
+the arrangements, rounds them position by position, and samples each
+group's delivery as one multinomial over the outcomes {delivered on
+attempt 1, ..., delivered on attempt M, failed}, so its cost does not grow
+with k_req. Each round is drawn once and reported under both accounting
+modes. ``batch_stats`` reduces its blocks to both modes' batch statistics
+(``simulate_batch`` is one mode's view) and the ``mc`` dump formats one
+mode's row, winners included. ``run_trial`` is the per-qubit reference:
+one truncated geometric per qubit and explicit winning nodes, kept for
+tests to compare the kernel against.
 
 Streams are derived counter-style: ``trial_rng(seed, point, trial)`` gives
 the same generator no matter which worker runs the trial. The bulk
@@ -35,7 +45,6 @@ for a fixed seed and fixed inputs.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -235,6 +244,69 @@ def _block_rows(m: int, K: int, M: int) -> int:
     return min(_BLOCK, _BLOCK_BYTES // row_bytes)
 
 
+def _capacity_classes(caps) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct capacities in ascending order, and how many QLANs hold each."""
+    return np.unique(np.asarray(caps, dtype=np.int64), return_counts=True)
+
+
+def _class_round(k_req: int, classes: np.ndarray,
+                 counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """quota_round over winner compositions, one row per composition.
+
+    Row r takes counts[r, c] winners of capacity classes[c] (ascending, as
+    _capacity_classes gives them); returns
+    (floors, extras): each of those winners gets floors[r, c] pairs and
+    extras[r, c] of them one more. Leftover pairs go to the classes by
+    descending remainder, then descending capacity. Distinct capacities
+    never tie, and the members of a class are exchangeable, so quota_round's
+    position tie-break only decides which members get an extra pair, not
+    how many do. Floors, remainders and the class order depend on a row
+    only through its capacity sum, so they are computed once per distinct
+    sum. Raises InvariantViolationError unless every quota is within its
+    cap and every row hands out exactly k_req pairs.
+    """
+    t, n = counts.shape
+    sums, row_sum = np.unique(counts @ classes, return_inverse=True)
+    floors, rems = np.divmod(k_req * classes, sums[:, None])
+    # descending (remainder, capacity): distinct keys within a row
+    order = np.argsort(-(rems * (int(classes[-1]) + 1) + classes), axis=1)
+    # a quota can pass its cap only where its floor already reaches it
+    at_cap = (floors >= classes).any()
+    floors = floors[row_sum]
+    residual = k_req - (counts * floors).sum(axis=1)
+    # flat indices into the (t, n) tables: ranked[r, i] is the count of
+    # row r's i-th class in rounding order
+    row_start = n * np.arange(t)[:, None]
+    ranked = counts.ravel()[order[row_sum] + row_start]
+    # a class takes what is left after the winners ranked before it
+    before = np.cumsum(ranked, axis=1)
+    before -= ranked
+    extras = before.ravel()[np.argsort(order, axis=1)[row_sum] + row_start]
+    np.subtract(residual[:, None], extras, out=extras)
+    np.maximum(extras, 0, out=extras)
+    np.minimum(extras, counts, out=extras)
+    if at_cap and ((counts > 0) & (floors + (extras > 0) > classes)).any():
+        raise InvariantViolationError("rounding must respect caps")
+    if not (extras.sum(axis=1) == residual).all():
+        raise InvariantViolationError("rounding must conserve k_req")
+    return floors, extras
+
+
+def _class_rounds(classes: np.ndarray, sizes: np.ndarray, k_req: int, K: int,
+                  trials: int, block: int, rng: np.random.Generator):
+    """Yield (counts, floors, extras) for successive blocks of at most block rows.
+
+    A row of counts is how many of one round's K winners each capacity
+    class holds: a multivariate hypergeometric draw, which has the law of
+    the class counts among the first K QLANs of a uniform permutation.
+    floors and extras are its _class_round.
+    """
+    for start in range(0, trials, block):
+        counts = rng.multivariate_hypergeometric(
+            sizes, K, size=min(block, trials - start), method="count")
+        yield counts, *_class_round(k_req, classes, counts)
+
+
 def _arranged_quotas(caps: np.ndarray, k_req: int, K: int, trials: int,
                      block: int, rng: np.random.Generator):
     """Yield (arrangement, quotas) for successive blocks of at most block rows.
@@ -368,72 +440,86 @@ def simulate_batch(net: NetworkConfig, req: Request, params: ModelParams,
     return batch_stats(net, req, params, trials, rng)[mode]
 
 
+def _node_probs(caps, classes: np.ndarray, sizes: np.ndarray,
+                quota_sums: np.ndarray, n_sets: int) -> np.ndarray:
+    """Per-node win probabilities from each class's quota sum over n_sets
+    winner sets.
+
+    A winner QLAN's winning nodes are a uniform quota-subset of its nodes,
+    so each node of a class-c QLAN wins with probability
+    quota_sums[c] / (n_sets * sizes[c] * c); one division of whole numbers,
+    exact in float64 below 2^53. A zero-capacity QLAN has no nodes, so it
+    gets no entries.
+    """
+    per_class = quota_sums / (float(n_sets) * sizes * np.maximum(classes, 1))
+    caps = np.asarray(caps, dtype=np.int64)
+    return np.repeat(per_class[np.searchsorted(classes, caps)], caps)
+
+
 def estimate_fairness(net: NetworkConfig, req: Request, trials: int,
                       rng: np.random.Generator,
                       beta: float = DEFAULT_BETA) -> FairnessReport:
     """Per-node win probabilities over the loss-free lottery chain.
 
-    Rao-Blackwellized: a winner QLAN's winning nodes are a uniform
-    quota-subset of its nodes, so each node of QLAN i wins with probability
-    E[quota_i] / caps_i; only the outer lottery and the rounding are
-    sampled. Delivery loss is ignored on purpose: fairness concerns who is
-    granted access, not whether the grant survives the channel.
+    Samples the winner count of each capacity class per round (its
+    composition) and sums each class's quotas, so it is
+    Rao-Blackwellized twice: over which members of a class win, and over a
+    winner QLAN's winning nodes, a uniform quota-subset of its nodes. Each
+    node of QLAN i thus wins with probability E[quota_i] / caps_i. Delivery
+    loss is ignored on purpose: fairness concerns who is granted access,
+    not whether the grant survives the channel.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     K = safe_select_k(req.k_req, net.caps, beta)
-    caps = np.asarray(net.caps, dtype=np.int64)
-    quota_sums = np.zeros(net.m)
-    # no delivery counts, so the block budget holds no outcome columns
-    for arrangement, quotas in _arranged_quotas(
-            caps, req.k_req, K, trials, _block_rows(net.m, K, 0), rng):
-        quota_sums += np.bincount(arrangement.ravel(), weights=quotas.ravel(),
-                                  minlength=net.m)
-    # a zero-capacity QLAN has no nodes, so repeat drops its entry
-    probs = np.repeat(quota_sums / (trials * np.maximum(caps, 1)), caps)
+    classes, sizes = _capacity_classes(net.caps)
+    quota_sums = np.zeros(len(classes))
+    # per row: the composition and its rounding temporaries
+    block = min(_BLOCK, _BLOCK_BYTES // (8 * 16 * len(classes)))
+    for counts, floors, extras in _class_rounds(
+            classes, sizes, req.k_req, K, trials, block, rng):
+        quota_sums += (counts * floors + extras).sum(axis=0)
+    probs = _node_probs(net.caps, classes, sizes, quota_sums, trials)
     return FairnessReport(node_probs=probs, jain=jain_index(probs),
                           trials=trials, ecdf=ecdf(probs))
 
 
-def _expected_quotas(k_req: int, caps: tuple[int, ...]) -> list[float]:
-    """Mean of quota_round over a uniformly random winner arrangement.
+def _composition_chunks(sizes: np.ndarray, K: int, max_rows: int):
+    """Yield every (j_c) with 0 <= j_c <= sizes[c] and sum(j_c) == K.
 
-    Arrangement only matters through remainder ties: winners with equal
-    (remainder, capacity) form a group whose members are exchangeable, so
-    leftover units reaching a group split evenly across it in expectation.
+    Rows come in lexicographic order, as int64 arrays of at most max_rows
+    rows (more only when a single partial row branches wider). The walk
+    sets one class after another: each partial row branches over the j_c
+    that still leave a completion, so no branch dies, and each level keeps
+    one slice of its rows pending, so at most n + 1 chunks are alive.
     """
-    c_total = sum(caps)
-    if c_total < k_req:
-        raise ValueError("caps cannot cover k_req")
-    floors = [(k_req * c) // c_total for c in caps]
-    rems = [(k_req * c) % c_total for c in caps]
-    residual = k_req - sum(floors)
-    expected = [float(f) for f in floors]
-    groups: dict[tuple[int, int], list[int]] = {}
-    for j, (r, c) in enumerate(zip(rems, caps)):
-        groups.setdefault((r, c), []).append(j)
-    for (r, _c), members in sorted(groups.items(), reverse=True):
-        if residual <= 0:
-            break
-        if r == 0:
+    n = len(sizes)
+    # rest[c]: the winners that classes c, c + 1, ... can still take
+    rest = np.append(np.cumsum(sizes[::-1])[::-1], 0)
+    # per level c: rows with classes < c set, their winners left to place,
+    # and how many of those rows have branched
+    stack = [[np.zeros((1, n), dtype=np.int64), np.array([K]), 0]]
+    while stack:
+        c = len(stack) - 1
+        rows, left, done = stack[-1]
+        if c == n or done == len(rows):
+            stack.pop()
+            if c == n:
+                yield rows
             continue
-        share = min(1.0, residual / len(members))
-        for j in members:
-            expected[j] += share
-        residual -= min(residual, len(members))
-    return expected
-
-
-def _compositions(sizes: tuple[int, ...], K: int):
-    """Yield every (j_c) with 0 <= j_c <= sizes[c] and sum(j_c) == K."""
-    if not sizes:
-        if K == 0:
-            yield ()
-        return
-    rest = sum(sizes[1:])
-    for j in range(max(0, K - rest), min(sizes[0], K) + 1):
-        for tail in _compositions(sizes[1:], K - j):
-            yield (j, *tail)
+        # every parent has a child, so max_rows parents are enough
+        part = left[done:done + max_rows]
+        lo = np.maximum(part - rest[c + 1], 0)
+        width = np.minimum(part, sizes[c]) - lo + 1
+        ends = np.cumsum(width)
+        take = max(1, int(np.searchsorted(ends, max_rows, side="right")))
+        parent = np.repeat(np.arange(take), width[:take])
+        j = lo[parent] + np.arange(len(parent)) - (ends - width)[parent]
+        parent += done
+        child = rows[parent]
+        child[:, c] = j
+        stack[-1][2] = done + take
+        stack.append([child, left[parent] - j, 0])
 
 
 def exact_node_probs(net: NetworkConfig, req: Request,
@@ -445,10 +531,10 @@ def exact_node_probs(net: NetworkConfig, req: Request,
     E[quota_i] / caps_i, with E over the random winner arrangement. QLANs
     of equal capacity are exchangeable, so the subsets are grouped by
     composition: j_c winners from the n_c QLANs of capacity c, reached by
-    prod C(n_c, j_c) subsets that share one expected quota per class, and
-    each QLAN of class c is among the winners in a j_c / n_c share of them.
-    The guard still counts subsets: raises CapacityError when C(m, K)
-    exceeds max_subsets; use estimate_fairness for such instances.
+    prod C(n_c, j_c) subsets that share one _class_round row. The
+    compositions are walked in chunks under the _BLOCK_BYTES budget. The
+    guard still counts subsets: raises CapacityError when C(m, K) exceeds
+    max_subsets; use estimate_fairness for such instances.
     """
     K = safe_select_k(req.k_req, net.caps, beta)
     n_subsets = math.comb(net.m, K)
@@ -456,20 +542,16 @@ def exact_node_probs(net: NetworkConfig, req: Request,
         raise CapacityError(
             f"C({net.m}, {K}) = {n_subsets} subsets exceed {max_subsets}; "
             "use estimate_fairness instead")
-    class_size = Counter(net.caps)
-    classes = sorted(class_size)
-    sizes = tuple(class_size[c] for c in classes)
-    # per class: sum over subsets of j_c * E[quota] / c (divided by n_c below)
-    class_sum = dict.fromkeys(classes, 0.0)
-    for counts in _compositions(sizes, K):
-        winners = tuple(c for c, j in zip(classes, counts) for _ in range(j))
-        expected = _expected_quotas(req.k_req, winners)
-        weight = math.prod(math.comb(n, j) for n, j in zip(sizes, counts))
-        first = 0
-        for c, j in zip(classes, counts):
-            # the class's j winners share one expected quota
-            if j and c:
-                class_sum[c] += weight * j * expected[first] / c
-            first += j
-    qlan_prob = [class_sum[c] / class_size[c] for c in net.caps]
-    return np.repeat(np.array(qlan_prob) / n_subsets, net.caps)
+    classes, sizes = _capacity_classes(net.caps)
+    n = len(classes)
+    # ways[c, j] = C(n_c, j) ways to pick j winners from class c
+    ways = np.array([[math.comb(s, j) for j in range(min(K, sizes.max()) + 1)]
+                     for s in sizes.tolist()], dtype=float)
+    quota_sums = np.zeros(n)
+    # per row: the walk's n + 1 pending levels plus the rounding temporaries
+    max_rows = max(1, _BLOCK_BYTES // (8 * ((n + 1) ** 2 + 16 * n)))
+    for counts in _composition_chunks(sizes, K, max_rows):
+        floors, extras = _class_round(req.k_req, classes, counts)
+        weight = ways[np.arange(n), counts].prod(axis=1)
+        quota_sums += (weight[:, None] * (counts * floors + extras)).sum(axis=0)
+    return _node_probs(net.caps, classes, sizes, quota_sums, n_subsets)

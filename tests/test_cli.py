@@ -11,6 +11,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import numpy as np
+
 import dheac
 from dheac import (
     LATENCY_MODES,
@@ -18,6 +20,7 @@ from dheac import (
     Request,
     demand_to_kreq,
     evaluate_point,
+    exact_node_probs,
     generate_network,
     safe_select_k,
     simulate_batch,
@@ -30,6 +33,8 @@ from dheac.cli import (
     EXIT_SHORTAGE,
     EXIT_USAGE,
     EXIT_VERIFY,
+    _fmt_ints,
+    _fmt_seq,
     main,
 )
 
@@ -370,6 +375,62 @@ def test_mc_dump_is_the_batch_kernel_across_blocks(tmp_path, monkeypatch):
         stats.success_rate * 25)
     assert sum(float(r["latency"]) for r in rows) / 25 == pytest.approx(
         stats.latency_mean, rel=1e-9)
+
+
+def test_mc_dump_winners_follow_the_exact_win_law(tmp_path):
+    # per QLAN, mean quota over capacity across the dump's rows
+    net = generate_network(8, 1.5, 80)
+    k_req = demand_to_kreq(0.2, net.total)
+    trials = 4000
+    out = tmp_path / "mc.csv"
+    assert main(["mc", "--m", "8", "--skew", "1.5", "--demand", "0.2",
+                 "--q", "0", "--trials", str(trials), "--seed", "13",
+                 "--out", str(out)]) == EXIT_OK
+    share = np.zeros((trials, net.m))
+    for t, r in enumerate(read_csv(out)[2]):
+        winners = [int(v) for v in r["winners"].split(";")]
+        quotas = [int(v) for v in r["quotas"].split(";")]
+        share[t, winners] = quotas
+    caps = np.array(net.caps)
+    assert (caps > 0).all()
+    share /= caps
+    se = share.std(axis=0) / np.sqrt(trials)
+    exact = exact_node_probs(net, Request(k_req))[np.cumsum(caps) - 1]
+    assert (np.abs(share.mean(axis=0) - exact) <= 5 * se + 1e-12).all()
+    # a skewed network: the law is not flat, so the check has teeth
+    assert exact.max() - exact.min() > 0.05
+
+
+@settings(max_examples=50, deadline=None)
+@given(values=st.lists(st.integers(-10 ** 6, 10 ** 12), max_size=40))
+def test_dump_int_lists_format_as_the_generic_path(values):
+    assert _fmt_ints(values) == _fmt_seq(values, sep=";")
+
+
+def test_sweep_rejects_nonpositive_workers(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *ONE_CELL, "--qs", "0.05", "--skews", "0",
+                 "--workers", "0", "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(
+        "error: --workers must be >= 1, got 0")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--ms", "4", "--qs", "0.05", "--demands", "0.4",
+     "--skews", "0", "--mode", "mc", "--trials", "10"],
+    ["fairness", "--ms", "4", "--demands", "0.4", "--skews", "0"],
+    ["verify-quantum", "--m", "4", "--k-req", "4"],
+    ["mc", "--caps", "3,3,3,3", "--k-req", "4", "--trials", "5"],
+])
+def test_negative_seed_is_a_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    flag = "--json" if argv[0] == "verify-quantum" else "--out"
+    assert main([*argv, "--seed", "-1", flag, str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --seed must be >= 0, got -1")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_mc_shortage_exit():

@@ -12,7 +12,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from dheac import (
@@ -39,6 +39,8 @@ from dheac.analytics import ancilla_bits
 from dheac.lottery import (
     _BLOCK_BYTES,
     _block_rows,
+    _capacity_classes,
+    _class_round,
     _delivery_law,
     _quota_round_rows,
     sample_rounds,
@@ -303,6 +305,29 @@ def test_vectorized_rounding_matches_scalar(k_req, rows):
         assert tuple(int(v) for v in row) == quota_round(k_req, expect_caps)
 
 
+@settings(max_examples=200, deadline=None)
+@given(caps=st.lists(st.integers(0, 12), min_size=1, max_size=9),
+       data=st.data())
+def test_class_rounding_matches_scalar(caps, data):
+    # rows of winner counts per capacity class, zero capacities included
+    classes, sizes = _capacity_classes(caps)
+    rows = data.draw(st.lists(
+        st.tuples(*(st.integers(0, int(n)) for n in sizes)),
+        min_size=1, max_size=6))
+    counts = np.array(rows, dtype=np.int64).reshape(len(rows), len(classes))
+    counts = counts[counts @ classes > 0]
+    assume(len(counts))
+    k_req = data.draw(st.integers(1, int((counts @ classes).min())))
+    floors, extras = _class_round(k_req, classes, counts)
+    for row, f_row, e_row in zip(counts, floors, extras):
+        # the winners class by class, members with an extra pair first
+        arranged = [int(c) for c, j in zip(classes, row) for _ in range(j)]
+        expect = tuple(int(f) + (i < e)
+                       for f, e, j in zip(f_row, e_row, row)
+                       for i in range(j))
+        assert quota_round(k_req, arranged) == expect
+
+
 def test_exact_probs_symmetric_network_is_flat():
     probs = exact_node_probs(SYM, Request(4))
     assert probs.shape == (12,)
@@ -324,12 +349,41 @@ def test_exact_probs_frozen_skewed_instance():
     assert float(probs.max()) == pytest.approx(0.4583333333, rel=1e-8)
 
 
+def _expected_quotas(k_req: int, caps: tuple[int, ...]) -> list[float]:
+    """Mean of quota_round over a uniformly random winner arrangement.
+
+    Arrangement only matters through remainder ties: winners with equal
+    (remainder, capacity) form a group whose members are exchangeable, so
+    leftover units reaching a group split evenly across it in expectation.
+    """
+    c_total = sum(caps)
+    if c_total < k_req:
+        raise ValueError("caps cannot cover k_req")
+    floors = [(k_req * c) // c_total for c in caps]
+    rems = [(k_req * c) % c_total for c in caps]
+    residual = k_req - sum(floors)
+    expected = [float(f) for f in floors]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for j, (r, c) in enumerate(zip(rems, caps)):
+        groups.setdefault((r, c), []).append(j)
+    for (r, _c), members in sorted(groups.items(), reverse=True):
+        if residual <= 0:
+            break
+        if r == 0:
+            continue
+        share = min(1.0, residual / len(members))
+        for j in members:
+            expected[j] += share
+        residual -= min(residual, len(members))
+    return expected
+
+
 def _subset_reference(net, req, beta=lottery.DEFAULT_BETA):
     """The oracle by direct enumeration: one _expected_quotas per K-subset."""
     K = safe_select_k(req.k_req, net.caps, beta)
     qlan_prob = [0.0] * net.m
     for subset in itertools.combinations(range(net.m), K):
-        expected = lottery._expected_quotas(
+        expected = _expected_quotas(
             req.k_req, tuple(net.caps[i] for i in subset))
         for i, e in zip(subset, expected):
             if net.caps[i] > 0:
@@ -354,6 +408,19 @@ def test_exact_probs_over_compositions_match_subset_enumeration(caps, data):
     assert np.array_equal((got == 0) | (got == 1), fixed)
 
 
+def _count_rounded_rows(monkeypatch) -> list[int]:
+    """Patch _class_round to record how many rows each call rounds."""
+    rounded = []
+    class_round = lottery._class_round
+
+    def counted(k_req, classes, counts):
+        rounded.append(len(counts))
+        return class_round(k_req, classes, counts)
+
+    monkeypatch.setattr(lottery, "_class_round", counted)
+    return rounded
+
+
 def test_exact_probs_call_the_rounding_once_per_composition(monkeypatch):
     net = generate_network(32, 1.0, 320)
     req = Request(demand_to_kreq(0.4, net.total))
@@ -365,19 +432,29 @@ def test_exact_probs_call_the_rounding_once_per_composition(monkeypatch):
     for n in sizes:
         poly = [sum(poly[d - j] for j in range(n + 1) if 0 <= d - j < len(poly))
                 for d in range(len(poly) + n)]
-    calls = 0
-    expected_quotas = lottery._expected_quotas
-
-    def counted(k_req, caps):
-        nonlocal calls
-        calls += 1
-        return expected_quotas(k_req, caps)
-
-    monkeypatch.setattr(lottery, "_expected_quotas", counted)
+    rounded = _count_rounded_rows(monkeypatch)
     exact_node_probs(net, req)
-    assert calls == poly[K]
-    assert calls <= math.prod(n + 1 for n in sizes)
-    assert 10 * calls < math.comb(net.m, K)
+    rows = sum(rounded)
+    assert rows == poly[K] == 2608
+    assert rows <= math.prod(n + 1 for n in sizes)
+    assert 10 * rows < math.comb(net.m, K)
+
+
+def test_exact_walk_stays_within_block_budget_past_the_guard(monkeypatch):
+    # the largest canonical cell: C(32, 14) subsets, 618,353 compositions
+    net = generate_network(32, 1.0, 320)
+    req = Request(demand_to_kreq(0.1, net.total))
+    assert safe_select_k(req.k_req, net.caps, lottery.DEFAULT_BETA) == 14
+    rounded = _count_rounded_rows(monkeypatch)
+    tracemalloc.start()
+    try:
+        probs = exact_node_probs(net, req, max_subsets=math.comb(32, 14))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(rounded) == 618353
+    assert peak < _BLOCK_BYTES
+    assert math.fsum(probs) == pytest.approx(req.k_req, rel=1e-12)
 
 
 def test_exact_probs_guard():
@@ -395,6 +472,20 @@ def test_estimate_fairness_agrees_with_exact():
     assert (np.abs(report.node_probs - exact) < 5 * sigma + 1e-12).all()
     assert report.trials == 30000
     assert report.ecdf[-1][1] == pytest.approx(1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(caps=st.lists(st.integers(0, 9), min_size=1, max_size=8)
+       .filter(lambda caps: sum(caps) > 0),
+       data=st.data(), seed=st.integers(0, 99))
+def test_estimate_fairness_is_exact_when_every_qlan_wins(caps, data, seed):
+    # K = m fixes the composition, so no sampled quantity is left
+    net = NetworkConfig.from_caps(tuple(caps))
+    req = Request(data.draw(st.integers(1, net.total)))
+    assume(safe_select_k(req.k_req, net.caps, lottery.DEFAULT_BETA) == net.m)
+    sampled = estimate_fairness(net, req, 500, trial_rng(seed)).node_probs
+    exact = exact_node_probs(net, req)
+    assert np.abs(sampled - exact).max(initial=0.0) <= 1e-15
 
 
 def test_estimate_fairness_is_flat_within_each_qlan():
