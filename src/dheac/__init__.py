@@ -12,7 +12,6 @@ from .analytics import (
     jain_index,
     latency_b2,
     latency_dheac,
-    required_pairs,
     success_b2,
     success_bounds,
     throughput,
@@ -21,7 +20,6 @@ from .baselines import BaselineResult, b1_evaluate, b2_evaluate
 from .errors import CapacityError, InvariantViolationError, ResourceShortageError
 from .lottery import (
     BatchStats,
-    FairnessReport,
     TrialOutcome,
     estimate_fairness,
     exact_node_probs,
@@ -32,7 +30,6 @@ from .lottery import (
 )
 from .netgen import NetworkConfig, Request, demand_to_kreq, generate_network
 from .partition import (
-    Allocation,
     PartitionSet,
     count_partitions,
     enum_partitions,
@@ -42,11 +39,8 @@ from .partition import (
 from .qverify import (
     SparseState,
     VerificationReport,
-    build_dicke,
     build_embedded,
-    conditional_inner,
     marginal_outer,
-    measure,
     measure_many,
     node_win_probs,
     verify_state,
@@ -55,11 +49,9 @@ from .qverify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Allocation",
     "BaselineResult",
     "BatchStats",
     "CapacityError",
-    "FairnessReport",
     "InvariantViolationError",
     "LATENCY_MODES",
     "MetricsRecord",
@@ -74,9 +66,7 @@ __all__ = [
     "ancilla_bits",
     "b1_evaluate",
     "b2_evaluate",
-    "build_dicke",
     "build_embedded",
-    "conditional_inner",
     "count_partitions",
     "demand_to_kreq",
     "ecdf",
@@ -89,11 +79,9 @@ __all__ = [
     "latency_b2",
     "latency_dheac",
     "marginal_outer",
-    "measure",
     "measure_many",
     "node_win_probs",
     "quota_round",
-    "required_pairs",
     "run_trial",
     "safe_select_k",
     "sample_inner",

@@ -17,6 +17,7 @@ arrive: K + k_req for the upper bound, m + ell_anc + k_req for the lower.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,6 +49,12 @@ class ModelParams:
     def __post_init__(self):
         if not 0.0 <= self.q < 1.0:
             raise ValueError(f"q must lie in [0, 1), got {self.q}")
+        for name in ("max_attempts", "rounds"):
+            value = getattr(self, name)
+            # bool is an int subclass, but True is no count
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
         for name in ("t_gen", "t_dist", "t_meas", "t_ctl", "beta"):
@@ -73,10 +80,12 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class MetricsRecord:
-    """Closed-form metrics for one network/request point."""
+    """Closed-form metrics for one network/request point; k_max_b2 is the
+    largest quota of the baseline's split, which prices its latency."""
 
     K: int
     ell_anc: int
+    k_max_b2: int
     P_lower: float
     P_upper: float
     P_b2: float
@@ -214,6 +223,7 @@ def evaluate_point(caps, k_req: int, params: ModelParams) -> MetricsRecord:
     return MetricsRecord(
         K=K,
         ell_anc=ell,
+        k_max_b2=k_max,
         P_lower=p_lower,
         P_upper=p_upper,
         P_b2=p_b2,
@@ -225,11 +235,3 @@ def evaluate_point(caps, k_req: int, params: ModelParams) -> MetricsRecord:
         THR_b2=throughput(p_b2, l_b2),
     )
 
-
-def required_pairs(mode: str, m: int, K: int, k_req: int, ell_anc: int) -> int:
-    """Number of pairs that must all arrive under the given accounting."""
-    if mode not in LATENCY_MODES:
-        raise ValueError(f"mode must be one of {LATENCY_MODES}, got {mode!r}")
-    if mode == "optimistic":
-        return K + k_req
-    return m + ell_anc + k_req

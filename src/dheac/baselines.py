@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analytics import ModelParams, latency_b2, success_b2, throughput
+from .analytics import ModelParams, latency_b2, success_b2
 from .errors import ResourceShortageError
 from .netgen import NetworkConfig, Request
-from .partition import Allocation, quota_round
+from .partition import quota_round
 
 
 @dataclass(frozen=True)
@@ -28,39 +28,35 @@ class BaselineResult:
     all (B1 without a big-enough QLAN); metric fields are then None.
     """
 
-    scheme: str
     applicable: bool
-    allocation: Allocation | None
     p_success: float | None
     latency: float | None
-    thr: float | None
 
 
 def b1_evaluate(net: NetworkConfig, req: Request, params: ModelParams) -> BaselineResult:
-    """Single-QLAN scheme: all k_req pairs inside the largest QLAN."""
-    best = max(range(net.m), key=lambda i: (net.caps[i], -i))
-    if net.caps[best] < req.k_req:
-        return BaselineResult("B1", False, None, None, None, None)
-    alloc = Allocation(winners=(best,), quotas=(req.k_req,))
+    """Single-QLAN scheme: all k_req pairs inside the largest QLAN.
+
+    The metrics depend only on k_req, so the scheme reduces to whether any
+    QLAN holds that many nodes.
+    """
+    if max(net.caps) < req.k_req:
+        return BaselineResult(False, None, None)
     p = params.unit_success ** req.k_req
     lat = (params.t_gen
            + params.expected_attempts * params.t_dist * req.k_req
            + params.t_meas)
-    return BaselineResult("B1", True, alloc, p, lat, throughput(p, lat))
+    return BaselineResult(True, p, lat)
 
 
 def b2_evaluate(net: NetworkConfig, req: Request, params: ModelParams) -> BaselineResult:
     """Classical arbitration: proportional split over every QLAN.
 
+    Its latency is priced by the largest quota of quota_round(k_req, caps).
     Raises ResourceShortageError when the request exceeds total capacity.
     """
     if net.total < req.k_req:
         raise ResourceShortageError(
             f"total capacity {net.total} cannot cover k_req={req.k_req}")
-    full = quota_round(req.k_req, net.caps)
-    winners = tuple(i for i, q in enumerate(full) if q > 0)
-    quotas = tuple(full[i] for i in winners)
-    alloc = Allocation(winners=winners, quotas=quotas)
-    p = success_b2(req.k_req, params)
-    lat = latency_b2(net.m, max(full), params)
-    return BaselineResult("B2", True, alloc, p, lat, throughput(p, lat))
+    return BaselineResult(
+        True, success_b2(req.k_req, params),
+        latency_b2(net.m, max(quota_round(req.k_req, net.caps)), params))

@@ -18,11 +18,9 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
-import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import partial
 
@@ -47,7 +45,7 @@ from .lottery import (
     trial_rng,
 )
 from .netgen import NetworkConfig, Request, demand_to_kreq, generate_network
-from .partition import quota_round, safe_select_k
+from .partition import safe_select_k
 from .qverify import SparseState, build_embedded, verify_state
 
 GRID_MS = (4, 8, 16, 32)
@@ -66,6 +64,7 @@ EXIT_IO = 5
 _AXIS_KEYS = ("ms", "qs", "demands", "skews", "nodes_per_qlan")
 _PARAM_KEYS = ("t_gen", "t_dist", "t_meas", "t_ctl", "rounds", "beta",
                "max_attempts")
+_INT_KEYS = ("ms", "nodes_per_qlan", "rounds", "max_attempts")
 
 _FIGURE_MAP = """\
 figure-data recipes:
@@ -91,6 +90,8 @@ class SweepSpec:
 
 
 def _load_grid_file(path: str) -> dict:
+    import json
+
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -105,29 +106,46 @@ def _load_grid_file(path: str) -> dict:
     return data
 
 
+def _number(key: str, value):
+    """value as an int for the keys in _INT_KEYS, else as a float; a
+    ValueError naming key unless it is a number, integral for an int key."""
+    # bool is an int subclass, but JSON true is no number
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must hold numbers, got {value!r}")
+    if key in _INT_KEYS and not (isinstance(value, int) or value.is_integer()):
+        raise ValueError(f"{key} must hold integers, got {value!r}")
+    try:
+        return int(value) if key in _INT_KEYS else float(value)
+    except OverflowError:
+        raise ValueError(f"{key} holds {value!r}, out of range") from None
+
+
 def _resolve_spec(args, default_ms=GRID_MS,
                   default_demands=GRID_DEMANDS) -> SweepSpec:
     """Defaults, then --grid JSON, then explicit flags, last one wins."""
     merged: dict = {"ms": default_ms, "qs": GRID_QS,
                     "demands": default_demands, "skews": GRID_SKEWS,
                     "nodes_per_qlan": NODES_PER_QLAN}
-    defaults = {f.name: f.default for f in fields(ModelParams)}
-    merged.update({k: defaults[k] for k in _PARAM_KEYS})
+    merged.update({f.name: f.default for f in fields(ModelParams)
+                   if f.name in _PARAM_KEYS})
     if getattr(args, "grid", None):
         merged.update(_load_grid_file(args.grid))
     for key in _AXIS_KEYS + _PARAM_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    params = ModelParams(**{k: merged[k] for k in _PARAM_KEYS})
-    return SweepSpec(
-        ms=tuple(int(v) for v in merged["ms"]),
-        qs=tuple(float(v) for v in merged["qs"]),
-        demands=tuple(float(v) for v in merged["demands"]),
-        skews=tuple(float(v) for v in merged["skews"]),
-        nodes_per_qlan=int(merged["nodes_per_qlan"]),
-        params=params,
-    )
+    axes = {}
+    for key in ("ms", "qs", "demands", "skews"):
+        values = merged[key]
+        if not isinstance(values, (list, tuple)):
+            raise ValueError(f"{key} must be a list, got {values!r}")
+        if not values:
+            raise ValueError(f"{key} must hold at least one value")
+        axes[key] = tuple(_number(key, v) for v in values)
+    scalars = {key: _number(key, merged[key])
+               for key in ("nodes_per_qlan",) + _PARAM_KEYS}
+    return SweepSpec(**axes, nodes_per_qlan=scalars.pop("nodes_per_qlan"),
+                     params=ModelParams(**scalars))
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -145,18 +163,16 @@ def _fmt(value) -> str:
         return str(int(value))
     if isinstance(value, float):
         return format(value, ".10g")
-    if isinstance(value, list):
-        return _fmt_seq(value, sep=";")
     return str(value)
 
 
-def _fmt_seq(values, sep: str = ",") -> str:
-    return sep.join(format(v, "g") if isinstance(v, float) else str(v)
+def _fmt_seq(values) -> str:
+    return ",".join(format(v, "g") if isinstance(v, float) else str(v)
                     for v in values)
 
 
 def _fmt_ints(values) -> str:
-    """_fmt of a list of ints, without its per-element type checks."""
+    """A list of ints as one CSV cell, ';'-separated."""
     return ";".join(map(str, values))
 
 
@@ -293,6 +309,9 @@ def _grid_rows(spec: SweepSpec, axes: tuple[str, ...], point_rows,
              for idx, values in enumerate(
                  itertools.product(*(getattr(spec, axis) for axis in axes)))]
     if workers > 1:
+        # only a pool pays for the import
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(tasks) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_grid_point, tasks, chunksize=chunk))
@@ -318,13 +337,12 @@ def _grid_point(task) -> list[dict]:
 def _sweep_rows(mode, chi, trials, seed, idx, point, net, params):
     k_req = point["k_req"]
     rec = evaluate_point(net.caps, k_req, params)
-    context = dict(K=rec.K, ell_anc=rec.ell_anc,
-                   k_max_b2=max(quota_round(k_req, net.caps)))
+    context = dict(K=rec.K, ell_anc=rec.ell_anc, k_max_b2=rec.k_max_b2)
     rows = []
     if mode in ("analytic", "both"):
         rows.append(context | _analytic_row(rec) | {"mode": "analytic"})
     if mode in ("mc", "both"):
-        req = Request(k_req, demand=point["demand"])
+        req = Request(k_req)
         chis = LATENCY_MODES if chi == "both" else (chi,)
         row = dict(context, mode="mc", trials=trials, seed=seed)
         # both accountings read the same rounds; chi only picks columns
@@ -422,7 +440,7 @@ FAIRNESS_FIELDS = ["status", "m", "demand", "skew", "total", "k_req", "K",
 
 
 def _fairness_rows(args, idx, point, net, params):
-    req = Request(point["k_req"], demand=point["demand"])
+    req = Request(point["k_req"])
     K = safe_select_k(req.k_req, net.caps, params.beta)
     method, trials = "mc", args.trials
     if args.method in ("auto", "exact"):
@@ -435,8 +453,7 @@ def _fairness_rows(args, idx, point, net, params):
                 raise
     if method == "mc":
         probs = estimate_fairness(net, req, args.trials,
-                                  trial_rng(args.seed, idx),
-                                  beta=params.beta).node_probs
+                                  trial_rng(args.seed, idx), beta=params.beta)
     # probs is no CSV column; the ECDF files read it
     return [dict(K=K, method=method, trials=trials, jain=jain_index(probs),
                  p_min=float(probs.min()), p_max=float(probs.max()),
@@ -585,6 +602,8 @@ def _cmd_verify_quantum(args) -> int:
     except CapacityError:
         print("fairness of the rounding chain:  skipped (too many subsets)")
     if args.json:
+        import json
+
         # the statistics a structural failure left unsampled are NaN (inf
         # for min_expected_cell); strict JSON has null for them
         payload = {f.name: getattr(report, f.name)
@@ -612,7 +631,7 @@ def _cmd_mc(args) -> int:
     net = _build_network(args)
     k_req = _resolve_k_req(args, net)
     params = _single_point_params(args)
-    req = Request(k_req, demand=args.demand)
+    req = Request(k_req)
     rec = evaluate_point(net.caps, k_req, params)
 
     n_ok = 0
@@ -770,6 +789,8 @@ def _check_run_flags(args) -> None:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
     if getattr(args, "seed", 0) < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    if not 0.0 < getattr(args, "alpha", 0.5) < 1.0:
+        raise ValueError(f"--alpha must lie in (0, 1), got {args.alpha}")
 
 
 def main(argv=None) -> int:

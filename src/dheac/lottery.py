@@ -21,7 +21,7 @@ over the classes of many compositions at once. The closed-form oracle
 ``exact_node_probs`` walks every composition through it, and
 ``estimate_fairness`` samples compositions directly (a multivariate
 hypergeometric draw, the law of the class counts among the first K QLANs
-of a uniform permutation).
+of a uniform permutation). Both return one win probability per node.
 
 Delivery only matters through two facts per group of qubits: the sum of
 their capped attempt counts and whether any of them ran out of attempts.
@@ -45,11 +45,11 @@ for a fixed seed and fixed inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import ancilla_bits, ecdf, jain_index
+from .analytics import ancilla_bits
 from .analytics import LATENCY_MODES, ModelParams
 from .errors import CapacityError, InvariantViolationError
 from .netgen import NetworkConfig, Request
@@ -82,25 +82,10 @@ class TrialOutcome:
     latency: float
 
 
-@dataclass(frozen=True, eq=False)
-class FairnessReport:
-    """Per-node win probabilities from the loss-free lottery chain.
-
-    Sampled over the outer lottery and the rounding only: each node's
-    entry is its QLAN's mean quota over its capacity.
-    """
-
-    node_probs: np.ndarray
-    jain: float
-    trials: int
-    ecdf: list[tuple[float, float]] = field(repr=False)
-
-
 @dataclass(frozen=True)
 class BatchStats:
     """Aggregates from a vectorized batch of delivery trials."""
 
-    trials: int
     success_rate: float
     success_se: float
     latency_mean: float
@@ -292,21 +277,6 @@ def _class_round(k_req: int, classes: np.ndarray,
     return floors, extras
 
 
-def _class_rounds(classes: np.ndarray, sizes: np.ndarray, k_req: int, K: int,
-                  trials: int, block: int, rng: np.random.Generator):
-    """Yield (counts, floors, extras) for successive blocks of at most block rows.
-
-    A row of counts is how many of one round's K winners each capacity
-    class holds: a multivariate hypergeometric draw, which has the law of
-    the class counts among the first K QLANs of a uniform permutation.
-    floors and extras are its _class_round.
-    """
-    for start in range(0, trials, block):
-        counts = rng.multivariate_hypergeometric(
-            sizes, K, size=min(block, trials - start), method="count")
-        yield counts, *_class_round(k_req, classes, counts)
-
-
 def _arranged_quotas(caps: np.ndarray, k_req: int, K: int, trials: int,
                      block: int, rng: np.random.Generator):
     """Yield (arrangement, quotas) for successive blocks of at most block rows.
@@ -420,7 +390,6 @@ def batch_stats(net: NetworkConfig, req: Request, params: ModelParams,
                                     lat_mean.tolist(), lat_m2.tolist()):
         rate = succ / trials
         stats[mode] = BatchStats(
-            trials=trials,
             success_rate=rate,
             success_se=math.sqrt(rate * (1.0 - rate) / trials),
             latency_mean=mean,
@@ -458,16 +427,19 @@ def _node_probs(caps, classes: np.ndarray, sizes: np.ndarray,
 
 def estimate_fairness(net: NetworkConfig, req: Request, trials: int,
                       rng: np.random.Generator,
-                      beta: float = DEFAULT_BETA) -> FairnessReport:
-    """Per-node win probabilities over the loss-free lottery chain.
+                      beta: float = DEFAULT_BETA) -> np.ndarray:
+    """Per-node win probabilities over the loss-free lottery chain, sampled;
+    the same array as exact_node_probs gives.
 
     Samples the winner count of each capacity class per round (its
-    composition) and sums each class's quotas, so it is
-    Rao-Blackwellized twice: over which members of a class win, and over a
-    winner QLAN's winning nodes, a uniform quota-subset of its nodes. Each
-    node of QLAN i thus wins with probability E[quota_i] / caps_i. Delivery
-    loss is ignored on purpose: fairness concerns who is granted access,
-    not whether the grant survives the channel.
+    composition: a multivariate hypergeometric draw, the law of the class
+    counts among the first K QLANs of a uniform permutation) and sums each
+    class's quotas, so it is Rao-Blackwellized twice: over which members of
+    a class win, and over a winner QLAN's winning nodes, a uniform
+    quota-subset of its nodes. Each node of QLAN i thus wins with
+    probability E[quota_i] / caps_i. Delivery loss is ignored on purpose:
+    fairness concerns who is granted access, not whether the grant
+    survives the channel.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -476,12 +448,12 @@ def estimate_fairness(net: NetworkConfig, req: Request, trials: int,
     quota_sums = np.zeros(len(classes))
     # per row: the composition and its rounding temporaries
     block = min(_BLOCK, _BLOCK_BYTES // (8 * 16 * len(classes)))
-    for counts, floors, extras in _class_rounds(
-            classes, sizes, req.k_req, K, trials, block, rng):
+    for start in range(0, trials, block):
+        counts = rng.multivariate_hypergeometric(
+            sizes, K, size=min(block, trials - start), method="count")
+        floors, extras = _class_round(req.k_req, classes, counts)
         quota_sums += (counts * floors + extras).sum(axis=0)
-    probs = _node_probs(net.caps, classes, sizes, quota_sums, trials)
-    return FairnessReport(node_probs=probs, jain=jain_index(probs),
-                          trials=trials, ecdf=ecdf(probs))
+    return _node_probs(net.caps, classes, sizes, quota_sums, trials)
 
 
 def _composition_chunks(sizes: np.ndarray, K: int, max_rows: int):

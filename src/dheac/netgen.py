@@ -51,24 +51,13 @@ class NetworkConfig:
 
 @dataclass(frozen=True)
 class Request:
-    """An access request for k_req simultaneous end-to-end pairs.
-
-    ``demand`` is the requested fraction of total capacity when the request
-    was derived from one (None for requests stated directly in pairs).
-    """
+    """An access request for k_req simultaneous end-to-end pairs."""
 
     k_req: int
-    demand: float | None = None
 
     def __post_init__(self):
         if self.k_req < 1:
             raise ValueError(f"k_req must be >= 1, got {self.k_req}")
-        if self.demand is not None and not 0.0 < self.demand <= 1.0:
-            raise ValueError(f"demand must lie in (0, 1], got {self.demand}")
-
-    @classmethod
-    def from_demand(cls, net: NetworkConfig, demand: float) -> "Request":
-        return cls(k_req=demand_to_kreq(demand, net.total), demand=demand)
 
 
 def generate_network(m: int, skew: float, total: int) -> NetworkConfig:

@@ -17,22 +17,6 @@ from .errors import ResourceShortageError
 
 
 @dataclass(frozen=True)
-class Allocation:
-    """A resolved assignment: sorted winner indices and their quotas."""
-
-    winners: tuple[int, ...]
-    quotas: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.winners) != len(self.quotas):
-            raise ValueError("winners and quotas must have equal length")
-        if list(self.winners) != sorted(set(self.winners)):
-            raise ValueError(f"winners must be strictly increasing, got {self.winners}")
-        if any(q < 0 for q in self.quotas):
-            raise ValueError(f"quotas must be non-negative, got {self.quotas}")
-
-
-@dataclass(frozen=True)
 class PartitionSet:
     """All ways to write k as non-negative parts bounded by per-slot caps.
 
@@ -168,11 +152,14 @@ def quota_round(k_req: int, winner_caps) -> tuple[int, ...]:
     """Split k_req over winners proportionally to capacity, in whole pairs.
 
     Largest-remainder rounding: each winner gets the floor of its ideal
-    share k_req * c_j / C, then leftover units are handed out in order of
-    descending fractional remainder (ties: larger capacity, then lower
-    position). A unit that would push a winner past its cap flows to the
-    next candidate in that order. All arithmetic is exact (integer
+    share k_req * c_j / C, then the residual leftover units go one each to
+    the first winners in order of descending fractional remainder (ties:
+    larger capacity, then lower position). All arithmetic is exact (integer
     remainders k_req * c_j mod C), so equal shares compare as equal.
+
+    No unit can pass a cap: a winner with a positive remainder has a floor
+    below k_req * c_j / C <= c_j, and since every remainder is below C
+    while they sum to residual * C, more than residual winners have one.
 
     Raises ResourceShortageError when sum(winner_caps) < k_req.
     """
@@ -183,17 +170,10 @@ def quota_round(k_req: int, winner_caps) -> tuple[int, ...]:
     if c_total < k_req:
         raise ResourceShortageError(
             f"winner capacity {c_total} cannot cover k_req={k_req}")
-    n = len(caps)
-    floors = [(k_req * c) // c_total for c in caps]
+    quotas = [(k_req * c) // c_total for c in caps]
     rems = [(k_req * c) % c_total for c in caps]
-    quotas = list(floors)
-    residual = k_req - sum(floors)
-    order = sorted(range(n), key=lambda j: (-rems[j], -caps[j], j))
-    pos = 0
-    while residual > 0:
-        j = order[pos % n]
-        if quotas[j] < caps[j]:
-            quotas[j] += 1
-            residual -= 1
-        pos += 1
+    residual = k_req - sum(quotas)
+    order = sorted(range(len(caps)), key=lambda j: (-rems[j], -caps[j], j))
+    for j in order[:residual]:
+        quotas[j] += 1
     return tuple(quotas)

@@ -5,16 +5,16 @@ over labels (S, v): S a K-subset of QLANs and v a feasible quota vector for
 S. Amplitudes are uniform over subsets and, within each subset branch,
 uniform over its feasible quota vectors, so a single measurement draws the
 winner set uniformly and a quota vector uniformly conditioned on it. This
-module builds that state explicitly over its (sparse) support, measures it,
-and checks the structural invariants a faithful preparation must satisfy.
+module builds that state explicitly over its (sparse) support, samples
+measurements of it, and checks the structural invariants a faithful
+preparation must satisfy.
 
 A state is a few arrays in sorted label order (see ``SparseState``): the
 winner subsets, one integer row per quota vector, and one amplitude per
 label. Building, normalization, the feasibility checks, marginals and
 sampling are array arithmetic over those rows; Python loops run at most
 once per subset or per QLAN. Labels become tuples only at the edges: the
-``amplitudes`` view, ``measure``, ``measure_many`` and
-``conditional_inner``.
+``amplitudes`` view, ``marginal_outer`` and ``measure_many``.
 
 Note the deliberate asymmetry with the sampling chain in ``lottery``: there
 quotas come from deterministic capacity-proportional rounding, here from
@@ -38,11 +38,9 @@ from .errors import CapacityError, InvariantViolationError, ResourceShortageErro
 from .netgen import NetworkConfig
 from .partition import count_partitions
 
-# (winner subset, quota vector); the quota vector is empty for bare
-# subset-selection states
+# (winner subset, quota vector)
 Outcome = tuple[tuple[int, ...], tuple[int, ...]]
 
-MAX_DICKE_WIDTH = 20
 MAX_SPARSE_OUTCOMES = 10 ** 6
 NORM_TOL = 1e-12
 
@@ -63,8 +61,7 @@ class SparseState:
     - ``offsets``: (n_subsets + 1,) int64; subset s owns label rows
       ``offsets[s]:offsets[s + 1]`` of the two arrays below;
     - ``vectors``: (n_labels, width) quota vectors in the smallest signed
-      integer dtype that holds them, ascending within each subset (width 0
-      for bare subset-selection states);
+      integer dtype that holds them, ascending within each subset;
     - ``amps``: (n_labels,) float64 amplitudes.
 
     ``SparseState(mapping)`` converts a {label: amplitude} mapping once, for
@@ -118,16 +115,6 @@ class SparseState:
     def amplitudes(self) -> Mapping[Outcome, float]:
         return _AmplitudeView(self)
 
-    def _label(self, i: int) -> Outcome:
-        """The label of row i."""
-        s = int(np.searchsorted(self.offsets, i, side="right")) - 1
-        return tuple(self.subsets[s].tolist()), tuple(self.vectors[i].tolist())
-
-    def _subset_rows(self, subset) -> slice:
-        """The label rows of one winner subset; KeyError if absent."""
-        s = _find_row(self.subsets, 0, len(self.subsets), tuple(subset))
-        return slice(int(self.offsets[s]), int(self.offsets[s + 1]))
-
     def norm_sq(self) -> float:
         # amps is read-only, so one exact pass serves every caller
         if self._norm_sq is None:
@@ -162,8 +149,9 @@ class _AmplitudeView(Mapping):
         state = self._state
         try:
             subset, vec = label
-            rows = state._subset_rows(subset)
-            i = _find_row(state.vectors, rows.start, rows.stop, tuple(vec))
+            s = _find_row(state.subsets, 0, len(state.subsets), tuple(subset))
+            i = _find_row(state.vectors, int(state.offsets[s]),
+                          int(state.offsets[s + 1]), tuple(vec))
         except (KeyError, TypeError, ValueError):
             raise KeyError(label) from None
         return float(state.amps[i])
@@ -177,20 +165,6 @@ def _find_row(arr: np.ndarray, lo: int, hi: int, key: tuple) -> int:
     if i == hi or tuple(arr[i].tolist()) != key:
         raise KeyError(key)
     return i
-
-
-def build_dicke(m: int, K: int) -> SparseState:
-    """Bare selection state: equal weight on every K-subset of m QLANs."""
-    if not 1 <= K <= m:
-        raise ValueError(f"need 1 <= K <= m, got K={K}, m={m}")
-    if m > MAX_DICKE_WIDTH:
-        raise CapacityError(f"m={m} exceeds the m <= {MAX_DICKE_WIDTH} guard")
-    n = math.comb(m, K)
-    subsets = np.array(list(itertools.combinations(range(m), K)),
-                       dtype=np.int64)
-    return SparseState.from_arrays(
-        subsets, np.arange(n + 1), np.empty((n, 0), dtype=np.int8),
-        np.full(n, 1.0 / math.sqrt(n)))
 
 
 def _enum_rows(k: int, caps: np.ndarray, dtype=np.int64) -> np.ndarray:
@@ -275,12 +249,6 @@ def build_embedded(net: NetworkConfig, k_req: int, K: int) -> SparseState:
     return SparseState.from_arrays(subsets, offsets, vectors, amps)
 
 
-def measure(state: SparseState, rng: np.random.Generator) -> Outcome:
-    """Draw a single outcome label with probability amplitude^2."""
-    probs = _prob_array(state)
-    return state._label(int(rng.choice(len(probs), p=probs)))
-
-
 def measure_many(state: SparseState, rng: np.random.Generator,
                  draws: int) -> dict[Outcome, int]:
     """Draw many outcomes at once; returns counts per label (zeros kept)."""
@@ -334,19 +302,6 @@ def marginal_outer(state: SparseState) -> dict[tuple[int, ...], float]:
     """Distribution over winner subsets after tracing out the quotas."""
     totals, _ = _branch_stats(state)
     return dict(zip(map(tuple, state.subsets.tolist()), totals.tolist()))
-
-
-def conditional_inner(state: SparseState,
-                      subset: tuple[int, ...]) -> dict[tuple[int, ...], float]:
-    """Distribution over quota vectors conditioned on a winner subset."""
-    try:
-        rows = state._subset_rows(subset)
-    except KeyError:
-        raise ValueError(
-            f"subset {tuple(subset)} is not in the state's support") from None
-    probs = np.square(state.amps[rows])
-    cond = probs / math.fsum(probs)
-    return dict(zip(map(tuple, state.vectors[rows].tolist()), cond.tolist()))
 
 
 def node_win_probs(state: SparseState, caps) -> np.ndarray:

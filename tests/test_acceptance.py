@@ -184,7 +184,7 @@ def _jain_pair(demand: float, skew: float, stream: int) -> tuple[float, float]:
     k_req = demand_to_kreq(demand, net.total)
     exact = jain_index(exact_node_probs(net, Request(k_req)))
     sampled = jain_index(estimate_fairness(
-        net, Request(k_req), FAIRNESS_TRIALS, trial_rng(11, stream)).node_probs)
+        net, Request(k_req), FAIRNESS_TRIALS, trial_rng(11, stream)))
     return sampled, exact
 
 
@@ -234,7 +234,7 @@ def test_c06_sampled_fairness_matches_exact_probabilities():
                 k_req = demand_to_kreq(demand, net.total)
                 exact = exact_node_probs(net, Request(k_req))
                 mc = estimate_fairness(net, Request(k_req), FAIRNESS_TRIALS,
-                                       trial_rng(7, stream)).node_probs
+                                       trial_rng(7, stream))
                 stream += 1
                 sigma = np.sqrt(exact * (1 - exact) / FAIRNESS_TRIALS)
                 fixed = sigma == 0

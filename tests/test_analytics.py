@@ -23,7 +23,7 @@ from dheac import (
     jain_index,
     latency_b2,
     latency_dheac,
-    required_pairs,
+    quota_round,
     success_b2,
     success_bounds,
     throughput,
@@ -47,6 +47,13 @@ def test_params_validation():
         ModelParams(q=-0.1)
     with pytest.raises(ValueError):
         ModelParams(max_attempts=0)
+    # counts must be integers: 2.5 attempts has no meaning, and a string
+    # would only fail later, inside a comparison
+    for bad in (2.5, 3.0, "3", True):
+        with pytest.raises(ValueError, match="max_attempts must be an integer"):
+            ModelParams(max_attempts=bad)
+        with pytest.raises(ValueError, match="rounds must be an integer"):
+            ModelParams(rounds=bad)
     with pytest.raises(ValueError):
         ModelParams(t_dist=-1.0)
 
@@ -152,13 +159,6 @@ def test_ecdf_shape(xs):
     assert fracs[-1] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_required_pairs_per_mode():
-    assert required_pairs("optimistic", 4, 2, 4, 8) == 6
-    assert required_pairs("conservative", 4, 2, 4, 8) == 16
-    with pytest.raises(ValueError):
-        required_pairs("exact", 4, 2, 4, 8)
-
-
 def test_evaluate_point_composes_the_parts():
     caps = (20, 10, 6, 4)
     rec = evaluate_point(caps, 16, REF)
@@ -170,6 +170,8 @@ def test_evaluate_point_composes_the_parts():
                                                "optimistic")
     assert rec.THR_upper == throughput(rec.P_upper, rec.L_d_optimistic)
     assert rec.THR_lower == throughput(rec.P_lower, rec.L_d_conservative)
+    assert rec.k_max_b2 == max(quota_round(16, caps)) == 8
+    assert rec.L_b2 == latency_b2(4, rec.k_max_b2, REF)
 
 
 def test_latency_modes_tuple_is_stable():

@@ -11,6 +11,7 @@ from dheac import (
     b2_evaluate,
     enum_partitions,
     generate_network,
+    latency_b2,
     quota_round,
 )
 
@@ -21,10 +22,13 @@ def test_b1_uses_the_largest_qlan():
     net = NetworkConfig.from_caps((4, 9, 9, 2))
     res = b1_evaluate(net, Request(8), PARAMS)
     assert res.applicable
-    # ties break toward the lower index
-    assert res.allocation.winners == (1,)
-    assert res.allocation.quotas == (8,)
     assert res.p_success == pytest.approx(PARAMS.unit_success ** 8, rel=1e-12)
+    assert res.latency == pytest.approx(
+        PARAMS.t_gen + PARAMS.expected_attempts * PARAMS.t_dist * 8
+        + PARAMS.t_meas, rel=1e-12)
+    # only the largest QLAN decides: 9 pairs fit, 10 do not
+    assert b1_evaluate(net, Request(9), PARAMS).applicable
+    assert not b1_evaluate(net, Request(10), PARAMS).applicable
 
 
 def test_b1_inapplicable_when_no_qlan_is_big_enough():
@@ -45,16 +49,16 @@ def test_b2_allocation_matches_quota_round():
     net = NetworkConfig.from_caps((20, 10, 6, 4))
     res = b2_evaluate(net, Request(7), PARAMS)
     full = quota_round(7, net.caps)
-    assert res.allocation.winners == (0, 1, 2, 3)
-    assert res.allocation.quotas == full == (3, 2, 1, 1)
-    assert res.thr == pytest.approx(res.p_success / res.latency, rel=1e-12)
+    assert full == (3, 2, 1, 1)
+    assert res.latency == pytest.approx(latency_b2(4, 3, PARAMS), rel=1e-12)
 
 
 def test_b2_drops_zero_quota_qlans_from_winners():
     net = NetworkConfig.from_caps((50, 1))
     res = b2_evaluate(net, Request(2), PARAMS)
-    assert res.allocation.winners == (0,)
-    assert res.allocation.quotas == (2,)
+    # the empty-quota QLAN still costs its control round, not a quota
+    assert quota_round(2, net.caps) == (2, 0)
+    assert res.latency == pytest.approx(latency_b2(2, 2, PARAMS), rel=1e-12)
 
 
 def test_b2_shortage():
@@ -76,21 +80,20 @@ def test_b2_split_is_feasible(m, skew, data):
     net = generate_network(m, skew, 10 * m)
     k_req = data.draw(st.integers(1, net.total))
     res = b2_evaluate(net, Request(k_req), PARAMS)
-    full = [0] * m
-    for i, quota in zip(res.allocation.winners, res.allocation.quotas):
-        full[i] = quota
+    full = quota_round(k_req, net.caps)
     assert sum(full) == k_req
     assert all(0 <= q <= c for q, c in zip(full, net.caps))
-    assert all(q >= 1 for q in res.allocation.quotas)
+    assert res.latency == pytest.approx(latency_b2(m, max(full), PARAMS),
+                                        rel=1e-12)
 
 
 def test_b2_split_lies_in_the_enumerated_feasible_set():
     net = NetworkConfig.from_caps((5, 4, 3))
     res = b2_evaluate(net, Request(6), PARAMS)
-    full = [0, 0, 0]
-    for i, quota in zip(res.allocation.winners, res.allocation.quotas):
-        full[i] = quota
-    assert tuple(full) in enum_partitions(6, net.caps)
+    full = quota_round(6, net.caps)
+    assert full in enum_partitions(6, net.caps)
+    assert res.latency == pytest.approx(latency_b2(3, max(full), PARAMS),
+                                        rel=1e-12)
 
 
 def test_baseline_success_is_mode_free():

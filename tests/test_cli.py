@@ -33,8 +33,8 @@ from dheac.cli import (
     EXIT_SHORTAGE,
     EXIT_USAGE,
     EXIT_VERIFY,
+    _fmt,
     _fmt_ints,
-    _fmt_seq,
     main,
 )
 
@@ -218,6 +218,50 @@ def test_grid_file_overrides_and_validation(tmp_path):
     assert main(["sweep", "--grid", str(grid), "--out", str(out)]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("grid, key", [
+    ({"ms": 5}, "ms"),
+    ({"max_attempts": "x"}, "max_attempts"),
+    ({"qs": [None]}, "qs"),
+    ({"max_attempts": 2.5}, "max_attempts"),
+    ({"ms": [4.7]}, "ms"),
+    ({"nodes_per_qlan": 10.5}, "nodes_per_qlan"),
+    ({"rounds": True}, "rounds"),
+    ({"skews": "0,1"}, "skews"),
+    ({"ms": []}, "ms"),
+])
+def test_malformed_grid_files_are_usage_errors(grid, key, tmp_path, capsys):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--grid", str(path), "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {key} must ")
+    assert not out.exists()
+
+
+def test_integral_floats_in_a_grid_file_are_counts(tmp_path):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"ms": [4.0], "qs": [0.05], "demands": [0.4],
+                                "skews": [1], "max_attempts": 3.0}))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--grid", str(grid), "--out", str(out)]) == EXIT_OK
+    comments, _, rows = read_csv(out)
+    assert [r["m"] for r in rows] == ["4"]
+    assert any(c.endswith("max_attempts=3") for c in comments)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--ms", ","],
+    ["fairness", "--ms", "4", "--skews", ","],
+    ["breakeven", "--qs", ","],
+])
+def test_an_empty_grid_axis_is_a_usage_error(argv, tmp_path, capsys):
+    # used to write a header-only CSV and exit 0
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+    assert "must hold at least one value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fairness_warns_on_low_trials(tmp_path, capsys):
     out = tmp_path / "fair.csv"
     assert main(["fairness", "--trials", "500", "--ms", "4", "--demands",
@@ -270,6 +314,16 @@ def test_verify_quantum_pass_and_json(tmp_path):
     payload = json.loads(report.read_text())
     assert payload["passed"] is True
     assert payload["support_violations"] == 0
+
+
+@pytest.mark.parametrize("alpha", ["nan", "2", "1", "0", "-0.5", "inf"])
+def test_verify_quantum_alpha_must_lie_in_the_unit_interval(alpha, capsys):
+    # nan used to PASS every state (p < nan is never true), 2 to FAIL it
+    assert main(["verify-quantum", "--caps", "3,3,3,3", "--k-req", "4",
+                 "--draws", "2000", "--alpha", alpha]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --alpha must lie in (0, 1)")
+    assert captured.out == ""
 
 
 def test_verify_quantum_corruption_hook():
@@ -404,7 +458,7 @@ def test_mc_dump_winners_follow_the_exact_win_law(tmp_path):
 @settings(max_examples=50, deadline=None)
 @given(values=st.lists(st.integers(-10 ** 6, 10 ** 12), max_size=40))
 def test_dump_int_lists_format_as_the_generic_path(values):
-    assert _fmt_ints(values) == _fmt_seq(values, sep=";")
+    assert _fmt_ints(values) == ";".join(_fmt(v) for v in values)
 
 
 def test_sweep_rejects_nonpositive_workers(tmp_path, capsys):
@@ -500,8 +554,11 @@ def test_cli_import_does_not_load_scipy_stats():
     src = os.path.dirname(os.path.dirname(dheac.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
+    # nor the process pool, which only --workers > 1 starts, nor json,
+    # which only the grid file and the verify report read
     code = ("import sys, dheac.cli; print('scipy.stats' in sys.modules); "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+            "print(sorted(m for m in sys.modules if m == 'json' or "
+            "m.startswith(('scipy', 'concurrent', 'multiprocessing'))))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines() == ["False", "[]"]

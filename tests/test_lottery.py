@@ -28,7 +28,6 @@ from dheac import (
     generate_network,
     jain_index,
     quota_round,
-    required_pairs,
     run_trial,
     sample_inner,
     simulate_batch,
@@ -158,7 +157,6 @@ def test_batch_memory_stays_within_block_budget_at_large_m():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert stats.trials == trials
     assert peak < _BLOCK_BYTES
 
 
@@ -245,8 +243,11 @@ def test_kernel_agrees_with_the_per_qubit_reference(mode):
     rounds = list(sample_rounds(net, req, params, 20000, trial_rng(47)))
     attempts = np.concatenate([r[3][row] for r in rounds])
     lat = np.concatenate([r[4][row] for r in rounds])
-    expect = params.expected_attempts * required_pairs(
-        mode, net.m, K, k_req, ancilla_bits(net.caps))
+    # optimistic counts the winners' selection qubits and the pairs,
+    # conservative every selection qubit, the ancillas and the pairs
+    counted = (K + k_req if mode == "optimistic"
+               else net.m + ancilla_bits(net.caps) + k_req)
+    expect = params.expected_attempts * counted
     assert abs(attempts.mean() - expect) < 5 * attempts.std() / math.sqrt(
         attempts.size)
 
@@ -287,8 +288,8 @@ def test_batch_spans_block_boundaries():
     # trials above the internal block size keep exact counts
     stats = simulate_batch(SYM, Request(4), LOSSFREE, "optimistic", 16400,
                            trial_rng(1))
-    assert stats.trials == 16400
     assert stats.success_rate == 1.0
+    assert stats.success_se == 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -467,11 +468,11 @@ def test_estimate_fairness_agrees_with_exact():
     net = NetworkConfig.from_caps((6, 3, 1))
     req = Request(3)
     exact = exact_node_probs(net, req)
-    report = estimate_fairness(net, req, 30000, trial_rng(23))
+    probs = estimate_fairness(net, req, 30000, trial_rng(23))
     sigma = np.sqrt(exact * (1 - exact) / 30000)
-    assert (np.abs(report.node_probs - exact) < 5 * sigma + 1e-12).all()
-    assert report.trials == 30000
-    assert report.ecdf[-1][1] == pytest.approx(1.0)
+    # one entry per node, in node order, like the exact oracle's
+    assert probs.shape == exact.shape == (net.total,)
+    assert (np.abs(probs - exact) < 5 * sigma + 1e-12).all()
 
 
 @settings(max_examples=100, deadline=None)
@@ -483,7 +484,7 @@ def test_estimate_fairness_is_exact_when_every_qlan_wins(caps, data, seed):
     net = NetworkConfig.from_caps(tuple(caps))
     req = Request(data.draw(st.integers(1, net.total)))
     assume(safe_select_k(req.k_req, net.caps, lottery.DEFAULT_BETA) == net.m)
-    sampled = estimate_fairness(net, req, 500, trial_rng(seed)).node_probs
+    sampled = estimate_fairness(net, req, 500, trial_rng(seed))
     exact = exact_node_probs(net, req)
     assert np.abs(sampled - exact).max(initial=0.0) <= 1e-15
 
@@ -492,8 +493,7 @@ def test_estimate_fairness_is_flat_within_each_qlan():
     # six empty QLANs: they win but hold no nodes, so they get no entries
     net = generate_network(16, 2.0, 160)
     k_req = demand_to_kreq(0.4, net.total)
-    report = estimate_fairness(net, Request(k_req), 3000, trial_rng(37))
-    probs = report.node_probs
+    probs = estimate_fairness(net, Request(k_req), 3000, trial_rng(37))
     assert probs.shape == (net.total,)
     offsets = np.cumsum((0,) + net.caps)
     for a, b in zip(offsets, offsets[1:]):
@@ -502,12 +502,12 @@ def test_estimate_fairness_is_flat_within_each_qlan():
 
 
 def test_estimate_fairness_symmetric_is_nearly_flat():
-    report = estimate_fairness(SYM, Request(4), 20000, trial_rng(29))
-    assert report.jain > 0.999
+    probs = estimate_fairness(SYM, Request(4), 20000, trial_rng(29))
+    assert jain_index(probs) > 0.999
 
 
 def test_estimate_fairness_ignores_loss():
     # no loss parameter enters the chain: the signature takes none
     a = estimate_fairness(SYM, Request(4), 1000, trial_rng(31))
     b = estimate_fairness(SYM, Request(4), 1000, trial_rng(31))
-    assert np.array_equal(a.node_probs, b.node_probs)
+    assert np.array_equal(a, b)

@@ -79,13 +79,6 @@ def test_demand_rejects_out_of_range():
             demand_to_kreq(bad, 40)
 
 
-def test_request_from_demand():
-    net = generate_network(4, 0.0, 40)
-    req = Request.from_demand(net, 0.40)
-    assert req.k_req == 16
-    assert req.demand == 0.40
-
-
 def test_request_validation():
     with pytest.raises(ValueError):
         Request(0)
