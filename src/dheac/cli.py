@@ -461,8 +461,6 @@ def _fairness_rows(args, idx, point, net, params):
 
 
 def _cmd_fairness(args) -> int:
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     spec = _resolve_spec(args)
     if args.trials < 10 ** 4:
         print(f"warning: {args.trials} trials is below the recommended 10^4",
@@ -626,8 +624,6 @@ MC_FIELDS = ["trial", "succeeded", "attempts_total", "latency", "winners",
 
 
 def _cmd_mc(args) -> int:
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     net = _build_network(args)
     k_req = _resolve_k_req(args, net)
     params = _single_point_params(args)
@@ -784,9 +780,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_run_flags(args) -> None:
-    """Flags that numpy or the pool would refuse only mid-run, or not at all."""
-    if getattr(args, "workers", 1) < 1:
-        raise ValueError(f"--workers must be >= 1, got {args.workers}")
+    """Flags that numpy or the pool would refuse only mid-run, or not at all;
+    checked before any output is opened."""
+    for flag in ("workers", "trials", "draws", "max_subsets"):
+        if getattr(args, flag, 1) < 1:
+            raise ValueError(f"--{flag.replace('_', '-')} must be >= 1, "
+                             f"got {getattr(args, flag)}")
     if getattr(args, "seed", 0) < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if not 0.0 < getattr(args, "alpha", 0.5) < 1.0:

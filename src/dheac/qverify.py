@@ -16,6 +16,15 @@ sampling are array arithmetic over those rows; Python loops run at most
 once per subset or per QLAN. Labels become tuples only at the edges: the
 ``amplitudes`` view, ``marginal_outer`` and ``measure_many``.
 
+The draws and the exact sums give the numbers a per-label computation
+gives, bit for bit, with less work. A measurement sorts the uniforms
+``rng.choice`` would draw and counts how many fall under each cumulative
+probability: the counts and the generator state are those of
+``rng.choice``. The norm and the per-subset totals equal ``math.fsum``,
+which is correctly rounded: a run of c equal values v adds exactly c * v,
+so a built state, whose branches each hold one value, is summed per
+distinct value instead of per label.
+
 Note the deliberate asymmetry with the sampling chain in ``lottery``: there
 quotas come from deterministic capacity-proportional rounding, here from
 the uniform distribution over all feasible vectors. Both are implemented;
@@ -43,6 +52,7 @@ Outcome = tuple[tuple[int, ...], tuple[int, ...]]
 
 MAX_SPARSE_OUTCOMES = 10 ** 6
 NORM_TOL = 1e-12
+_DRAW_CHUNK = 1 << 18  # uniforms _sample_counts holds at once
 
 
 def _int_dtype(lo: int, hi: int) -> type:
@@ -118,14 +128,14 @@ class SparseState:
     def norm_sq(self) -> float:
         # amps is read-only, so one exact pass serves every caller
         if self._norm_sq is None:
-            self._norm_sq = math.fsum(np.square(self.amps))
+            self._norm_sq = _exact_sum(np.square(self.amps))
         return self._norm_sq
 
     def check_normalized(self, tol: float = NORM_TOL) -> None:
-        norm = self.norm_sq()
-        if abs(norm - 1.0) > tol:
+        dev = abs(self.norm_sq() - 1.0)
+        if not dev <= tol:  # a NaN deviation fails too
             raise InvariantViolationError(
-                f"state norm^2 deviates from 1 by {abs(norm - 1.0):.3e}")
+                f"state norm^2 deviates from 1 by {dev:.3e}")
 
 
 class _AmplitudeView(Mapping):
@@ -258,12 +268,26 @@ def measure_many(state: SparseState, rng: np.random.Generator,
 
 def _sample_counts(state: SparseState, rng: np.random.Generator,
                    draws: int) -> np.ndarray:
-    """measure_many without the labels: draws per label row."""
+    """measure_many without the labels: draws per label row.
+
+    The counts, and the generator state after, are those of
+    ``np.bincount(rng.choice(n, size=draws, p=probs), minlength=n)``.
+    ``choice`` puts uniform u on the first label i with u < cdf[i], one
+    binary search into the cdf per draw. Here the same uniforms, drawn in
+    chunks, are sorted instead, and label i gets #{u < cdf[i]} -
+    #{u < cdf[i - 1]} of them: one ordered pass of the cdf through each
+    chunk.
+    """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
-    probs = _prob_array(state)
-    idx = rng.choice(len(probs), size=draws, p=probs)
-    return np.bincount(idx, minlength=len(probs))
+    cdf = np.cumsum(_prob_array(state))
+    cdf /= cdf[-1]
+    below = np.zeros(len(cdf), dtype=np.int64)  # uniforms under each cdf[i]
+    for done in range(0, draws, _DRAW_CHUNK):
+        u = rng.random(min(_DRAW_CHUNK, draws - done))
+        u.sort()
+        below += np.searchsorted(u, cdf)
+    return np.diff(below, prepend=0)
 
 
 def _prob_array(state: SparseState) -> np.ndarray:
@@ -281,21 +305,60 @@ def _prob_array(state: SparseState) -> np.ndarray:
     return probs / probs.sum()
 
 
+def _exact_sum(values: np.ndarray) -> float:
+    """``math.fsum(values)``, summed over runs of equal values.
+
+    fsum is the correctly rounded exact sum, so a value v that fills c
+    entries adds exactly c * v to it. A built state's squares hold one
+    value per branch size, and this takes one rational product per
+    distinct value instead of one fsum step per label. Non-finite values,
+    and runs too short to pay for the products, go to fsum itself.
+    """
+    starts = np.flatnonzero(values[1:] != values[:-1]) + 1
+    if 64 * len(starts) >= len(values):
+        return math.fsum(values)
+    heads, where = np.unique(values[np.append(0, starts)],
+                             return_inverse=True)
+    if not np.isfinite(heads).all():
+        return math.fsum(values)
+    runs = np.diff(np.append(0, starts), append=len(values))
+    counts = np.bincount(where, weights=runs).astype(np.int64)
+    from fractions import Fraction  # only verification sums this way
+
+    return float(sum(Fraction(v) * c
+                     for v, c in zip(heads.tolist(), counts.tolist())))
+
+
 def _branch_stats(state: SparseState) -> tuple[np.ndarray, float]:
     """Per-subset probability totals, and the largest deviation of any
     conditional from uniform.
 
-    Each branch is summed exactly: a branch can hold ~10^6 terms, and plain
-    + drifts past NORM_TOL on a correctly normalized state.
+    Each total is ``math.fsum`` of its branch, bit for bit: a branch can
+    hold ~10^6 terms, and plain + drifts past NORM_TOL on a correctly
+    normalized state. fsum is correctly rounded, so on a branch of c equal
+    values v it is the one IEEE product c * v, and every label of such a
+    branch deviates alike; all of those branches are done at once. Only a
+    branch holding two distinct values (a damaged or hand-built state)
+    is summed, and checked, label by label.
     """
     probs = np.square(state.amps)
-    bounds = state.offsets.tolist()
-    totals = np.array([math.fsum(probs[a:b])
-                       for a, b in zip(bounds, bounds[1:])])
-    sizes = np.diff(state.offsets)
-    dev = probs / np.repeat(totals, sizes)
-    dev -= np.repeat(1.0 / sizes, sizes)
-    return totals, float(np.abs(dev, out=dev).max(initial=0.0))
+    offsets = state.offsets
+    sizes = np.diff(offsets)
+    # a branch is mixed if a label in it differs from the label before it
+    change = np.flatnonzero(probs[1:] != probs[:-1]) + 1
+    mixed = (np.searchsorted(change, offsets[1:])
+             > np.searchsorted(change, offsets[:-1], side="right"))
+    full = sizes > 0
+    head = probs[offsets[:-1][full]]
+    totals = np.zeros(len(sizes))
+    totals[full] = sizes[full] * head
+    dev = np.zeros(len(sizes))
+    dev[full] = np.abs(head / totals[full] - 1.0 / sizes[full])
+    for s in np.flatnonzero(mixed):
+        branch = probs[offsets[s]:offsets[s + 1]]
+        totals[s] = math.fsum(branch)
+        dev[s] = np.abs(branch / totals[s] - 1.0 / sizes[s]).max()
+    return totals, float(dev.max(initial=0.0))
 
 
 def marginal_outer(state: SparseState) -> dict[tuple[int, ...], float]:
@@ -416,8 +479,9 @@ def verify_state(state: SparseState, net: NetworkConfig, k_req: int, K: int,
     is sampled, and the statistics stay NaN (min_expected_cell: inf).
     """
     failures: list[str] = []
+    # each deviation check is written "not dev <= tol" so a NaN fails it
     norm_dev = abs(state.norm_sq() - 1.0)
-    if norm_dev > NORM_TOL:
+    if not norm_dev <= NORM_TOL:
         failures.append(f"norm^2 deviates from 1 by {norm_dev:.3e}")
 
     bad_labels = _label_violations(state, net, k_req, K)
@@ -433,11 +497,11 @@ def verify_state(state: SparseState, net: NetworkConfig, k_req: int, K: int,
         failures.append(
             f"support covers {len(totals)} of {n_subsets} subsets")
         marginal_max_dev = max(marginal_max_dev, uniform)
-    if marginal_max_dev > NORM_TOL:
+    if not marginal_max_dev <= NORM_TOL:
         failures.append(
             f"outer marginal deviates from uniform by {marginal_max_dev:.3e}")
 
-    if conditional_max_dev > NORM_TOL:
+    if not conditional_max_dev <= NORM_TOL:
         failures.append(
             f"some conditional deviates from uniform by "
             f"{conditional_max_dev:.3e}")

@@ -26,7 +26,7 @@ from dheac import (
     simulate_batch,
     trial_rng,
 )
-from dheac import lottery
+from dheac import cli, lottery
 from dheac.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -326,6 +326,29 @@ def test_verify_quantum_alpha_must_lie_in_the_unit_interval(alpha, capsys):
     assert captured.out == ""
 
 
+def test_verify_quantum_nan_amplitude_fails_with_null_statistics(
+        tmp_path, monkeypatch):
+    build = cli.build_embedded
+
+    def nan_state(*args):
+        state = build(*args)
+        amps = state.amps.copy()
+        amps[0] = float("nan")
+        return dheac.SparseState.from_arrays(state.subsets, state.offsets,
+                                             state.vectors, amps)
+
+    monkeypatch.setattr(cli, "build_embedded", nan_state)
+    report = tmp_path / "report.json"
+    assert main(["verify-quantum", "--caps", "3,3,3,3", "--k-req", "4",
+                 "--draws", "2000", "--json", str(report)]) == EXIT_VERIFY
+    payload = json.loads(report.read_text(), parse_constant=_reject_constant)
+    assert payload["passed"] is False
+    assert len(payload["failures"]) == 3
+    for key in ("norm_dev", "marginal_max_dev", "conditional_max_dev",
+                "outer_chi2", "pooled_pvalue", "min_expected_cell"):
+        assert payload[key] is None
+
+
 def test_verify_quantum_corruption_hook():
     assert main(["verify-quantum", "--caps", "3,3,3,3", "--k-req", "4",
                  "--draws", "2000", "--corrupt"]) == EXIT_VERIFY
@@ -547,6 +570,24 @@ def test_fairness_rejects_nonpositive_trials(method, tmp_path, capsys):
                  *ONE_CELL, "--skews", "0", "--out", str(out)]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith(
         "error: --trials must be >= 1, got 0")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["sweep", *ONE_CELL, "--qs", "0.05", "--skews", "0", "--mode",
+      "analytic"], "--trials", "-5"),
+    (["fairness", *ONE_CELL, "--skews", "0"], "--max-subsets", "-1"),
+    (["verify-quantum", "--m", "4", "--k-req", "4"], "--draws", "0"),
+])
+def test_nonpositive_count_flag_is_a_usage_error(argv, flag, value, tmp_path,
+                                                 capsys):
+    out = tmp_path / "out"
+    out_flag = "--json" if argv[0] == "verify-quantum" else "--out"
+    assert main([*argv, flag, value, out_flag, str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        f"error: {flag} must be >= 1, got {value}")
+    assert captured.out == ""
     assert not out.exists()
 
 

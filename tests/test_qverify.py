@@ -10,11 +10,12 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from dheac import (
     CapacityError,
@@ -37,8 +38,10 @@ from dheac import (
 from dheac import qverify
 from dheac.qverify import (
     NORM_TOL,
+    _branch_stats,
     _chisquare,
     _enum_rows,
+    _exact_sum,
     _prob_array,
     _sample_counts,
 )
@@ -252,20 +255,149 @@ def test_verify_takes_one_full_norm_pass(monkeypatch):
     k_req = demand_to_kreq(0.4, net.total)
     K = safe_select_k(k_req, net.caps)
     state = build_embedded(net, k_req, K)
-    lengths = []
-    fsum = math.fsum
+    exact_lengths, fsum_lengths = [], []
+    exact_sum, fsum = qverify._exact_sum, math.fsum
+
+    def counting_exact_sum(values):
+        exact_lengths.append(len(values))
+        return exact_sum(values)
 
     def counting_fsum(values):
         values = list(values)
-        lengths.append(len(values))
+        fsum_lengths.append(len(values))
         return fsum(values)
 
+    monkeypatch.setattr(qverify, "_exact_sum", counting_exact_sum)
     monkeypatch.setattr(math, "fsum", counting_fsum)
     report = verify_state(state, net, k_req, K, 2000, trial_rng(1))
     assert report.passed
-    # the other fsum passes are per winner subset, each shorter
-    assert lengths.count(len(state.amps)) == 1
+    # the norm is one exact pass over every label, shared by the draws; a
+    # built state's branches are single-valued, so no label is fsum'd
+    assert exact_lengths == [len(state.amps)]
+    assert fsum_lengths == []
     assert len(state.subsets) > 1
+
+
+def _one_branch_state(weights) -> SparseState:
+    n = len(weights)
+    amps = np.sqrt(np.asarray(weights, dtype=float) / math.fsum(weights))
+    return SparseState.from_arrays(np.zeros((1, 1), dtype=np.int64),
+                                   np.array([0, n]),
+                                   np.arange(n).reshape(n, 1), amps)
+
+
+def _assert_counts_equal_choice(state, seed, draws):
+    probs = _prob_array(state)
+    twin, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = np.bincount(twin.choice(len(probs), size=draws, p=probs),
+                           minlength=len(probs))
+    assert np.array_equal(_sample_counts(state, rng, draws), expected)
+    assert rng.random() == twin.random()
+
+
+@settings(max_examples=150, deadline=None)
+@given(weights=st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0])
+                        | st.floats(0.0, 10.0), min_size=1, max_size=40)
+       .filter(lambda w: sum(w) > 0),
+       draws=st.integers(1, 400), chunk=st.integers(1, 70),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sample_counts_equal_choice_on_a_twin_generator(weights, draws,
+                                                        chunk, seed):
+    # zero cells anywhere, and draw counts on both sides of the chunk
+    state = _one_branch_state(weights)
+    with mock.patch.object(qverify, "_DRAW_CHUNK", chunk):
+        _assert_counts_equal_choice(state, seed, draws)
+
+
+def test_sample_counts_equal_choice_across_default_chunks():
+    net, k_req, K = _cli_point(8, 0.5, 0.2)
+    _assert_counts_equal_choice(build_embedded(net, k_req, K), 7,
+                                2 * qverify._DRAW_CHUNK + 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs=st.lists(st.tuples(st.floats(0.0, 1e300), st.integers(64, 300)),
+                     min_size=1, max_size=6))
+@example(runs=[(0.1, 64)])
+@example(runs=[(5e-324, 100), (2.5e-320, 70), (1e-310, 64)])
+@example(runs=[(1e300, 300), (1.7e305, 100), (1e-300, 64)])
+@example(runs=[(1 / 3, 999999)])
+def test_exact_sum_equals_fsum_over_long_runs(runs):
+    values = np.repeat([v for v, _ in runs], [c for _, c in runs])
+    expected = math.fsum(values)
+    # runs this long never reach fsum: the run products must match it alone
+    with mock.patch.object(math, "fsum", side_effect=AssertionError):
+        assert _exact_sum(values) == expected
+
+
+@pytest.mark.parametrize("values", [
+    [], [0.25], [0.1, 0.2, 0.3], [1e-320, 1e300, 0.5] * 30,
+    [math.inf] * 200, [0.5] * 100 + [math.nan] * 100])
+def test_exact_sum_equals_fsum_on_short_runs_and_non_finite(values):
+    got, expected = _exact_sum(np.array(values)), math.fsum(values)
+    assert got == expected or math.isnan(got) and math.isnan(expected)
+
+
+def _fsum_branch_stats(state):
+    """The per-label reference: fsum each branch, then every label's
+    deviation from its branch's uniform conditional."""
+    probs = np.square(state.amps)
+    bounds = state.offsets.tolist()
+    totals = np.array([math.fsum(probs[a:b])
+                       for a, b in zip(bounds, bounds[1:])])
+    sizes = np.diff(state.offsets)
+    with np.errstate(divide="ignore"):
+        dev = probs / np.repeat(totals, sizes) - np.repeat(1.0 / sizes, sizes)
+    return totals, float(np.abs(dev).max(initial=0.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(branches=st.lists(st.lists(st.tuples(st.floats(1e-170, 1e150),
+                                            st.integers(0, 20)),
+                                  max_size=3), min_size=1, max_size=6))
+@example(branches=[[(1e-160, 5)], [(1e-160, 3), (2e-160, 2)]])
+@example(branches=[[(1e150, 20)], [], [(0.5, 1)]])
+def test_branch_totals_equal_fsum_per_branch(branches):
+    # single-valued, mixed and empty branches, subnormal and large squares
+    sizes = [sum(c for _, c in runs) for runs in branches]
+    amps = np.concatenate([np.repeat([a for a, _ in runs],
+                                     [c for _, c in runs])
+                           for runs in branches] + [np.zeros(0)])
+    state = SparseState.from_arrays(
+        np.arange(len(branches)).reshape(-1, 1),
+        np.concatenate(([0], np.cumsum(sizes))),
+        np.zeros((len(amps), 1), dtype=np.int8), amps)
+    with np.errstate(invalid="ignore"):  # a branch whose squares are all 0
+        totals, dev = _branch_stats(state)
+        ref_totals, ref_dev = _fsum_branch_stats(state)
+    assert totals.tolist() == ref_totals.tolist()
+    assert dev == ref_dev or math.isnan(dev) and math.isnan(ref_dev)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_amplitude_fails_structurally(bad):
+    state = build_embedded(SYM, 4, 2)
+    amps = state.amps.copy()
+    amps[3] = bad
+    state = SparseState.from_arrays(state.subsets, state.offsets,
+                                    state.vectors, amps)
+    rng = trial_rng(5)
+    with np.errstate(invalid="ignore"):
+        report = verify_state(state, SYM, 4, 2, 1000, rng)
+    assert not report.passed
+    assert [f.split(" deviates")[0] for f in report.failures] == [
+        "norm^2", "outer marginal", "some conditional"]
+    # nothing was sampled: the generator has not moved
+    assert rng.random() == trial_rng(5).random()
+    assert report.drawn_violations == 0
+    for name in ("outer_chi2", "outer_pvalue", "pooled_chi2",
+                 "pooled_pvalue", "jain_uniform"):
+        assert math.isnan(getattr(report, name))
+    assert report.min_expected_cell == math.inf
+    with pytest.raises(InvariantViolationError):
+        state.check_normalized()
+    with pytest.raises(InvariantViolationError):
+        measure_many(state, rng, 10)
 
 
 def test_build_sizes_each_caps_multiset_once(monkeypatch):
