@@ -16,7 +16,6 @@ shortage on single-point runs, 4 verification failure, 5 output I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import math
 import os
@@ -171,20 +170,28 @@ def _fmt_seq(values) -> str:
                     for v in values)
 
 
-def _fmt_ints(values) -> str:
-    """A list of ints as one CSV cell, ';'-separated."""
-    return ";".join(map(str, values))
+def _dict_lines(fieldnames: list[str], rows):
+    """Dict rows as CSV lines, one _fmt cell per field name in order."""
+    for row in rows:
+        yield ",".join([_fmt(row.get(name)) for name in fieldnames]) + "\n"
 
 
 def _write_csv(dest: str, comments: list[str], fieldnames: list[str],
-               rows) -> None:
+               text) -> None:
+    """Write '#'-prefixed comments, the header, then ``text`` as it comes.
+
+    ``text`` is an iterable of strings of whole, newline-ended lines: one line
+    per row from _dict_lines, or one block of rows per string from the mc
+    dump. No field any command writes holds ',', '"' or a line break, so no
+    field is ever quoted and each line is its cells joined with ','. Each
+    string is written as soon as it is produced, so output of any length
+    never sits in memory whole.
+    """
     def emit(fh):
         for line in comments:
             fh.write(f"# {line}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_fmt(row.get(name)) for name in fieldnames])
+        fh.write(",".join(fieldnames) + "\n")
+        fh.writelines(text)
 
     if dest == "-":
         emit(sys.stdout)
@@ -367,8 +374,8 @@ def _cmd_sweep(args) -> int:
                 f"trials={args.trials}",
                 _axes_comment(spec), _param_comment(spec.params),
                 "times in ms, thr in grants per ms"]
-    _write_csv(args.out, comments, _sweep_fieldnames(args.mode, args.chi),
-               rows)
+    names = _sweep_fieldnames(args.mode, args.chi)
+    _write_csv(args.out, comments, names, _dict_lines(names, rows))
     if args.svg:
         _ratio_svg(args.svg, spec, rows, "ratio_l_optimistic",
                    "latency ratio, lottery / arbitration (optimistic)")
@@ -476,7 +483,8 @@ def _cmd_fairness(args) -> int:
         _param_comment(spec.params),
         "win probabilities per request, loss-free lottery chain",
     ]
-    _write_csv(args.out, comments, FAIRNESS_FIELDS, rows)
+    _write_csv(args.out, comments, FAIRNESS_FIELDS,
+               _dict_lines(FAIRNESS_FIELDS, rows))
     if args.ecdf_out:
         os.makedirs(args.ecdf_out, exist_ok=True)
         ecdf_rows = [r for r in rows if r["m"] == 16 and r["demand"] == 0.40]
@@ -487,8 +495,7 @@ def _cmd_fairness(args) -> int:
                        [f"dheac {__version__} fairness ecdf",
                         f"m={m} demand={demand:g} skew={skew:g}"],
                        ["win_prob", "cum_fraction"],
-                       [{"win_prob": v, "cum_fraction": c}
-                        for v, c in ecdf(r["probs"])])
+                       (f"{_fmt(v)},{_fmt(c)}\n" for v, c in ecdf(r["probs"])))
         if not ecdf_rows and args.out != "-":
             print("no (m=16, demand=0.4) points in the grid; "
                   "no ecdf files written")
@@ -517,7 +524,8 @@ def _cmd_breakeven(args) -> int:
                 _param_comment(spec.params),
                 "ratio_thr_* = baseline throughput / lottery throughput; "
                 "values < 1 favour the lottery"]
-    _write_csv(args.out, comments, BREAKEVEN_FIELDS, rows)
+    _write_csv(args.out, comments, BREAKEVEN_FIELDS,
+               _dict_lines(BREAKEVEN_FIELDS, rows))
     if args.svg:
         _ratio_svg(args.svg, spec, rows, "ratio_thr_optimistic",
                    "throughput ratio, baseline / lottery (optimistic)")
@@ -623,7 +631,25 @@ MC_FIELDS = ["trial", "succeeded", "attempts_total", "latency", "winners",
              "quotas"]
 
 
+def _mc_line(K: int) -> str:
+    """%-template of one mc dump line with K winners and K quotas.
+
+    Filled with (trial, succeeded, attempts_total, latency, *winners,
+    *quotas), it gives the _fmt text of every cell with each list
+    ';'-joined: '%d' of a bool is 1 or 0 and '%.10g' of a float is
+    format(value, '.10g').
+    """
+    ints = ";".join(["%d"] * K)
+    return f"%d,%d,%d,%.10g,{ints},{ints}\n"
+
+
 def _cmd_mc(args) -> int:
+    """Dump the rounds of one point, then print their summary and baselines.
+
+    The dump is written one kernel block at a time: each block's columns
+    go through _mc_line's template into one string, so text is never held
+    for more than one block.
+    """
     net = _build_network(args)
     k_req = _resolve_k_req(args, net)
     params = _single_point_params(args)
@@ -632,34 +658,39 @@ def _cmd_mc(args) -> int:
 
     n_ok = 0
     lat_sum = 0.0
-    # checked before the output is opened; the blocks are drawn as rows go out
+    # checked before the output is opened; the blocks are drawn as text goes
     rounds = sample_rounds(net, req, params, args.trials, trial_rng(args.seed))
     acct = LATENCY_MODES.index(args.chi)
 
-    def rows():
+    def blocks():
         nonlocal n_ok, lat_sum
         done = 0
         for arrangement, quotas, ok, attempts, lat in rounds:
             ok, attempts, lat = ok[acct], attempts[acct], lat[acct]
             n_ok += int(ok.sum())
             lat_sum += float(lat.sum())
+            line = _mc_line(arrangement.shape[1])
             # winners in ascending order, each quota moved with its winner
             order = np.argsort(arrangement, axis=1)
-            columns = (range(done, done + len(lat)), ok.tolist(),
-                       attempts.tolist(), lat.tolist(),
-                       map(_fmt_ints, np.take_along_axis(
-                           arrangement, order, axis=1).tolist()),
-                       map(_fmt_ints, np.take_along_axis(
-                           quotas, order, axis=1).tolist()))
+            # the zip and its lists die with the comprehension, before join
+            yield "".join([line % (i, s, a, t, *w, *q)
+                           for i, s, a, t, w, q in zip(
+                               range(done, done + len(lat)), ok.tolist(),
+                               attempts.tolist(), lat.tolist(),
+                               np.take_along_axis(arrangement, order,
+                                                  axis=1).tolist(),
+                               np.take_along_axis(quotas, order,
+                                                  axis=1).tolist())])
             done += len(lat)
-            yield from (dict(zip(MC_FIELDS, row)) for row in zip(*columns))
+            # free this block's (t, K) arrays before the next block is drawn
+            del arrangement, quotas, order
 
     comments = [f"dheac {__version__} mc",
                 f"chi={args.chi} seed={args.seed} trials={args.trials}",
                 f"m={net.m} skew={net.skew:g} total={net.total} "
                 f"caps={_fmt_seq(net.caps)} k_req={k_req} K={rec.K}",
                 _param_comment(params) + f" q={params.q:g}"]
-    _write_csv(args.out, comments, MC_FIELDS, rows())
+    _write_csv(args.out, comments, MC_FIELDS, blocks())
 
     if args.out != "-":
         rate = n_ok / args.trials

@@ -276,7 +276,8 @@ def _sample_counts(state: SparseState, rng: np.random.Generator,
     binary search into the cdf per draw. Here the same uniforms, drawn in
     chunks, are sorted instead, and label i gets #{u < cdf[i]} -
     #{u < cdf[i - 1]} of them: one ordered pass of the cdf through each
-    chunk.
+    chunk. Two label-length arrays are alive at most, the cdf and the
+    running counts, which are differenced in place once the cdf is freed.
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
@@ -286,8 +287,14 @@ def _sample_counts(state: SparseState, rng: np.random.Generator,
     for done in range(0, draws, _DRAW_CHUNK):
         u = rng.random(min(_DRAW_CHUNK, draws - done))
         u.sort()
-        below += np.searchsorted(u, cdf)
-    return np.diff(below, prepend=0)
+        # cdf slices keep the search result to one chunk, not one label array
+        for lo in range(0, len(cdf), _DRAW_CHUNK):
+            below[lo:lo + _DRAW_CHUNK] += np.searchsorted(
+                u, cdf[lo:lo + _DRAW_CHUNK])
+    del cdf, u
+    # numpy copies the overlapping operand first: this is np.diff's result
+    below[1:] -= below[:-1]
+    return below
 
 
 def _prob_array(state: SparseState) -> np.ndarray:

@@ -1,15 +1,18 @@
 """End-to-end command tests through main(), exercising every exit code."""
 
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import numpy as np
 
@@ -33,8 +36,9 @@ from dheac.cli import (
     EXIT_SHORTAGE,
     EXIT_USAGE,
     EXIT_VERIFY,
+    MC_FIELDS,
     _fmt,
-    _fmt_ints,
+    _mc_line,
     main,
 )
 
@@ -478,10 +482,103 @@ def test_mc_dump_winners_follow_the_exact_win_law(tmp_path):
     assert exact.max() - exact.min() > 0.05
 
 
-@settings(max_examples=50, deadline=None)
-@given(values=st.lists(st.integers(-10 ** 6, 10 ** 12), max_size=40))
-def test_dump_int_lists_format_as_the_generic_path(values):
-    assert _fmt_ints(values) == ";".join(_fmt(v) for v in values)
+_INTS = st.integers(-10 ** 6, 10 ** 12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trial=st.integers(0, 10 ** 9), ok=st.booleans(), attempts=_INTS,
+       latency=st.floats() | st.sampled_from(
+           [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300]),
+       lists=st.integers(1, 40).flatmap(
+           lambda k: st.tuples(*[st.lists(_INTS, min_size=k, max_size=k)] * 2)))
+@example(trial=0, ok=True, attempts=0, latency=5e-324, lists=([7], [3]))
+def test_dump_int_lists_format_as_the_generic_path(trial, ok, attempts,
+                                                   latency, lists):
+    # one template line is the per-cell _fmt path, int lists ';'-joined
+    winners, quotas = lists
+    cells = [trial, ok, attempts, latency,
+             ";".join(_fmt(v) for v in winners),
+             ";".join(_fmt(v) for v in quotas)]
+    line = _mc_line(len(winners)) % (trial, ok, attempts, latency,
+                                     *winners, *quotas)
+    assert line == ",".join(_fmt(cell) for cell in cells) + "\n"
+
+
+def _reference_dump_rows(argv) -> str:
+    """Header and rows of an mc dump, one csv.writer row of _fmt cells per
+    round, read straight off the round kernel."""
+    args = cli.build_parser().parse_args(argv)
+    net = cli._build_network(args)
+    params = cli._single_point_params(args)
+    req = Request(cli._resolve_k_req(args, net))
+    acct = LATENCY_MODES.index(args.chi)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(MC_FIELDS)
+    trial = 0
+    for arrangement, quotas, ok, attempts, lat in lottery.sample_rounds(
+            net, req, params, args.trials, trial_rng(args.seed)):
+        for r in range(len(quotas)):
+            order = np.argsort(arrangement[r])
+            cells = [trial, bool(ok[acct, r]), int(attempts[acct, r]),
+                     float(lat[acct, r]),
+                     ";".join(_fmt(int(v)) for v in arrangement[r, order]),
+                     ";".join(_fmt(int(v)) for v in quotas[r, order])]
+            writer.writerow([_fmt(cell) for cell in cells])
+            trial += 1
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("chi", LATENCY_MODES)
+@pytest.mark.parametrize("point, trials, block", [
+    # latencies of more than ten significant digits
+    (["--caps", "3", "--k-req", "3", "--t-dist", "0.012345678901"], 40, None),
+    (["--m", "32", "--skew", "1", "--demand", "0.6"], 300, None),
+    (["--m", "8", "--skew", "1", "--demand", "0.4", "--q", "0.2"], 40, 7),
+], ids=["K1", "m32", "rows-cross-blocks"])
+def test_mc_dump_bytes_equal_a_csv_writer_reference(chi, point, trials, block,
+                                                    tmp_path, capsys,
+                                                    monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(lottery, "_BLOCK", block)
+    argv = ["mc", *point, "--chi", chi, "--trials", str(trials),
+            "--seed", "11"]
+    expected = _reference_dump_rows(argv)
+    out = tmp_path / "mc.csv"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    with open(out, newline="") as fh:
+        text = fh.read()
+    lines = text.splitlines(keepends=True)
+    assert len(lines) == 4 + 1 + trials
+    assert all(line.startswith("# ") for line in lines[:4])
+    assert "".join(lines[4:]) == expected
+    # stdout carries the same bytes
+    assert main([*argv, "--out", "-"]) == EXIT_OK
+    assert capsys.readouterr().out == text
+
+
+def test_mc_dump_memory_stays_within_the_block_budget_at_large_m(
+        tmp_path, monkeypatch):
+    # a small budget, and enough blocks that the dump's text outgrows it:
+    # text must be built and written a block at a time, never whole
+    monkeypatch.setattr(lottery, "_BLOCK_BYTES", 4 << 20)
+    net = generate_network(1024, 1.0, 10240)
+    params = ModelParams()
+    K = safe_select_k(demand_to_kreq(0.4, net.total), net.caps, params.beta)
+    trials = 24 * lottery._block_rows(net.m, K, params.max_attempts) + 1
+    out = tmp_path / "mc.csv"
+    tracemalloc.start()
+    try:
+        code = main(["mc", "--m", "1024", "--skew", "1", "--demand", "0.4",
+                     "--trials", str(trials), "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert len(read_csv(out)[2]) == trials
+    assert out.stat().st_size > lottery._BLOCK_BYTES
+    assert peak < lottery._BLOCK_BYTES
 
 
 def test_sweep_rejects_nonpositive_workers(tmp_path, capsys):
@@ -603,6 +700,24 @@ def test_cli_import_does_not_load_scipy_stats():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines() == ["False", "[]"]
+
+
+def test_reproduce_results_script_writes_every_artifact(tmp_path):
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                          "reproduce_results.py")
+    proc = subprocess.run([sys.executable, script, "--quick", "--workers",
+                           "1", "--out-dir", str(tmp_path)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(os.listdir(tmp_path)) == [
+        "breakeven.csv", "breakeven_ratio.svg", "ecdf", "fairness.csv",
+        "latency_ratio.svg", "sweep_analytic.csv", "sweep_mc.csv",
+        "trials_m8_skew1_d0.4.csv", "verify_skewed.json",
+        "verify_symmetric.json"]
+    assert len(os.listdir(tmp_path / "ecdf")) == 5
+    assert len(read_csv(tmp_path / "trials_m8_skew1_d0.4.csv")[2]) == 1000
+    for name in ("verify_skewed.json", "verify_symmetric.json"):
+        assert json.loads((tmp_path / name).read_text())["passed"] is True
 
 
 def test_quota_rounding_diagnostic_script_runs():

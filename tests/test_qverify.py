@@ -517,3 +517,18 @@ def test_largest_verify_cell_builds_and_verifies_in_bounded_memory():
     assert report.n_subsets == 1 and report.outer_pvalue == 1.0
     assert report.passed
     assert peak < 100e6
+
+
+def test_sample_counts_holds_at_most_two_label_arrays_and_a_chunk():
+    # the 948,496-label cell; measure_many's draw alone, past the state build
+    net, k_req, K = _cli_point(8, 1.0, 0.6)
+    state = build_embedded(net, k_req, K)
+    n = len(state.amps)
+    tracemalloc.start()
+    try:
+        counts = _sample_counts(state, trial_rng(42), 200000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 948496 and counts.sum() == 200000
+    assert peak <= 2.5 * 8 * n + 8 * qverify._DRAW_CHUNK
