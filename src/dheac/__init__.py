@@ -30,7 +30,6 @@ from .lottery import (
 )
 from .netgen import NetworkConfig, Request, demand_to_kreq, generate_network
 from .partition import (
-    PartitionSet,
     count_partitions,
     enum_partitions,
     quota_round,
@@ -57,7 +56,6 @@ __all__ = [
     "MetricsRecord",
     "ModelParams",
     "NetworkConfig",
-    "PartitionSet",
     "Request",
     "ResourceShortageError",
     "SparseState",

@@ -53,9 +53,9 @@ from .analytics import ancilla_bits
 from .analytics import LATENCY_MODES, ModelParams
 from .errors import CapacityError, InvariantViolationError
 from .netgen import NetworkConfig, Request
-from .partition import quota_round, safe_select_k
+from .partition import quota_round, safe_select_k, split_chunks
 
-DEFAULT_BETA = 0.10
+DEFAULT_BETA = ModelParams.beta
 _BLOCK = 8192
 # bytes one sample_rounds block may hold; every m <= 32 point at the
 # default max_attempts still fits a full _BLOCK of rows
@@ -456,44 +456,6 @@ def estimate_fairness(net: NetworkConfig, req: Request, trials: int,
     return _node_probs(net.caps, classes, sizes, quota_sums, trials)
 
 
-def _composition_chunks(sizes: np.ndarray, K: int, max_rows: int):
-    """Yield every (j_c) with 0 <= j_c <= sizes[c] and sum(j_c) == K.
-
-    Rows come in lexicographic order, as int64 arrays of at most max_rows
-    rows (more only when a single partial row branches wider). The walk
-    sets one class after another: each partial row branches over the j_c
-    that still leave a completion, so no branch dies, and each level keeps
-    one slice of its rows pending, so at most n + 1 chunks are alive.
-    """
-    n = len(sizes)
-    # rest[c]: the winners that classes c, c + 1, ... can still take
-    rest = np.append(np.cumsum(sizes[::-1])[::-1], 0)
-    # per level c: rows with classes < c set, their winners left to place,
-    # and how many of those rows have branched
-    stack = [[np.zeros((1, n), dtype=np.int64), np.array([K]), 0]]
-    while stack:
-        c = len(stack) - 1
-        rows, left, done = stack[-1]
-        if c == n or done == len(rows):
-            stack.pop()
-            if c == n:
-                yield rows
-            continue
-        # every parent has a child, so max_rows parents are enough
-        part = left[done:done + max_rows]
-        lo = np.maximum(part - rest[c + 1], 0)
-        width = np.minimum(part, sizes[c]) - lo + 1
-        ends = np.cumsum(width)
-        take = max(1, int(np.searchsorted(ends, max_rows, side="right")))
-        parent = np.repeat(np.arange(take), width[:take])
-        j = lo[parent] + np.arange(len(parent)) - (ends - width)[parent]
-        parent += done
-        child = rows[parent]
-        child[:, c] = j
-        stack[-1][2] = done + take
-        stack.append([child, left[parent] - j, 0])
-
-
 def exact_node_probs(net: NetworkConfig, req: Request,
                      beta: float = DEFAULT_BETA,
                      max_subsets: int = 10 ** 6) -> np.ndarray:
@@ -503,10 +465,10 @@ def exact_node_probs(net: NetworkConfig, req: Request,
     E[quota_i] / caps_i, with E over the random winner arrangement. QLANs
     of equal capacity are exchangeable, so the subsets are grouped by
     composition: j_c winners from the n_c QLANs of capacity c, reached by
-    prod C(n_c, j_c) subsets that share one _class_round row. The
-    compositions are walked in chunks under the _BLOCK_BYTES budget. The
-    guard still counts subsets: raises CapacityError when C(m, K) exceeds
-    max_subsets; use estimate_fairness for such instances.
+    prod C(n_c, j_c) subsets that share one _class_round row. split_chunks
+    walks the compositions (bounded splits of K over the class sizes)
+    under the _BLOCK_BYTES budget. The guard still counts subsets: raises
+    CapacityError when C(m, K) exceeds max_subsets; use estimate_fairness.
     """
     K = safe_select_k(req.k_req, net.caps, beta)
     n_subsets = math.comb(net.m, K)
@@ -520,9 +482,9 @@ def exact_node_probs(net: NetworkConfig, req: Request,
     ways = np.array([[math.comb(s, j) for j in range(min(K, sizes.max()) + 1)]
                      for s in sizes.tolist()], dtype=float)
     quota_sums = np.zeros(n)
-    # per row: the walk's n + 1 pending levels plus the rounding temporaries
-    max_rows = max(1, _BLOCK_BYTES // (8 * ((n + 1) ** 2 + 16 * n)))
-    for counts in _composition_chunks(sizes, K, max_rows):
+    # per row: n pending walk levels of n + 2 words, rounding temporaries
+    max_rows = max(1, _BLOCK_BYTES // (8 * (n * (n + 2) + 16 * n)))
+    for _, counts in split_chunks(K, sizes[None, :], max_rows):
         floors, extras = _class_round(req.k_req, classes, counts)
         weight = ways[np.arange(n), counts].prod(axis=1)
         quota_sums += (weight[:, None] * (counts * floors + extras)).sum(axis=0)

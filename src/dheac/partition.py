@@ -4,40 +4,18 @@ These are the deterministic combinatorial kernels of the protocol: choose
 the smallest number of lottery winners K that makes every K-subset of QLANs
 able to cover the request, enumerate the feasible quota vectors for a given
 winner set, and split a request over concrete winners by largest-remainder
-rounding under hard capacity caps.
+rounding under hard capacity caps. ``split_chunks`` is the one array walk
+of bounded splits: the quota vectors of many winner sets, or the
+capacity-class compositions of the exact fairness oracle.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ResourceShortageError
-
-
-@dataclass(frozen=True)
-class PartitionSet:
-    """All ways to write k as non-negative parts bounded by per-slot caps.
-
-    ``vectors`` holds each feasible quota vector exactly once, in ascending
-    lexicographic order.
-    """
-
-    k: int
-    caps: tuple[int, ...]
-    vectors: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def __iter__(self):
-        return iter(self.vectors)
-
-    def __contains__(self, vec) -> bool:
-        vec = tuple(vec)
-        i = bisect_left(self.vectors, vec)
-        return i < len(self.vectors) and self.vectors[i] == vec
 
 
 def _validate_caps(caps) -> tuple[int, ...]:
@@ -91,13 +69,14 @@ def safe_select_k(k_req: int, caps, beta: float = 0.0) -> int:
     raise AssertionError("unreachable: target is at most sum(caps)")
 
 
-def enum_partitions(k: int, caps) -> PartitionSet:
+def enum_partitions(k: int, caps) -> tuple[tuple[int, ...], ...]:
     """Enumerate every bounded split of k over the given caps.
 
     Depth-first with both-sided pruning: slot j may take x parts only when
     x <= caps[j] and the remaining slots can still absorb the rest, so every
-    visited branch yields at least one vector. Output is lexicographically
-    ascending. An empty set (k > sum(caps)) is returned, not raised.
+    visited branch yields at least one vector. Output is the tuple of
+    vectors, lexicographically ascending. No vectors (k > sum(caps)) is an
+    empty tuple, not an error.
     """
     caps = _validate_caps(caps)
     if k < 0:
@@ -108,7 +87,7 @@ def enum_partitions(k: int, caps) -> PartitionSet:
         suffix[j] = suffix[j + 1] + caps[j]
     out: list[tuple[int, ...]] = []
     if k > suffix[0]:
-        return PartitionSet(k=k, caps=caps, vectors=())
+        return ()
     prefix: list[int] = []
 
     def rec(j: int, r: int) -> None:
@@ -123,7 +102,56 @@ def enum_partitions(k: int, caps) -> PartitionSet:
             prefix.pop()
 
     rec(0, k)
-    return PartitionSet(k=k, caps=caps, vectors=tuple(out))
+    return tuple(out)
+
+
+def split_chunks(k: int, caps: np.ndarray, max_rows: int, dtype=np.int64):
+    """Yield (owner, vectors) chunks of at most max_rows rows: every bounded
+    split of k over each row of the (rows, n >= 1) caps matrix, in dtype.
+
+    Owners ascend, each with its splits in ``enum_partitions`` order. Slot
+    j of a partial vector with r parts left takes max(0, r - rest_j) <= x
+    <= min(caps_j, r), rest_j being the capacity after j: no branch dies,
+    and the last slot's one choice, r, is filled in place. Depth first, a
+    level branches at most max_rows rows into at most max_rows children
+    (unless one row branches wider) and is dropped once all have branched.
+    """
+    caps = np.asarray(caps, dtype=np.int64)
+    n = caps.shape[1]
+    owner = np.flatnonzero(caps.sum(axis=1) >= k)
+    caps = caps.T.copy()  # slot-major: a level gathers from one row
+    rest = np.cumsum(caps[::-1], axis=0)[::-1] - caps
+    # levels [slot set next, rows, owners, parts left, rows branched]
+    stack = [[0, np.zeros((len(owner), n), dtype=dtype), owner,
+              np.full(len(owner), k, dtype=np.int64), 0]] if len(owner) else []
+    while stack:
+        level = stack[-1]
+        j, rows, owner, left, done = level
+        # every row has a child, so max_rows rows are enough
+        part = slice(done, done + max_rows)
+        if j == n - 1:
+            rows[part, j] = left[part]
+            stop = part.stop
+        else:
+            lo = np.maximum(left[part] - rest[j].take(owner[part]), 0)
+            width = np.minimum(caps[j].take(owner[part]), left[part]) - lo + 1
+            ends = np.cumsum(width)
+            take = max(1, int(np.searchsorted(ends, max_rows, side="right")))
+            stop = done + take
+            # child i of a row whose first child is f takes x = lo + i - f
+            x = np.arange(ends[take - 1])
+            x -= np.repeat((ends - width - lo)[:take], width[:take])
+            parent = np.repeat(np.arange(done, stop), width[:take])
+            child = rows.take(parent, axis=0)  # 10x faster than rows[parent]
+            child[:, j] = x
+            child_left = left[parent] - x
+        level[4] = stop
+        if stop >= len(rows):
+            stack.pop()
+        if j == n - 1:
+            yield owner[part], rows[part]
+        else:
+            stack.append([j + 1, child, owner[parent], child_left, 0])
 
 
 def count_partitions(k: int, caps) -> int:

@@ -11,10 +11,11 @@ preparation must satisfy.
 
 A state is a few arrays in sorted label order (see ``SparseState``): the
 winner subsets, one integer row per quota vector, and one amplitude per
-label. Building, normalization, the feasibility checks, marginals and
-sampling are array arithmetic over those rows; Python loops run at most
-once per subset or per QLAN. Labels become tuples only at the edges: the
-``amplitudes`` view, ``marginal_outer`` and ``measure_many``.
+label. Building (one ``partition.split_chunks`` walk), normalization, the
+feasibility checks, marginals and sampling are array arithmetic over
+those rows; Python loops run at most once per subset or per QLAN. Labels
+become tuples only at the edges: the ``amplitudes`` view,
+``marginal_outer`` and ``measure_many``.
 
 The draws and the exact sums give the numbers a per-label computation
 gives, bit for bit, with less work. A measurement sorts the uniforms
@@ -45,7 +46,7 @@ import numpy as np
 from .analytics import jain_index
 from .errors import CapacityError, InvariantViolationError, ResourceShortageError
 from .netgen import NetworkConfig
-from .partition import count_partitions
+from .partition import count_partitions, split_chunks
 
 # (winner subset, quota vector)
 Outcome = tuple[tuple[int, ...], tuple[int, ...]]
@@ -53,6 +54,7 @@ Outcome = tuple[tuple[int, ...], tuple[int, ...]]
 MAX_SPARSE_OUTCOMES = 10 ** 6
 NORM_TOL = 1e-12
 _DRAW_CHUNK = 1 << 18  # uniforms _sample_counts holds at once
+_BUILD_ROWS = 1 << 16  # quota vectors build_embedded enumerates at once
 
 
 def _int_dtype(lo: int, hi: int) -> type:
@@ -177,36 +179,6 @@ def _find_row(arr: np.ndarray, lo: int, hi: int, key: tuple) -> int:
     return i
 
 
-def _enum_rows(k: int, caps: np.ndarray, dtype=np.int64) -> np.ndarray:
-    """Every bounded split of k over each row of caps, stacked row after
-    row, each row's splits in ascending lexicographic order: row by row,
-    the same vectors in the same order as ``enum_partitions``.
-
-    Built one slot at a time over all rows at once. Slot j of a partial
-    vector with r parts left takes x parts, max(0, r - rest_j) <= x <=
-    min(caps_j, r), where rest_j is the capacity of the slots after j. So
-    every partial vector extends to at least one full one, and no level
-    holds more rows than the result.
-    """
-    caps = np.asarray(caps, dtype=np.int64)
-    rest = np.cumsum(caps[:, ::-1], axis=1)[:, ::-1] - caps
-    owner = np.flatnonzero(caps.sum(axis=1) >= k)  # caps row of each vector
-    left = np.full(len(owner), k, dtype=np.int64)  # parts not yet placed
-    vectors = np.zeros((len(owner), caps.shape[1]), dtype=dtype)
-    for j in range(caps.shape[1]):
-        lo = np.maximum(left - rest[owner, j], 0)
-        n_child = np.minimum(caps[owner, j], left) - lo + 1
-        # child c of a parent whose first child is row f takes x = lo + c - f
-        x = np.arange(n_child.sum())
-        x -= np.repeat(np.cumsum(n_child) - n_child - lo, n_child)
-        vectors = np.repeat(vectors, n_child, axis=0)
-        vectors[:, j] = x
-        left = np.repeat(left, n_child)
-        left -= x
-        owner = np.repeat(owner, n_child)
-    return vectors
-
-
 def build_embedded(net: NetworkConfig, k_req: int, K: int) -> SparseState:
     """Selection state with quotas embedded per branch.
 
@@ -214,9 +186,14 @@ def build_embedded(net: NetworkConfig, k_req: int, K: int) -> SparseState:
     1 / sqrt(C(m, K) * |Omega_S|), which keeps the outer marginal exactly
     uniform regardless of how |Omega_S| varies across subsets.
 
-    Raises CapacityError when C(m, K) * max |Omega_S| exceeds the sparse
-    guard, and InvariantViolationError when some subset has no feasible
-    quota vector (the winner count is too small for this request).
+    A bounded-split count never shrinks when a cap grows, so |Omega_S| is
+    largest at the K largest caps and smallest at the K smallest: one
+    ``count_partitions`` call sizes the guard. One ``split_chunks`` walk
+    lists every subset's vectors; |Omega_S| is the rows it gives S.
+
+    Raises InvariantViolationError, checked first, when the K smallest
+    caps sum below k_req (K is too small for this request), and
+    CapacityError when C(m, K) * max |Omega_S| exceeds the sparse guard.
     """
     if k_req < 1:
         raise ValueError(f"k_req must be >= 1, got {k_req}")
@@ -226,35 +203,32 @@ def build_embedded(net: NetworkConfig, k_req: int, K: int) -> SparseState:
         raise ResourceShortageError(
             f"total capacity {net.total} cannot cover k_req={k_req}")
     n_subsets = math.comb(net.m, K)
-    sizes = []
-    max_size = 0
-    # the count depends on the caps multiset only: size each one once
-    counted: dict[tuple[int, ...], int] = {}
-    for subset in itertools.combinations(range(net.m), K):
-        caps = tuple(sorted(net.caps[i] for i in subset))
-        size = counted.get(caps)
-        if size is None:
-            size = counted[caps] = count_partitions(k_req, caps)
-        if size == 0:
-            raise InvariantViolationError(
-                f"subset {subset} has no feasible quota vector for "
-                f"k_req={k_req}; winner count K={K} is too small")
-        sizes.append(size)
-        max_size = max(max_size, size)
-        if n_subsets * max_size > MAX_SPARSE_OUTCOMES:
-            raise CapacityError(
-                f"C({net.m}, {K}) * max|Omega_S| = {n_subsets * max_size} "
-                f"exceeds the {MAX_SPARSE_OUTCOMES} sparse guard; reduce m, "
-                "K or k_req")
-    subsets = np.array(list(itertools.combinations(range(net.m), K)),
-                       dtype=np.int64)
-    vectors = _enum_rows(k_req, np.asarray(net.caps)[subsets],
-                         _int_dtype(0, k_req))
-    sizes = np.array(sizes, dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    if offsets[-1] != len(vectors):
+    caps = sorted(net.caps)
+    if sum(caps[:K]) < k_req:
         raise InvariantViolationError(
-            f"enumerated {len(vectors)} quota vectors, counted {offsets[-1]}")
+            f"the {K} smallest QLANs cannot cover k_req={k_req}; winner "
+            f"count K={K} is too small")
+    max_size = count_partitions(k_req, caps[-K:])
+    if n_subsets * max_size > MAX_SPARSE_OUTCOMES:
+        raise CapacityError(
+            f"C({net.m}, {K}) * max|Omega_S| = {n_subsets * max_size} "
+            f"exceeds the {MAX_SPARSE_OUTCOMES} sparse guard; reduce m, "
+            "K or k_req")
+    subsets = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(net.m), K)),
+        dtype=np.int64, count=n_subsets * K).reshape(n_subsets, K)
+    sizes = np.zeros(n_subsets, dtype=np.int64)
+    chunks = []
+    for owner, chunk in split_chunks(k_req, np.asarray(net.caps)[subsets],
+                                     _BUILD_ROWS, _int_dtype(0, k_req)):
+        sizes += np.bincount(owner, minlength=n_subsets)
+        chunks.append(chunk)
+    if sizes.max() != max_size:
+        raise InvariantViolationError(
+            f"largest subset: {sizes.max()} quota vectors, {max_size} counted")
+    vectors = np.concatenate(chunks)
+    del chunks
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
     amps = np.repeat(np.sqrt((1.0 / n_subsets) / sizes), sizes)
     return SparseState.from_arrays(subsets, offsets, vectors, amps)
 
@@ -428,8 +402,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-
 
 
 def _label_violations(state: SparseState, net: NetworkConfig,

@@ -7,6 +7,7 @@ test_acceptance.py; these are targeted cases plus structural properties.
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -18,6 +19,7 @@ from dheac import (
     quota_round,
     safe_select_k,
 )
+from dheac.partition import split_chunks
 
 caps_lists = st.lists(st.integers(1, 30), min_size=1, max_size=10)
 
@@ -118,6 +120,26 @@ def test_enum_matches_product_filter(k, caps):
             if sum(v) == k]
     assert got == want
     assert count_partitions(k, caps) == len(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), width=st.integers(1, 8), n_rows=st.integers(1, 3),
+       max_rows=st.integers(1, 50))
+def test_split_chunks_match_enum_partitions_in_content_and_order(
+        data, width, n_rows, max_rows):
+    caps = [data.draw(st.lists(st.integers(0, 6), min_size=width,
+                               max_size=width)) for _ in range(n_rows)]
+    k = data.draw(st.integers(0, max(map(sum, caps)) + 2))
+    chunks = list(split_chunks(k, np.array(caps), max_rows, np.int8))
+    assert all(1 <= len(owner) == len(vecs) <= max_rows
+               and vecs.dtype == np.int8 for owner, vecs in chunks)
+    # row after row, each row's splits in the oracle's lexicographic order;
+    # k > sum(caps) gives that row nothing
+    want = [(row, vec) for row, row_caps in enumerate(caps)
+            for vec in enum_partitions(k, row_caps)]
+    got = [(row, tuple(vec)) for owner, vecs in chunks
+           for row, vec in zip(owner.tolist(), vecs.tolist())]
+    assert got == want
 
 
 def test_count_unbounded_reduces_to_stars_and_bars():

@@ -40,7 +40,6 @@ from dheac.qverify import (
     NORM_TOL,
     _branch_stats,
     _chisquare,
-    _enum_rows,
     _exact_sum,
     _prob_array,
     _sample_counts,
@@ -400,23 +399,44 @@ def test_non_finite_amplitude_fails_structurally(bad):
         measure_many(state, rng, 10)
 
 
-def test_build_sizes_each_caps_multiset_once(monkeypatch):
+def test_build_counts_one_branch_the_k_largest_caps(monkeypatch):
     calls = []
 
     def counting(k, caps):
-        calls.append(caps)
+        calls.append((k, tuple(caps)))
         return count_partitions(k, caps)
 
     monkeypatch.setattr(qverify, "count_partitions", counting)
     net = NetworkConfig.from_caps((2, 1, 3, 1, 2, 1))
     state = build_embedded(net, 5, 4)
-    multisets = {tuple(sorted(net.caps[i] for i in s))
-                 for s in itertools.combinations(range(net.m), 4)}
-    assert sorted(calls) == sorted(multisets)
-    assert len(calls) < math.comb(net.m, 4)
+    assert calls == [(5, (1, 2, 2, 3))]
     assert np.diff(state.offsets).tolist() == [
         count_partitions(5, tuple(net.caps[i] for i in s))
         for s in itertools.combinations(range(net.m), 4)]
+
+
+def test_build_raises_when_the_count_and_the_walk_disagree(monkeypatch):
+    monkeypatch.setattr(qverify, "count_partitions",
+                        lambda k, caps: count_partitions(k, caps) + 1)
+    with pytest.raises(InvariantViolationError, match="largest subset"):
+        build_embedded(NetworkConfig.from_caps((2, 1, 3, 1, 2, 1)), 5, 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), caps=st.lists(st.integers(0, 8), min_size=1,
+                                     max_size=7))
+def test_branch_counts_are_extreme_at_the_k_largest_and_smallest_caps(
+        data, caps):
+    # the claim build_embedded's guard rests on: a bounded-split count
+    # never shrinks when a cap grows
+    K = data.draw(st.integers(1, len(caps)))
+    k = data.draw(st.integers(0, sum(caps) + 2))
+    counts = [count_partitions(k, [caps[i] for i in s])
+              for s in itertools.combinations(range(len(caps)), K)]
+    ordered = sorted(caps)
+    assert max(counts) == count_partitions(k, ordered[-K:])
+    assert min(counts) == count_partitions(k, ordered[:K])
+    assert (min(counts) == 0) == (sum(ordered[:K]) < k)
 
 
 @pytest.mark.parametrize("m, skew, demand", [(6, 1.0, 0.4), (8, 0.5, 0.2)])
@@ -441,20 +461,6 @@ def test_chisquare_helper_equals_scipy_stats(obs):
     obs = np.array(obs)
     stat, pvalue = stats.chisquare(obs)
     assert _chisquare(obs) == (float(stat), float(pvalue))
-
-
-@settings(max_examples=150, deadline=None)
-@given(data=st.data(), width=st.integers(1, 8), n_rows=st.integers(1, 3))
-def test_enum_rows_matches_enum_partitions_in_content_and_order(
-        data, width, n_rows):
-    caps = [data.draw(st.lists(st.integers(0, 6), min_size=width,
-                               max_size=width)) for _ in range(n_rows)]
-    k = data.draw(st.integers(0, max(map(sum, caps)) + 2))
-    got = _enum_rows(k, np.array(caps)).tolist()
-    # row after row, each row's splits in the oracle's lexicographic order;
-    # k > sum(caps) gives that row nothing
-    want = [list(vec) for row in caps for vec in enum_partitions(k, row)]
-    assert got == want
 
 
 def _dict_reference(net, k_req, K):
@@ -517,6 +523,21 @@ def test_largest_verify_cell_builds_and_verifies_in_bounded_memory():
     assert report.n_subsets == 1 and report.outer_pvalue == 1.0
     assert report.passed
     assert peak < 100e6
+
+
+def test_build_peaks_within_a_small_multiple_of_the_state_it_returns():
+    # the 948,496-label cell: one subset, so every label is one branch
+    net, k_req, K = _cli_point(8, 1.0, 0.6)
+    tracemalloc.start()
+    try:
+        state = build_embedded(net, k_req, K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in (state.subsets, state.offsets,
+                                  state.vectors, state.amps))
+    assert len(state.amps) == 948496
+    assert peak <= 3.5 * held
 
 
 def test_sample_counts_holds_at_most_two_label_arrays_and_a_chunk():

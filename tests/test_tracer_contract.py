@@ -56,11 +56,15 @@ def test_tracer_installs_runs_and_restores_every_binding(tmp_path):
                                "--trials", "10000", "--out", str(out)]) == 0
         assert dheac.cli.main(["verify-quantum", "--caps", "3,3,3,3",
                                "--k-req", "4", "--draws", "2000"]) == 0
+        # no CLI path calls enum_partitions, so call its patched binding;
+        # its hook reads len(out)
+        assert len(dheac.partition.enum_partitions(4, (3, 3, 3))) == 12
     finally:
         tracer.restore()
     assert _bindings() == before
     names = list(tracer.name_ids)
-    for name in ("cli.main", "lottery.exact_node_probs",
+    for name in ("cli.main", "partition.enum_partitions",
+                 "lottery.exact_node_probs",
                  "lottery.estimate_fairness", "qverify.build_embedded",
                  "qverify.verify_state"):
         assert name in names
@@ -68,6 +72,7 @@ def test_tracer_installs_runs_and_restores_every_binding(tmp_path):
     assert any("subsets" in e for e in extras)
     assert any("outcomes" in e for e in extras)
     assert any("chi2_reject" in e for e in extras)
+    assert {"vectors": 12} in extras
 
 
 def test_names_the_tracer_reads_outside_its_table_exist():
