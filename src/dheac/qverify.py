@@ -13,8 +13,12 @@ A state is a few arrays in sorted label order (see ``SparseState``): the
 winner subsets, one integer row per quota vector, and one amplitude per
 label. Building (one ``partition.split_chunks`` walk), normalization, the
 feasibility checks, marginals and sampling are array arithmetic over
-those rows; Python loops run at most once per subset or per QLAN. Labels
-become tuples only at the edges: the ``amplitudes`` view,
+those rows. Python loops remain only where their count is small: one
+pass per QLAN in ``node_win_probs``, one per vector slot in the
+feasibility check, one per branch that enters the pooled chi-square
+(two or more labels, at least one draw), and one per branch holding two
+distinct probabilities (a damaged or hand-built state) in the exact
+totals. Labels become tuples only at the edges: the ``amplitudes`` view,
 ``marginal_outer`` and ``measure_many``.
 
 The draws and the exact sums give the numbers a per-label computation
@@ -356,21 +360,37 @@ def node_win_probs(state: SparseState, caps) -> np.ndarray:
     Each QLAN's terms p * v / cap are added left to right in label order
     (``np.cumsum``), so the sums do not depend on numpy's pairwise
     reduction.
+
+    One pass per QLAN, over flat arrays. A QLAN that sits in one slot of
+    a run of consecutive subsets (in a built state, every QLAN when K = m,
+    and QLAN 0) owns one run of label rows, read as slices. Otherwise its
+    quota column is a 1-D ``take`` of ``vectors.ravel()`` at
+    ``row * K + slot``.
     """
     caps = np.array([int(c) for c in caps], dtype=np.int64)
     probs = np.square(state.amps)
-    sizes = np.diff(state.offsets)
+    offsets = state.offsets
+    sizes = np.diff(offsets)
+    K = state.vectors.shape[1]
+    flat = state.vectors.ravel()
     qlan_prob = np.zeros(len(caps))
     for i in np.flatnonzero(caps > 0):
         owner, slot = np.nonzero(state.subsets == i)
         n = sizes[owner]
         if not n.sum():
             continue
-        # the label rows of every subset holding QLAN i, in label order
-        rows = np.arange(n.sum())
-        rows += np.repeat(state.offsets[owner] - (np.cumsum(n) - n), n)
-        terms = probs[rows]
-        terms *= state.vectors[rows, np.repeat(slot, n)]
+        if (owner[-1] - owner[0] == len(owner) - 1
+                and (slot == slot[0]).all()):
+            lo, hi = offsets[owner[0]], offsets[owner[-1] + 1]
+            terms = probs[lo:hi] * state.vectors[lo:hi, slot[0]]
+        else:
+            # the label rows of every subset holding QLAN i, in label order
+            rows = np.arange(n.sum())
+            rows += np.repeat(offsets[owner] - (np.cumsum(n) - n), n)
+            terms = probs[rows]
+            rows *= K
+            rows += np.repeat(slot, n)
+            terms *= flat.take(rows)
         terms /= caps[i]
         qlan_prob[i] = np.cumsum(terms, out=terms)[-1]
     return np.repeat(qlan_prob, caps)
@@ -410,7 +430,9 @@ def _label_violations(state: SparseState, net: NetworkConfig,
 
     A label is feasible when its subset has K distinct QLANs of the network
     in ascending order, and its vector has K entries 0 <= v <= cap summing
-    to k_req.
+    to k_req. The vectors are read one slot (column) at a time, so no
+    (n_labels, K) temporary is made; the row sums accumulate in int64, as
+    ``vectors.sum(axis=1)`` does.
     """
     subsets, vectors = state.subsets, state.vectors
     if subsets.shape[1] != K or vectors.shape[1] != K:
@@ -422,9 +444,13 @@ def _label_violations(state: SparseState, net: NetworkConfig,
     caps = np.minimum(caps, np.iinfo(vectors.dtype).max).astype(vectors.dtype)
     sizes = np.diff(state.offsets)
     ok = np.repeat(sound, sizes)
-    ok &= vectors.sum(axis=1) == k_req
-    ok &= (vectors >= 0).all(axis=1)
-    ok &= (vectors <= np.repeat(caps, sizes, axis=0)).all(axis=1)
+    total = np.zeros(len(vectors), dtype=np.int64)
+    for j in range(K):
+        col = vectors[:, j]
+        total += col
+        ok &= col >= 0
+        ok &= col <= np.repeat(caps[:, j], sizes)
+    ok &= total == k_req
     return ~ok
 
 
@@ -493,8 +519,6 @@ def verify_state(state: SparseState, net: NetworkConfig, k_req: int, K: int,
     if not failures:
         counts = _sample_counts(state, rng, draws)
         drawn_violations = int(counts[bad_labels].sum())
-        # zero-count cells stay in the branches or the dof would shrink
-        branches = np.split(counts, state.offsets[1:-1])
         obs_outer = np.add.reduceat(counts, state.offsets[:-1])
         min_expected = draws / n_subsets
         outer_chi2, outer_p = _chisquare(obs_outer)
@@ -503,20 +527,22 @@ def verify_state(state: SparseState, net: NetworkConfig, k_req: int, K: int,
             failures.append(
                 f"outer uniformity rejected (p={outer_p:.4g} < {significance})")
 
-        stat_sum = 0.0
-        dof_sum = 0
-        for obs in branches:
-            total = obs.sum()
-            if total == 0 or len(obs) < 2:
-                continue
-            # equals obs.mean() bit for bit: integer counts sum exactly
-            mean = total / len(obs)
-            min_expected = min(min_expected, mean)
-            stat_sum += float(((obs - mean) ** 2 / mean).sum())
-            dof_sum += len(obs) - 1
-        pooled_chi2 = stat_sum
-        pooled_dof = dof_sum
-        pooled_p = _chi2_pvalue(stat_sum, dof_sum)
+        # a branch with one label or no draws adds nothing to the pooled
+        # statistic; zero-count cells of the others stay in, or the dof
+        # would shrink
+        sizes = np.diff(state.offsets)
+        keep = (sizes >= 2) & (obs_outer > 0)
+        # equals obs.mean() bit for bit: integer counts sum exactly
+        means = obs_outer[keep] / sizes[keep]
+        min_expected = min(min_expected, float(means.min(initial=np.inf)))
+        pooled_dof = int((sizes[keep] - 1).sum())
+        pooled_chi2 = 0.0
+        for lo, hi, mean in zip(state.offsets[:-1][keep].tolist(),
+                                state.offsets[1:][keep].tolist(),
+                                means.tolist()):
+            obs = counts[lo:hi]
+            pooled_chi2 += float(((obs - mean) ** 2 / mean).sum())
+        pooled_p = _chi2_pvalue(pooled_chi2, pooled_dof)
         if pooled_p < significance:
             failures.append(
                 f"conditional uniformity rejected (p={pooled_p:.4g} < "

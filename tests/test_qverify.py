@@ -15,7 +15,7 @@ from unittest import mock
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 
 from dheac import (
     CapacityError,
@@ -41,6 +41,7 @@ from dheac.qverify import (
     _branch_stats,
     _chisquare,
     _exact_sum,
+    _label_violations,
     _prob_array,
     _sample_counts,
 )
@@ -439,20 +440,6 @@ def test_branch_counts_are_extreme_at_the_k_largest_and_smallest_caps(
     assert (min(counts) == 0) == (sum(ordered[:K]) < k)
 
 
-@pytest.mark.parametrize("m, skew, demand", [(6, 1.0, 0.4), (8, 0.5, 0.2)])
-def test_pooled_statistic_is_the_sum_of_branch_chisquares(m, skew, demand):
-    net = generate_network(m, skew, 10 * m)
-    k_req = demand_to_kreq(demand, net.total)
-    K = safe_select_k(k_req, net.caps)
-    state = build_embedded(net, k_req, K)
-    report = verify_state(state, net, k_req, K, 5000, trial_rng(3))
-    counts = _sample_counts(state, trial_rng(3), 5000)
-    branches = [obs for obs in np.split(counts, state.offsets[1:-1])
-                if obs.sum() and len(obs) > 1]
-    assert report.pooled_chi2 == sum(_chisquare(obs)[0] for obs in branches)
-    assert report.pooled_dof == sum(len(obs) - 1 for obs in branches)
-
-
 @pytest.mark.parametrize("obs", [[16, 18, 16, 14, 12, 12], [5, 0, 0, 9],
                                  [1000, 1010, 990], [3, 3, 3, 3], [0, 7]])
 def test_chisquare_helper_equals_scipy_stats(obs):
@@ -482,10 +469,65 @@ def _cli_point(m, skew, demand):
     return net, k_req, safe_select_k(k_req, net.caps, ModelParams().beta)
 
 
+def _pooled_reference(counts, offsets, draws, n_subsets):
+    """pooled_chi2, pooled_dof and min_expected_cell, one branch at a time
+    over every branch, as verify_state computed them before it skipped the
+    branches that add nothing."""
+    min_expected, stat_sum, dof_sum = draws / n_subsets, 0.0, 0
+    for obs in np.split(counts, offsets[1:-1]):
+        total = obs.sum()
+        if total == 0 or len(obs) < 2:
+            continue
+        mean = total / len(obs)
+        min_expected = min(min_expected, mean)
+        stat_sum += float(((obs - mean) ** 2 / mean).sum())
+        dof_sum += len(obs) - 1
+    return stat_sum, dof_sum, min_expected
+
+
+# ids kept from when the parameters were (m, skew, demand) at 5000 draws
+@pytest.mark.parametrize("net, k_req, K, draws", [
+    pytest.param(*_cli_point(6, 1.0, 0.4), 5000, id="6-1.0-0.4"),
+    pytest.param(*_cli_point(8, 0.5, 0.2), 5000, id="8-0.5-0.2"),
+    # (0, 1, 2) holds one quota vector, every other subset 4 to 7
+    pytest.param(NetworkConfig.from_caps((1, 1, 1, 3, 3)), 3, 3, 5000,
+                 id="one-label-and-larger-branches"),
+    # 56 subsets, 40 draws: many branches are never drawn
+    pytest.param(*_cli_point(8, 0.5, 0.2), 40, id="zero-count-branches"),
+    # 495 one-label branches: nothing to pool, and no branch sets the
+    # smallest expected count
+    pytest.param(NetworkConfig.from_caps((1,) * 12), 4, 4, 20000,
+                 id="one-label-branches-only"),
+])
+def test_pooled_statistic_is_the_sum_of_branch_chisquares(net, k_req, K,
+                                                          draws):
+    state = build_embedded(net, k_req, K)
+    report = verify_state(state, net, k_req, K, draws, trial_rng(3))
+    counts = _sample_counts(state, trial_rng(3), draws)
+    stat, dof, min_expected = _pooled_reference(
+        counts, state.offsets, draws, len(state.subsets))
+    assert report.pooled_chi2 == stat
+    assert report.pooled_dof == dof
+    assert report.min_expected_cell == min_expected
+
+
+def _per_label_node_win_probs(labels, caps):
+    """node_win_probs one label at a time: each QLAN's terms p * v / cap
+    added left to right in label order."""
+    qlan_prob = [0.0] * len(caps)
+    for (subset, vec), amp in labels:
+        for i, v in zip(subset, vec):
+            if caps[i] > 0:
+                qlan_prob[i] += amp * amp * v / caps[i]
+    return np.repeat(qlan_prob, caps)
+
+
 @pytest.mark.parametrize("net, k_req, K", [
     (SYM, 4, 2),
     _cli_point(6, 1.0, 0.4),  # the README point
     _cli_point(8, 0.5, 0.2),  # 56 subsets of unequal sizes
+    (NetworkConfig.from_caps((3, 0, 2, 3)), 4, 3),  # a zero cap in subsets
+    (NetworkConfig.from_caps((1,) * 12), 4, 4),  # 495 one-label branches
 ])
 def test_array_state_equals_dict_reference(net, k_req, K):
     state = build_embedded(net, k_req, K)
@@ -496,18 +538,119 @@ def test_array_state_equals_dict_reference(net, k_req, K):
     # bit against the per-label computations
     probs = np.array([a ** 2 for a in ref.values()])
     assert np.array_equal(_prob_array(state), probs / probs.sum())
-    qlan_prob = [0.0] * net.m
-    for (subset, vec), amp in ref.items():
-        for i, v in zip(subset, vec):
-            if net.caps[i] > 0:
-                qlan_prob[i] += amp * amp * v / net.caps[i]
     assert np.array_equal(node_win_probs(state, net.caps),
-                          np.repeat(qlan_prob, net.caps))
+                          _per_label_node_win_probs(ref.items(), net.caps))
     reports = [dataclasses.asdict(verify_state(s, net, k_req, K, 20000,
                                                trial_rng(3)))
                for s in (state, SparseState(ref))]
     assert reports[0] == reports[1]
     assert reports[0]["failures"] == []
+
+
+def _mixed_amplitudes() -> SparseState:
+    """SYM's support at k_req 4, K 2, each branch holding several
+    amplitudes."""
+    labels = list(_dict_reference(SYM, 4, 2))
+    weights = [1 + i % 5 for i in range(len(labels))]
+    return SparseState({label: math.sqrt(w / math.fsum(weights))
+                        for label, w in zip(labels, weights)})
+
+
+def _qlan_2_in_no_subset() -> SparseState:
+    """Subsets (0, 1) and (1, 3) of caps (2, 3, 5, 1) at k_req 3: QLAN 2 is
+    in no subset, and QLAN 1 owns one run of rows but sits in slot 1, then
+    slot 0."""
+    caps = (2, 3, 5, 1)
+    labels = [(subset, vec) for subset in ((0, 1), (1, 3))
+              for vec in enum_partitions(3, tuple(caps[i] for i in subset))]
+    return SparseState(dict.fromkeys(labels, math.sqrt(1 / len(labels))))
+
+
+_LARGEST_CELL = _cli_point(8, 1.0, 0.6)  # one subset, 948,496 labels
+
+
+@pytest.mark.parametrize("caps, make_state", [
+    pytest.param(SYM.caps, _mixed_amplitudes, id="mixed-amplitudes"),
+    pytest.param((2, 3, 5, 1), _qlan_2_in_no_subset, id="qlan-in-no-subset"),
+    pytest.param(_LARGEST_CELL[0].caps, lambda: build_embedded(*_LARGEST_CELL),
+                 id="948496-labels"),
+])
+def test_node_win_probs_equals_per_label_sums(caps, make_state):
+    # states the dict reference cannot rebuild, or too large to compare as
+    # dicts
+    state = make_state()
+    labels = zip(state.amplitudes, state.amps.tolist())
+    assert np.array_equal(node_win_probs(state, caps),
+                          _per_label_node_win_probs(labels, caps))
+
+
+def _label_violations_reference(state, net, k_req, K):
+    """Per label: K distinct QLANs of the network in ascending order, and K
+    entries 0 <= v <= cap summing to k_req."""
+    bad = []
+    for s, subset in enumerate(state.subsets.tolist()):
+        sound = (len(subset) == K and all(0 <= i < net.m for i in subset)
+                 and all(a < b for a, b in zip(subset, subset[1:])))
+        rows = state.vectors[state.offsets[s]:state.offsets[s + 1]]
+        for vec in rows.tolist():
+            bad.append(not (sound and len(vec) == K and sum(vec) == k_req
+                            and all(0 <= v <= net.caps[i]
+                                    for i, v in zip(subset, vec))))
+    return np.array(bad, dtype=bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), caps=st.lists(st.integers(0, 200), min_size=1,
+                                     max_size=5),
+       k_req=st.integers(1, 8),
+       dtype=st.sampled_from([np.int8, np.int16, np.int64]))
+def test_label_violations_equal_a_per_label_reference(data, caps, k_req,
+                                                      dtype):
+    # built states damaged through from_arrays; caps above 127 bound no
+    # int8 entry
+    assume(sum(caps) >= k_req)
+    net = NetworkConfig.from_caps(caps)
+    K = data.draw(st.sampled_from([K for K in range(1, net.m + 1)
+                                   if sum(sorted(caps)[:K]) >= k_req]))
+    state = build_embedded(net, k_req, K)
+    subsets, vectors = state.subsets.copy(), state.vectors.astype(dtype)
+    # QLAN ids out of range, out of order or repeated
+    for _ in range(data.draw(st.integers(0, 3))):
+        subsets[data.draw(st.integers(0, len(subsets) - 1)),
+                data.draw(st.integers(0, K - 1))] = data.draw(
+                    st.integers(-1, net.m))
+    # negative entries, entries over the cap, and so wrong sums
+    for _ in range(data.draw(st.integers(0, 4))):
+        vectors[data.draw(st.integers(0, len(vectors) - 1)),
+                data.draw(st.integers(0, K - 1))] = data.draw(
+                    st.integers(-3, 10) | st.integers(-128, 127))
+    damaged = SparseState.from_arrays(subsets, state.offsets, vectors,
+                                      state.amps)
+    # a K other than the vectors' width marks every label
+    checked_K = data.draw(st.sampled_from([K, K, K, K - 1, K + 1]))
+    assert np.array_equal(
+        _label_violations(damaged, net, k_req, checked_K),
+        _label_violations_reference(damaged, net, k_req, checked_K))
+
+
+def test_label_diagnostics_peak_within_a_few_label_arrays():
+    # the 948,496-label cell past the state build: neither step makes an
+    # (n_labels, K) temporary
+    net, k_req, K = _LARGEST_CELL
+    state = build_embedded(net, k_req, K)
+    label_array = 8 * len(state.amps)
+    peaks = []
+    for step in (lambda: node_win_probs(state, net.caps),
+                 lambda: _label_violations(state, net, k_req, K)):
+        tracemalloc.start()
+        try:
+            step()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(state.amps) == 948496
+    assert peaks[0] <= 4.5 * label_array
+    assert peaks[1] <= 1.5 * label_array
 
 
 def test_largest_verify_cell_builds_and_verifies_in_bounded_memory():
