@@ -60,6 +60,8 @@ EXIT_SHORTAGE = 3
 EXIT_VERIFY = 4
 EXIT_IO = 5
 
+MAX_WORKERS = 256  # a pool forks all its workers at once
+
 _AXIS_KEYS = ("ms", "qs", "demands", "skews", "nodes_per_qlan")
 _PARAM_KEYS = ("t_gen", "t_dist", "t_meas", "t_ctl", "rounds", "beta",
                "max_attempts")
@@ -315,6 +317,7 @@ def _grid_rows(spec: SweepSpec, axes: tuple[str, ...], point_rows,
     tasks = [(point_rows, spec, idx, dict(zip(names, values)))
              for idx, values in enumerate(
                  itertools.product(*(getattr(spec, axis) for axis in axes)))]
+    workers = min(workers, len(tasks))
     if workers > 1:
         # only a pool pays for the import
         from concurrent.futures import ProcessPoolExecutor
@@ -736,7 +739,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "rounds)")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--workers", type=int, default=1,
-                   help="process pool size; output bytes do not depend on it")
+                   help=f"process pool size, at most {MAX_WORKERS} and one "
+                        "per grid point; output bytes do not depend on it")
     p.add_argument("--out", default="-", help="CSV path, - for stdout")
     p.add_argument("--svg", default=None,
                    help="also write a latency-ratio heatmap here")
@@ -817,6 +821,9 @@ def _check_run_flags(args) -> None:
         if getattr(args, flag, 1) < 1:
             raise ValueError(f"--{flag.replace('_', '-')} must be >= 1, "
                              f"got {getattr(args, flag)}")
+    if getattr(args, "workers", 1) > MAX_WORKERS:
+        raise ValueError(f"--workers must be <= {MAX_WORKERS}, "
+                         f"got {args.workers}")
     if getattr(args, "seed", 0) < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if not 0.0 < getattr(args, "alpha", 0.5) < 1.0:

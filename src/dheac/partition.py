@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import ResourceShortageError
+from .errors import InvariantViolationError, ResourceShortageError
 
 
 def _validate_caps(caps) -> tuple[int, ...]:
@@ -43,7 +43,8 @@ def safe_select_k(k_req: int, caps, beta: float = 0.0) -> int:
     """Smallest K such that every K-subset of QLANs can cover the request.
 
     The margin beta inflates the coverage target to ceil((1+beta)*k_req)
-    when total capacity allows it, and falls back to k_req otherwise.
+    when total capacity allows it, and falls back to k_req otherwise (an
+    overflow to infinity, from a huge beta, included).
     Because the minimum over K-subsets of the capacity sum is attained by
     the K smallest caps, K is found by scanning ascending prefix sums.
 
@@ -58,7 +59,8 @@ def safe_select_k(k_req: int, caps, beta: float = 0.0) -> int:
     if total < k_req:
         raise ResourceShortageError(
             f"total capacity {total} cannot cover k_req={k_req}")
-    target = _ceil_stable((1.0 + beta) * k_req)
+    target = (1.0 + beta) * k_req
+    target = _ceil_stable(target) if math.isfinite(target) else k_req
     if target > total:
         target = k_req
     prefix = 0
@@ -66,7 +68,7 @@ def safe_select_k(k_req: int, caps, beta: float = 0.0) -> int:
         prefix += c
         if prefix >= target:
             return count
-    raise AssertionError("unreachable: target is at most sum(caps)")
+    raise InvariantViolationError("unreachable: target is at most sum(caps)")
 
 
 def enum_partitions(k: int, caps) -> tuple[tuple[int, ...], ...]:

@@ -21,14 +21,11 @@ distinct probabilities (a damaged or hand-built state) in the exact
 totals. Labels become tuples only at the edges: the ``amplitudes`` view,
 ``marginal_outer`` and ``measure_many``.
 
-The draws and the exact sums give the numbers a per-label computation
-gives, bit for bit, with less work. A measurement sorts the uniforms
-``rng.choice`` would draw and counts how many fall under each cumulative
-probability: the counts and the generator state are those of
-``rng.choice``. The norm and the per-subset totals equal ``math.fsum``,
-which is correctly rounded: a run of c equal values v adds exactly c * v,
-so a built state, whose branches each hold one value, is summed per
-distinct value instead of per label.
+A measurement of ``draws`` shots is one multinomial over the normalized
+squares. The norm and the per-subset totals equal ``math.fsum``, which is
+correctly rounded: a run of c equal values v adds exactly c * v, so a
+built state, whose branches each hold one value, is summed per distinct
+value instead of per label.
 
 Note the deliberate asymmetry with the sampling chain in ``lottery``: there
 quotas come from deterministic capacity-proportional rounding, here from
@@ -57,7 +54,6 @@ Outcome = tuple[tuple[int, ...], tuple[int, ...]]
 
 MAX_SPARSE_OUTCOMES = 10 ** 6
 NORM_TOL = 1e-12
-_DRAW_CHUNK = 1 << 18  # uniforms _sample_counts holds at once
 _BUILD_ROWS = 1 << 16  # quota vectors build_embedded enumerates at once
 
 
@@ -246,48 +242,14 @@ def measure_many(state: SparseState, rng: np.random.Generator,
 
 def _sample_counts(state: SparseState, rng: np.random.Generator,
                    draws: int) -> np.ndarray:
-    """measure_many without the labels: draws per label row.
-
-    The counts, and the generator state after, are those of
-    ``np.bincount(rng.choice(n, size=draws, p=probs), minlength=n)``.
-    ``choice`` puts uniform u on the first label i with u < cdf[i], one
-    binary search into the cdf per draw. Here the same uniforms, drawn in
-    chunks, are sorted instead, and label i gets #{u < cdf[i]} -
-    #{u < cdf[i - 1]} of them: one ordered pass of the cdf through each
-    chunk. Two label-length arrays are alive at most, the cdf and the
-    running counts, which are differenced in place once the cdf is freed.
-    """
-    if draws < 1:
-        raise ValueError(f"draws must be >= 1, got {draws}")
-    cdf = np.cumsum(_prob_array(state))
-    cdf /= cdf[-1]
-    below = np.zeros(len(cdf), dtype=np.int64)  # uniforms under each cdf[i]
-    for done in range(0, draws, _DRAW_CHUNK):
-        u = rng.random(min(_DRAW_CHUNK, draws - done))
-        u.sort()
-        # cdf slices keep the search result to one chunk, not one label array
-        for lo in range(0, len(cdf), _DRAW_CHUNK):
-            below[lo:lo + _DRAW_CHUNK] += np.searchsorted(
-                u, cdf[lo:lo + _DRAW_CHUNK])
-    del cdf, u
-    # numpy copies the overlapping operand first: this is np.diff's result
-    below[1:] -= below[:-1]
-    return below
-
-
-def _prob_array(state: SparseState) -> np.ndarray:
-    """Normalized amp ** 2 per label row, the vector every draw uses.
-
-    Squares come from Python's float ``**`` (libm pow), one call per run of
-    equal amplitudes: pow and amp * amp differ in the last bit for some
-    values, and pow fixes the sampled stream.
-    """
+    """measure_many without the labels: draws per label row, one
+    multinomial over the normalized amp ** 2."""
+    if not 1 <= draws <= np.iinfo(np.int64).max:
+        raise ValueError(f"draws must lie in [1, 2**63 - 1], got {draws}")
     state.check_normalized()
-    amps = state.amps
-    starts = np.flatnonzero(np.append(True, amps[1:] != amps[:-1]))
-    probs = np.repeat([a ** 2 for a in amps[starts].tolist()],
-                      np.diff(np.append(starts, len(amps))))
-    return probs / probs.sum()
+    probs = np.square(state.amps)
+    probs /= probs.sum()
+    return rng.multinomial(draws, probs)
 
 
 def _exact_sum(values: np.ndarray) -> float:

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 
 import hypothesis.strategies as st
@@ -44,6 +45,7 @@ from dheac.cli import (
 
 TINY_GRID = ["--ms", "4,8", "--qs", "0.05", "--demands", "0.4",
              "--skews", "0,1"]
+ONE_CELL = ["--ms", "4", "--demands", "0.4"]
 
 
 def read_csv(path):
@@ -590,6 +592,91 @@ def test_sweep_rejects_nonpositive_workers(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replaces ProcessPoolExecutor with a stand-in that records its
+    max_workers, starts no process and maps in this one."""
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    return sizes
+
+
+def test_sweep_pool_has_at_most_one_worker_per_grid_point(tmp_path,
+                                                          pool_sizes):
+    args = ["sweep", "--ms", "4,8", "--qs", "0.05", "--demands", "0.4",
+            "--skews", "0", "--mode", "mc", "--trials", "10"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main([*args, "--workers", str(cli.MAX_WORKERS),
+                 "--out", str(a)]) == EXIT_OK
+    assert pool_sizes == [2]
+    assert main([*args, "--workers", "1", "--out", str(b)]) == EXIT_OK
+    assert pool_sizes == [2]
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_rejects_workers_above_the_limit(tmp_path, pool_sizes, capsys):
+    out = tmp_path / "sweep.csv"
+    workers = cli.MAX_WORKERS + 1
+    assert main(["sweep", *ONE_CELL, "--qs", "0.05", "--skews", "0",
+                 "--workers", str(workers), "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        f"error: --workers must be <= {cli.MAX_WORKERS}, got {workers}")
+    assert captured.out == ""
+    assert not out.exists()
+    assert pool_sizes == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", *ONE_CELL, "--qs", "0.05", "--skews", "0", "--mode", "both",
+     "--trials", "10"],
+    ["fairness", *ONE_CELL, "--skews", "0"],
+    ["breakeven", "--ms", "4", "--qs", "0.05"],
+    ["mc", "--caps", "3,3,3,3", "--k-req", "4", "--trials", "5"],
+    ["verify-quantum", "--caps", "3,3,3,3", "--k-req", "4", "--draws", "100"],
+])
+def test_an_overflowing_beta_target_falls_back_to_k_req(argv, capsys):
+    # (1 + 1e308) * k_req is inf; like any target above the total capacity
+    # it falls back to k_req
+    assert main([*argv, "--beta", "1e308"]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_verify_quantum_draw_time_does_not_grow_with_draws(tmp_path):
+    report = tmp_path / "report.json"
+    start = time.perf_counter()
+    assert main(["verify-quantum", "--caps", "3,3,3,3", "--k-req", "4",
+                 "--draws", str(10 ** 12), "--json", str(report)]) == EXIT_OK
+    assert time.perf_counter() - start < 5.0
+    assert json.loads(report.read_text())["draws"] == 10 ** 12
+
+
+def test_verify_quantum_rejects_draws_beyond_int64(capsys):
+    draws = np.iinfo(np.int64).max + 1
+    assert main(["verify-quantum", "--caps", "3,3,3,3", "--k-req", "4",
+                 "--draws", str(draws)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: draws must lie in")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--ms", "4", "--qs", "0.05", "--demands", "0.4",
      "--skews", "0", "--mode", "mc", "--trials", "10"],
@@ -630,8 +717,6 @@ def test_io_error_exit():
     assert main(["breakeven", "--ms", "2", "--qs", "0.05",
                  "--out", "/nonexistent-dir/x.csv"]) == EXIT_IO
 
-
-ONE_CELL = ["--ms", "4", "--demands", "0.4"]
 
 
 @pytest.mark.parametrize("argv, field", [

@@ -42,6 +42,14 @@ def test_inflated_target_falls_back_when_infeasible():
     assert safe_select_k(5, (3, 2), beta=0.1) == 2
 
 
+@given(caps=caps_lists, data=st.data())
+def test_an_overflowing_target_falls_back_like_an_infeasible_one(caps, data):
+    # (1 + 1e308) * k_req is inf for k_req >= 2, and above any total at 1
+    k_req = data.draw(st.integers(1, sum(caps)))
+    assert (safe_select_k(k_req, caps, 1e308)
+            == safe_select_k(k_req, caps, 0.0))
+
+
 def test_inflation_target_is_exact_at_float_dust():
     # 1.1 * 50 evaluates to 55.000000000000007; the target must stay 55
     assert safe_select_k(50, (7, 8, 8, 8, 8, 8, 8, 8), beta=0.1) == 7

@@ -42,7 +42,6 @@ from dheac.qverify import (
     _chisquare,
     _exact_sum,
     _label_violations,
-    _prob_array,
     _sample_counts,
 )
 
@@ -229,17 +228,6 @@ def test_verify_flags_nonuniform_conditional():
     assert report.conditional_max_dev > 1e-3
 
 
-def test_draws_square_amplitudes_with_pow():
-    # x ** 2 (libm pow) and x * x differ in the last bit for this x; the
-    # sampled stream has always used x ** 2
-    x = 0.9503546630566793
-    assert x ** 2 != x * x
-    y = math.sqrt(1 - x ** 2)
-    state = SparseState({((0,), (0,)): x, ((0,), (1,)): y})
-    probs = np.array([x ** 2, y ** 2])
-    assert np.array_equal(_prob_array(state), probs / probs.sum())
-
-
 def test_check_normalized_raises():
     state = SparseState({((0,), (1,)): 0.5})
     with pytest.raises(InvariantViolationError):
@@ -286,33 +274,20 @@ def _one_branch_state(weights) -> SparseState:
                                    np.arange(n).reshape(n, 1), amps)
 
 
-def _assert_counts_equal_choice(state, seed, draws):
-    probs = _prob_array(state)
-    twin, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    expected = np.bincount(twin.choice(len(probs), size=draws, p=probs),
-                           minlength=len(probs))
-    assert np.array_equal(_sample_counts(state, rng, draws), expected)
-    assert rng.random() == twin.random()
-
-
 @settings(max_examples=150, deadline=None)
 @given(weights=st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0])
                         | st.floats(0.0, 10.0), min_size=1, max_size=40)
        .filter(lambda w: sum(w) > 0),
-       draws=st.integers(1, 400), chunk=st.integers(1, 70),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_sample_counts_equal_choice_on_a_twin_generator(weights, draws,
-                                                        chunk, seed):
-    # zero cells anywhere, and draw counts on both sides of the chunk
+       draws=st.integers(1, 10 ** 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_sample_counts_are_one_multinomial_on_a_twin_generator(weights, draws,
+                                                               seed):
+    # zero cells anywhere; the reference squares each label as a * a
     state = _one_branch_state(weights)
-    with mock.patch.object(qverify, "_DRAW_CHUNK", chunk):
-        _assert_counts_equal_choice(state, seed, draws)
-
-
-def test_sample_counts_equal_choice_across_default_chunks():
-    net, k_req, K = _cli_point(8, 0.5, 0.2)
-    _assert_counts_equal_choice(build_embedded(net, k_req, K), 7,
-                                2 * qverify._DRAW_CHUNK + 5)
+    probs = np.array([a * a for a in state.amps.tolist()])
+    twin, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = twin.multinomial(draws, probs / probs.sum())
+    assert np.array_equal(_sample_counts(state, rng, draws), expected)
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 @settings(max_examples=200, deadline=None)
@@ -534,10 +509,11 @@ def test_array_state_equals_dict_reference(net, k_req, K):
     ref = _dict_reference(net, k_req, K)
     assert list(state.amplitudes.items()) == list(ref.items())
     assert state.amplitudes == ref
-    # the draws' probability vector and the uniform-quota fairness, bit for
-    # bit against the per-label computations
-    probs = np.array([a ** 2 for a in ref.values()])
-    assert np.array_equal(_prob_array(state), probs / probs.sum())
+    # the draws and the uniform-quota fairness, bit for bit against the
+    # per-label computations
+    probs = np.array([a * a for a in ref.values()])
+    assert np.array_equal(_sample_counts(state, trial_rng(5), 20000),
+                          trial_rng(5).multinomial(20000, probs / probs.sum()))
     assert np.array_equal(node_win_probs(state, net.caps),
                           _per_label_node_win_probs(ref.items(), net.caps))
     reports = [dataclasses.asdict(verify_state(s, net, k_req, K, 20000,
@@ -695,4 +671,4 @@ def test_sample_counts_holds_at_most_two_label_arrays_and_a_chunk():
     finally:
         tracemalloc.stop()
     assert n == 948496 and counts.sum() == 200000
-    assert peak <= 2.5 * 8 * n + 8 * qverify._DRAW_CHUNK
+    assert peak <= 2.5 * 8 * n
