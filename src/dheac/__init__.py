@@ -20,27 +20,17 @@ from .baselines import BaselineResult, b1_evaluate, b2_evaluate
 from .errors import CapacityError, InvariantViolationError, ResourceShortageError
 from .lottery import (
     BatchStats,
-    TrialOutcome,
     estimate_fairness,
     exact_node_probs,
-    run_trial,
-    sample_inner,
     simulate_batch,
     trial_rng,
 )
 from .netgen import NetworkConfig, Request, demand_to_kreq, generate_network
-from .partition import (
-    count_partitions,
-    enum_partitions,
-    quota_round,
-    safe_select_k,
-)
+from .partition import enum_partitions, quota_round, safe_select_k
 from .qverify import (
     SparseState,
     VerificationReport,
     build_embedded,
-    marginal_outer,
-    measure_many,
     node_win_probs,
     verify_state,
 )
@@ -59,13 +49,11 @@ __all__ = [
     "Request",
     "ResourceShortageError",
     "SparseState",
-    "TrialOutcome",
     "VerificationReport",
     "ancilla_bits",
     "b1_evaluate",
     "b2_evaluate",
     "build_embedded",
-    "count_partitions",
     "demand_to_kreq",
     "ecdf",
     "enum_partitions",
@@ -76,13 +64,9 @@ __all__ = [
     "jain_index",
     "latency_b2",
     "latency_dheac",
-    "marginal_outer",
-    "measure_many",
     "node_win_probs",
     "quota_round",
-    "run_trial",
     "safe_select_k",
-    "sample_inner",
     "simulate_batch",
     "success_b2",
     "success_bounds",

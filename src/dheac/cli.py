@@ -45,7 +45,7 @@ from .lottery import (
 )
 from .netgen import NetworkConfig, Request, demand_to_kreq, generate_network
 from .partition import safe_select_k
-from .qverify import SparseState, build_embedded, verify_state
+from .qverify import MAX_DRAWS, SparseState, build_embedded, verify_state
 
 GRID_MS = (4, 8, 16, 32)
 GRID_QS = (0.01, 0.05, 0.10, 0.15)
@@ -61,6 +61,7 @@ EXIT_VERIFY = 4
 EXIT_IO = 5
 
 MAX_WORKERS = 256  # a pool forks all its workers at once
+MAX_NODES = 2 ** 20  # QLANs, and nodes, of one network; bounds its arrays
 
 _AXIS_KEYS = ("ms", "qs", "demands", "skews", "nodes_per_qlan")
 _PARAM_KEYS = ("t_gen", "t_dist", "t_meas", "t_ctl", "rounds", "beta",
@@ -145,8 +146,17 @@ def _resolve_spec(args, default_ms=GRID_MS,
         axes[key] = tuple(_number(key, v) for v in values)
     scalars = {key: _number(key, merged[key])
                for key in ("nodes_per_qlan",) + _PARAM_KEYS}
+    m = max(axes["ms"])
+    _check_network_size(m, scalars["nodes_per_qlan"] * m)
     return SweepSpec(**axes, nodes_per_qlan=scalars.pop("nodes_per_qlan"),
                      params=ModelParams(**scalars))
+
+
+def _check_network_size(qlans: int, nodes: int) -> None:
+    """Refuse, before it is built, a network too large to hold in memory."""
+    if max(qlans, nodes) > MAX_NODES:
+        raise ValueError(f"a network of {qlans} QLANs and {nodes} nodes "
+                         f"exceeds the limit of {MAX_NODES} of each")
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -230,6 +240,19 @@ def _add_param_flags(parser) -> None:
                         help="over-provisioning margin for the winner count")
     parser.add_argument("--max-attempts", dest="max_attempts", type=int,
                         default=None, help="delivery attempts per pair")
+
+
+def _add_point_flags(parser) -> None:
+    """The network and request of a single-point command; _build_network
+    and _resolve_k_req read them."""
+    parser.add_argument("--m", type=int, default=None)
+    parser.add_argument("--skew", type=float, default=0.0)
+    parser.add_argument("--total", type=int, default=None,
+                        help="total nodes, default 10*m")
+    parser.add_argument("--caps", type=_int_list, default=None,
+                        help="explicit capacities, overrides --m/--total")
+    parser.add_argument("--k-req", dest="k_req", type=int, default=None)
+    parser.add_argument("--demand", type=float, default=None)
 
 
 def _add_axis_flags(parser, with_qs: bool = True,
@@ -552,10 +575,12 @@ def _print_breakeven_summary(spec: SweepSpec, rows: list[dict]) -> None:
 
 def _build_network(args) -> NetworkConfig:
     if args.caps is not None:
+        _check_network_size(len(args.caps), sum(args.caps))
         return NetworkConfig.from_caps(args.caps, skew=args.skew)
     if args.m is None:
         raise ValueError("either --caps or --m is required")
     total = args.total if args.total is not None else NODES_PER_QLAN * args.m
+    _check_network_size(args.m, total)
     return generate_network(args.m, args.skew, total)
 
 
@@ -586,8 +611,8 @@ def _cmd_verify_quantum(args) -> int:
         # test hook: damage one amplitude so every invariant check trips
         amps = state.amps.copy()
         amps[0] *= 1.05
-        state = SparseState.from_arrays(state.subsets, state.offsets,
-                                        state.vectors, amps)
+        state = SparseState(state.subsets, state.offsets, state.vectors,
+                            amps)
     report = verify_state(state, net, k_req, K, args.draws,
                           trial_rng(args.seed), significance=args.alpha)
 
@@ -778,14 +803,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-quantum",
                        help="build the selection state and check its "
                             "marginals, conditionals and feasibility")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--skew", type=float, default=0.0)
-    p.add_argument("--total", type=int, default=None,
-                   help="total nodes, default 10*m")
-    p.add_argument("--caps", type=_int_list, default=None,
-                   help="explicit capacities, overrides --m/--total")
-    p.add_argument("--k-req", dest="k_req", type=int, default=None)
-    p.add_argument("--demand", type=float, default=None)
+    _add_point_flags(p)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--draws", type=int, default=200000)
     p.add_argument("--alpha", type=float, default=0.01,
@@ -796,12 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_quantum)
 
     p = sub.add_parser("mc", help="raw Monte-Carlo trial dump at one point")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--skew", type=float, default=0.0)
-    p.add_argument("--total", type=int, default=None)
-    p.add_argument("--caps", type=_int_list, default=None)
-    p.add_argument("--k-req", dest="k_req", type=int, default=None)
-    p.add_argument("--demand", type=float, default=None)
+    _add_point_flags(p)
     p.add_argument("--q", type=float, default=None)
     _add_param_flags(p)
     p.add_argument("--chi", choices=LATENCY_MODES, default="conservative",
@@ -821,6 +834,8 @@ def _check_run_flags(args) -> None:
         if getattr(args, flag, 1) < 1:
             raise ValueError(f"--{flag.replace('_', '-')} must be >= 1, "
                              f"got {getattr(args, flag)}")
+    if getattr(args, "draws", 1) > MAX_DRAWS:
+        raise ValueError(f"draws must lie in [1, 2**63 - 1], got {args.draws}")
     if getattr(args, "workers", 1) > MAX_WORKERS:
         raise ValueError(f"--workers must be <= {MAX_WORKERS}, "
                          f"got {args.workers}")

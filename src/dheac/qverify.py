@@ -9,9 +9,12 @@ module builds that state explicitly over its (sparse) support, samples
 measurements of it, and checks the structural invariants a faithful
 preparation must satisfy.
 
-A state is a few arrays in sorted label order (see ``SparseState``): the
-winner subsets, one integer row per quota vector, and one amplitude per
-label. Building (one ``partition.split_chunks`` walk), normalization, the
+A state is its four arrays in sorted label order, and
+``SparseState(subsets, offsets, vectors, amps)`` is its one constructor:
+the winner subsets, where each subset's labels start, one integer row per
+quota vector, and one amplitude per label. ``build_embedded``, the CLI's
+``--corrupt`` hook and the tests that damage or hand-build a state all
+call it. Building (one ``partition.split_chunks`` walk), normalization, the
 feasibility checks, marginals and sampling are array arithmetic over
 those rows. Python loops remain only where their count is small: one
 pass per QLAN in ``node_win_probs``, one per vector slot in the
@@ -22,10 +25,12 @@ totals. Labels become tuples only at the edges: the ``amplitudes`` view,
 ``marginal_outer`` and ``measure_many``.
 
 A measurement of ``draws`` shots is one multinomial over the normalized
-squares. The norm and the per-subset totals equal ``math.fsum``, which is
-correctly rounded: a run of c equal values v adds exactly c * v, so a
-built state, whose branches each hold one value, is summed per distinct
-value instead of per label.
+squares, drawn only after the norm has passed: ``verify_state`` takes the
+norm once and samples only if it and the other structural checks hold,
+and ``measure_many`` checks it first. The norm and the per-subset totals
+equal ``math.fsum``, which is correctly rounded: a run of c equal values
+v adds exactly c * v, so a built state, whose branches each hold one
+value, is summed per distinct value instead of per label.
 
 Note the deliberate asymmetry with the sampling chain in ``lottery``: there
 quotas come from deterministic capacity-proportional rounding, here from
@@ -36,7 +41,6 @@ compared directly.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from collections.abc import Mapping
@@ -54,6 +58,7 @@ Outcome = tuple[tuple[int, ...], tuple[int, ...]]
 
 MAX_SPARSE_OUTCOMES = 10 ** 6
 NORM_TOL = 1e-12
+MAX_DRAWS = 2 ** 63 - 1  # rng.multinomial takes an int64 count
 _BUILD_ROWS = 1 << 16  # quota vectors build_embedded enumerates at once
 
 
@@ -72,46 +77,18 @@ class SparseState:
     - ``subsets``: (n_subsets, K) int64, the distinct winner subsets;
     - ``offsets``: (n_subsets + 1,) int64; subset s owns label rows
       ``offsets[s]:offsets[s + 1]`` of the two arrays below;
-    - ``vectors``: (n_labels, width) quota vectors in the smallest signed
-      integer dtype that holds them, ascending within each subset;
+    - ``vectors``: (n_labels, width) signed integer quota vectors,
+      ascending within each subset (``build_embedded`` uses the smallest
+      dtype that holds k_req);
     - ``amps``: (n_labels,) float64 amplitudes.
 
-    ``SparseState(mapping)`` converts a {label: amplitude} mapping once, for
-    hand-built states; its labels must share one subset width and one
-    vector width. ``from_arrays`` takes arrays that already keep the order
-    above. ``amplitudes`` is a read-only mapping view in label order.
+    The constructor checks that ``offsets`` runs from 0 to the label count
+    and marks the arrays read-only; it does not copy them or check their
+    order. ``amplitudes`` is a read-only mapping view in label order.
     """
 
-    def __init__(self, amplitudes: Mapping[Outcome, float]):
-        labels = sorted(amplitudes)
-        widths = sorted({(len(s), len(v)) for s, v in labels})
-        if len(widths) > 1:
-            raise ValueError("labels must share one subset width and one "
-                             f"vector width, got {widths}")
-        k_sub, k_vec = widths[0] if widths else (0, 0)
-        n = len(labels)
-        rows = np.array([s for s, _ in labels],
-                        dtype=np.int64).reshape(n, k_sub)
-        flat = [x for _, v in labels for x in v]
-        dtype = _int_dtype(min(flat, default=0), max(flat, default=0))
-        first = np.ones(n, dtype=bool)
-        first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-        starts = np.flatnonzero(first)
-        self._set(rows[starts], np.append(starts, n),
-                  np.array(flat, dtype=dtype).reshape(n, k_vec),
-                  np.array([amplitudes[label] for label in labels],
-                           dtype=float))
-
-    @classmethod
-    def from_arrays(cls, subsets: np.ndarray, offsets: np.ndarray,
-                    vectors: np.ndarray, amps: np.ndarray) -> SparseState:
-        """Wrap arrays that are already in the class's layout and order;
-        they are marked read-only, not copied."""
-        state = cls.__new__(cls)
-        state._set(subsets, offsets, vectors, amps)
-        return state
-
-    def _set(self, subsets, offsets, vectors, amps) -> None:
+    def __init__(self, subsets: np.ndarray, offsets: np.ndarray,
+                 vectors: np.ndarray, amps: np.ndarray):
         if not (len(offsets) == len(subsets) + 1 and offsets[0] == 0
                 and offsets[-1] == len(vectors) == len(amps)):
             raise ValueError("offsets must run from 0 to the label count, "
@@ -121,30 +98,29 @@ class SparseState:
             arr = np.asarray(arr)
             arr.flags.writeable = False
             setattr(self, name, arr)
-        self._norm_sq = None
 
     @property
     def amplitudes(self) -> Mapping[Outcome, float]:
         return _AmplitudeView(self)
 
     def norm_sq(self) -> float:
-        # amps is read-only, so one exact pass serves every caller
-        if self._norm_sq is None:
-            self._norm_sq = _exact_sum(np.square(self.amps))
-        return self._norm_sq
+        """Sum of the squared amplitudes, equal to ``math.fsum``."""
+        return _exact_sum(np.square(self.amps))
 
-    def check_normalized(self, tol: float = NORM_TOL) -> None:
+    def check_normalized(self) -> None:
         dev = abs(self.norm_sq() - 1.0)
-        if not dev <= tol:  # a NaN deviation fails too
+        if not dev <= NORM_TOL:  # a NaN deviation fails too
             raise InvariantViolationError(
                 f"state norm^2 deviates from 1 by {dev:.3e}")
 
 
 class _AmplitudeView(Mapping):
-    """{label: amplitude} over a SparseState's arrays, in label order."""
+    """{label: amplitude} over a SparseState's arrays, in label order. The
+    first lookup builds a dict of every label."""
 
     def __init__(self, state: SparseState):
         self._state = state
+        self._index = None
 
     def __len__(self) -> int:
         return len(self._state.amps)
@@ -158,25 +134,9 @@ class _AmplitudeView(Mapping):
                 yield subset, tuple(vec)
 
     def __getitem__(self, label: Outcome) -> float:
-        state = self._state
-        try:
-            subset, vec = label
-            s = _find_row(state.subsets, 0, len(state.subsets), tuple(subset))
-            i = _find_row(state.vectors, int(state.offsets[s]),
-                          int(state.offsets[s + 1]), tuple(vec))
-        except (KeyError, TypeError, ValueError):
-            raise KeyError(label) from None
-        return float(state.amps[i])
-
-
-def _find_row(arr: np.ndarray, lo: int, hi: int, key: tuple) -> int:
-    """Index of the row equal to key among the ascending rows lo..hi-1 of
-    arr; KeyError if there is none."""
-    i = lo + bisect.bisect_left(range(lo, hi), key,
-                                key=lambda r: tuple(arr[r].tolist()))
-    if i == hi or tuple(arr[i].tolist()) != key:
-        raise KeyError(key)
-    return i
+        if self._index is None:
+            self._index = dict(zip(self, self._state.amps.tolist()))
+        return self._index[label]
 
 
 def build_embedded(net: NetworkConfig, k_req: int, K: int) -> SparseState:
@@ -230,23 +190,25 @@ def build_embedded(net: NetworkConfig, k_req: int, K: int) -> SparseState:
     del chunks
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     amps = np.repeat(np.sqrt((1.0 / n_subsets) / sizes), sizes)
-    return SparseState.from_arrays(subsets, offsets, vectors, amps)
+    return SparseState(subsets, offsets, vectors, amps)
 
 
 def measure_many(state: SparseState, rng: np.random.Generator,
                  draws: int) -> dict[Outcome, int]:
-    """Draw many outcomes at once; returns counts per label (zeros kept)."""
+    """Draw many outcomes at once; returns counts per label (zeros kept).
+    Raises InvariantViolationError, before drawing, on a state whose norm
+    deviates from 1."""
+    state.check_normalized()
     counts = _sample_counts(state, rng, draws)
     return dict(zip(state.amplitudes, counts.tolist()))
 
 
 def _sample_counts(state: SparseState, rng: np.random.Generator,
                    draws: int) -> np.ndarray:
-    """measure_many without the labels: draws per label row, one
-    multinomial over the normalized amp ** 2."""
-    if not 1 <= draws <= np.iinfo(np.int64).max:
+    """measure_many without the labels or the norm check: draws per label
+    row, one multinomial over the normalized amp ** 2."""
+    if not 1 <= draws <= MAX_DRAWS:
         raise ValueError(f"draws must lie in [1, 2**63 - 1], got {draws}")
-    state.check_normalized()
     probs = np.square(state.amps)
     probs /= probs.sum()
     return rng.multinomial(draws, probs)

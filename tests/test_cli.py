@@ -340,8 +340,8 @@ def test_verify_quantum_nan_amplitude_fails_with_null_statistics(
         state = build(*args)
         amps = state.amps.copy()
         amps[0] = float("nan")
-        return dheac.SparseState.from_arrays(state.subsets, state.offsets,
-                                             state.vectors, amps)
+        return dheac.SparseState(state.subsets, state.offsets, state.vectors,
+                                 amps)
 
     monkeypatch.setattr(cli, "build_embedded", nan_state)
     report = tmp_path / "report.json"
@@ -668,13 +668,71 @@ def test_verify_quantum_draw_time_does_not_grow_with_draws(tmp_path):
     assert json.loads(report.read_text())["draws"] == 10 ** 12
 
 
-def test_verify_quantum_rejects_draws_beyond_int64(capsys):
+def test_verify_quantum_rejects_draws_beyond_int64(capsys, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("the state was built before --draws was checked")
+
+    monkeypatch.setattr(cli, "build_embedded", no_build)
     draws = np.iinfo(np.int64).max + 1
-    assert main(["verify-quantum", "--caps", "3,3,3,3", "--k-req", "4",
-                 "--draws", str(draws)]) == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: draws must lie in")
-    assert captured.out == ""
+    for argv in (["--caps", "3,3,3,3", "--k-req", "4"],
+                 # the 948,496-label cell, which must not be built first
+                 ["--m", "8", "--skew", "1", "--demand", "0.6"],
+                 # a corrupted state samples nothing, so only the flag
+                 # check can refuse it
+                 ["--m", "8", "--skew", "1", "--demand", "0.6", "--corrupt"]):
+        assert main(["verify-quantum", *argv,
+                     "--draws", str(draws)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: draws must lie in")
+        assert captured.out == ""
+
+
+# each names more than MAX_NODES QLANs or nodes
+@pytest.mark.parametrize("argv", [
+    ["fairness", "--ms", "4", "--demands", "0.4", "--skews", "1",
+     "--nodes-per-qlan", "1000000000"],
+    ["sweep", "--ms", "4", "--qs", "0.05", "--demands", "0.4", "--skews",
+     "1", "--nodes-per-qlan", "1000000000", "--mode", "mc", "--trials", "10"],
+    ["breakeven", "--ms", "2000000", "--qs", "0.05", "--nodes-per-qlan", "0"],
+    ["mc", "--m", "4", "--total", "4000000000", "--demand", "0.4",
+     "--trials", "10"],
+    ["mc", "--m", str(2 ** 20 + 1), "--total", "10", "--k-req", "4"],
+    ["verify-quantum", "--m", "4", "--total", "4000000000", "--k-req", "4"],
+    ["verify-quantum", "--m", "200000", "--k-req", "4"],  # 10 * m nodes
+    ["verify-quantum", "--caps", "4000000000,1", "--k-req", "4"],
+])
+def test_oversized_networks_exit_before_they_are_built(argv):
+    # a 3 GiB address space: building any of these networks' per-node
+    # arrays would fail with a traceback, or take far longer than 2 s
+    src = os.path.dirname(os.path.dirname(dheac.__file__))
+    code = ("import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+            "from dheac.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: a network of ")
+    assert f"limit of {cli.MAX_NODES}" in proc.stderr
+    assert proc.stdout == ""
+    assert elapsed < 2.0
+
+
+def test_mc_and_verify_quantum_read_the_same_point_flags():
+    parser = cli.build_parser()
+    point = ["--m", "6", "--skew", "1.5", "--total", "40", "--caps", "2,3",
+             "--k-req", "3", "--demand", "0.5"]
+    keys = ("m", "skew", "total", "caps", "k_req", "demand")
+    for argv in ([], point):
+        mc = vars(parser.parse_args(["mc", *argv]))
+        verify = vars(parser.parse_args(["verify-quantum", *argv]))
+        assert {k: mc[k] for k in keys} == {k: verify[k] for k in keys}
+    assert {k: mc[k] for k in keys} == dict(
+        m=6, skew=1.5, total=40, caps=(2, 3), k_req=3, demand=0.5)
 
 
 @pytest.mark.parametrize("argv", [

@@ -28,8 +28,6 @@ from dheac import (
     generate_network,
     jain_index,
     quota_round,
-    run_trial,
-    sample_inner,
     simulate_batch,
     trial_rng,
 )
@@ -42,6 +40,8 @@ from dheac.lottery import (
     _class_round,
     _delivery_law,
     _quota_round_rows,
+    run_trial,
+    sample_inner,
     sample_rounds,
 )
 from dheac.netgen import demand_to_kreq

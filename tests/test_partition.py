@@ -14,12 +14,11 @@ import hypothesis.strategies as st
 
 from dheac import (
     ResourceShortageError,
-    count_partitions,
     enum_partitions,
     quota_round,
     safe_select_k,
 )
-from dheac.partition import split_chunks
+from dheac.partition import count_partitions, split_chunks
 
 caps_lists = st.lists(st.integers(1, 30), min_size=1, max_size=10)
 

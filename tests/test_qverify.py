@@ -24,18 +24,16 @@ from dheac import (
     NetworkConfig,
     SparseState,
     build_embedded,
-    count_partitions,
     demand_to_kreq,
     enum_partitions,
     generate_network,
-    marginal_outer,
-    measure_many,
     node_win_probs,
     safe_select_k,
     trial_rng,
     verify_state,
 )
 from dheac import qverify
+from dheac.partition import count_partitions
 from dheac.qverify import (
     NORM_TOL,
     _branch_stats,
@@ -43,9 +41,23 @@ from dheac.qverify import (
     _exact_sum,
     _label_violations,
     _sample_counts,
+    marginal_outer,
+    measure_many,
 )
 
 SYM = NetworkConfig.from_caps((3, 3, 3, 3))
+
+
+def _hand_built(amplitudes) -> SparseState:
+    """A state from a {(subset, vector): amplitude} dict whose labels share
+    one subset width and one vector width."""
+    labels = sorted(amplitudes)
+    subsets, sizes = zip(*[(s, len(list(run))) for s, run in
+                           itertools.groupby(labels, key=lambda lab: lab[0])])
+    return SparseState(np.array(subsets, dtype=np.int64),
+                       np.concatenate(([0], np.cumsum(sizes))),
+                       np.array([v for _, v in labels], dtype=np.int64),
+                       np.array([amplitudes[lab] for lab in labels]))
 
 
 def test_embedded_matches_classical_sampler_exactly():
@@ -74,7 +86,7 @@ def test_large_branch_marginal_has_no_summation_drift():
     c = 99999
     net = NetworkConfig.from_caps((c, c))
     amp = math.sqrt(1.0 / (c + 1))
-    state = SparseState({((0, 1), (i, c - i)): amp for i in range(c + 1)})
+    state = _hand_built({((0, 1), (i, c - i)): amp for i in range(c + 1)})
     assert abs(marginal_outer(state)[(0, 1)] - 1.0) <= NORM_TOL
     report = verify_state(state, net, c, 2, 1000, trial_rng(12))
     assert report.marginal_max_dev <= NORM_TOL
@@ -150,7 +162,7 @@ def test_verify_flags_scaled_amplitude():
     damaged = dict(state.amplitudes)
     key = next(iter(damaged))
     damaged[key] *= 1.05
-    report = verify_state(SparseState(damaged), SYM, 4, 2, 1000, trial_rng(9))
+    report = verify_state(_hand_built(damaged), SYM, 4, 2, 1000, trial_rng(9))
     assert not report.passed
     assert report.norm_dev > 1e-12
     assert report.marginal_max_dev > 1e-12
@@ -166,7 +178,7 @@ def test_verify_flags_infeasible_support():
     amp = amplitudes.pop(victim)
     # same subset, quota above capacity, norm preserved
     amplitudes[(victim[0], (4, 0))] = amp
-    report = verify_state(SparseState(amplitudes), SYM, 4, 2, 1000,
+    report = verify_state(_hand_built(amplitudes), SYM, 4, 2, 1000,
                           trial_rng(10))
     assert not report.passed
     assert report.support_violations == 1
@@ -181,7 +193,7 @@ def test_verify_counts_each_kind_of_infeasible_label():
            ((0, 1), (5, -1)),  # negative part, part above its cap
            ((0, 1), (1, 3))]   # feasible, but not the builder's (drawn as is)
     amplitudes.update(dict.fromkeys(bad, 1e-3))
-    report = verify_state(SparseState(amplitudes), SYM, 4, 2, 1000,
+    report = verify_state(_hand_built(amplitudes), SYM, 4, 2, 1000,
                           trial_rng(13))
     assert report.support_violations == 5
     # a width other than K makes every label infeasible
@@ -190,7 +202,7 @@ def test_verify_counts_each_kind_of_infeasible_label():
     assert report.support_violations == 18
     # a negative part that every other check lets through
     net = NetworkConfig.from_caps((6, 6))
-    state = SparseState({((0, 1), (-1, 5)): 0.6, ((0, 1), (2, 2)): 0.8})
+    state = _hand_built({((0, 1), (-1, 5)): 0.6, ((0, 1), (2, 2)): 0.8})
     report = verify_state(state, net, 4, 2, 1000, trial_rng(13))
     assert report.support_violations == 1
 
@@ -201,7 +213,7 @@ def test_verify_flags_missing_subset():
                   if key[0] != (0, 1)}
     norm = math.sqrt(math.fsum(a * a for a in amplitudes.values()))
     amplitudes = {k: a / norm for k, a in amplitudes.items()}
-    report = verify_state(SparseState(amplitudes), SYM, 4, 2, 1000,
+    report = verify_state(_hand_built(amplitudes), SYM, 4, 2, 1000,
                           trial_rng(11))
     assert not report.passed
     assert any("subsets" in f for f in report.failures)
@@ -220,7 +232,7 @@ def test_verify_flags_nonuniform_conditional():
     shift = 0.5 * pb
     amplitudes[a] = math.sqrt(pa + shift)
     amplitudes[b] = math.sqrt(pb - shift)
-    report = verify_state(SparseState(amplitudes), SYM, 4, 2, 1000,
+    report = verify_state(_hand_built(amplitudes), SYM, 4, 2, 1000,
                           trial_rng(12))
     assert not report.passed
     assert report.norm_dev < 1e-12
@@ -229,13 +241,58 @@ def test_verify_flags_nonuniform_conditional():
 
 
 def test_check_normalized_raises():
-    state = SparseState({((0,), (1,)): 0.5})
+    state = _hand_built({((0,), (1,)): 0.5})
     with pytest.raises(InvariantViolationError):
         state.check_normalized()
-    # the norm is taken once per state, and measurement still refuses it
     assert state.norm_sq() == 0.25
+    # measurement refuses it before it draws: the generator has not moved
+    rng = trial_rng(0)
     with pytest.raises(InvariantViolationError):
-        measure_many(state, trial_rng(0), 10)
+        measure_many(state, rng, 10)
+    assert rng.random() == trial_rng(0).random()
+
+
+def test_the_constructor_wraps_its_arrays_read_only():
+    arrays = (np.array([[0, 1]]), np.array([0, 2]),
+              np.array([[1, 3], [2, 2]], dtype=np.int8), np.array([0.6, 0.8]))
+    state = SparseState(*arrays)
+    for name, arr in zip(("subsets", "offsets", "vectors", "amps"), arrays):
+        assert getattr(state, name) is arr  # not copied
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        state.amps[0] = 1.0
+    subsets, offsets, vectors, amps = (a.copy() for a in arrays)
+    for bad in ([0, 1], [1, 2], [0, 2, 2], [0, 3]):
+        with pytest.raises(ValueError, match="offsets must run"):
+            SparseState(subsets, np.array(bad), vectors, amps)
+    with pytest.raises(ValueError, match="offsets must run"):
+        SparseState(subsets, offsets, vectors, amps[:1])
+
+
+def test_amplitude_view_is_the_arrays_in_label_order():
+    state = build_embedded(SYM, 4, 2)
+    view = state.amplitudes
+    assert len(view) == 18
+    labels = list(view)
+    assert labels == sorted(labels) and len(set(labels)) == 18
+    assert [view[label] for label in labels] == state.amps.tolist()
+    assert ((0, 1), (2, 2)) in view
+    for missing in (((0, 1), (4, 0)), ((0, 1, 2), (2, 2, 0)), "label"):
+        assert missing not in view
+        with pytest.raises(KeyError):
+            view[missing]
+
+
+def test_sample_counts_leave_the_norm_check_to_their_callers():
+    # verify_state draws only after its own norm check, so the draw makes
+    # no second pass: a scaled state draws what the normalized one does
+    state = _one_branch_state([1.0, 3.0, 0.5])
+    scaled = SparseState(state.subsets, state.offsets, state.vectors,
+                         2 * state.amps)
+    with pytest.raises(InvariantViolationError):
+        scaled.check_normalized()
+    assert np.array_equal(_sample_counts(scaled, trial_rng(2), 1000),
+                          _sample_counts(state, trial_rng(2), 1000))
 
 
 def test_verify_takes_one_full_norm_pass(monkeypatch):
@@ -269,9 +326,8 @@ def test_verify_takes_one_full_norm_pass(monkeypatch):
 def _one_branch_state(weights) -> SparseState:
     n = len(weights)
     amps = np.sqrt(np.asarray(weights, dtype=float) / math.fsum(weights))
-    return SparseState.from_arrays(np.zeros((1, 1), dtype=np.int64),
-                                   np.array([0, n]),
-                                   np.arange(n).reshape(n, 1), amps)
+    return SparseState(np.zeros((1, 1), dtype=np.int64), np.array([0, n]),
+                       np.arange(n).reshape(n, 1), amps)
 
 
 @settings(max_examples=150, deadline=None)
@@ -338,7 +394,7 @@ def test_branch_totals_equal_fsum_per_branch(branches):
     amps = np.concatenate([np.repeat([a for a, _ in runs],
                                      [c for _, c in runs])
                            for runs in branches] + [np.zeros(0)])
-    state = SparseState.from_arrays(
+    state = SparseState(
         np.arange(len(branches)).reshape(-1, 1),
         np.concatenate(([0], np.cumsum(sizes))),
         np.zeros((len(amps), 1), dtype=np.int8), amps)
@@ -354,8 +410,7 @@ def test_non_finite_amplitude_fails_structurally(bad):
     state = build_embedded(SYM, 4, 2)
     amps = state.amps.copy()
     amps[3] = bad
-    state = SparseState.from_arrays(state.subsets, state.offsets,
-                                    state.vectors, amps)
+    state = SparseState(state.subsets, state.offsets, state.vectors, amps)
     rng = trial_rng(5)
     with np.errstate(invalid="ignore"):
         report = verify_state(state, SYM, 4, 2, 1000, rng)
@@ -518,7 +573,7 @@ def test_array_state_equals_dict_reference(net, k_req, K):
                           _per_label_node_win_probs(ref.items(), net.caps))
     reports = [dataclasses.asdict(verify_state(s, net, k_req, K, 20000,
                                                trial_rng(3)))
-               for s in (state, SparseState(ref))]
+               for s in (state, _hand_built(ref))]
     assert reports[0] == reports[1]
     assert reports[0]["failures"] == []
 
@@ -528,7 +583,7 @@ def _mixed_amplitudes() -> SparseState:
     amplitudes."""
     labels = list(_dict_reference(SYM, 4, 2))
     weights = [1 + i % 5 for i in range(len(labels))]
-    return SparseState({label: math.sqrt(w / math.fsum(weights))
+    return _hand_built({label: math.sqrt(w / math.fsum(weights))
                         for label, w in zip(labels, weights)})
 
 
@@ -539,7 +594,7 @@ def _qlan_2_in_no_subset() -> SparseState:
     caps = (2, 3, 5, 1)
     labels = [(subset, vec) for subset in ((0, 1), (1, 3))
               for vec in enum_partitions(3, tuple(caps[i] for i in subset))]
-    return SparseState(dict.fromkeys(labels, math.sqrt(1 / len(labels))))
+    return _hand_built(dict.fromkeys(labels, math.sqrt(1 / len(labels))))
 
 
 _LARGEST_CELL = _cli_point(8, 1.0, 0.6)  # one subset, 948,496 labels
@@ -582,7 +637,7 @@ def _label_violations_reference(state, net, k_req, K):
        dtype=st.sampled_from([np.int8, np.int16, np.int64]))
 def test_label_violations_equal_a_per_label_reference(data, caps, k_req,
                                                       dtype):
-    # built states damaged through from_arrays; caps above 127 bound no
+    # built states damaged through the constructor; caps above 127 bound no
     # int8 entry
     assume(sum(caps) >= k_req)
     net = NetworkConfig.from_caps(caps)
@@ -600,8 +655,7 @@ def test_label_violations_equal_a_per_label_reference(data, caps, k_req,
         vectors[data.draw(st.integers(0, len(vectors) - 1)),
                 data.draw(st.integers(0, K - 1))] = data.draw(
                     st.integers(-3, 10) | st.integers(-128, 127))
-    damaged = SparseState.from_arrays(subsets, state.offsets, vectors,
-                                      state.amps)
+    damaged = SparseState(subsets, state.offsets, vectors, state.amps)
     # a K other than the vectors' width marks every label
     checked_K = data.draw(st.sampled_from([K, K, K, K - 1, K + 1]))
     assert np.array_equal(

@@ -1,8 +1,10 @@
-"""Rules the package source keeps, read from its syntax trees.
+"""Rules the package source keeps, read from its syntax trees and its
+export list.
 
 Runtime invariants raise InvariantViolationError: an ``assert`` statement
 vanishes under ``python -O``, and a bare AssertionError bypasses the CLI's
-exit-code mapping.
+exit-code mapping. ``dheac.__all__`` is a ratchet: it may shrink, but not
+grow past MAX_EXPORTS.
 """
 
 import ast
@@ -11,6 +13,7 @@ import pathlib
 import dheac
 
 SOURCES = sorted(pathlib.Path(dheac.__file__).parent.glob("*.py"))
+MAX_EXPORTS = 35
 
 
 def _assertion_sites(tree: ast.AST) -> list[int]:
@@ -38,3 +41,11 @@ def test_package_source_has_no_assert_and_raises_no_assertion_error():
     found = {path.name: sites for path in SOURCES
              if (sites := _assertion_sites(ast.parse(path.read_text())))}
     assert found == {}
+
+
+def test_exports_are_sorted_unique_bound_and_within_the_ratchet():
+    names = dheac.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(dheac, name)] == []
+    assert len(names) <= MAX_EXPORTS
