@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .partition import quota_round, safe_select_k
 
 LATENCY_MODES = ("optimistic", "conservative")
+# counts are multiplied into float times, so each must be exact as a float
+MAX_COUNT = 2 ** 53
 
 
 @dataclass(frozen=True)
@@ -49,20 +51,19 @@ class ModelParams:
     def __post_init__(self):
         if not 0.0 <= self.q < 1.0:
             raise ValueError(f"q must lie in [0, 1), got {self.q}")
-        for name in ("max_attempts", "rounds"):
+        for name, low in (("max_attempts", 1), ("rounds", 0)):
             value = getattr(self, name)
             # bool is an int subclass, but True is no count
             if (isinstance(value, bool)
                     or not isinstance(value, numbers.Integral)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
+            if not low <= value <= MAX_COUNT:
+                raise ValueError(
+                    f"{name} must lie in [{low}, 2**53], got {value}")
         for name in ("t_gen", "t_dist", "t_meas", "t_ctl", "beta"):
             value = getattr(self, name)
             if not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if self.rounds < 0:
-            raise ValueError(f"rounds must be >= 0, got {self.rounds}")
 
     @property
     def unit_success(self) -> float:
@@ -73,9 +74,6 @@ class ModelParams:
     def expected_attempts(self) -> float:
         """Mean attempts consumed per pair, counting the failed run-out."""
         return (1.0 - self.q ** self.max_attempts) / (1.0 - self.q)
-
-    def with_q(self, q: float) -> "ModelParams":
-        return replace(self, q=q)
 
 
 @dataclass(frozen=True)
@@ -169,9 +167,14 @@ def latency_b2(m: int, k_max: int, params: ModelParams) -> float:
 
 
 def throughput(p_success: float, latency: float) -> float:
-    """Granted requests per ms: success probability over expected latency."""
-    if latency <= 0:
-        raise ValueError(f"latency must be > 0, got {latency}")
+    """Granted requests per ms: success probability over expected latency.
+
+    A latency that overflowed a float is refused: its throughput is no
+    measurement, and a ratio over it would divide by zero.
+    """
+    if not 0 < latency < math.inf:
+        raise ValueError(f"latency must be finite and > 0, got {latency:g} "
+                         "ms; lower the time constants")
     if not 0.0 <= p_success <= 1.0:
         raise ValueError(f"p_success must lie in [0, 1], got {p_success}")
     return p_success / latency

@@ -63,10 +63,21 @@ EXIT_IO = 5
 MAX_WORKERS = 256  # a pool forks all its workers at once
 MAX_NODES = 2 ** 20  # QLANs, and nodes, of one network; bounds its arrays
 
-_AXIS_KEYS = ("ms", "qs", "demands", "skews", "nodes_per_qlan")
+# each grid command's axis flags, in the order of its '#' axes comment;
+# breakeven has one skew and writes its rows q-major
+SWEEP_AXES = ("ms", "qs", "demands", "skews")
+FAIRNESS_AXES = ("ms", "demands", "skews")
+BREAKEVEN_AXES = ("skew", "ms", "qs", "demands")
+BREAKEVEN_ROWS = ("qs", "demands", "skew", "ms")
+
 _PARAM_KEYS = ("t_gen", "t_dist", "t_meas", "t_ctl", "rounds", "beta",
                "max_attempts")
 _INT_KEYS = ("ms", "nodes_per_qlan", "rounds", "max_attempts")
+_MODEL_DEFAULTS = {f.name: f.default for f in fields(ModelParams)}
+# every key a --grid file may set, with its default
+_GRID_DEFAULTS = dict(ms=GRID_MS, qs=GRID_QS, demands=GRID_DEMANDS,
+                      skews=GRID_SKEWS, nodes_per_qlan=NODES_PER_QLAN,
+                      **{key: _MODEL_DEFAULTS[key] for key in _PARAM_KEYS})
 
 _FIGURE_MAP = """\
 figure-data recipes:
@@ -101,10 +112,10 @@ def _load_grid_file(path: str) -> dict:
         raise ValueError(f"grid file not found: {path}") from None
     if not isinstance(data, dict):
         raise ValueError(f"grid file {path} must hold a JSON object")
-    known = set(_AXIS_KEYS) | set(_PARAM_KEYS)
-    unknown = sorted(set(data) - known)
+    unknown = sorted(set(data) - set(_GRID_DEFAULTS))
     if unknown:
-        raise ValueError(f"unknown grid keys {unknown}; known: {sorted(known)}")
+        raise ValueError(f"unknown grid keys {unknown}; "
+                         f"known: {sorted(_GRID_DEFAULTS)}")
     return data
 
 
@@ -122,20 +133,21 @@ def _number(key: str, value):
         raise ValueError(f"{key} holds {value!r}, out of range") from None
 
 
-def _resolve_spec(args, default_ms=GRID_MS,
-                  default_demands=GRID_DEMANDS) -> SweepSpec:
-    """Defaults, then --grid JSON, then explicit flags, last one wins."""
-    merged: dict = {"ms": default_ms, "qs": GRID_QS,
-                    "demands": default_demands, "skews": GRID_SKEWS,
-                    "nodes_per_qlan": NODES_PER_QLAN}
-    merged.update({f.name: f.default for f in fields(ModelParams)
-                   if f.name in _PARAM_KEYS})
+def _merged(args, defaults: dict) -> dict:
+    """defaults, then the --grid file, then the flags given: the last wins."""
+    merged = dict(defaults)
     if getattr(args, "grid", None):
         merged.update(_load_grid_file(args.grid))
-    for key in _AXIS_KEYS + _PARAM_KEYS:
+    for key in merged:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
+    return merged
+
+
+def _resolve_spec(args, **defaults) -> SweepSpec:
+    """The grid of a grid command, ``defaults`` over _GRID_DEFAULTS."""
+    merged = _merged(args, _GRID_DEFAULTS | defaults)
     axes = {}
     for key in ("ms", "qs", "demands", "skews"):
         values = merged[key]
@@ -219,32 +231,49 @@ def _param_comment(params: ModelParams) -> str:
             f"max_attempts={params.max_attempts}")
 
 
-def _axes_comment(spec: SweepSpec) -> str:
-    return (f"ms={_fmt_seq(spec.ms)} qs={_fmt_seq(spec.qs)} "
-            f"demands={_fmt_seq(spec.demands)} skews={_fmt_seq(spec.skews)} "
-            f"nodes_per_qlan={spec.nodes_per_qlan}")
+# axis flag -> its add_argument keywords; the SweepSpec field is its dest.
+# breakeven's one skew defaults to 1, so a --grid file's skews never reach it
+_AXIS_FLAGS = {
+    "ms": dict(dest="ms", type=_int_list, help="comma list of QLAN counts"),
+    "qs": dict(dest="qs", type=_float_list,
+               help="comma list of loss probabilities"),
+    "demands": dict(dest="demands", type=_float_list,
+                    help="comma list of demand fractions"),
+    "skews": dict(dest="skews", type=_float_list,
+                  help="comma list of capacity skew exponents"),
+    "skew": dict(dest="skews", type=float, nargs=1, default=(1.0,),
+                 metavar="SKEW", help="capacity skew exponent"),
+}
 
 
-def _add_param_flags(parser) -> None:
-    parser.add_argument("--t-gen", dest="t_gen", type=float, default=None,
-                        help="state generation time, ms")
-    parser.add_argument("--t-dist", dest="t_dist", type=float, default=None,
-                        help="per-attempt distribution time, ms")
-    parser.add_argument("--t-meas", dest="t_meas", type=float, default=None,
-                        help="measurement time, ms")
-    parser.add_argument("--t-ctl", dest="t_ctl", type=float, default=None,
-                        help="per-QLAN control message time, ms")
-    parser.add_argument("--rounds", type=int, default=None,
-                        help="arbitration rounds charged to the baseline")
-    parser.add_argument("--beta", type=float, default=None,
-                        help="over-provisioning margin for the winner count")
-    parser.add_argument("--max-attempts", dest="max_attempts", type=int,
-                        default=None, help="delivery attempts per pair")
+def _axes_comment(spec: SweepSpec, axes: tuple[str, ...]) -> str:
+    cells = [f"{flag}={_fmt_seq(getattr(spec, _AXIS_FLAGS[flag]['dest']))}"
+             for flag in axes]
+    return " ".join(cells + [f"nodes_per_qlan={spec.nodes_per_qlan}"])
+
+
+# ModelParams field -> (type, help); each command names the fields it reads
+_MODEL_FLAGS = {
+    "q": (float, "per-attempt loss probability"),
+    "t_gen": (float, "state generation time, ms"),
+    "t_dist": (float, "per-attempt distribution time, ms"),
+    "t_meas": (float, "measurement time, ms"),
+    "t_ctl": (float, "per-QLAN control message time, ms"),
+    "rounds": (int, "arbitration rounds charged to the baseline"),
+    "beta": (float, "over-provisioning margin for the winner count"),
+    "max_attempts": (int, "delivery attempts per pair"),
+}
+
+
+def _add_model_flags(parser, keys: tuple[str, ...]) -> None:
+    for key in keys:
+        kind, text = _MODEL_FLAGS[key]
+        parser.add_argument("--" + key.replace("_", "-"), dest=key,
+                            type=kind, default=None, help=text)
 
 
 def _add_point_flags(parser) -> None:
-    """The network and request of a single-point command; _build_network
-    and _resolve_k_req read them."""
+    """The network and request flags of a single-point command."""
     parser.add_argument("--m", type=int, default=None)
     parser.add_argument("--skew", type=float, default=0.0)
     parser.add_argument("--total", type=int, default=None,
@@ -255,20 +284,11 @@ def _add_point_flags(parser) -> None:
     parser.add_argument("--demand", type=float, default=None)
 
 
-def _add_axis_flags(parser, with_qs: bool = True,
-                    with_skews: bool = True) -> None:
+def _add_grid_flags(parser, axes: tuple[str, ...]) -> None:
     parser.add_argument("--grid", default=None,
                         help="JSON file with grid axes and constants")
-    parser.add_argument("--ms", type=_int_list, default=None,
-                        help="comma list of QLAN counts")
-    if with_qs:
-        parser.add_argument("--qs", type=_float_list, default=None,
-                            help="comma list of loss probabilities")
-    parser.add_argument("--demands", type=_float_list, default=None,
-                        help="comma list of demand fractions")
-    if with_skews:
-        parser.add_argument("--skews", type=_float_list, default=None,
-                            help="comma list of capacity skew exponents")
+    for flag in axes:
+        parser.add_argument("--" + flag, **_AXIS_FLAGS[flag])
     parser.add_argument("--nodes-per-qlan", dest="nodes_per_qlan", type=int,
                         default=None, help="total nodes = this * m")
 
@@ -323,23 +343,22 @@ def _analytic_row(rec) -> dict:
     )
 
 
-_AXIS_NAMES = {"ms": "m", "qs": "q", "demands": "demand", "skews": "skew"}
-
-
 def _grid_rows(spec: SweepSpec, axes: tuple[str, ...], point_rows,
                workers: int = 1) -> list[dict]:
-    """Rows of every grid point, points in the order of ``axes`` (outermost
-    first), each point's rows in the order ``point_rows`` returns them.
+    """Rows of every grid point, in the order of the axis flags ``axes``
+    (outermost first), each point's rows as ``point_rows`` returns them.
 
     ``point_rows(idx, point, net, params)`` gets the point's index, its
     context (axis values, total, k_req, status), its network and the model
     constants at its q; the context is merged under each row it returns.
     It must be picklable (module level or a partial of one) when workers > 1.
     """
-    names = [_AXIS_NAMES[axis] for axis in axes]
+    # a point keys each axis value by its flag in the singular: m, q, ...
+    names = [flag.removesuffix("s") for flag in axes]
+    grid = itertools.product(*(getattr(spec, _AXIS_FLAGS[flag]["dest"])
+                               for flag in axes))
     tasks = [(point_rows, spec, idx, dict(zip(names, values)))
-             for idx, values in enumerate(
-                 itertools.product(*(getattr(spec, axis) for axis in axes)))]
+             for idx, values in enumerate(grid)]
     workers = min(workers, len(tasks))
     if workers > 1:
         # only a pool pays for the import
@@ -363,7 +382,7 @@ def _grid_point(task) -> list[dict]:
     net = generate_network(m, point["skew"], spec.nodes_per_qlan * m)
     point.update(status="ok", total=net.total,
                  k_req=demand_to_kreq(point["demand"], net.total))
-    params = spec.params.with_q(point["q"]) if "q" in point else spec.params
+    params = replace(spec.params, q=point.get("q", spec.params.q))
     return [point | row for row in point_rows(idx, point, net, params)]
 
 
@@ -391,14 +410,14 @@ def _sweep_rows(mode, chi, trials, seed, idx, point, net, params):
 
 def _cmd_sweep(args) -> int:
     spec = _resolve_spec(args)
-    rows = _grid_rows(spec, ("ms", "qs", "demands", "skews"),
+    rows = _grid_rows(spec, SWEEP_AXES,
                       partial(_sweep_rows, args.mode, args.chi, args.trials,
                               args.seed),
                       workers=args.workers)
     comments = [f"dheac {__version__} sweep",
                 f"mode={args.mode} chi={args.chi} seed={args.seed} "
                 f"trials={args.trials}",
-                _axes_comment(spec), _param_comment(spec.params),
+                _axes_comment(spec, SWEEP_AXES), _param_comment(spec.params),
                 "times in ms, thr in grants per ms"]
     names = _sweep_fieldnames(args.mode, args.chi)
     _write_csv(args.out, comments, names, _dict_lines(names, rows))
@@ -498,14 +517,12 @@ def _cmd_fairness(args) -> int:
     if args.trials < 10 ** 4:
         print(f"warning: {args.trials} trials is below the recommended 10^4",
               file=sys.stderr)
-    rows = _grid_rows(spec, ("ms", "demands", "skews"),
-                      partial(_fairness_rows, args))
+    rows = _grid_rows(spec, FAIRNESS_AXES, partial(_fairness_rows, args))
     comments = [
         f"dheac {__version__} fairness",
         f"method={args.method} seed={args.seed} trials={args.trials} "
         f"max_subsets={args.max_subsets}",
-        f"ms={_fmt_seq(spec.ms)} demands={_fmt_seq(spec.demands)} "
-        f"skews={_fmt_seq(spec.skews)} nodes_per_qlan={spec.nodes_per_qlan}",
+        _axes_comment(spec, FAIRNESS_AXES),
         _param_comment(spec.params),
         "win probabilities per request, loss-free lottery chain",
     ]
@@ -539,14 +556,10 @@ def _breakeven_rows(idx, point, net, params):
 
 
 def _cmd_breakeven(args) -> int:
-    spec = replace(_resolve_spec(args, default_ms=BREAKEVEN_MS,
-                                 default_demands=(0.40,)),
-                   skews=(args.skew,))
-    rows = _grid_rows(spec, ("qs", "demands", "skews", "ms"), _breakeven_rows)
+    spec = _resolve_spec(args, ms=BREAKEVEN_MS, demands=(0.40,))
+    rows = _grid_rows(spec, BREAKEVEN_ROWS, _breakeven_rows)
     comments = [f"dheac {__version__} breakeven",
-                f"skew={args.skew:g} ms={_fmt_seq(spec.ms)} "
-                f"qs={_fmt_seq(spec.qs)} demands={_fmt_seq(spec.demands)} "
-                f"nodes_per_qlan={spec.nodes_per_qlan}",
+                _axes_comment(spec, BREAKEVEN_AXES),
                 _param_comment(spec.params),
                 "ratio_thr_* = baseline throughput / lottery throughput; "
                 "values < 1 favour the lottery"]
@@ -573,38 +586,26 @@ def _print_breakeven_summary(spec: SweepSpec, rows: list[dict]) -> None:
             print(f"q={q:g} demand={demand:g}  " + "; ".join(parts))
 
 
-def _build_network(args) -> NetworkConfig:
+def _point_inputs(args) -> tuple[NetworkConfig, int, ModelParams]:
+    """The network, k_req and model constants of a single-point command."""
     if args.caps is not None:
         _check_network_size(len(args.caps), sum(args.caps))
-        return NetworkConfig.from_caps(args.caps, skew=args.skew)
-    if args.m is None:
+        net = NetworkConfig.from_caps(args.caps, skew=args.skew)
+    elif args.m is None:
         raise ValueError("either --caps or --m is required")
-    total = args.total if args.total is not None else NODES_PER_QLAN * args.m
-    _check_network_size(args.m, total)
-    return generate_network(args.m, args.skew, total)
-
-
-def _resolve_k_req(args, net: NetworkConfig) -> int:
+    else:
+        total = NODES_PER_QLAN * args.m if args.total is None else args.total
+        _check_network_size(args.m, total)
+        net = generate_network(args.m, args.skew, total)
     if (args.k_req is None) == (args.demand is None):
         raise ValueError("exactly one of --k-req and --demand is required")
-    if args.k_req is not None:
-        return args.k_req
-    return demand_to_kreq(args.demand, net.total)
-
-
-def _single_point_params(args) -> ModelParams:
-    params = ModelParams()
-    updates = {key: getattr(args, key) for key in _PARAM_KEYS
-               if getattr(args, key, None) is not None}
-    if getattr(args, "q", None) is not None:
-        updates["q"] = args.q
-    return replace(params, **updates)
+    k_req = (args.k_req if args.k_req is not None
+             else demand_to_kreq(args.demand, net.total))
+    return net, k_req, ModelParams(**_merged(args, _MODEL_DEFAULTS))
 
 
 def _cmd_verify_quantum(args) -> int:
-    net = _build_network(args)
-    k_req = _resolve_k_req(args, net)
-    params = _single_point_params(args)
+    net, k_req, params = _point_inputs(args)
     K = safe_select_k(k_req, net.caps, params.beta)
     state = build_embedded(net, k_req, K)
     if args.corrupt:
@@ -678,9 +679,7 @@ def _cmd_mc(args) -> int:
     go through _mc_line's template into one string, so text is never held
     for more than one block.
     """
-    net = _build_network(args)
-    k_req = _resolve_k_req(args, net)
-    params = _single_point_params(args)
+    net, k_req, params = _point_inputs(args)
     req = Request(k_req)
     rec = evaluate_point(net.caps, k_req, params)
 
@@ -753,8 +752,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="closed-form (and optional MC) metrics "
                                      "over the evaluation grid")
-    _add_axis_flags(p)
-    _add_param_flags(p)
+    _add_grid_flags(p, SWEEP_AXES)
+    _add_model_flags(p, _PARAM_KEYS)
     p.add_argument("--mode", choices=("analytic", "mc", "both"),
                    default="analytic")
     p.add_argument("--chi", choices=LATENCY_MODES + ("both",), default="both",
@@ -773,8 +772,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fairness", help="per-node win probabilities and "
                                         "Jain index across the grid")
-    _add_axis_flags(p, with_qs=False)
-    _add_param_flags(p)
+    _add_grid_flags(p, FAIRNESS_AXES)
+    _add_model_flags(p, ("beta",))
     p.add_argument("--method", choices=("auto", "exact", "mc"),
                    default="auto",
                    help="exact enumeration over capacity classes, "
@@ -792,9 +791,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fairness)
 
     p = sub.add_parser("breakeven", help="throughput ratio map over (m, q)")
-    _add_axis_flags(p, with_skews=False)
-    _add_param_flags(p)
-    p.add_argument("--skew", type=float, default=1.0)
+    _add_grid_flags(p, BREAKEVEN_AXES)
+    _add_model_flags(p, _PARAM_KEYS)
     p.add_argument("--out", default="-")
     p.add_argument("--svg", default=None,
                    help="also write a throughput-ratio heatmap here")
@@ -804,7 +802,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="build the selection state and check its "
                             "marginals, conditionals and feasibility")
     _add_point_flags(p)
-    p.add_argument("--beta", type=float, default=None)
+    _add_model_flags(p, ("beta",))
     p.add_argument("--draws", type=int, default=200000)
     p.add_argument("--alpha", type=float, default=0.01,
                    help="significance for the uniformity tests")
@@ -815,8 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc", help="raw Monte-Carlo trial dump at one point")
     _add_point_flags(p)
-    p.add_argument("--q", type=float, default=None)
-    _add_param_flags(p)
+    _add_model_flags(p, ("q",) + _PARAM_KEYS)
     p.add_argument("--chi", choices=LATENCY_MODES, default="conservative",
                    help="outer-payload accounting for this dump")
     p.add_argument("--trials", type=int, default=10000)

@@ -311,7 +311,8 @@ def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
     share the quota blocks. Blocks fit a fixed memory budget, so peak
     memory does not grow with m. The arguments are checked before anything
     is drawn: raises CapacityError when one trial's outcome table alone
-    exceeds that budget.
+    exceeds that budget, and ValueError when the largest latency a round
+    can take, summed or squared over the trials, would overflow a float.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -323,6 +324,13 @@ def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
     caps = np.asarray(net.caps, dtype=np.int64)
     pvals, cost = _delivery_law(params.q, M)
     base = params.t_gen + params.t_meas
+    # every qubit of a round spends all M attempts; lat below is computed
+    # the same way, and batch_stats sums latencies and their squares
+    worst = ((base + params.t_dist * (M * (m + ell)))
+             + (base + params.t_dist * (M * req.k_req)))
+    if not math.isfinite(worst * trials * worst * trials):
+        raise ValueError(f"latencies up to {worst:g} ms over {trials} trials "
+                         "overflow a float; lower the time constants")
 
     def blocks_of_rounds():
         for arrangement, quotas in _arranged_quotas(

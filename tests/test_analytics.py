@@ -58,10 +58,15 @@ def test_params_validation():
         ModelParams(t_dist=-1.0)
 
 
-def test_with_q_replaces_only_q():
-    p = REF.with_q(0.15)
-    assert p.q == 0.15
-    assert p.t_gen == REF.t_gen and p.beta == REF.beta
+def test_counts_beyond_2_53_are_refused():
+    # latency_b2 multiplies rounds into a float time; beyond 2**53 a count
+    # is no longer exact as a float, and past 1e308 it cannot convert at all
+    assert ModelParams(rounds=2 ** 53, max_attempts=2 ** 53).rounds == 2 ** 53
+    for name, low in (("rounds", 0), ("max_attempts", 1)):
+        for bad in (low - 1, 2 ** 53 + 1, 10 ** 308, 10 ** 309):
+            with pytest.raises(ValueError,
+                               match=rf"{name} must lie in \[{low}, 2\*\*53\]"):
+                ModelParams(**{name: bad})
 
 
 def test_reference_success_bounds():
@@ -117,10 +122,18 @@ def test_baseline_latency_linear_in_m(m, k_max, q):
 
 def test_throughput_is_rate():
     assert throughput(0.988071, 6.30) == pytest.approx(0.988071 / 6.30)
-    with pytest.raises(ValueError):
-        throughput(0.5, 0.0)
+    for latency in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="latency must be finite"):
+            throughput(0.5, latency)
     with pytest.raises(ValueError):
         throughput(1.5, 1.0)
+
+
+def test_an_overflowing_latency_is_refused_not_divided_by():
+    # 2 * (t_gen + t_meas) is inf; its throughput would be 0, and the
+    # CLI's ratios divide by it
+    with pytest.raises(ValueError, match="latency must be finite"):
+        evaluate_point((10, 10, 10, 10), 4, ModelParams(t_gen=1e308))
 
 
 def test_jain_reference_values():

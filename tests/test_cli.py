@@ -510,9 +510,8 @@ def _reference_dump_rows(argv) -> str:
     """Header and rows of an mc dump, one csv.writer row of _fmt cells per
     round, read straight off the round kernel."""
     args = cli.build_parser().parse_args(argv)
-    net = cli._build_network(args)
-    params = cli._single_point_params(args)
-    req = Request(cli._resolve_k_req(args, net))
+    net, k_req, params = cli._point_inputs(args)
+    req = Request(k_req)
     acct = LATENCY_MODES.index(args.chi)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

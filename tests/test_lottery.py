@@ -169,6 +169,21 @@ def test_kernel_refuses_a_max_attempts_beyond_the_block_budget():
     assert _block_rows(32, 32, 3) == lottery._BLOCK
 
 
+def test_kernel_refuses_latencies_that_overflow_over_the_trials():
+    # each round's latency is finite, but batch_stats squares and sums them
+    params = ModelParams(q=0.05, t_dist=1e300)
+    rng = trial_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="latencies up to .* over 5 trials"):
+        sample_rounds(SYM, Request(4), params, 5, rng)
+    assert rng.bit_generator.state == state
+    # the largest latency of these constants, squared over 10^4 trials,
+    # is far from overflow
+    rounds = sample_rounds(SYM, Request(4), ModelParams(t_gen=1e100), 10 ** 4,
+                           trial_rng(1))
+    assert all(np.isfinite(lat).all() for *_, lat in rounds)
+
+
 def test_batch_memory_at_a_canonical_point_stays_under_20_mb():
     net = generate_network(32, 2.0, 320)
     k_req = demand_to_kreq(0.6, net.total)
