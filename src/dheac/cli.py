@@ -72,12 +72,6 @@ BREAKEVEN_ROWS = ("qs", "demands", "skew", "ms")
 
 _PARAM_KEYS = ("t_gen", "t_dist", "t_meas", "t_ctl", "rounds", "beta",
                "max_attempts")
-_INT_KEYS = ("ms", "nodes_per_qlan", "rounds", "max_attempts")
-_MODEL_DEFAULTS = {f.name: f.default for f in fields(ModelParams)}
-# every key a --grid file may set, with its default
-_GRID_DEFAULTS = dict(ms=GRID_MS, qs=GRID_QS, demands=GRID_DEMANDS,
-                      skews=GRID_SKEWS, nodes_per_qlan=NODES_PER_QLAN,
-                      **{key: _MODEL_DEFAULTS[key] for key in _PARAM_KEYS})
 
 _FIGURE_MAP = """\
 figure-data recipes:
@@ -87,6 +81,9 @@ figure-data recipes:
   Jain vs skew / Jain vs demand:       fairness --out jain.csv
   per-node win probability ECDFs:      fairness --ecdf-out DIR
   selection-state uniformity report:   verify-quantum --m 4 --k-req 4
+
+An argument @FILE is replaced by the arguments in FILE, one per line
+(e.g. --ms=4,8); arguments after it override the file's.
 """
 
 
@@ -94,74 +91,25 @@ figure-data recipes:
 class SweepSpec:
     """Grid axes plus the constants shared by every point of a run."""
 
-    ms: tuple[int, ...] = GRID_MS
-    qs: tuple[float, ...] = GRID_QS
-    demands: tuple[float, ...] = GRID_DEMANDS
-    skews: tuple[float, ...] = GRID_SKEWS
-    nodes_per_qlan: int = NODES_PER_QLAN
-    params: ModelParams = ModelParams()
+    ms: tuple[int, ...]
+    demands: tuple[float, ...]
+    skews: tuple[float, ...]
+    nodes_per_qlan: int
+    params: ModelParams
+    qs: tuple[float, ...] = ()  # fairness has no q axis
 
 
-def _load_grid_file(path: str) -> dict:
-    import json
-
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise ValueError(f"grid file not found: {path}") from None
-    if not isinstance(data, dict):
-        raise ValueError(f"grid file {path} must hold a JSON object")
-    unknown = sorted(set(data) - set(_GRID_DEFAULTS))
-    if unknown:
-        raise ValueError(f"unknown grid keys {unknown}; "
-                         f"known: {sorted(_GRID_DEFAULTS)}")
-    return data
-
-
-def _number(key: str, value):
-    """value as an int for the keys in _INT_KEYS, else as a float; a
-    ValueError naming key unless it is a number, integral for an int key."""
-    # bool is an int subclass, but JSON true is no number
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must hold numbers, got {value!r}")
-    if key in _INT_KEYS and not (isinstance(value, int) or value.is_integer()):
-        raise ValueError(f"{key} must hold integers, got {value!r}")
-    try:
-        return int(value) if key in _INT_KEYS else float(value)
-    except OverflowError:
-        raise ValueError(f"{key} holds {value!r}, out of range") from None
-
-
-def _merged(args, defaults: dict) -> dict:
-    """defaults, then the --grid file, then the flags given: the last wins."""
-    merged = dict(defaults)
-    if getattr(args, "grid", None):
-        merged.update(_load_grid_file(args.grid))
-    for key in merged:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
-def _resolve_spec(args, **defaults) -> SweepSpec:
-    """The grid of a grid command, ``defaults`` over _GRID_DEFAULTS."""
-    merged = _merged(args, _GRID_DEFAULTS | defaults)
-    axes = {}
-    for key in ("ms", "qs", "demands", "skews"):
-        values = merged[key]
-        if not isinstance(values, (list, tuple)):
-            raise ValueError(f"{key} must be a list, got {values!r}")
+def _resolve_spec(args) -> SweepSpec:
+    """The grid of a grid command, read from its flags."""
+    axes = {key: tuple(getattr(args, key))
+            for key in ("ms", "qs", "demands", "skews") if hasattr(args, key)}
+    for key, values in axes.items():
         if not values:
             raise ValueError(f"{key} must hold at least one value")
-        axes[key] = tuple(_number(key, v) for v in values)
-    scalars = {key: _number(key, merged[key])
-               for key in ("nodes_per_qlan",) + _PARAM_KEYS}
     m = max(axes["ms"])
-    _check_network_size(m, scalars["nodes_per_qlan"] * m)
-    return SweepSpec(**axes, nodes_per_qlan=scalars.pop("nodes_per_qlan"),
-                     params=ModelParams(**scalars))
+    _check_network_size(m, args.nodes_per_qlan * m)
+    return SweepSpec(**axes, nodes_per_qlan=args.nodes_per_qlan,
+                     params=_model_params(args))
 
 
 def _check_network_size(qlans: int, nodes: int) -> None:
@@ -231,15 +179,15 @@ def _param_comment(params: ModelParams) -> str:
             f"max_attempts={params.max_attempts}")
 
 
-# axis flag -> its add_argument keywords; the SweepSpec field is its dest.
-# breakeven's one skew defaults to 1, so a --grid file's skews never reach it
+# axis flag -> its add_argument keywords; the SweepSpec field is its dest
 _AXIS_FLAGS = {
-    "ms": dict(dest="ms", type=_int_list, help="comma list of QLAN counts"),
-    "qs": dict(dest="qs", type=_float_list,
+    "ms": dict(dest="ms", type=_int_list, default=GRID_MS,
+               help="comma list of QLAN counts"),
+    "qs": dict(dest="qs", type=_float_list, default=GRID_QS,
                help="comma list of loss probabilities"),
-    "demands": dict(dest="demands", type=_float_list,
+    "demands": dict(dest="demands", type=_float_list, default=GRID_DEMANDS,
                     help="comma list of demand fractions"),
-    "skews": dict(dest="skews", type=_float_list,
+    "skews": dict(dest="skews", type=_float_list, default=GRID_SKEWS,
                   help="comma list of capacity skew exponents"),
     "skew": dict(dest="skews", type=float, nargs=1, default=(1.0,),
                  metavar="SKEW", help="capacity skew exponent"),
@@ -269,7 +217,14 @@ def _add_model_flags(parser, keys: tuple[str, ...]) -> None:
     for key in keys:
         kind, text = _MODEL_FLAGS[key]
         parser.add_argument("--" + key.replace("_", "-"), dest=key,
-                            type=kind, default=None, help=text)
+                            type=kind, default=getattr(ModelParams, key),
+                            help=text)
+
+
+def _model_params(args) -> ModelParams:
+    """ModelParams from the model flags a command declares."""
+    return ModelParams(**{key: getattr(args, key) for key in _MODEL_FLAGS
+                          if hasattr(args, key)})
 
 
 def _add_point_flags(parser) -> None:
@@ -285,12 +240,10 @@ def _add_point_flags(parser) -> None:
 
 
 def _add_grid_flags(parser, axes: tuple[str, ...]) -> None:
-    parser.add_argument("--grid", default=None,
-                        help="JSON file with grid axes and constants")
     for flag in axes:
         parser.add_argument("--" + flag, **_AXIS_FLAGS[flag])
     parser.add_argument("--nodes-per-qlan", dest="nodes_per_qlan", type=int,
-                        default=None, help="total nodes = this * m")
+                        default=NODES_PER_QLAN, help="total nodes = this * m")
 
 
 _CONTEXT_FIELDS = ["mode", "status", "m", "q", "demand", "skew", "total",
@@ -338,8 +291,11 @@ def _analytic_row(rec) -> dict:
         thr_b2=rec.THR_b2,
         ratio_l_optimistic=rec.L_d_optimistic / rec.L_b2,
         ratio_l_conservative=rec.L_d_conservative / rec.L_b2,
-        ratio_thr_optimistic=rec.THR_b2 / rec.THR_upper,
-        ratio_thr_conservative=rec.THR_b2 / rec.THR_lower,
+        # a success probability, and so a throughput, can underflow to 0
+        ratio_thr_optimistic=(rec.THR_b2 / rec.THR_upper
+                              if rec.THR_upper else None),
+        ratio_thr_conservative=(rec.THR_b2 / rec.THR_lower
+                                if rec.THR_lower else None),
     )
 
 
@@ -556,7 +512,7 @@ def _breakeven_rows(idx, point, net, params):
 
 
 def _cmd_breakeven(args) -> int:
-    spec = _resolve_spec(args, ms=BREAKEVEN_MS, demands=(0.40,))
+    spec = _resolve_spec(args)
     rows = _grid_rows(spec, BREAKEVEN_ROWS, _breakeven_rows)
     comments = [f"dheac {__version__} breakeven",
                 _axes_comment(spec, BREAKEVEN_AXES),
@@ -580,7 +536,8 @@ def _print_breakeven_summary(spec: SweepSpec, rows: list[dict]) -> None:
             parts = []
             for mode, key in (("optimistic", "ratio_thr_optimistic"),
                               ("conservative", "ratio_thr_conservative")):
-                hit = next((r["m"] for r in group if r[key] < 1.0), None)
+                hit = next((r["m"] for r in group
+                            if r[key] is not None and r[key] < 1.0), None)
                 parts.append(f"{mode}: "
                              + (f"m >= {hit}" if hit else "not reached"))
             print(f"q={q:g} demand={demand:g}  " + "; ".join(parts))
@@ -601,7 +558,7 @@ def _point_inputs(args) -> tuple[NetworkConfig, int, ModelParams]:
         raise ValueError("exactly one of --k-req and --demand is required")
     k_req = (args.k_req if args.k_req is not None
              else demand_to_kreq(args.demand, net.total))
-    return net, k_req, ModelParams(**_merged(args, _MODEL_DEFAULTS))
+    return net, k_req, _model_params(args)
 
 
 def _cmd_verify_quantum(args) -> int:
@@ -745,7 +702,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-layer entanglement lottery: sweeps, fairness, "
                     "verification and Monte-Carlo runs.",
         epilog=_FIGURE_MAP,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        fromfile_prefix_chars="@")
     parser.add_argument("--version", action="version",
                         version=f"dheac {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -796,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.add_argument("--svg", default=None,
                    help="also write a throughput-ratio heatmap here")
-    p.set_defaults(func=_cmd_breakeven)
+    p.set_defaults(func=_cmd_breakeven, ms=BREAKEVEN_MS, demands=(0.40,))
 
     p = sub.add_parser("verify-quantum",
                        help="build the selection state and check its "
@@ -843,7 +801,11 @@ def _check_run_flags(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except UnicodeDecodeError as exc:  # argparse reports only OSError
+        parser.error(f"an @ argument file is not text: {exc}")
     try:
         _check_run_flags(args)
         return args.func(args)

@@ -210,49 +210,108 @@ def test_grid_points_are_never_short_of_capacity(m, skew, nodes_per_qlan,
     assert 1 <= rec.K <= m
 
 
-def test_grid_file_overrides_and_validation(tmp_path):
-    grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps({"ms": [4], "qs": [0.0], "demands": [0.4],
-                                "skews": [0.0], "t_dist": 0.1}))
+# --- @ argument files ------------------------------------------------------
+
+# one run of each command, one argument per line as an args file holds it
+ARGS_FILE_RUNS = {
+    "sweep": ["--ms=4,8", "--qs=0.05", "--demands=0.4", "--skews=0,1",
+              "--nodes-per-qlan=6", "--t-dist=0.1", "--mode=both",
+              "--trials=50"],
+    "fairness": ["--ms=4", "--demands=0.4", "--skews=1", "--beta=0.2",
+                 "--method=mc", "--trials=200"],
+    "breakeven": ["--ms=4,8", "--qs=0.05,0.1", "--skew=0.5", "--rounds=2"],
+    "verify-quantum": ["--m=4", "--k-req=4", "--draws=500", "--seed=7"],
+    "mc": ["--m=4", "--k-req=4", "--q=0.1", "--trials=20",
+           "--chi=optimistic"],
+}
+
+
+def _args_file(tmp_path, lines) -> str:
+    path = tmp_path / "run.args"
+    path.write_text("".join(line + "\n" for line in lines))
+    return "@" + str(path)
+
+
+@pytest.mark.parametrize("command", sorted(ARGS_FILE_RUNS))
+def test_an_args_file_gives_the_bytes_of_its_flags_inline(command, tmp_path,
+                                                          capsys):
+    flags = ARGS_FILE_RUNS[command]
+    out_flag = "--json" if command == "verify-quantum" else "--out"
+    inline, from_file = tmp_path / "inline", tmp_path / "from_file"
+    assert main([command, *flags, out_flag, str(inline)]) == EXIT_OK
+    printed = capsys.readouterr()
+    # the command itself can come from the file too
+    argv = [_args_file(tmp_path, [command, *flags]), out_flag, str(from_file)]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr() == printed
+    assert from_file.read_bytes() == inline.read_bytes()
+
+
+def test_args_file_overrides_and_validation(tmp_path):
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--grid", str(grid), "--out", str(out)]) == EXIT_OK
+    args_file = _args_file(tmp_path, ["--ms=4", "--qs=0.0", "--demands=0.4",
+                                      "--skews=0", "--t-dist=0.1"])
+    # the file overrides the flags before it; the flags after it override it
+    assert main(["sweep", "--t-dist", "0.3", args_file, "--qs", "0.05,0.1",
+                 "--out", str(out)]) == EXIT_OK
     comments, _, rows = read_csv(out)
-    assert len(rows) == 1
+    assert [(r["m"], r["q"]) for r in rows] == [("4", "0.05"), ("4", "0.1")]
     assert any("t_dist=0.1" in c for c in comments)
 
-    grid.write_text(json.dumps({"bogus": 1}))
-    assert main(["sweep", "--grid", str(grid), "--out", str(out)]) == EXIT_USAGE
-
-
-@pytest.mark.parametrize("grid, key", [
-    ({"ms": 5}, "ms"),
-    ({"max_attempts": "x"}, "max_attempts"),
-    ({"qs": [None]}, "qs"),
-    ({"max_attempts": 2.5}, "max_attempts"),
-    ({"ms": [4.7]}, "ms"),
-    ({"nodes_per_qlan": 10.5}, "nodes_per_qlan"),
-    ({"rounds": True}, "rounds"),
-    ({"skews": "0,1"}, "skews"),
-    ({"ms": []}, "ms"),
-])
-def test_malformed_grid_files_are_usage_errors(grid, key, tmp_path, capsys):
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps(grid))
-    out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--grid", str(path), "--out", str(out)]) == EXIT_USAGE
-    assert capsys.readouterr().err.startswith(f"error: {key} must ")
+    out.unlink()
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", _args_file(tmp_path, ["--bogus=1"]), "--out", str(out)])
+    assert exc.value.code == EXIT_USAGE
     assert not out.exists()
 
 
-def test_integral_floats_in_a_grid_file_are_counts(tmp_path):
-    grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps({"ms": [4.0], "qs": [0.05], "demands": [0.4],
-                                "skews": [1], "max_attempts": 3.0}))
+@pytest.mark.parametrize("line, message", [
+    pytest.param("--max-attempts=x", "argument --max-attempts: ",
+                 id="max_attempts-x"),
+    pytest.param("--qs=None", "argument --qs: ", id="qs-None"),
+    pytest.param("--max-attempts=2.5", "argument --max-attempts: ",
+                 id="max_attempts-2.5"),
+    pytest.param("--ms=4.7", "argument --ms: ", id="ms-4.7"),
+    # a count is written as one: 4.0 is no QLAN count
+    pytest.param("--ms=4.0", "argument --ms: ", id="ms-4.0"),
+    pytest.param("--nodes-per-qlan=10.5", "argument --nodes-per-qlan: ",
+                 id="nodes_per_qlan-10.5"),
+    pytest.param("--rounds=true", "argument --rounds: ", id="rounds-true"),
+    pytest.param("--ms=,", "ms must hold at least one value", id="ms-empty"),
+])
+def test_malformed_args_file_values_are_usage_errors(line, message, tmp_path,
+                                                     capsys):
+    # an args file's values pass the checks of the flags given inline
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--grid", str(grid), "--out", str(out)]) == EXIT_OK
-    comments, _, rows = read_csv(out)
-    assert [r["m"] for r in rows] == ["4"]
-    assert any(c.endswith("max_attempts=3") for c in comments)
+    try:
+        code = main(["sweep", _args_file(tmp_path, [line]),
+                     "--out", str(out)])
+    except SystemExit as exc:  # argparse refuses the value
+        code = exc.code
+    assert code == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "No such file or directory"),
+    (b"--ms=4\n\xff\xfe\n", "an @ argument file is not text"),
+], ids=["missing", "binary"])
+def test_an_unreadable_args_file_exits_2_without_a_traceback(content, message,
+                                                             tmp_path):
+    path = tmp_path / "run.args"
+    if content is not None:
+        path.write_bytes(content)
+    src = os.path.dirname(os.path.dirname(dheac.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "dheac.cli", "sweep",
+                           f"@{path}"], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -310,6 +369,27 @@ def test_breakeven_matrix(tmp_path, capsys):
     assert float(big["ratio_thr_optimistic"]) < float(
         small["ratio_thr_optimistic"])
     assert "optimistic" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--ms", "32", "--qs", "0.99", "--demands", "0.6", "--skews", "1",
+     "--max-attempts", "1"],
+    ["breakeven", "--ms", "64", "--qs", "0.99", "--max-attempts", "1"],
+])
+def test_an_underflowing_success_leaves_its_throughput_ratio_empty(
+        argv, tmp_path, capsys):
+    # P_lower = 0.01^352 underflows to 0, and the lottery's throughput too
+    out, svg = tmp_path / "out.csv", tmp_path / "map.svg"
+    assert main([*argv, "--out", str(out), "--svg", str(svg)]) == EXIT_OK
+    _, _, rows = read_csv(out)
+    assert [(r["ratio_thr_optimistic"], r["ratio_thr_conservative"])
+            for r in rows] == [("", "")]
+    assert float(rows[0]["ratio_l_conservative"]) > 0
+    if argv[0] == "breakeven":
+        assert "n/a" in svg.read_text()
+        assert capsys.readouterr().out == (
+            "q=0.99 demand=0.4  optimistic: not reached; "
+            "conservative: not reached\n")
 
 
 def test_verify_quantum_pass_and_json(tmp_path):
@@ -835,7 +915,7 @@ def test_cli_import_does_not_load_scipy_stats():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
     # nor the process pool, which only --workers > 1 starts, nor json,
-    # which only the grid file and the verify report read
+    # which only the verify report reads
     code = ("import sys, dheac.cli; print('scipy.stats' in sys.modules); "
             "print(sorted(m for m in sys.modules if m == 'json' or "
             "m.startswith(('scipy', 'concurrent', 'multiprocessing'))))")

@@ -4,7 +4,6 @@ lines that record a run's configuration keep their exact bytes."""
 
 import contextlib
 import io
-import json
 import pathlib
 import re
 import tempfile
@@ -22,11 +21,20 @@ from dheac.cli import EXIT_USAGE, main
 
 PARAMS = ("t_gen=2 t_dist=0.05 t_meas=1 t_ctl=0.5 rounds=1 beta=0.1 "
           "max_attempts=3")
-GRID_PARAMS = ("t_gen=3.5 t_dist=0.05 t_meas=1 t_ctl=0.5 rounds=2 beta=0.2 "
+FILE_PARAMS = ("t_gen=3.5 t_dist=0.05 t_meas=1 t_ctl=0.5 rounds=2 beta=0.2 "
                "max_attempts=4")
-GRID_FILE = {"ms": [4, 8], "qs": [0.1], "demands": [0.2], "skews": [0.5],
-             "nodes_per_qlan": 6, "t_gen": 3.5, "rounds": 2,
-             "max_attempts": 4, "beta": 0.2}
+# the lines of the args file that "@FILE" names, per command
+SWEEP_FILE = ["--ms=4,8", "--qs=0.1", "--demands=0.2", "--skews=0.5",
+              "--nodes-per-qlan=6", "--t-gen=3.5", "--rounds=2",
+              "--max-attempts=4", "--beta=0.2"]
+ARGS_FILES = {
+    "sweep": SWEEP_FILE,
+    # fairness has no q axis and takes no constant but --beta
+    "fairness": ["--ms=4,8", "--demands=0.2", "--skews=0.5",
+                 "--nodes-per-qlan=6", "--beta=0.2"],
+    # breakeven has one skew
+    "breakeven": [line.replace("--skews", "--skew") for line in SWEEP_FILE],
+}
 SWEEP_HEAD = ["# dheac 0.1.0 sweep",
               "# mode=analytic chi=both seed=42 trials=20000"]
 SWEEP_TAIL = ["# times in ms, thr in grants per ms"]
@@ -44,19 +52,19 @@ BREAKEVEN_TAIL = ["# ratio_thr_* = baseline throughput / lottery throughput; "
     (["sweep", "--ms", "4,8", "--qs", "0.05,0.1", "--demands", "0.4"],
      SWEEP_HEAD + ["# ms=4,8 qs=0.05,0.1 demands=0.4 skews=0,0.5,1,1.5,2 "
                    "nodes_per_qlan=10", "# " + PARAMS] + SWEEP_TAIL),
-    (["sweep", "--grid", "GRID"], SWEEP_HEAD + [
+    (["sweep", "@FILE"], SWEEP_HEAD + [
         "# ms=4,8 qs=0.1 demands=0.2 skews=0.5 nodes_per_qlan=6",
-        "# " + GRID_PARAMS] + SWEEP_TAIL),
+        "# " + FILE_PARAMS] + SWEEP_TAIL),
     (["fairness", "--trials", "10"], FAIRNESS_HEAD + [
         "# ms=4,8,16,32 demands=0.1,0.2,0.4,0.6 skews=0,0.5,1,1.5,2 "
         "nodes_per_qlan=10", "# " + PARAMS] + FAIRNESS_TAIL),
     (["fairness", "--ms", "4,8", "--demands", "0.4", "--trials", "10"],
      FAIRNESS_HEAD + ["# ms=4,8 demands=0.4 skews=0,0.5,1,1.5,2 "
                       "nodes_per_qlan=10", "# " + PARAMS] + FAIRNESS_TAIL),
-    # fairness reads beta alone, but prints every constant of the grid file
-    (["fairness", "--grid", "GRID", "--trials", "10"], FAIRNESS_HEAD + [
+    # fairness takes beta alone, and prints the other constants' defaults
+    (["fairness", "@FILE", "--trials", "10"], FAIRNESS_HEAD + [
         "# ms=4,8 demands=0.2 skews=0.5 nodes_per_qlan=6",
-        "# " + GRID_PARAMS] + FAIRNESS_TAIL),
+        "# " + PARAMS.replace("beta=0.1", "beta=0.2")] + FAIRNESS_TAIL),
     (["breakeven"], ["# dheac 0.1.0 breakeven",
                      "# skew=1 ms=2,4,8,16,32,64 qs=0.01,0.05,0.1,0.15 "
                      "demands=0.4 nodes_per_qlan=10",
@@ -65,11 +73,10 @@ BREAKEVEN_TAIL = ["# ratio_thr_* = baseline throughput / lottery throughput; "
      ["# dheac 0.1.0 breakeven",
       "# skew=1 ms=4,8 qs=0.05,0.1 demands=0.4 nodes_per_qlan=10",
       "# " + PARAMS] + BREAKEVEN_TAIL),
-    # the grid file's skews never reach breakeven's one skew
-    (["breakeven", "--grid", "GRID"], [
+    (["breakeven", "@FILE"], [
         "# dheac 0.1.0 breakeven",
-        "# skew=1 ms=4,8 qs=0.1 demands=0.2 nodes_per_qlan=6",
-        "# " + GRID_PARAMS] + BREAKEVEN_TAIL),
+        "# skew=0.5 ms=4,8 qs=0.1 demands=0.2 nodes_per_qlan=6",
+        "# " + FILE_PARAMS] + BREAKEVEN_TAIL),
     (["mc", "--m", "4", "--k-req", "4", "--trials", "5"], [
         "# dheac 0.1.0 mc", "# chi=conservative seed=42 trials=5",
         "# m=4 skew=0 total=40 caps=10,10,10,10 k_req=4 K=1",
@@ -83,10 +90,10 @@ BREAKEVEN_TAIL = ["# ratio_thr_* = baseline throughput / lottery throughput; "
         "max_attempts=2 q=0.1"]),
 ])
 def test_comment_lines_keep_their_bytes(argv, comments, tmp_path):
-    grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps(GRID_FILE))
+    args_file = tmp_path / "run.args"
+    args_file.write_text("\n".join(ARGS_FILES.get(argv[0], [])))
     out = tmp_path / "out.csv"
-    argv = [str(grid) if a == "GRID" else a for a in argv]
+    argv = [f"@{args_file}" if a == "@FILE" else a for a in argv]
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         assert main([*argv, "--out", str(out)]) == cli.EXIT_OK
@@ -119,7 +126,6 @@ def _help_flags(command: str) -> list[str]:
 
 def test_each_command_lists_the_model_flags_it_reads():
     fairness = _help_flags("fairness")
-    assert len(fairness) == 12
     assert "--beta" in fairness
     assert not set(FAIRNESS_CONSTANTS) & set(fairness)
     constants = {"--t-gen", "--t-dist", "--t-meas", "--t-ctl", "--rounds",
@@ -140,7 +146,7 @@ ONE_POINT = ["--ms", "4", "--qs", "0.05", "--demands", "0.4", "--skews", "1"]
     (["sweep", *ONE_POINT, "--t-gen", "1e308"], "latency must be finite"),
     (["breakeven", "--ms", "4", "--qs", "0.05", "--t-meas", "1e308"],
      "latency must be finite"),
-    (["breakeven", "--ms", "4", "--qs", "0.05", "--grid", "GRID"],
+    (["breakeven", "--ms", "4", "--qs", "0.05", "@FILE"],
      "latency must be finite"),
     (["mc", "--m", "4", "--k-req", "4", "--trials", "5", "--t-gen", "1e308"],
      "latency must be finite"),
@@ -159,10 +165,10 @@ ONE_POINT = ["--ms", "4", "--qs", "0.05", "--demands", "0.4", "--skews", "1"]
 ])
 def test_overflowing_model_constants_are_usage_errors(argv, message,
                                                       tmp_path, capsys):
-    grid = tmp_path / "grid.json"
-    grid.write_text('{"t_gen": 1e308}')
+    args_file = tmp_path / "run.args"
+    args_file.write_text("--t-gen=1e308\n")
     out = tmp_path / "out.csv"
-    argv = [str(grid) if a == "GRID" else a for a in argv]
+    argv = [f"@{args_file}" if a == "@FILE" else a for a in argv]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main([*argv, "--out", str(out)]) == EXIT_USAGE
@@ -185,7 +191,7 @@ BASES = {
     "verify-quantum": ["--m", "4", "--k-req", "4", "--draws", "100"],
 }
 # paths are the I/O tests' business; a value of these names a file
-PATH_FLAGS = {"--out", "--svg", "--json", "--ecdf-out", "--grid"}
+PATH_FLAGS = {"--out", "--svg", "--json", "--ecdf-out"}
 # values that would start real work rather than be refused
 WORK = {"--trials": {str(10 ** 309), str(2 ** 63)}}
 
@@ -212,14 +218,14 @@ def argvs(draw):
 
 
 def _non_finite_cells(path: pathlib.Path) -> list[str]:
-    """Non-finite cells of a CSV, outside the columns that echo an axis
+    """Non-finite cells of a CSV, outside the skew column, which echoes its
     value as given (a skew of inf is a limit the model takes)."""
     lines = [line for line in path.read_text().splitlines()
              if not line.startswith("#")]
     header = lines[0].split(",")
     return [f"{name}={cell}" for line in lines[1:]
             for name, cells in zip(header, line.split(","))
-            if name not in ("m", "q", "demand", "skew")
+            if name != "skew"
             for cell in cells.split(";")
             if cell.lower() in ("inf", "-inf", "nan")]
 

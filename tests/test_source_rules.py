@@ -4,16 +4,21 @@ export list.
 Runtime invariants raise InvariantViolationError: an ``assert`` statement
 vanishes under ``python -O``, and a bare AssertionError bypasses the CLI's
 exit-code mapping. ``dheac.__all__`` is a ratchet: it may shrink, but not
-grow past MAX_EXPORTS.
+grow past MAX_EXPORTS. So is each subcommand's count of settable values, its
+flags other than --help: it may shrink, but not grow past MAX_FLAGS.
 """
 
+import argparse
 import ast
 import pathlib
 
 import dheac
+from dheac.cli import build_parser
 
 SOURCES = sorted(pathlib.Path(dheac.__file__).parent.glob("*.py"))
 MAX_EXPORTS = 35
+MAX_FLAGS = {"sweep": 19, "fairness": 11, "breakeven": 14,
+             "verify-quantum": 12, "mc": 18}
 
 
 def _assertion_sites(tree: ast.AST) -> list[int]:
@@ -49,3 +54,13 @@ def test_exports_are_sorted_unique_bound_and_within_the_ratchet():
     assert len(set(names)) == len(names)
     assert [name for name in names if not hasattr(dheac, name)] == []
     assert len(names) <= MAX_EXPORTS
+
+
+def test_settable_values_per_subcommand_stay_within_the_ratchet():
+    commands = build_parser()._subparsers._group_actions[0].choices
+    counts = {name: sum(1 for action in sub._actions if action.option_strings
+                        and not isinstance(action, argparse._HelpAction))
+              for name, sub in commands.items()}
+    assert counts.keys() == MAX_FLAGS.keys()
+    assert {name: n for name, n in counts.items()
+            if n > MAX_FLAGS[name]} == {}
