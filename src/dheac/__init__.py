@@ -4,7 +4,6 @@ and a sparse verifier for the measurement-based selection state."""
 
 from .analytics import (
     LATENCY_MODES,
-    MetricsRecord,
     ModelParams,
     ancilla_bits,
     ecdf,
@@ -16,10 +15,9 @@ from .analytics import (
     success_bounds,
     throughput,
 )
-from .baselines import BaselineResult, b1_evaluate, b2_evaluate
+from .baselines import b1_evaluate, b2_evaluate
 from .errors import CapacityError, InvariantViolationError, ResourceShortageError
 from .lottery import (
-    BatchStats,
     estimate_fairness,
     exact_node_probs,
     simulate_batch,
@@ -29,7 +27,6 @@ from .netgen import NetworkConfig, Request, demand_to_kreq, generate_network
 from .partition import enum_partitions, quota_round, safe_select_k
 from .qverify import (
     SparseState,
-    VerificationReport,
     build_embedded,
     node_win_probs,
     verify_state,
@@ -38,18 +35,14 @@ from .qverify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaselineResult",
-    "BatchStats",
     "CapacityError",
     "InvariantViolationError",
     "LATENCY_MODES",
-    "MetricsRecord",
     "ModelParams",
     "NetworkConfig",
     "Request",
     "ResourceShortageError",
     "SparseState",
-    "VerificationReport",
     "ancilla_bits",
     "b1_evaluate",
     "b2_evaluate",

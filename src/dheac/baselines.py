@@ -22,30 +22,26 @@ from .partition import quota_round
 
 @dataclass(frozen=True)
 class BaselineResult:
-    """Outcome of evaluating one baseline on one point.
+    """Success probability and latency of one baseline on one point."""
 
-    ``applicable`` is False when the scheme cannot serve the request at
-    all (B1 without a big-enough QLAN); metric fields are then None.
-    """
-
-    applicable: bool
-    p_success: float | None
-    latency: float | None
+    p_success: float
+    latency: float
 
 
-def b1_evaluate(net: NetworkConfig, req: Request, params: ModelParams) -> BaselineResult:
+def b1_evaluate(net: NetworkConfig, req: Request,
+                params: ModelParams) -> BaselineResult | None:
     """Single-QLAN scheme: all k_req pairs inside the largest QLAN.
 
     The metrics depend only on k_req, so the scheme reduces to whether any
-    QLAN holds that many nodes.
+    QLAN holds that many nodes; None when none does.
     """
     if max(net.caps) < req.k_req:
-        return BaselineResult(False, None, None)
+        return None
     p = params.unit_success ** req.k_req
     lat = (params.t_gen
            + params.expected_attempts * params.t_dist * req.k_req
            + params.t_meas)
-    return BaselineResult(True, p, lat)
+    return BaselineResult(p, lat)
 
 
 def b2_evaluate(net: NetworkConfig, req: Request, params: ModelParams) -> BaselineResult:
@@ -58,5 +54,5 @@ def b2_evaluate(net: NetworkConfig, req: Request, params: ModelParams) -> Baseli
         raise ResourceShortageError(
             f"total capacity {net.total} cannot cover k_req={req.k_req}")
     return BaselineResult(
-        True, success_b2(req.k_req, params),
+        success_b2(req.k_req, params),
         latency_b2(net.m, max(quota_round(req.k_req, net.caps)), params))

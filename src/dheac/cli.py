@@ -20,7 +20,7 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
@@ -29,7 +29,6 @@ from . import __version__
 from .analytics import (
     LATENCY_MODES,
     ModelParams,
-    ancilla_bits,
     ecdf,
     evaluate_point,
     jain_index,
@@ -37,6 +36,7 @@ from .analytics import (
 from .baselines import b1_evaluate, b2_evaluate
 from .errors import CapacityError, InvariantViolationError, ResourceShortageError
 from .lottery import (
+    MAX_SUBSETS,
     batch_stats,
     estimate_fairness,
     exact_node_probs,
@@ -87,29 +87,13 @@ An argument @FILE is replaced by the arguments in FILE, one per line
 """
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid axes plus the constants shared by every point of a run."""
-
-    ms: tuple[int, ...]
-    demands: tuple[float, ...]
-    skews: tuple[float, ...]
-    nodes_per_qlan: int
-    params: ModelParams
-    qs: tuple[float, ...] = ()  # fairness has no q axis
-
-
-def _resolve_spec(args) -> SweepSpec:
-    """The grid of a grid command, read from its flags."""
-    axes = {key: tuple(getattr(args, key))
-            for key in ("ms", "qs", "demands", "skews") if hasattr(args, key)}
-    for key, values in axes.items():
-        if not values:
+def _check_grid(args) -> None:
+    """Refuse an empty axis, or a grid whose largest network is too large."""
+    for key in ("ms", "qs", "demands", "skews"):
+        if not getattr(args, key, True):  # fairness has no q axis
             raise ValueError(f"{key} must hold at least one value")
-    m = max(axes["ms"])
+    m = max(args.ms)
     _check_network_size(m, args.nodes_per_qlan * m)
-    return SweepSpec(**axes, nodes_per_qlan=args.nodes_per_qlan,
-                     params=_model_params(args))
 
 
 def _check_network_size(qlans: int, nodes: int) -> None:
@@ -173,13 +157,11 @@ def _write_csv(dest: str, comments: list[str], fieldnames: list[str],
 
 
 def _param_comment(params: ModelParams) -> str:
-    return (f"t_gen={params.t_gen:g} t_dist={params.t_dist:g} "
-            f"t_meas={params.t_meas:g} t_ctl={params.t_ctl:g} "
-            f"rounds={params.rounds} beta={params.beta:g} "
-            f"max_attempts={params.max_attempts}")
+    return " ".join(f"{key}={_fmt_seq([getattr(params, key)])}"
+                    for key in _PARAM_KEYS)
 
 
-# axis flag -> its add_argument keywords; the SweepSpec field is its dest
+# axis flag -> its add_argument keywords; args holds its values at dest
 _AXIS_FLAGS = {
     "ms": dict(dest="ms", type=_int_list, default=GRID_MS,
                help="comma list of QLAN counts"),
@@ -194,10 +176,10 @@ _AXIS_FLAGS = {
 }
 
 
-def _axes_comment(spec: SweepSpec, axes: tuple[str, ...]) -> str:
-    cells = [f"{flag}={_fmt_seq(getattr(spec, _AXIS_FLAGS[flag]['dest']))}"
+def _axes_comment(args, axes: tuple[str, ...]) -> str:
+    cells = [f"{flag}={_fmt_seq(getattr(args, _AXIS_FLAGS[flag]['dest']))}"
              for flag in axes]
-    return " ".join(cells + [f"nodes_per_qlan={spec.nodes_per_qlan}"])
+    return " ".join(cells + [f"nodes_per_qlan={args.nodes_per_qlan}"])
 
 
 # ModelParams field -> (type, help); each command names the fields it reads
@@ -299,7 +281,7 @@ def _analytic_row(rec) -> dict:
     )
 
 
-def _grid_rows(spec: SweepSpec, axes: tuple[str, ...], point_rows,
+def _grid_rows(args, axes: tuple[str, ...], point_rows,
                workers: int = 1) -> list[dict]:
     """Rows of every grid point, in the order of the axis flags ``axes``
     (outermost first), each point's rows as ``point_rows`` returns them.
@@ -311,10 +293,11 @@ def _grid_rows(spec: SweepSpec, axes: tuple[str, ...], point_rows,
     """
     # a point keys each axis value by its flag in the singular: m, q, ...
     names = [flag.removesuffix("s") for flag in axes]
-    grid = itertools.product(*(getattr(spec, _AXIS_FLAGS[flag]["dest"])
+    grid = itertools.product(*(getattr(args, _AXIS_FLAGS[flag]["dest"])
                                for flag in axes))
-    tasks = [(point_rows, spec, idx, dict(zip(names, values)))
-             for idx, values in enumerate(grid)]
+    params = _model_params(args)
+    tasks = [(point_rows, args.nodes_per_qlan, params, idx,
+              dict(zip(names, values))) for idx, values in enumerate(grid)]
     workers = min(workers, len(tasks))
     if workers > 1:
         # only a pool pays for the import
@@ -333,12 +316,12 @@ def _grid_point(task) -> list[dict]:
 
     demand_to_kreq keeps k_req <= total, so no point is short of capacity.
     """
-    point_rows, spec, idx, point = task
+    point_rows, nodes_per_qlan, params, idx, point = task
     m = point["m"]
-    net = generate_network(m, point["skew"], spec.nodes_per_qlan * m)
+    net = generate_network(m, point["skew"], nodes_per_qlan * m)
     point.update(status="ok", total=net.total,
                  k_req=demand_to_kreq(point["demand"], net.total))
-    params = replace(spec.params, q=point.get("q", spec.params.q))
+    params = replace(params, q=point.get("q", params.q))
     return [point | row for row in point_rows(idx, point, net, params)]
 
 
@@ -365,20 +348,21 @@ def _sweep_rows(mode, chi, trials, seed, idx, point, net, params):
 
 
 def _cmd_sweep(args) -> int:
-    spec = _resolve_spec(args)
-    rows = _grid_rows(spec, SWEEP_AXES,
+    _check_grid(args)
+    rows = _grid_rows(args, SWEEP_AXES,
                       partial(_sweep_rows, args.mode, args.chi, args.trials,
                               args.seed),
                       workers=args.workers)
     comments = [f"dheac {__version__} sweep",
                 f"mode={args.mode} chi={args.chi} seed={args.seed} "
                 f"trials={args.trials}",
-                _axes_comment(spec, SWEEP_AXES), _param_comment(spec.params),
+                _axes_comment(args, SWEEP_AXES),
+                _param_comment(_model_params(args)),
                 "times in ms, thr in grants per ms"]
     names = _sweep_fieldnames(args.mode, args.chi)
     _write_csv(args.out, comments, names, _dict_lines(names, rows))
     if args.svg:
-        _ratio_svg(args.svg, spec, rows, "ratio_l_optimistic",
+        _ratio_svg(args.svg, args, rows, "ratio_l_optimistic",
                    "latency ratio, lottery / arbitration (optimistic)")
     return EXIT_OK
 
@@ -400,19 +384,19 @@ def _ratio_color(value, lo: float, hi: float) -> str:
     return _blend((178, 24, 43), t)
 
 
-def _ratio_svg(path: str, spec: SweepSpec, rows: list[dict], key: str,
+def _ratio_svg(path: str, args, rows: list[dict], key: str,
                title: str) -> None:
     """Heatmap of one ratio column over (m, q) at the first demand and skew
     of the grid; mc rows carry no ratio and are skipped."""
-    demand, skew = spec.demands[0], spec.skews[0]
+    demand, skew = args.demands[0], args.skews[0]
     cell = {(r["m"], r["q"]): r[key] for r in rows
             if key in r and r["demand"] == demand and r["skew"] == skew}
-    values = [[cell.get((m, q)) for m in spec.ms] for q in spec.qs]
+    values = [[cell.get((m, q)) for m in args.ms] for q in args.qs]
     title = f"{title}, demand={demand:g}, skew={skew:g}"
     cw, ch = 86, 42
     left, top = 96, 64
-    width = left + cw * len(spec.ms) + 24
-    height = top + ch * len(spec.qs) + 56
+    width = left + cw * len(args.ms) + 24
+    height = top + ch * len(args.qs) + 56
     finite = [v for row in values for v in row if v is not None]
     lo = min(finite, default=1.0)
     hi = max(finite, default=1.0)
@@ -423,10 +407,10 @@ def _ratio_svg(path: str, spec: SweepSpec, rows: list[dict], key: str,
         f'<text x="{left}" y="{top - 26}">m (QLANs)</text>',
         f'<text x="12" y="{top - 8}">loss q</text>',
     ]
-    for c, m in enumerate(spec.ms):
+    for c, m in enumerate(args.ms):
         out.append(f'<text x="{left + c * cw + cw // 2 - 8}" '
                    f'y="{top - 8}">{m}</text>')
-    for r, q in enumerate(spec.qs):
+    for r, q in enumerate(args.qs):
         y = top + r * ch
         out.append(f'<text x="12" y="{y + ch // 2 + 4}">{q:g}</text>')
         for c, value in enumerate(values[r]):
@@ -453,8 +437,7 @@ def _fairness_rows(args, idx, point, net, params):
     method, trials = "mc", args.trials
     if args.method in ("auto", "exact"):
         try:
-            probs = exact_node_probs(net, req, beta=params.beta,
-                                     max_subsets=args.max_subsets)
+            probs = exact_node_probs(net, req, beta=params.beta)
             method, trials = "exact", None
         except CapacityError:
             if args.method == "exact":
@@ -469,17 +452,17 @@ def _fairness_rows(args, idx, point, net, params):
 
 
 def _cmd_fairness(args) -> int:
-    spec = _resolve_spec(args)
+    _check_grid(args)
     if args.trials < 10 ** 4:
         print(f"warning: {args.trials} trials is below the recommended 10^4",
               file=sys.stderr)
-    rows = _grid_rows(spec, FAIRNESS_AXES, partial(_fairness_rows, args))
+    rows = _grid_rows(args, FAIRNESS_AXES, partial(_fairness_rows, args))
     comments = [
         f"dheac {__version__} fairness",
         f"method={args.method} seed={args.seed} trials={args.trials} "
-        f"max_subsets={args.max_subsets}",
-        _axes_comment(spec, FAIRNESS_AXES),
-        _param_comment(spec.params),
+        f"max_subsets={MAX_SUBSETS}",
+        _axes_comment(args, FAIRNESS_AXES),
+        _param_comment(_model_params(args)),
         "win probabilities per request, loss-free lottery chain",
     ]
     _write_csv(args.out, comments, FAIRNESS_FIELDS,
@@ -512,26 +495,26 @@ def _breakeven_rows(idx, point, net, params):
 
 
 def _cmd_breakeven(args) -> int:
-    spec = _resolve_spec(args)
-    rows = _grid_rows(spec, BREAKEVEN_ROWS, _breakeven_rows)
+    _check_grid(args)
+    rows = _grid_rows(args, BREAKEVEN_ROWS, _breakeven_rows)
     comments = [f"dheac {__version__} breakeven",
-                _axes_comment(spec, BREAKEVEN_AXES),
-                _param_comment(spec.params),
+                _axes_comment(args, BREAKEVEN_AXES),
+                _param_comment(_model_params(args)),
                 "ratio_thr_* = baseline throughput / lottery throughput; "
                 "values < 1 favour the lottery"]
     _write_csv(args.out, comments, BREAKEVEN_FIELDS,
                _dict_lines(BREAKEVEN_FIELDS, rows))
     if args.svg:
-        _ratio_svg(args.svg, spec, rows, "ratio_thr_optimistic",
+        _ratio_svg(args.svg, args, rows, "ratio_thr_optimistic",
                    "throughput ratio, baseline / lottery (optimistic)")
     if args.out != "-":
-        _print_breakeven_summary(spec, rows)
+        _print_breakeven_summary(args, rows)
     return EXIT_OK
 
 
-def _print_breakeven_summary(spec: SweepSpec, rows: list[dict]) -> None:
-    for q in spec.qs:
-        for demand in spec.demands:
+def _print_breakeven_summary(args, rows: list[dict]) -> None:
+    for q in args.qs:
+        for demand in args.demands:
             group = [r for r in rows if r["q"] == q and r["demand"] == demand]
             parts = []
             for mode, key in (("optimistic", "ratio_thr_optimistic"),
@@ -545,9 +528,13 @@ def _print_breakeven_summary(spec: SweepSpec, rows: list[dict]) -> None:
 
 def _point_inputs(args) -> tuple[NetworkConfig, int, ModelParams]:
     """The network, k_req and model constants of a single-point command."""
+    # checked for --caps too, which builds no network from the skew: the
+    # mc '#' line echoes it
+    if not 0.0 <= args.skew < math.inf:
+        raise ValueError(f"skew must be >= 0 and finite, got {args.skew}")
     if args.caps is not None:
         _check_network_size(len(args.caps), sum(args.caps))
-        net = NetworkConfig.from_caps(args.caps, skew=args.skew)
+        net = NetworkConfig.from_caps(args.caps)
     elif args.m is None:
         raise ValueError("either --caps or --m is required")
     else:
@@ -671,7 +658,7 @@ def _cmd_mc(args) -> int:
 
     comments = [f"dheac {__version__} mc",
                 f"chi={args.chi} seed={args.seed} trials={args.trials}",
-                f"m={net.m} skew={net.skew:g} total={net.total} "
+                f"m={net.m} skew={args.skew:g} total={net.total} "
                 f"caps={_fmt_seq(net.caps)} k_req={k_req} K={rec.K}",
                 _param_comment(params) + f" q={params.q:g}"]
     _write_csv(args.out, comments, MC_FIELDS, blocks())
@@ -684,7 +671,7 @@ def _cmd_mc(args) -> int:
               f"(analytic optimistic {rec.L_d_optimistic:.6g}, "
               f"conservative {rec.L_d_conservative:.6g})")
         b1 = b1_evaluate(net, req, params)
-        if b1.applicable:
+        if b1 is not None:
             print(f"baseline b1: success={b1.p_success:.6g} "
                   f"latency={b1.latency:.6g} ms")
         else:
@@ -703,10 +690,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "verification and Monte-Carlo runs.",
         epilog=_FIGURE_MAP,
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        fromfile_prefix_chars="@")
+        fromfile_prefix_chars="@", allow_abbrev=False)
     parser.add_argument("--version", action="version",
                         version=f"dheac {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # a flag is spelt out in full: a prefix would change meaning, or turn
+    # ambiguous, once a flag that shares it is added
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=partial(argparse.ArgumentParser, allow_abbrev=False))
 
     p = sub.add_parser("sweep", help="closed-form (and optional MC) metrics "
                                      "over the evaluation grid")
@@ -737,10 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exact enumeration over capacity classes, "
                         "sampling, or exact with sampling fallback")
     p.add_argument("--trials", type=int, default=100000)
-    p.add_argument("--max-subsets", dest="max_subsets", type=int,
-                   default=10 ** 6,
-                   help="largest C(m, K) winner-subset count the exact "
-                        "method takes on")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", default="-")
     p.add_argument("--ecdf-out", dest="ecdf_out", default=None,
@@ -785,9 +772,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_run_flags(args) -> None:
     """Flags that numpy or the pool would refuse only mid-run, or not at all;
     checked before any output is opened."""
-    for flag in ("workers", "trials", "draws", "max_subsets"):
+    for flag in ("workers", "trials", "draws"):
         if getattr(args, flag, 1) < 1:
-            raise ValueError(f"--{flag.replace('_', '-')} must be >= 1, "
+            raise ValueError(f"--{flag} must be >= 1, "
                              f"got {getattr(args, flag)}")
     if getattr(args, "draws", 1) > MAX_DRAWS:
         raise ValueError(f"draws must lie in [1, 2**63 - 1], got {args.draws}")

@@ -56,6 +56,8 @@ from .netgen import NetworkConfig, Request
 from .partition import quota_round, safe_select_k, split_chunks
 
 DEFAULT_BETA = ModelParams.beta
+# largest C(m, K) winner-subset count exact_node_probs takes on
+MAX_SUBSETS = 10 ** 6
 _BLOCK = 8192
 # bytes one sample_rounds block may hold; every m <= 32 point at the
 # default max_attempts still fits a full _BLOCK of rows
@@ -466,7 +468,7 @@ def estimate_fairness(net: NetworkConfig, req: Request, trials: int,
 
 def exact_node_probs(net: NetworkConfig, req: Request,
                      beta: float = DEFAULT_BETA,
-                     max_subsets: int = 10 ** 6) -> np.ndarray:
+                     max_subsets: int = MAX_SUBSETS) -> np.ndarray:
     """Exact per-node win probabilities over capacity-class compositions.
 
     P(node in QLAN i wins) = mean over K-subsets containing i of

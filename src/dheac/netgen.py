@@ -14,39 +14,30 @@ from dataclasses import dataclass, field
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """An immutable network instance.
+    """An immutable network instance, given by its capacities alone.
 
     Attributes
     ----------
-    m:     number of QLANs, at least 1.
     caps:  per-QLAN node capacities, non-negative integers.
-    skew:  Zipf exponent the instance was generated with (0.0 for hand-built).
-    total: sum of caps, kept explicit so result tables are self-describing.
+    m:     number of QLANs, len(caps), at least 1.
+    total: sum of caps, kept so result tables are self-describing.
     """
 
-    m: int
     caps: tuple[int, ...]
-    skew: float = 0.0
-    total: int = field(default=-1)
+    m: int = field(init=False)
+    total: int = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "m", len(self.caps))
+        object.__setattr__(self, "total", sum(self.caps))
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        if len(self.caps) != self.m:
-            raise ValueError(f"caps has {len(self.caps)} entries, expected m={self.m}")
         if any(c < 0 or c != int(c) for c in self.caps):
             raise ValueError(f"caps must be non-negative integers, got {self.caps}")
-        if not self.skew >= 0:
-            raise ValueError(f"skew must be >= 0, got {self.skew}")
-        if self.total == -1:
-            object.__setattr__(self, "total", sum(self.caps))
-        elif self.total != sum(self.caps):
-            raise ValueError(f"total={self.total} does not match sum(caps)={sum(self.caps)}")
 
     @classmethod
-    def from_caps(cls, caps, skew: float = 0.0) -> "NetworkConfig":
-        caps = tuple(int(c) for c in caps)
-        return cls(m=len(caps), caps=caps, skew=skew)
+    def from_caps(cls, caps) -> "NetworkConfig":
+        return cls(tuple(int(c) for c in caps))
 
 
 @dataclass(frozen=True)
@@ -72,8 +63,9 @@ def generate_network(m: int, skew: float, total: int) -> NetworkConfig:
         raise ValueError(f"m must be >= 1, got {m}")
     if total < 0:
         raise ValueError(f"total must be >= 0, got {total}")
-    if not skew >= 0:
-        raise ValueError(f"skew must be >= 0, got {skew}")
+    # refusing inf loses nothing: a skew of 1000 already gives (total, 0, ...)
+    if not 0 <= skew < math.inf:
+        raise ValueError(f"skew must be >= 0 and finite, got {skew}")
     weights = [float(i) ** -skew for i in range(1, m + 1)]
     wsum = math.fsum(weights)
     caps = [math.floor(total * w / wsum) for w in weights]
@@ -93,7 +85,7 @@ def generate_network(m: int, skew: float, total: int) -> NetworkConfig:
             caps[i] -= 1
             residual += 1
         j += 1
-    return NetworkConfig(m=m, caps=tuple(caps), skew=skew, total=total)
+    return NetworkConfig(tuple(caps))
 
 
 def demand_to_kreq(demand: float, total: int) -> int:

@@ -21,21 +21,18 @@ PARAMS = ModelParams(q=0.05)
 def test_b1_uses_the_largest_qlan():
     net = NetworkConfig.from_caps((4, 9, 9, 2))
     res = b1_evaluate(net, Request(8), PARAMS)
-    assert res.applicable
     assert res.p_success == pytest.approx(PARAMS.unit_success ** 8, rel=1e-12)
     assert res.latency == pytest.approx(
         PARAMS.t_gen + PARAMS.expected_attempts * PARAMS.t_dist * 8
         + PARAMS.t_meas, rel=1e-12)
     # only the largest QLAN decides: 9 pairs fit, 10 do not
-    assert b1_evaluate(net, Request(9), PARAMS).applicable
-    assert not b1_evaluate(net, Request(10), PARAMS).applicable
+    assert b1_evaluate(net, Request(9), PARAMS) is not None
+    assert b1_evaluate(net, Request(10), PARAMS) is None
 
 
 def test_b1_inapplicable_when_no_qlan_is_big_enough():
     net = NetworkConfig.from_caps((5, 5, 5))
-    res = b1_evaluate(net, Request(6), PARAMS)
-    assert not res.applicable
-    assert res.p_success is None and res.latency is None
+    assert b1_evaluate(net, Request(6), PARAMS) is None
 
 
 def test_b1_has_no_arbitration_cost():

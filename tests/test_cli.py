@@ -327,6 +327,26 @@ def test_an_empty_grid_axis_is_a_usage_error(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("from_file", [False, True],
+                         ids=["inline", "args_file"])
+@pytest.mark.parametrize("command, flag, value", [
+    ("sweep", "--demand", "0.4"),
+    ("breakeven", "--q", "0.05"),
+    ("fairness", "--tri", "10"),
+])
+def test_an_abbreviated_flag_is_refused(command, flag, value, from_file,
+                                        tmp_path, capsys):
+    # each once ran as the flag it begins: --demands, --qs, --trials
+    out = tmp_path / "out.csv"
+    flags = ([_args_file(tmp_path, [f"{flag}={value}"])] if from_file
+             else [flag, value])
+    with pytest.raises(SystemExit) as exc:
+        main([command, *flags, "--out", str(out)])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fairness_warns_on_low_trials(tmp_path, capsys):
     out = tmp_path / "fair.csv"
     assert main(["fairness", "--trials", "500", "--ms", "4", "--demands",
@@ -863,12 +883,22 @@ def test_io_error_exit():
     (["mc", "--caps", "3,3,3,3", "--k-req", "4", "--beta", "nan"], "beta"),
     (["fairness", *ONE_CELL, "--skews", "0", "--beta", "inf"], "beta"),
     (["fairness", *ONE_CELL, "--skews", "nan"], "skew"),
+    # an infinite skew used to run as its limit and be echoed as inf
+    (["sweep", *ONE_CELL, "--qs", "0.05", "--skews", "inf"], "skew"),
+    (["fairness", *ONE_CELL, "--skews", "1e400"], "skew"),
+    (["breakeven", "--ms", "4", "--qs", "0.05", "--skew", "inf"], "skew"),
+    (["mc", "--m", "4", "--skew", "inf", "--k-req", "4"], "skew"),
+    (["mc", "--caps", "3,3", "--skew", "inf", "--k-req", "2"], "skew"),
+    # --caps builds no network from the skew, but mc's '#' line echoes it
+    (["mc", "--caps", "3,3", "--skew", "-1", "--k-req", "2"], "skew"),
 ])
 def test_non_finite_model_inputs_are_usage_errors(argv, field, tmp_path,
                                                   capsys):
-    assert main([*argv, "--out", str(tmp_path / "out.csv")]) == EXIT_USAGE
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field} must be")
+    assert not out.exists()
 
 
 def test_mc_rejects_a_max_attempts_beyond_the_block_budget(tmp_path, capsys):
@@ -895,7 +925,6 @@ def test_fairness_rejects_nonpositive_trials(method, tmp_path, capsys):
 @pytest.mark.parametrize("argv, flag, value", [
     (["sweep", *ONE_CELL, "--qs", "0.05", "--skews", "0", "--mode",
       "analytic"], "--trials", "-5"),
-    (["fairness", *ONE_CELL, "--skews", "0"], "--max-subsets", "-1"),
     (["verify-quantum", "--m", "4", "--k-req", "4"], "--draws", "0"),
 ])
 def test_nonpositive_count_flag_is_a_usage_error(argv, flag, value, tmp_path,

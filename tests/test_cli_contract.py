@@ -218,14 +218,12 @@ def argvs(draw):
 
 
 def _non_finite_cells(path: pathlib.Path) -> list[str]:
-    """Non-finite cells of a CSV, outside the skew column, which echoes its
-    value as given (a skew of inf is a limit the model takes)."""
+    """Non-finite cells of a CSV."""
     lines = [line for line in path.read_text().splitlines()
              if not line.startswith("#")]
     header = lines[0].split(",")
     return [f"{name}={cell}" for line in lines[1:]
             for name, cells in zip(header, line.split(","))
-            if name != "skew"
             for cell in cells.split(";")
             if cell.lower() in ("inf", "-inf", "nan")]
 

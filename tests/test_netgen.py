@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -42,13 +45,30 @@ def test_generate_network_rejects_bad_args():
         generate_network(4, -0.5, 40)
     with pytest.raises(ValueError):
         generate_network(4, 1.0, -1)
+    for skew in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="skew must be >= 0 and finite"):
+            generate_network(4, skew, 40)
+
+
+def test_a_finite_skew_reaches_the_limit_of_inf():
+    assert generate_network(4, 1000.0, 40).caps == (40, 0, 0, 0)
 
 
 def test_from_caps_roundtrip():
     net = NetworkConfig.from_caps((3, 3, 3, 3))
     assert net.m == 4
     assert net.total == 12
-    assert net.skew == 0.0
+    assert net == NetworkConfig((3, 3, 3, 3))
+
+
+def test_capacities_are_the_only_init_field():
+    assert [f.name for f in dataclasses.fields(NetworkConfig) if f.init] == [
+        "caps"]
+    net = generate_network(4, 1.0, 40)
+    assert (net.m, net.total) == (4, 40)
+    assert not hasattr(net, "skew")
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        NetworkConfig(())
 
 
 def test_config_rejects_negative_caps():

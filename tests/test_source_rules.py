@@ -3,9 +3,11 @@ export list.
 
 Runtime invariants raise InvariantViolationError: an ``assert`` statement
 vanishes under ``python -O``, and a bare AssertionError bypasses the CLI's
-exit-code mapping. ``dheac.__all__`` is a ratchet: it may shrink, but not
-grow past MAX_EXPORTS. So is each subcommand's count of settable values, its
-flags other than --help: it may shrink, but not grow past MAX_FLAGS.
+exit-code mapping. Every module-level import is used in its module (the
+package's __init__, which re-exports, aside). ``dheac.__all__`` is a
+ratchet: it may shrink, but not grow past MAX_EXPORTS. So is each
+subcommand's count of settable values, its flags other than --help: it may
+shrink, but not grow past MAX_FLAGS.
 """
 
 import argparse
@@ -16,8 +18,8 @@ import dheac
 from dheac.cli import build_parser
 
 SOURCES = sorted(pathlib.Path(dheac.__file__).parent.glob("*.py"))
-MAX_EXPORTS = 35
-MAX_FLAGS = {"sweep": 19, "fairness": 11, "breakeven": 14,
+MAX_EXPORTS = 31
+MAX_FLAGS = {"sweep": 19, "fairness": 10, "breakeven": 14,
              "verify-quantum": 12, "mc": 18}
 
 
@@ -45,6 +47,36 @@ def test_package_source_has_no_assert_and_raises_no_assertion_error():
     assert len(SOURCES) > 1
     found = {path.name: sites for path in SOURCES
              if (sites := _assertion_sites(ast.parse(path.read_text())))}
+    assert found == {}
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.partition(".")[0]
+                      for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+def test_the_import_rule_sees_unused_names():
+    code = ("from __future__ import annotations\n"
+            "import os.path\n"
+            "import numpy as np\n"
+            "from math import inf, pi\n"
+            "def f():\n"
+            "    import sys\n"
+            "    return np.zeros(1) * pi\n")
+    assert _unused_imports(ast.parse(code)) == ["os", "inf"]
+
+
+def test_package_modules_use_every_import():
+    found = {path.name: names for path in SOURCES
+             if path.name != "__init__.py"
+             and (names := _unused_imports(ast.parse(path.read_text())))}
     assert found == {}
 
 
