@@ -212,11 +212,13 @@ def _model_params(args) -> ModelParams:
 def _add_point_flags(parser) -> None:
     """The network and request flags of a single-point command."""
     parser.add_argument("--m", type=int, default=None)
-    parser.add_argument("--skew", type=float, default=0.0)
+    parser.add_argument("--skew", type=float, default=None,
+                        help="capacity skew exponent, default 0")
     parser.add_argument("--total", type=int, default=None,
                         help="total nodes, default 10*m")
     parser.add_argument("--caps", type=_int_list, default=None,
-                        help="explicit capacities, overrides --m/--total")
+                        help="explicit capacities, instead of "
+                             "--m/--skew/--total")
     parser.add_argument("--k-req", dest="k_req", type=int, default=None)
     parser.add_argument("--demand", type=float, default=None)
 
@@ -526,34 +528,38 @@ def _print_breakeven_summary(args, rows: list[dict]) -> None:
             print(f"q={q:g} demand={demand:g}  " + "; ".join(parts))
 
 
-def _point_inputs(args) -> tuple[NetworkConfig, int, ModelParams]:
-    """The network, k_req and model constants of a single-point command."""
-    # checked for --caps too, which builds no network from the skew: the
-    # mc '#' line echoes it
-    if not 0.0 <= args.skew < math.inf:
-        raise ValueError(f"skew must be >= 0 and finite, got {args.skew}")
+def _point_inputs(args) -> tuple[NetworkConfig, float | None, int,
+                                  ModelParams]:
+    """The network, the skew it was generated with (None for --caps), k_req
+    and the model constants of a single-point command."""
     if args.caps is not None:
+        if (args.m, args.skew, args.total) != (None, None, None):
+            raise ValueError("--caps gives the network: drop --m, --skew "
+                             "and --total")
         _check_network_size(len(args.caps), sum(args.caps))
-        net = NetworkConfig.from_caps(args.caps)
+        net, skew = NetworkConfig.from_caps(args.caps), None
     elif args.m is None:
         raise ValueError("either --caps or --m is required")
     else:
+        skew = 0.0 if args.skew is None else args.skew
+        if not 0.0 <= skew < math.inf:
+            raise ValueError(f"skew must be >= 0 and finite, got {skew}")
         total = NODES_PER_QLAN * args.m if args.total is None else args.total
         _check_network_size(args.m, total)
-        net = generate_network(args.m, args.skew, total)
+        net = generate_network(args.m, skew, total)
     if (args.k_req is None) == (args.demand is None):
         raise ValueError("exactly one of --k-req and --demand is required")
     k_req = (args.k_req if args.k_req is not None
              else demand_to_kreq(args.demand, net.total))
-    return net, k_req, _model_params(args)
+    return net, skew, k_req, _model_params(args)
 
 
 def _cmd_verify_quantum(args) -> int:
-    net, k_req, params = _point_inputs(args)
+    net, _, k_req, params = _point_inputs(args)
     K = safe_select_k(k_req, net.caps, params.beta)
     state = build_embedded(net, k_req, K)
     if args.corrupt:
-        # test hook: damage one amplitude so every invariant check trips
+        # test hook: damage one amplitude so the norm and marginal checks trip
         amps = state.amps.copy()
         amps[0] *= 1.05
         state = SparseState(state.subsets, state.offsets, state.vectors,
@@ -573,13 +579,7 @@ def _cmd_verify_quantum(args) -> int:
     print(f"conditional uniformity (pooled): chi2={report.pooled_chi2:.4g} "
           f"dof={report.pooled_dof} p={report.pooled_pvalue:.4g}")
     print(f"min expected cell count: {report.min_expected_cell:.4g}")
-    print(f"fairness if quotas were uniform: jain={report.jain_uniform:.6g}")
-    try:
-        rounded = jain_index(exact_node_probs(
-            net, Request(k_req), beta=params.beta))
-        print(f"fairness of the rounding chain:  jain={rounded:.6g}")
-    except CapacityError:
-        print("fairness of the rounding chain:  skipped (too many subsets)")
+    print(f"fairness: jain={report.jain:.6g}")
     if args.json:
         import json
 
@@ -623,7 +623,7 @@ def _cmd_mc(args) -> int:
     go through _mc_line's template into one string, so text is never held
     for more than one block.
     """
-    net, k_req, params = _point_inputs(args)
+    net, skew, k_req, params = _point_inputs(args)
     req = Request(k_req)
     rec = evaluate_point(net.caps, k_req, params)
 
@@ -656,9 +656,11 @@ def _cmd_mc(args) -> int:
             # free this block's (t, K) arrays before the next block is drawn
             del arrangement, quotas, order
 
+    # a --caps network was generated from no skew
+    shape = f"m={net.m}" if skew is None else f"m={net.m} skew={skew:g}"
     comments = [f"dheac {__version__} mc",
                 f"chi={args.chi} seed={args.seed} trials={args.trials}",
-                f"m={net.m} skew={args.skew:g} total={net.total} "
+                f"{shape} total={net.total} "
                 f"caps={_fmt_seq(net.caps)} k_req={k_req} K={rec.K}",
                 _param_comment(params) + f" q={params.q:g}"]
     _write_csv(args.out, comments, MC_FIELDS, blocks())

@@ -11,6 +11,7 @@ capacity-class compositions of the exact fairness oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -20,11 +21,12 @@ from .errors import InvariantViolationError, ResourceShortageError
 
 def _validate_caps(caps) -> tuple[int, ...]:
     caps = tuple(caps)
-    if not caps:
+    ints = tuple(map(int, caps))
+    if not ints:
         raise ValueError("caps must be non-empty")
-    if any(c < 0 or c != int(c) for c in caps):
+    if ints != caps or min(ints) < 0:
         raise ValueError(f"caps must be non-negative integers, got {caps}")
-    return tuple(int(c) for c in caps)
+    return ints
 
 
 def _ceil_stable(x: float) -> int:
@@ -74,42 +76,30 @@ def safe_select_k(k_req: int, caps, beta: float = 0.0) -> int:
 def enum_partitions(k: int, caps) -> tuple[tuple[int, ...], ...]:
     """Enumerate every bounded split of k over the given caps.
 
-    Depth-first with both-sided pruning: slot j may take x parts only when
-    x <= caps[j] and the remaining slots can still absorb the rest, so every
-    visited branch yields at least one vector. Output is the tuple of
-    vectors, lexicographically ascending. No vectors (k > sum(caps)) is an
-    empty tuple, not an error.
+    A level walk with both-sided pruning: slot j may take x parts only when
+    x <= caps[j] and the slots after it can still absorb the rest, so every
+    partial vector extends to at least one split, and the last slot takes
+    what is left. Output is the tuple of vectors, lexicographically
+    ascending. No vectors (k > sum(caps)) is an empty tuple, not an error.
     """
     caps = _validate_caps(caps)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    n = len(caps)
-    suffix = [0] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        suffix[j] = suffix[j + 1] + caps[j]
-    out: list[tuple[int, ...]] = []
-    if k > suffix[0]:
+    # rest[j]: the capacity of the slots after j
+    rest = list(itertools.accumulate(caps[:0:-1], initial=0))[::-1]
+    if k > sum(caps):
         return ()
-    prefix: list[int] = []
-
-    def rec(j: int, r: int) -> None:
-        if j == n:
-            out.append(tuple(prefix))
-            return
-        lo = max(0, r - suffix[j + 1])
-        hi = min(caps[j], r)
-        for x in range(lo, hi + 1):
-            prefix.append(x)
-            rec(j + 1, r - x)
-            prefix.pop()
-
-    rec(0, k)
-    return tuple(out)
+    level = [((), k)]
+    for c, after in zip(caps[:-1], rest):
+        level = [(prefix + (x,), r - x) for prefix, r in level
+                 for x in range(max(0, r - after), min(c, r) + 1)]
+    return tuple(prefix + (r,) for prefix, r in level)
 
 
-def split_chunks(k: int, caps: np.ndarray, max_rows: int, dtype=np.int64):
+def split_chunks(k, caps: np.ndarray, max_rows: int, dtype=np.int64):
     """Yield (owner, vectors) chunks of at most max_rows rows: every bounded
-    split of k over each row of the (rows, n >= 1) caps matrix, in dtype.
+    split of k (one int, or one per row) over each row of the (rows, n >= 1)
+    caps matrix, in dtype.
 
     Owners ascend, each with its splits in ``enum_partitions`` order. Slot
     j of a partial vector with r parts left takes max(0, r - rest_j) <= x
@@ -119,13 +109,14 @@ def split_chunks(k: int, caps: np.ndarray, max_rows: int, dtype=np.int64):
     (unless one row branches wider) and is dropped once all have branched.
     """
     caps = np.asarray(caps, dtype=np.int64)
+    k = np.broadcast_to(np.asarray(k, dtype=np.int64), caps.shape[:1])
     n = caps.shape[1]
     owner = np.flatnonzero(caps.sum(axis=1) >= k)
     caps = caps.T.copy()  # slot-major: a level gathers from one row
     rest = np.cumsum(caps[::-1], axis=0)[::-1] - caps
     # levels [slot set next, rows, owners, parts left, rows branched]
     stack = [[0, np.zeros((len(owner), n), dtype=dtype), owner,
-              np.full(len(owner), k, dtype=np.int64), 0]] if len(owner) else []
+              k[owner], 0]] if len(owner) else []
     while stack:
         level = stack[-1]
         j, rows, owner, left, done = level

@@ -1,11 +1,11 @@
 """Sparse simulation of the measurement-based winner/quota encoding.
 
 The protocol's selection state is, up to local unitaries, a superposition
-over labels (S, v): S a K-subset of QLANs and v a feasible quota vector for
-S. Amplitudes are uniform over subsets and, within each subset branch,
-uniform over its feasible quota vectors, so a single measurement draws the
-winner set uniformly and a quota vector uniformly conditioned on it. This
-module builds that state explicitly over its (sparse) support, samples
+over labels (S, v): S a K-subset of QLANs and v a quota vector the
+lottery chain can round S to. Amplitudes are uniform over subsets and,
+within each subset branch, over its vectors, so a single measurement
+draws the winner set and the quotas with the chain's law. This module
+builds that state explicitly over its (sparse) support, samples
 measurements of it, and checks the structural invariants a faithful
 preparation must satisfy.
 
@@ -31,12 +31,6 @@ and ``measure_many`` checks it first. The norm and the per-subset totals
 equal ``math.fsum``, which is correctly rounded: a run of c equal values
 v adds exactly c * v, so a built state, whose branches each hold one
 value, is summed per distinct value instead of per label.
-
-Note the deliberate asymmetry with the sampling chain in ``lottery``: there
-quotas come from deterministic capacity-proportional rounding, here from
-the uniform distribution over all feasible vectors. Both are implemented;
-``node_win_probs`` exposes the uniform-quota fairness so the two can be
-compared directly.
 """
 
 from __future__ import annotations
@@ -50,8 +44,9 @@ import numpy as np
 
 from .analytics import jain_index
 from .errors import CapacityError, InvariantViolationError, ResourceShortageError
+from .lottery import _capacity_classes, _class_round
 from .netgen import NetworkConfig
-from .partition import count_partitions, split_chunks
+from .partition import split_chunks
 
 # (winner subset, quota vector)
 Outcome = tuple[tuple[int, ...], tuple[int, ...]]
@@ -60,6 +55,7 @@ MAX_SPARSE_OUTCOMES = 10 ** 6
 NORM_TOL = 1e-12
 MAX_DRAWS = 2 ** 63 - 1  # rng.multinomial takes an int64 count
 _BUILD_ROWS = 1 << 16  # quota vectors build_embedded enumerates at once
+_BOUND_BYTES = 16 << 20  # rounding temporaries _chain_bounds holds at once
 
 
 def _int_dtype(lo: int, hi: int) -> type:
@@ -139,21 +135,52 @@ class _AmplitudeView(Mapping):
         return self._index[label]
 
 
+def _chain_bounds(caps, k_req: int, subsets: np.ndarray,
+                  dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Per-slot bounds lo <= v <= hi, (n_subsets, K) in dtype, on the
+    quotas the chain rounds each winner subset (covering k_req) to.
+
+    ``lottery._class_round`` gives j_c winners of a class their floor and
+    e_c of them one pair more, so lo = floor + (e_c == j_c) and hi = floor
+    + (e_c > 0). Only the boundary class (0 < e_c < j_c) has hi > lo, and
+    the uniform arrangement gives its extras to a uniform e_c-subset: the
+    chain's vectors are lo plus each 0/1 split of k_req - sum(lo) over
+    those slots, all equally likely.
+    """
+    classes, _ = _capacity_classes(caps)
+    n = len(classes)
+    class_of = np.searchsorted(classes, np.asarray(caps, dtype=np.int64))
+    rows, K = subsets.shape
+    lo, hi = np.empty((2, rows, K), dtype=dtype)
+    # per subset: about six int64 words per slot and eight per class
+    step = max(1, _BOUND_BYTES // (8 * (6 * K + 8 * n)))
+    for start in range(0, rows, step):
+        part = slice(start, start + step)
+        # flat indices into the (t, n) class tables, one per slot
+        slot = class_of[subsets[part]]
+        t = len(slot)
+        slot += n * np.arange(t)[:, None]
+        counts = np.bincount(slot.ravel(), minlength=t * n).reshape(t, n)
+        floor, extra = (a.ravel()[slot]
+                        for a in _class_round(k_req, classes, counts))
+        lo[part] = floor + (extra == counts.ravel()[slot])
+        hi[part] = floor + (extra > 0)
+    return lo, hi
+
+
 def build_embedded(net: NetworkConfig, k_req: int, K: int) -> SparseState:
-    """Selection state with quotas embedded per branch.
+    """Selection state of the lottery chain, with quotas embedded per branch.
 
-    Every K-subset S carries its full feasible quota set with amplitude
-    1 / sqrt(C(m, K) * |Omega_S|), which keeps the outer marginal exactly
-    uniform regardless of how |Omega_S| varies across subsets.
-
-    A bounded-split count never shrinks when a cap grows, so |Omega_S| is
-    largest at the K largest caps and smallest at the K smallest: one
-    ``count_partitions`` call sizes the guard. One ``split_chunks`` walk
-    lists every subset's vectors; |Omega_S| is the rows it gives S.
+    Every K-subset S carries its C(t_S, r_S) chain vectors (r_S extra pairs
+    over t_S slots, ``_chain_bounds``) with amplitude
+    1 / sqrt(C(m, K) * C(t_S, r_S)), which keeps the outer marginal exactly
+    uniform. The guard counts the labels exactly before one
+    ``split_chunks`` walk lists them.
 
     Raises InvariantViolationError, checked first, when the K smallest
     caps sum below k_req (K is too small for this request), and
-    CapacityError when C(m, K) * max |Omega_S| exceeds the sparse guard.
+    CapacityError when C(m, K) subsets, or the labels, exceed the sparse
+    guard.
     """
     if k_req < 1:
         raise ValueError(f"k_req must be >= 1, got {k_req}")
@@ -163,31 +190,35 @@ def build_embedded(net: NetworkConfig, k_req: int, K: int) -> SparseState:
         raise ResourceShortageError(
             f"total capacity {net.total} cannot cover k_req={k_req}")
     n_subsets = math.comb(net.m, K)
-    caps = sorted(net.caps)
-    if sum(caps[:K]) < k_req:
+    if sum(sorted(net.caps)[:K]) < k_req:
         raise InvariantViolationError(
             f"the {K} smallest QLANs cannot cover k_req={k_req}; winner "
             f"count K={K} is too small")
-    max_size = count_partitions(k_req, caps[-K:])
-    if n_subsets * max_size > MAX_SPARSE_OUTCOMES:
+    if n_subsets > MAX_SPARSE_OUTCOMES:
         raise CapacityError(
-            f"C({net.m}, {K}) * max|Omega_S| = {n_subsets * max_size} "
-            f"exceeds the {MAX_SPARSE_OUTCOMES} sparse guard; reduce m, "
-            "K or k_req")
+            f"C({net.m}, {K}) = {n_subsets} winner subsets exceed the "
+            f"{MAX_SPARSE_OUTCOMES} sparse guard; reduce m or K")
     subsets = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(net.m), K)),
         dtype=np.int64, count=n_subsets * K).reshape(n_subsets, K)
-    sizes = np.zeros(n_subsets, dtype=np.int64)
-    chunks = []
-    for owner, chunk in split_chunks(k_req, np.asarray(net.caps)[subsets],
-                                     _BUILD_ROWS, _int_dtype(0, k_req)):
-        sizes += np.bincount(owner, minlength=n_subsets)
-        chunks.append(chunk)
-    if sizes.max() != max_size:
+    dtype = _int_dtype(0, k_req)
+    lo, free = _chain_bounds(net.caps, k_req, subsets, dtype)
+    free -= lo  # 1 on the slots that may take an extra pair
+    left = k_req - lo.sum(axis=1, dtype=np.int64)
+    # C(t_S, r_S) in Python ints: the count cannot overflow
+    sizes = list(map(math.comb, free.sum(axis=1).tolist(), left.tolist()))
+    n_labels = sum(sizes)
+    if n_labels > MAX_SPARSE_OUTCOMES:
+        raise CapacityError(
+            f"{n_labels} labels over C({net.m}, {K}) = {n_subsets} subsets "
+            f"exceed the {MAX_SPARSE_OUTCOMES} sparse guard; reduce m, K "
+            "or k_req")
+    sizes = np.array(sizes, dtype=np.int64)
+    vectors = np.concatenate([x + lo[owner] for owner, x in
+                              split_chunks(left, free, _BUILD_ROWS, dtype)])
+    if len(vectors) != n_labels:
         raise InvariantViolationError(
-            f"largest subset: {sizes.max()} quota vectors, {max_size} counted")
-    vectors = np.concatenate(chunks)
-    del chunks
+            f"the walk gave {len(vectors)} quota vectors, {n_labels} counted")
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     amps = np.repeat(np.sqrt((1.0 / n_subsets) / sizes), sizes)
     return SparseState(subsets, offsets, vectors, amps)
@@ -277,19 +308,13 @@ def marginal_outer(state: SparseState) -> dict[tuple[int, ...], float]:
 
 
 def node_win_probs(state: SparseState, caps) -> np.ndarray:
-    """Per-node win probability if quotas were drawn from this state.
+    """Per-node win probability if quotas were drawn from this state; on a
+    built state, the chain's law that ``lottery.exact_node_probs`` gives.
 
-    Uniform-quota counterpart of the rounding-based chain: useful as a
-    diagnostic for how much the deterministic rounding distorts fairness.
     Each QLAN's terms p * v / cap are added left to right in label order
     (``np.cumsum``), so the sums do not depend on numpy's pairwise
-    reduction.
-
-    One pass per QLAN, over flat arrays. A QLAN that sits in one slot of
-    a run of consecutive subsets (in a built state, every QLAN when K = m,
-    and QLAN 0) owns one run of label rows, read as slices. Otherwise its
-    quota column is a 1-D ``take`` of ``vectors.ravel()`` at
-    ``row * K + slot``.
+    reduction. One pass per QLAN, over flat arrays: its quota column is a
+    1-D ``take`` of ``vectors.ravel()`` at ``row * K + slot``.
     """
     caps = np.array([int(c) for c in caps], dtype=np.int64)
     probs = np.square(state.amps)
@@ -303,18 +328,13 @@ def node_win_probs(state: SparseState, caps) -> np.ndarray:
         n = sizes[owner]
         if not n.sum():
             continue
-        if (owner[-1] - owner[0] == len(owner) - 1
-                and (slot == slot[0]).all()):
-            lo, hi = offsets[owner[0]], offsets[owner[-1] + 1]
-            terms = probs[lo:hi] * state.vectors[lo:hi, slot[0]]
-        else:
-            # the label rows of every subset holding QLAN i, in label order
-            rows = np.arange(n.sum())
-            rows += np.repeat(offsets[owner] - (np.cumsum(n) - n), n)
-            terms = probs[rows]
-            rows *= K
-            rows += np.repeat(slot, n)
-            terms *= flat.take(rows)
+        # the label rows of every subset holding QLAN i, in label order
+        rows = np.arange(n.sum())
+        rows += np.repeat(offsets[owner] - (np.cumsum(n) - n), n)
+        terms = probs[rows]
+        rows *= K
+        rows += np.repeat(slot, n)
+        terms *= flat.take(rows)
         terms /= caps[i]
         qlan_prob[i] = np.cumsum(terms, out=terms)[-1]
     return np.repeat(qlan_prob, caps)
@@ -339,7 +359,7 @@ class VerificationReport:
     pooled_dof: int
     pooled_pvalue: float
     min_expected_cell: float
-    jain_uniform: float
+    jain: float
     significance: float
     failures: list[str] = field(default_factory=list)
 
@@ -353,9 +373,10 @@ def _label_violations(state: SparseState, net: NetworkConfig,
     """Mask of the label rows that are not a feasible (S, v) for k_req.
 
     A label is feasible when its subset has K distinct QLANs of the network
-    in ascending order, and its vector has K entries 0 <= v <= cap summing
-    to k_req. The vectors are read one slot (column) at a time, so no
-    (n_labels, K) temporary is made; the row sums accumulate in int64, as
+    in ascending order that cover k_req, and its vector is a rounding of
+    that subset: K entries within its ``_chain_bounds`` summing to k_req.
+    The vectors are read one slot (column) at a time, so no (n_labels, K)
+    temporary is made; the row sums accumulate in int64, as
     ``vectors.sum(axis=1)`` does.
     """
     subsets, vectors = state.subsets, state.vectors
@@ -363,17 +384,20 @@ def _label_violations(state: SparseState, net: NetworkConfig,
         return np.ones(len(vectors), dtype=bool)
     sound = (((subsets >= 0) & (subsets < net.m)).all(axis=1)
              & (np.diff(subsets, axis=1) > 0).all(axis=1))
-    caps = np.asarray(net.caps)[np.where(sound[:, None], subsets, 0)]
-    # a cap above the dtype's range bounds no representable v
-    caps = np.minimum(caps, np.iinfo(vectors.dtype).max).astype(vectors.dtype)
+    sound[sound] = np.asarray(net.caps)[subsets[sound]].sum(axis=1) >= k_req
+    # bounds in a dtype that holds the vectors and k_req
+    dtype = np.result_type(vectors.dtype, _int_dtype(0, k_req))
+    lo, hi = np.zeros((2, *subsets.shape), dtype=dtype)
+    lo[sound], hi[sound] = _chain_bounds(net.caps, k_req, subsets[sound],
+                                         dtype)
     sizes = np.diff(state.offsets)
     ok = np.repeat(sound, sizes)
     total = np.zeros(len(vectors), dtype=np.int64)
     for j in range(K):
         col = vectors[:, j]
         total += col
-        ok &= col >= 0
-        ok &= col <= np.repeat(caps[:, j], sizes)
+        ok &= col >= np.repeat(lo[:, j], sizes)
+        ok &= col <= np.repeat(hi[:, j], sizes)
     ok &= total == k_req
     return ~ok
 
@@ -439,7 +463,7 @@ def verify_state(state: SparseState, net: NetworkConfig, k_req: int, K: int,
     outer_dof = pooled_dof = 0
     drawn_violations = 0
     min_expected = float("inf")
-    jain_u = float("nan")
+    jain = float("nan")
     if not failures:
         counts = _sample_counts(state, rng, draws)
         drawn_violations = int(counts[bad_labels].sum())
@@ -473,7 +497,7 @@ def verify_state(state: SparseState, net: NetworkConfig, k_req: int, K: int,
                 f"{significance})")
         if drawn_violations:
             failures.append(f"{drawn_violations} drawn outcomes infeasible")
-        jain_u = jain_index(node_win_probs(state, net.caps))
+        jain = jain_index(node_win_probs(state, net.caps))
 
     return VerificationReport(
         n_subsets=n_subsets,
@@ -491,7 +515,7 @@ def verify_state(state: SparseState, net: NetworkConfig, k_req: int, K: int,
         pooled_dof=pooled_dof,
         pooled_pvalue=float(pooled_p),
         min_expected_cell=float(min_expected),
-        jain_uniform=jain_u,
+        jain=jain,
         significance=significance,
         failures=failures,
     )

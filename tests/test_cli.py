@@ -1,6 +1,7 @@
 """End-to-end command tests through main(), exercising every exit code."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -10,6 +11,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from importlib.metadata import version
 
 import hypothesis.strategies as st
 import pytest
@@ -455,6 +457,20 @@ def test_verify_quantum_nan_amplitude_fails_with_null_statistics(
         assert payload[key] is None
 
 
+@pytest.mark.parametrize("point", [
+    # 116,396,280 labels over C(20, 14) = 38,760 subsets
+    ["--m", "20", "--skew", "0", "--demand", "0.6"],
+    # C(24, 14) = 1,961,256 subsets
+    ["--m", "24", "--skew", "0", "--demand", "0.5"],
+])
+def test_verify_quantum_past_the_sparse_guard_is_a_usage_error(point,
+                                                               capsys):
+    assert main(["verify-quantum", *point]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "sparse guard" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_quantum_corruption_hook():
     assert main(["verify-quantum", "--caps", "3,3,3,3", "--k-req", "4",
                  "--draws", "2000", "--corrupt"]) == EXIT_VERIFY
@@ -480,7 +496,7 @@ def test_verify_quantum_json_is_strict(tmp_path, argv, code):
     else:
         # a structural failure skips sampling: no statistic was computed
         for name in ("outer_chi2", "outer_pvalue", "pooled_chi2",
-                     "pooled_pvalue", "min_expected_cell", "jain_uniform"):
+                     "pooled_pvalue", "min_expected_cell", "jain"):
             assert payload[name] is None
 
 
@@ -488,7 +504,9 @@ def test_mc_dump_shape(tmp_path):
     out = tmp_path / "mc.csv"
     assert main(["mc", "--caps", "3,3,3,3", "--k-req", "4", "--q", "0",
                  "--trials", "25", "--seed", "5", "--out", str(out)]) == EXIT_OK
-    _, header, rows = read_csv(out)
+    comments, header, rows = read_csv(out)
+    # no skew= field: hand-given caps come from no skew
+    assert comments[2] == "# m=4 total=12 caps=3,3,3,3 k_req=4 K=2"
     assert header == ["trial", "succeeded", "attempts_total", "latency",
                       "winners", "quotas"]
     assert len(rows) == 25
@@ -610,7 +628,7 @@ def _reference_dump_rows(argv) -> str:
     """Header and rows of an mc dump, one csv.writer row of _fmt cells per
     round, read straight off the round kernel."""
     args = cli.build_parser().parse_args(argv)
-    net, k_req, params = cli._point_inputs(args)
+    net, _, k_req, params = cli._point_inputs(args)
     req = Request(k_req)
     acct = LATENCY_MODES.index(args.chi)
     buf = io.StringIO()
@@ -774,11 +792,12 @@ def test_verify_quantum_rejects_draws_beyond_int64(capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_embedded", no_build)
     draws = np.iinfo(np.int64).max + 1
     for argv in (["--caps", "3,3,3,3", "--k-req", "4"],
-                 # the 948,496-label cell, which must not be built first
-                 ["--m", "8", "--skew", "1", "--demand", "0.6"],
+                 # the 720,720-label cell, which must not be built first
+                 ["--m", "16", "--skew", "0", "--demand", "0.6"],
                  # a corrupted state samples nothing, so only the flag
                  # check can refuse it
-                 ["--m", "8", "--skew", "1", "--demand", "0.6", "--corrupt"]):
+                 ["--m", "16", "--skew", "0", "--demand", "0.6",
+                  "--corrupt"]):
         assert main(["verify-quantum", *argv,
                      "--draws", str(draws)]) == EXIT_USAGE
         captured = capsys.readouterr()
@@ -821,7 +840,7 @@ def test_oversized_networks_exit_before_they_are_built(argv):
     assert elapsed < 2.0
 
 
-def test_mc_and_verify_quantum_read_the_same_point_flags():
+def test_mc_and_verify_quantum_read_the_same_point_flags(capsys):
     parser = cli.build_parser()
     point = ["--m", "6", "--skew", "1.5", "--total", "40", "--caps", "2,3",
              "--k-req", "3", "--demand", "0.5"]
@@ -832,6 +851,15 @@ def test_mc_and_verify_quantum_read_the_same_point_flags():
         assert {k: mc[k] for k in keys} == {k: verify[k] for k in keys}
     assert {k: mc[k] for k in keys} == dict(
         m=6, skew=1.5, total=40, caps=(2, 3), k_req=3, demand=0.5)
+    # --caps gives the network, so both refuse each flag it would ignore
+    for command in ("mc", "verify-quantum"):
+        for flag, value in (("--m", "2"), ("--skew", "0"), ("--total", "5")):
+            assert main([command, "--caps", "2,3", flag, value,
+                         "--k-req", "3"]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.err == ("error: --caps gives the network: drop "
+                                    "--m, --skew and --total\n")
+            assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -888,9 +916,8 @@ def test_io_error_exit():
     (["fairness", *ONE_CELL, "--skews", "1e400"], "skew"),
     (["breakeven", "--ms", "4", "--qs", "0.05", "--skew", "inf"], "skew"),
     (["mc", "--m", "4", "--skew", "inf", "--k-req", "4"], "skew"),
-    (["mc", "--caps", "3,3", "--skew", "inf", "--k-req", "2"], "skew"),
-    # --caps builds no network from the skew, but mc's '#' line echoes it
-    (["mc", "--caps", "3,3", "--skew", "-1", "--k-req", "2"], "skew"),
+    (["mc", "--m", "2", "--skew", "nan", "--k-req", "2"], "skew"),
+    (["mc", "--m", "2", "--skew", "-1", "--k-req", "2"], "skew"),
 ])
 def test_non_finite_model_inputs_are_usage_errors(argv, field, tmp_path,
                                                   capsys):
@@ -953,7 +980,12 @@ def test_cli_import_does_not_load_scipy_stats():
     assert proc.stdout.splitlines() == ["False", "[]"]
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden.json")
+
+
 def test_reproduce_results_script_writes_every_artifact(tmp_path):
+    # the artifacts' sha256 pin every output byte across commits; a change
+    # that moves one rewrites tests/golden.json and says why
     script = os.path.join(os.path.dirname(__file__), "..", "scripts",
                           "reproduce_results.py")
     proc = subprocess.run([sys.executable, script, "--quick", "--workers",
@@ -969,18 +1001,16 @@ def test_reproduce_results_script_writes_every_artifact(tmp_path):
     assert len(read_csv(tmp_path / "trials_m8_skew1_d0.4.csv")[2]) == 1000
     for name in ("verify_skewed.json", "verify_symmetric.json"):
         assert json.loads((tmp_path / name).read_text())["passed"] is True
-
-
-def test_quota_rounding_diagnostic_script_runs():
-    script = os.path.join(os.path.dirname(__file__), "..", "scripts",
-                          "quota_rounding_diagnostic.py")
-    proc = subprocess.run([sys.executable, script, "--ms", "4", "--skews",
-                           "0,1", "--demands", "0.1"],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0].split()[:4] == ["m", "skew", "demand", "K"]
-    # one row per (skew, demand) cell, after the header and its rule
-    rows = [line.split() for line in lines[2:4]]
-    assert [row[:3] for row in rows] == [["4", "0", "0.1"], ["4", "1", "0.1"]]
-    assert all(0.0 < float(row[5]) <= 1.0 for row in rows)
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+    made_with = golden["versions"]
+    running = {name: version(name) for name in made_with}
+    assert running == made_with, (
+        f"tests/golden.json was made with numpy {made_with['numpy']} and "
+        f"scipy {made_with['scipy']}; this is numpy {running['numpy']} and "
+        f"scipy {running['scipy']}, whose outputs may differ: regenerate it "
+        f"with {golden['command']}")
+    digests = {path.relative_to(tmp_path).as_posix():
+               hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(tmp_path.rglob("*")) if path.is_file()}
+    assert digests == golden["sha256"]

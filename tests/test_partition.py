@@ -136,17 +136,26 @@ def test_split_chunks_match_enum_partitions_in_content_and_order(
         data, width, n_rows, max_rows):
     caps = [data.draw(st.lists(st.integers(0, 6), min_size=width,
                                max_size=width)) for _ in range(n_rows)]
-    k = data.draw(st.integers(0, max(map(sum, caps)) + 2))
+    # one k for every row, or one per row
+    parts = st.integers(0, max(map(sum, caps)) + 2)
+    k = data.draw(parts | st.lists(parts, min_size=n_rows, max_size=n_rows))
+    ks = [k] * n_rows if isinstance(k, int) else k
     chunks = list(split_chunks(k, np.array(caps), max_rows, np.int8))
     assert all(1 <= len(owner) == len(vecs) <= max_rows
                and vecs.dtype == np.int8 for owner, vecs in chunks)
     # row after row, each row's splits in the oracle's lexicographic order;
     # k > sum(caps) gives that row nothing
-    want = [(row, vec) for row, row_caps in enumerate(caps)
-            for vec in enum_partitions(k, row_caps)]
+    want = [(row, vec) for row, (row_k, row_caps) in enumerate(zip(ks, caps))
+            for vec in enum_partitions(row_k, row_caps)]
     got = [(row, tuple(vec)) for owner, vecs in chunks
            for row, vec in zip(owner.tolist(), vecs.tolist())]
     assert got == want
+    # a row's own k gives what one scalar call on that row gives
+    for row, (row_k, row_caps) in enumerate(zip(ks, caps)):
+        alone = [tuple(vec) for _, vecs in split_chunks(
+            row_k, np.array([row_caps]), max_rows, np.int8)
+            for vec in vecs.tolist()]
+        assert alone == [vec for r, vec in got if r == row]
 
 
 def test_count_unbounded_reduces_to_stars_and_bars():

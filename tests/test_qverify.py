@@ -1,15 +1,17 @@
 """Sparse selection-state construction, measurement and verification.
 
-The embedded state's outcome distribution must coincide exactly with the
-classical two-stage sampler: a uniform winner subset, then a uniform
-feasible split. That equivalence is a closed-form statement about the
-amplitudes, so it is asserted without sampling tolerance.
+The embedded state's outcome distribution must coincide with the lottery
+chain: the first K QLANs of a uniform permutation win, and quota_round
+splits the request over them in arrangement order. That equivalence is a
+closed-form statement about the amplitudes, so it is asserted against a
+brute force over every permutation, without sampling tolerance.
 """
 
 import dataclasses
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -28,11 +30,14 @@ from dheac import (
     enum_partitions,
     generate_network,
     node_win_probs,
+    quota_round,
     safe_select_k,
     trial_rng,
     verify_state,
 )
 from dheac import qverify
+from dheac.lottery import exact_node_probs
+from dheac.netgen import Request
 from dheac.partition import count_partitions
 from dheac.qverify import (
     NORM_TOL,
@@ -60,15 +65,42 @@ def _hand_built(amplitudes) -> SparseState:
                        np.array([amplitudes[lab] for lab in labels]))
 
 
-def test_embedded_matches_classical_sampler_exactly():
-    """amp^2 must equal 1 / (C(m,K) * |Omega_S|) on every branch."""
-    state = build_embedded(SYM, 4, 2)
-    assert len(state.amplitudes) == 18
-    n_subsets = math.comb(4, 2)
-    for (subset, _vec), amp in state.amplitudes.items():
-        omega_size = count_partitions(4, tuple(SYM.caps[i] for i in subset))
-        assert amp * amp == pytest.approx(1 / (n_subsets * omega_size),
-                                          rel=1e-12)
+def _chain_law(caps, k_req, K) -> dict:
+    """{(winners, quotas): probability} of one round of the lottery chain,
+    by brute force over all m! arrangements: the first K QLANs win, and
+    quota_round splits k_req over them in arrangement order."""
+    counts = Counter()
+    for order in itertools.permutations(range(len(caps))):
+        winners = order[:K]
+        quotas = dict(zip(winners, quota_round(
+            k_req, [caps[i] for i in winners])))
+        subset = tuple(sorted(winners))
+        counts[subset, tuple(quotas[i] for i in subset)] += 1
+    total = math.factorial(len(caps))
+    return {label: c / total for label, c in counts.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(caps=st.lists(st.integers(0, 7), min_size=1, max_size=6)
+       .filter(lambda caps: sum(caps) >= 1),
+       k_req=st.integers(1, 42))
+@example(caps=[3, 3, 3, 3], k_req=4)  # equal caps
+@example(caps=[3, 0, 2, 3], k_req=4)  # a zero cap
+@example(caps=[5, 4, 6], k_req=4)  # K = 1
+@example(caps=[5, 0, 0, 1, 9, 2], k_req=7)  # zero caps
+def test_embedded_matches_classical_sampler_exactly(caps, k_req):
+    # the label set and amp^2 of every label, at every K (K = m included)
+    # whose K smallest QLANs cover k_req, for any k_req in 1..sum(caps)
+    k_req = 1 + (k_req - 1) % sum(caps)
+    net = NetworkConfig.from_caps(caps)
+    for K in range(1, len(caps) + 1):
+        if sum(sorted(caps)[:K]) < k_req:
+            continue
+        state = build_embedded(net, k_req, K)
+        law = _chain_law(caps, k_req, K)
+        probs = dict(zip(state.amplitudes, np.square(state.amps).tolist()))
+        assert set(probs) == set(law)
+        assert all(abs(probs[label] - p) <= 1e-14 for label, p in law.items())
 
 
 def test_embedded_outer_marginal_is_exactly_uniform():
@@ -95,7 +127,7 @@ def test_large_branch_marginal_has_no_summation_drift():
 
 def test_embedded_conditional_is_uniform_per_subset():
     # the second state's branches hold different numbers of quota vectors
-    for net, k_req, K in [(SYM, 4, 2), (generate_network(6, 1.0, 30), 12, 5)]:
+    for net, k_req, K in [(SYM, 5, 2), (generate_network(6, 1.0, 30), 12, 5)]:
         state = build_embedded(net, k_req, K)
         report = verify_state(state, net, k_req, K, 2000, trial_rng(4))
         assert report.conditional_max_dev <= NORM_TOL
@@ -108,10 +140,15 @@ def test_embedded_rejects_undersized_winner_sets():
         build_embedded(net, 5, 2)
 
 
-def test_embedded_sparse_guard():
-    net = NetworkConfig.from_caps((6,) * 12)
-    with pytest.raises(CapacityError):
-        build_embedded(net, 12, 6)
+def test_embedded_sparse_guard(monkeypatch):
+    # 116,396,280 labels over C(20, 14) = 38,760 subsets: counted, not built
+    monkeypatch.setattr(qverify, "split_chunks", None)
+    with pytest.raises(CapacityError, match="116396280 labels"):
+        build_embedded(NetworkConfig.from_caps((10,) * 20), 120, 14)
+    # C(24, 14) = 1,961,256 subsets: refused before any is listed
+    monkeypatch.setattr(qverify, "_chain_bounds", None)
+    with pytest.raises(CapacityError, match="1961256 winner subsets"):
+        build_embedded(NetworkConfig.from_caps((10,) * 24), 120, 14)
 
 
 def test_embedded_shortage():
@@ -154,15 +191,15 @@ def test_verify_passes_on_a_sound_state():
     assert report.outer_dof == 5
     assert 0.0 <= report.outer_pvalue <= 1.0
     assert 0.0 <= report.pooled_pvalue <= 1.0
-    assert report.jain_uniform == pytest.approx(1.0, abs=1e-12)
+    assert report.jain == pytest.approx(1.0, abs=1e-12)
 
 
 def test_verify_flags_scaled_amplitude():
-    state = build_embedded(SYM, 4, 2)
+    state = build_embedded(SYM, 5, 2)  # two labels per branch
     damaged = dict(state.amplitudes)
     key = next(iter(damaged))
     damaged[key] *= 1.05
-    report = verify_state(_hand_built(damaged), SYM, 4, 2, 1000, trial_rng(9))
+    report = verify_state(_hand_built(damaged), SYM, 5, 2, 1000, trial_rng(9))
     assert not report.passed
     assert report.norm_dev > 1e-12
     assert report.marginal_max_dev > 1e-12
@@ -191,15 +228,15 @@ def test_verify_counts_each_kind_of_infeasible_label():
            ((0, 9), (2, 2)),   # QLAN outside the network
            ((0, 1), (1, 1)),   # sums to 2, not k_req
            ((0, 1), (5, -1)),  # negative part, part above its cap
-           ((0, 1), (1, 3))]   # feasible, but not the builder's (drawn as is)
+           ((0, 1), (1, 3))]   # within the caps, but no rounding of (3, 3)
     amplitudes.update(dict.fromkeys(bad, 1e-3))
     report = verify_state(_hand_built(amplitudes), SYM, 4, 2, 1000,
                           trial_rng(13))
-    assert report.support_violations == 5
+    assert report.support_violations == 6
     # a width other than K makes every label infeasible
     report = verify_state(build_embedded(SYM, 4, 2), SYM, 4, 3, 1000,
                           trial_rng(13))
-    assert report.support_violations == 18
+    assert report.support_violations == 6
     # a negative part that every other check lets through
     net = NetworkConfig.from_caps((6, 6))
     state = _hand_built({((0, 1), (-1, 5)): 0.6, ((0, 1), (2, 2)): 0.8})
@@ -222,7 +259,7 @@ def test_verify_flags_missing_subset():
 def test_verify_flags_nonuniform_conditional():
     """Shift mass between two splits of one subset: norm and outer marginal
     stay exact, only the conditional layer can catch it."""
-    state = build_embedded(SYM, 4, 2)
+    state = build_embedded(SYM, 5, 2)  # (2, 3) and (3, 2) in every subset
     amplitudes = dict(state.amplitudes)
     subset = (0, 1)
     vecs = [vec for (s, vec) in amplitudes if s == subset]
@@ -232,7 +269,7 @@ def test_verify_flags_nonuniform_conditional():
     shift = 0.5 * pb
     amplitudes[a] = math.sqrt(pa + shift)
     amplitudes[b] = math.sqrt(pb - shift)
-    report = verify_state(_hand_built(amplitudes), SYM, 4, 2, 1000,
+    report = verify_state(_hand_built(amplitudes), SYM, 5, 2, 1000,
                           trial_rng(12))
     assert not report.passed
     assert report.norm_dev < 1e-12
@@ -272,9 +309,9 @@ def test_the_constructor_wraps_its_arrays_read_only():
 def test_amplitude_view_is_the_arrays_in_label_order():
     state = build_embedded(SYM, 4, 2)
     view = state.amplitudes
-    assert len(view) == 18
+    assert len(view) == 6
     labels = list(view)
-    assert labels == sorted(labels) and len(set(labels)) == 18
+    assert labels == sorted(labels) and len(set(labels)) == 6
     assert [view[label] for label in labels] == state.amps.tolist()
     assert ((0, 1), (2, 2)) in view
     for missing in (((0, 1), (4, 0)), ((0, 1, 2), (2, 2, 0)), "label"):
@@ -421,7 +458,7 @@ def test_non_finite_amplitude_fails_structurally(bad):
     assert rng.random() == trial_rng(5).random()
     assert report.drawn_violations == 0
     for name in ("outer_chi2", "outer_pvalue", "pooled_chi2",
-                 "pooled_pvalue", "jain_uniform"):
+                 "pooled_pvalue", "jain"):
         assert math.isnan(getattr(report, name))
     assert report.min_expected_cell == math.inf
     with pytest.raises(InvariantViolationError):
@@ -430,26 +467,15 @@ def test_non_finite_amplitude_fails_structurally(bad):
         measure_many(state, rng, 10)
 
 
-def test_build_counts_one_branch_the_k_largest_caps(monkeypatch):
-    calls = []
-
-    def counting(k, caps):
-        calls.append((k, tuple(caps)))
-        return count_partitions(k, caps)
-
-    monkeypatch.setattr(qverify, "count_partitions", counting)
-    net = NetworkConfig.from_caps((2, 1, 3, 1, 2, 1))
-    state = build_embedded(net, 5, 4)
-    assert calls == [(5, (1, 2, 2, 3))]
-    assert np.diff(state.offsets).tolist() == [
-        count_partitions(5, tuple(net.caps[i] for i in s))
-        for s in itertools.combinations(range(net.m), 4)]
-
-
 def test_build_raises_when_the_count_and_the_walk_disagree(monkeypatch):
-    monkeypatch.setattr(qverify, "count_partitions",
-                        lambda k, caps: count_partitions(k, caps) + 1)
-    with pytest.raises(InvariantViolationError, match="largest subset"):
+    walk = qverify.split_chunks
+
+    def short_walk(*args):
+        for owner, vectors in walk(*args):
+            yield owner[:-1], vectors[:-1]
+
+    monkeypatch.setattr(qverify, "split_chunks", short_walk)
+    with pytest.raises(InvariantViolationError, match="counted"):
         build_embedded(NetworkConfig.from_caps((2, 1, 3, 1, 2, 1)), 5, 4)
 
 
@@ -458,8 +484,7 @@ def test_build_raises_when_the_count_and_the_walk_disagree(monkeypatch):
                                      max_size=7))
 def test_branch_counts_are_extreme_at_the_k_largest_and_smallest_caps(
         data, caps):
-    # the claim build_embedded's guard rests on: a bounded-split count
-    # never shrinks when a cap grows
+    # a bounded-split count never shrinks when a cap grows
     K = data.draw(st.integers(1, len(caps)))
     k = data.draw(st.integers(0, sum(caps) + 2))
     counts = [count_partitions(k, [caps[i] for i in s])
@@ -480,13 +505,23 @@ def test_chisquare_helper_equals_scipy_stats(obs):
     assert _chisquare(obs) == (float(stat), float(pvalue))
 
 
+def _chain_vectors(k_req, caps) -> list[tuple[int, ...]]:
+    """Every quota vector, in slot order, that quota_round gives these
+    winners over some arrangement of them; ascending."""
+    vectors = set()
+    for order in itertools.permutations(range(len(caps))):
+        quotas = quota_round(k_req, [caps[j] for j in order])
+        vectors.add(tuple(q for _, q in sorted(zip(order, quotas))))
+    return sorted(vectors)
+
+
 def _dict_reference(net, k_req, K):
-    """The embedded state as a {label: amplitude} dict, one enum_partitions
-    per subset: the builder before states were held as arrays."""
+    """The embedded state as a {label: amplitude} dict, one brute force
+    over the arrangements of each subset."""
     amplitudes = {}
     outer_amp_sq = 1.0 / math.comb(net.m, K)
     for subset in itertools.combinations(range(net.m), K):
-        omega = enum_partitions(k_req, tuple(net.caps[i] for i in subset))
+        omega = _chain_vectors(k_req, [net.caps[i] for i in subset])
         amp = math.sqrt(outer_amp_sq / len(omega))
         for vec in omega:
             amplitudes[(subset, vec)] = amp
@@ -519,7 +554,7 @@ def _pooled_reference(counts, offsets, draws, n_subsets):
 @pytest.mark.parametrize("net, k_req, K, draws", [
     pytest.param(*_cli_point(6, 1.0, 0.4), 5000, id="6-1.0-0.4"),
     pytest.param(*_cli_point(8, 0.5, 0.2), 5000, id="8-0.5-0.2"),
-    # (0, 1, 2) holds one quota vector, every other subset 4 to 7
+    # (0, 1, 2) holds one quota vector, every other subset one or two
     pytest.param(NetworkConfig.from_caps((1, 1, 1, 3, 3)), 3, 3, 5000,
                  id="one-label-and-larger-branches"),
     # 56 subsets, 40 draws: many branches are never drawn
@@ -541,6 +576,19 @@ def test_pooled_statistic_is_the_sum_of_branch_chisquares(net, k_req, K,
     assert report.min_expected_cell == min_expected
 
 
+@pytest.mark.parametrize("m", [4, 8])
+def test_node_win_probs_is_the_chain_law_on_every_canonical_cell(m):
+    # every (skew, demand) cell of the verify grid, the two cells the
+    # uniform-split state was too large to build included
+    for skew, demand in itertools.product((0, 0.5, 1, 1.5, 2),
+                                          (0.1, 0.2, 0.4, 0.6)):
+        net, k_req, K = _cli_point(m, skew, demand)
+        state = build_embedded(net, k_req, K)
+        assert len(state.amps) <= 74
+        assert np.abs(node_win_probs(state, net.caps) - exact_node_probs(
+            net, Request(k_req))).max() <= 1e-11, (m, skew, demand)
+
+
 def _per_label_node_win_probs(labels, caps):
     """node_win_probs one label at a time: each QLAN's terms p * v / cap
     added left to right in label order."""
@@ -555,7 +603,7 @@ def _per_label_node_win_probs(labels, caps):
 @pytest.mark.parametrize("net, k_req, K", [
     (SYM, 4, 2),
     _cli_point(6, 1.0, 0.4),  # the README point
-    _cli_point(8, 0.5, 0.2),  # 56 subsets of unequal sizes
+    _cli_point(8, 0.5, 0.2),  # 56 subsets, one of them two labels
     (NetworkConfig.from_caps((3, 0, 2, 3)), 4, 3),  # a zero cap in subsets
     (NetworkConfig.from_caps((1,) * 12), 4, 4),  # 495 one-label branches
 ])
@@ -579,9 +627,9 @@ def test_array_state_equals_dict_reference(net, k_req, K):
 
 
 def _mixed_amplitudes() -> SparseState:
-    """SYM's support at k_req 4, K 2, each branch holding several
+    """SYM's support at k_req 5, K 2, each branch holding two
     amplitudes."""
-    labels = list(_dict_reference(SYM, 4, 2))
+    labels = list(_dict_reference(SYM, 5, 2))
     weights = [1 + i % 5 for i in range(len(labels))]
     return _hand_built({label: math.sqrt(w / math.fsum(weights))
                         for label, w in zip(labels, weights)})
@@ -597,14 +645,16 @@ def _qlan_2_in_no_subset() -> SparseState:
     return _hand_built(dict.fromkeys(labels, math.sqrt(1 / len(labels))))
 
 
-_LARGEST_CELL = _cli_point(8, 1.0, 0.6)  # one subset, 948,496 labels
+# 11 equal QLANs of C(16, 11) = 4,368 subsets share 8 extra pairs: 720,720
+# labels, the largest state of the canonical m <= 16 cells
+_LARGEST_CELL = _cli_point(16, 0.0, 0.6)
 
 
 @pytest.mark.parametrize("caps, make_state", [
     pytest.param(SYM.caps, _mixed_amplitudes, id="mixed-amplitudes"),
     pytest.param((2, 3, 5, 1), _qlan_2_in_no_subset, id="qlan-in-no-subset"),
     pytest.param(_LARGEST_CELL[0].caps, lambda: build_embedded(*_LARGEST_CELL),
-                 id="948496-labels"),
+                 id="720720-labels"),
 ])
 def test_node_win_probs_equals_per_label_sums(caps, make_state):
     # states the dict reference cannot rebuild, or too large to compare as
@@ -616,17 +666,16 @@ def test_node_win_probs_equals_per_label_sums(caps, make_state):
 
 
 def _label_violations_reference(state, net, k_req, K):
-    """Per label: K distinct QLANs of the network in ascending order, and K
-    entries 0 <= v <= cap summing to k_req."""
+    """Per label: K distinct QLANs of the network in ascending order that
+    cover k_req, and a vector the chain can round their caps to."""
     bad = []
     for s, subset in enumerate(state.subsets.tolist()):
-        sound = (len(subset) == K and all(0 <= i < net.m for i in subset)
+        caps = [net.caps[i] for i in subset if 0 <= i < net.m]
+        sound = (len(subset) == len(caps) == K and sum(caps) >= k_req
                  and all(a < b for a, b in zip(subset, subset[1:])))
+        chain = set(_chain_vectors(k_req, caps)) if sound else set()
         rows = state.vectors[state.offsets[s]:state.offsets[s + 1]]
-        for vec in rows.tolist():
-            bad.append(not (sound and len(vec) == K and sum(vec) == k_req
-                            and all(0 <= v <= net.caps[i]
-                                    for i, v in zip(subset, vec))))
+        bad.extend(tuple(vec) not in chain for vec in rows.tolist())
     return np.array(bad, dtype=bool)
 
 
@@ -637,14 +686,18 @@ def _label_violations_reference(state, net, k_req, K):
        dtype=st.sampled_from([np.int8, np.int16, np.int64]))
 def test_label_violations_equal_a_per_label_reference(data, caps, k_req,
                                                       dtype):
-    # built states damaged through the constructor; caps above 127 bound no
-    # int8 entry
+    # built states damaged through the constructor
     assume(sum(caps) >= k_req)
     net = NetworkConfig.from_caps(caps)
     K = data.draw(st.sampled_from([K for K in range(1, net.m + 1)
                                    if sum(sorted(caps)[:K]) >= k_req]))
     state = build_embedded(net, k_req, K)
     subsets, vectors = state.subsets.copy(), state.vectors.astype(dtype)
+    # a pair moved between slots: the sum holds, the rounding need not
+    for _ in range(data.draw(st.integers(0, 2))):
+        row = data.draw(st.integers(0, len(vectors) - 1))
+        vectors[row, data.draw(st.integers(0, K - 1))] -= 1
+        vectors[row, data.draw(st.integers(0, K - 1))] += 1
     # QLAN ids out of range, out of order or repeated
     for _ in range(data.draw(st.integers(0, 3))):
         subsets[data.draw(st.integers(0, len(subsets) - 1)),
@@ -664,7 +717,7 @@ def test_label_violations_equal_a_per_label_reference(data, caps, k_req,
 
 
 def test_label_diagnostics_peak_within_a_few_label_arrays():
-    # the 948,496-label cell past the state build: neither step makes an
+    # the 720,720-label cell past the state build: neither step makes an
     # (n_labels, K) temporary
     net, k_req, K = _LARGEST_CELL
     state = build_embedded(net, k_req, K)
@@ -678,13 +731,13 @@ def test_label_diagnostics_peak_within_a_few_label_arrays():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert len(state.amps) == 948496
+    assert len(state.amps) == 720720
     assert peaks[0] <= 4.5 * label_array
     assert peaks[1] <= 1.5 * label_array
 
 
 def test_largest_verify_cell_builds_and_verifies_in_bounded_memory():
-    net, k_req, K = _cli_point(8, 1.0, 0.6)
+    net, k_req, K = _LARGEST_CELL
     tracemalloc.start()
     try:
         state = build_embedded(net, k_req, K)
@@ -692,30 +745,32 @@ def test_largest_verify_cell_builds_and_verifies_in_bounded_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.n_outcomes == len(state.amplitudes) == 948496
-    assert report.n_subsets == 1 and report.outer_pvalue == 1.0
+    assert report.n_outcomes == len(state.amplitudes) == 720720
+    assert report.n_subsets == 4368
     assert report.passed
     assert peak < 100e6
 
 
 def test_build_peaks_within_a_small_multiple_of_the_state_it_returns():
-    # the 948,496-label cell: one subset, so every label is one branch
-    net, k_req, K = _cli_point(8, 1.0, 0.6)
-    tracemalloc.start()
-    try:
-        state = build_embedded(net, k_req, K)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    held = sum(a.nbytes for a in (state.subsets, state.offsets,
-                                  state.vectors, state.amps))
-    assert len(state.amps) == 948496
-    assert peak <= 3.5 * held
+    # 4,368 subsets of 165 labels, and 497,420 subsets of 649,269 labels in
+    # all, whose rounding goes a chunk of subsets at a time
+    for cell, n_labels in (((16, 0.0, 0.6), 720720), ((22, 1.0, 0.1), 649269)):
+        net, k_req, K = _cli_point(*cell)
+        tracemalloc.start()
+        try:
+            state = build_embedded(net, k_req, K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for a in (state.subsets, state.offsets,
+                                      state.vectors, state.amps))
+        assert len(state.amps) == n_labels
+        assert peak <= 3.5 * held
 
 
 def test_sample_counts_holds_at_most_two_label_arrays_and_a_chunk():
-    # the 948,496-label cell; measure_many's draw alone, past the state build
-    net, k_req, K = _cli_point(8, 1.0, 0.6)
+    # the 720,720-label cell; measure_many's draw alone, past the state build
+    net, k_req, K = _LARGEST_CELL
     state = build_embedded(net, k_req, K)
     n = len(state.amps)
     tracemalloc.start()
@@ -724,5 +779,5 @@ def test_sample_counts_holds_at_most_two_label_arrays_and_a_chunk():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert n == 948496 and counts.sum() == 200000
+    assert n == 720720 and counts.sum() == 200000
     assert peak <= 2.5 * 8 * n

@@ -77,5 +77,5 @@ def test_tracer_installs_runs_and_restores_every_binding(tmp_path):
 
 def test_names_the_tracer_reads_outside_its_table_exist():
     state = build_embedded(NetworkConfig.from_caps((3, 3, 3, 3)), 4, 2)
-    assert len(state.amplitudes) == 18
+    assert len(state.amplitudes) == 6
     assert isinstance(dheac.lottery.DEFAULT_BETA, float)
