@@ -108,12 +108,15 @@ def split_chunks(k, caps: np.ndarray, max_rows: int, dtype=np.int64):
     level branches at most max_rows rows into at most max_rows children
     (unless one row branches wider) and is dropped once all have branched.
     """
-    caps = np.asarray(caps, dtype=np.int64)
+    caps = np.asarray(caps)
     k = np.broadcast_to(np.asarray(k, dtype=np.int64), caps.shape[:1])
     n = caps.shape[1]
-    owner = np.flatnonzero(caps.sum(axis=1) >= k)
-    caps = caps.T.copy()  # slot-major: a level gathers from one row
-    rest = np.cumsum(caps[::-1], axis=0)[::-1] - caps
+    owner = np.flatnonzero(caps.sum(axis=1, dtype=np.int64) >= k)
+    # slot-major, so a level gathers from one row, in a dtype that holds
+    # n times the largest cap: caps and rest, not an int64 copy of each
+    work = np.min_scalar_type(n * int(caps.max(initial=0)))
+    caps = caps.T.astype(work)
+    rest = np.cumsum(caps[::-1], axis=0, dtype=work)[::-1] - caps
     # levels [slot set next, rows, owners, parts left, rows branched]
     stack = [[0, np.zeros((len(owner), n), dtype=dtype), owner,
               k[owner], 0]] if len(owner) else []

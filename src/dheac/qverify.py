@@ -70,7 +70,9 @@ class SparseState:
 
     The state is four read-only arrays, labels in ascending order:
 
-    - ``subsets``: (n_subsets, K) int64, the distinct winner subsets;
+    - ``subsets``: (n_subsets, K) signed integer QLAN ids, the distinct
+      winner subsets (``build_embedded`` uses the smallest dtype that
+      holds m - 1);
     - ``offsets``: (n_subsets + 1,) int64; subset s owns label rows
       ``offsets[s]:offsets[s + 1]`` of the two arrays below;
     - ``vectors``: (n_labels, width) signed integer quota vectors,
@@ -200,7 +202,8 @@ def build_embedded(net: NetworkConfig, k_req: int, K: int) -> SparseState:
             f"{MAX_SPARSE_OUTCOMES} sparse guard; reduce m or K")
     subsets = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(net.m), K)),
-        dtype=np.int64, count=n_subsets * K).reshape(n_subsets, K)
+        dtype=_int_dtype(0, net.m - 1),
+        count=n_subsets * K).reshape(n_subsets, K)
     dtype = _int_dtype(0, k_req)
     lo, free = _chain_bounds(net.caps, k_req, subsets, dtype)
     free -= lo  # 1 on the slots that may take an extra pair

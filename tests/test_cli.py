@@ -40,8 +40,9 @@ from dheac.cli import (
     EXIT_USAGE,
     EXIT_VERIFY,
     MC_FIELDS,
+    _ascii_cells,
+    _dump_text,
     _fmt,
-    _mc_line,
     main,
 )
 
@@ -614,14 +615,42 @@ _INTS = st.integers(-10 ** 6, 10 ** 12)
 @example(trial=0, ok=True, attempts=0, latency=5e-324, lists=([7], [3]))
 def test_dump_int_lists_format_as_the_generic_path(trial, ok, attempts,
                                                    latency, lists):
-    # one template line is the per-cell _fmt path, int lists ';'-joined
+    # one row of the block encoder is the per-cell _fmt path, int lists
+    # ';'-joined
     winners, quotas = lists
     cells = [trial, ok, attempts, latency,
              ";".join(_fmt(v) for v in winners),
              ";".join(_fmt(v) for v in quotas)]
-    line = _mc_line(len(winners)) % (trial, ok, attempts, latency,
-                                     *winners, *quotas)
+    line = _dump_text(trial, np.array([ok]), np.array([attempts]),
+                      np.array([latency]), np.array([winners]),
+                      np.array([quotas]))
     assert line == ",".join(_fmt(cell) for cell in cells) + "\n"
+
+
+_INT64 = st.one_of(
+    st.integers(-2 ** 63, 2 ** 63 - 1),
+    st.sampled_from([0, 9, 10, 99, 100, -1, -9, -10, -99, -100]),
+    st.integers(10 ** 18, 2 ** 63 - 1), st.integers(-2 ** 63, -10 ** 18))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=(st.tuples(st.integers(1, 5), st.integers(1, 5))
+               | st.sampled_from([(1, 1), (1, 7), (7, 1)])).flatmap(
+           lambda shape: st.lists(st.lists(_INT64, min_size=shape[1],
+                                           max_size=shape[1]),
+                                  min_size=shape[0], max_size=shape[0])),
+       sep=st.sampled_from(",;"))
+@example(values=[[-2 ** 63, 2 ** 63 - 1], [0, -10]], sep=";")
+def test_ascii_cells_are_str_of_each_int64_right_aligned(values, sep):
+    rows, cols = len(values), len(values[0])
+    out = _ascii_cells(np.array(values, dtype=np.int64), sep)
+    width = max(len(str(v)) for row in values for v in row) + 1
+    assert out.dtype == np.uint8 and out.shape == (rows, cols * width)
+    # each cell: NUL padding, then the digits str() gives, then sep
+    assert [[bytes(out[r, c * width:(c + 1) * width]) for c in range(cols)]
+            for r in range(rows)] == [
+        [(str(v) + sep).rjust(width, "\0").encode() for v in row]
+        for row in values]
 
 
 def _reference_dump_rows(argv) -> str:
@@ -840,6 +869,32 @@ def test_oversized_networks_exit_before_they_are_built(argv):
     assert elapsed < 2.0
 
 
+def test_calls_in_one_process_share_a_parser_and_act_as_separate_calls(
+        capsys):
+    # a parse that fails in a subcommand's flags, then two commands
+    calls = [["mc", "--m", "4", "--trials", "ten"],
+             ["breakeven", "--ms", "4", "--qs", "0.05", "--out", "-"],
+             ["sweep", *ONE_CELL, "--qs", "0.05", "--skews", "0"]]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr()
+
+    separate = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        separate.append(run(argv))
+    cli._parser.cache_clear()
+    shared = [run(argv) for argv in calls]
+    assert cli._parser.cache_info().misses == 1
+    assert shared == separate
+    assert [code for code, _ in shared] == [EXIT_USAGE, EXIT_OK, EXIT_OK]
+    assert "invalid int value: 'ten'" in shared[0][1].err
+
+
 def test_mc_and_verify_quantum_read_the_same_point_flags(capsys):
     parser = cli.build_parser()
     point = ["--m", "6", "--skew", "1.5", "--total", "40", "--caps", "2,3",
@@ -983,9 +1038,10 @@ def test_cli_import_does_not_load_scipy_stats():
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden.json")
 
 
-def test_reproduce_results_script_writes_every_artifact(tmp_path):
-    # the artifacts' sha256 pin every output byte across commits; a change
-    # that moves one rewrites tests/golden.json and says why
+def test_reproduce_results_script_writes_every_artifact(tmp_path, capsys):
+    # the artifacts' sha256, and the stdout, stderr and exit code of a few
+    # edge argvs, pin every output byte across commits; a change that moves
+    # one rewrites tests/golden.json and says why
     script = os.path.join(os.path.dirname(__file__), "..", "scripts",
                           "reproduce_results.py")
     proc = subprocess.run([sys.executable, script, "--quick", "--workers",
@@ -1014,3 +1070,10 @@ def test_reproduce_results_script_writes_every_artifact(tmp_path):
                hashlib.sha256(path.read_bytes()).hexdigest()
                for path in sorted(tmp_path.rglob("*")) if path.is_file()}
     assert digests == golden["sha256"]
+    # a sparse-guard refusal, an oversized network, an underflowing
+    # success probability and the --corrupt hook
+    for edge in golden["edges"]:
+        code = main(edge["argv"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            edge["exit"], edge["stdout"], edge["stderr"]), edge["argv"]
