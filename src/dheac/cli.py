@@ -37,6 +37,7 @@ from .baselines import b1_evaluate, b2_evaluate
 from .errors import CapacityError, InvariantViolationError, ResourceShortageError
 from .lottery import (
     MAX_SUBSETS,
+    _piece_rows,
     batch_stats,
     estimate_fairness,
     exact_node_probs,
@@ -137,7 +138,7 @@ def _write_csv(dest: str, comments: list[str], fieldnames: list[str],
     """Write '#'-prefixed comments, the header, then ``text`` as it comes.
 
     ``text`` is an iterable of strings of whole, newline-ended lines: one line
-    per row from _dict_lines, or one block of rows per string from the mc
+    per row from _dict_lines, or one piece of rows per string from the mc
     dump. No field any command writes holds ',', '"' or a line break, so no
     field is ever quoted and each line is its cells joined with ','. Each
     string is written as soon as it is produced, so output of any length
@@ -676,11 +677,11 @@ def _dump_text(first: int, ok: np.ndarray, attempts: np.ndarray,
 def _cmd_mc(args) -> int:
     """Dump the rounds of one point, then print their summary and baselines.
 
-    The dump is written one kernel block at a time: _dump_text builds each
-    block's lines as one (rows, width) ASCII array, from the integer
-    columns by numpy arithmetic and from each latency's format(value,
-    '.10g'), then drops its NUL padding into one string. Text is never held
-    for more than one block.
+    The dump is written one row piece of a kernel block at a time:
+    _dump_text builds each piece's lines as one (rows, width) ASCII array,
+    from the integer columns by numpy arithmetic and from each latency's
+    format(value, '.10g'), then drops its NUL padding into one string.
+    Text is never held for more than one piece.
     """
     net, skew, k_req, params = _point_inputs(args)
     req = Request(k_req)
@@ -692,6 +693,10 @@ def _cmd_mc(args) -> int:
     rounds = sample_rounds(net, req, params, args.trials, trial_rng(args.seed))
     acct = LATENCY_MODES.index(args.chi)
 
+    # per row: the int64 sort order, the sorted winners and quotas, and
+    # the row's text, a few bytes per cell
+    piece = _piece_rows(4 * rec.K)
+
     def blocks():
         nonlocal n_ok, lat_sum
         done = 0
@@ -699,16 +704,20 @@ def _cmd_mc(args) -> int:
             ok, attempts, lat = ok[acct], attempts[acct], lat[acct]
             n_ok += int(ok.sum())
             lat_sum += float(lat.sum())
-            # winners in ascending order, each quota moved with its winner:
-            # flat indices, as a flat take is some 2x faster than
-            # take_along_axis
-            order = np.argsort(arrangement, axis=1)
-            order += arrangement.shape[1] * np.arange(len(order))[:, None]
-            yield _dump_text(done, ok, attempts, lat, arrangement.take(order),
-                             quotas.take(order))
+            for first in range(0, len(lat), piece):
+                part = slice(first, first + piece)
+                # winners in ascending order, each quota moved with its
+                # winner: flat indices, as a flat take is some 2x faster
+                # than take_along_axis
+                order = np.argsort(arrangement[part], axis=1)
+                order += arrangement.shape[1] * np.arange(len(order))[:, None]
+                yield _dump_text(done + first, ok[part], attempts[part],
+                                 lat[part], arrangement[part].take(order),
+                                 quotas[part].take(order))
+                del order
             done += len(lat)
             # free this block's (t, K) arrays before the next block is drawn
-            del arrangement, quotas, order
+            del arrangement, quotas
 
     # a --caps network was generated from no skew
     shape = f"m={net.m}" if skew is None else f"m={net.m} skew={skew:g}"

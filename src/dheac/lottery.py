@@ -62,6 +62,9 @@ _BLOCK = 8192
 # bytes one sample_rounds block may hold; every m <= 32 point at the
 # default max_attempts still fits a full _BLOCK of rows
 _BLOCK_BYTES = 64 << 20
+# bytes of the temporaries one row piece of a block holds: blocks set the
+# draws, pieces only how many rows are drawn or reduced at once
+_PIECE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -214,13 +217,17 @@ def _delivery_law(q: float, M: int) -> tuple[np.ndarray, np.ndarray]:
 def _block_rows(m: int, K: int, M: int) -> int:
     """Trials per block under the _BLOCK_BYTES budget.
 
-    Bounds the int64 words alive per row at a block's peak by the sum over
-    its stages: the permuted arrangement and its tiled source (2m), up to
-    ten rounding temporaries (10K), the quota-block outcome counts
+    The block size sets how many rounds each whole-block draw takes, and so
+    every stream. It bounds the int64 words per row by the sum over the
+    kernel's stages: the permuted arrangement and its tiled source (2m), up
+    to ten rounding temporaries (10K), the quota-block outcome counts
     (K(M + 1)), the three selection-group outcome counts (3(M + 1)) and the
-    (2, t) accounting rows with their stage-one counts (8). Raises
-    CapacityError when a single row exceeds the budget, which only a huge
-    max_attempts M can cause at any realistic m.
+    (2, t) accounting rows with their stage-one counts (8). A block keeps
+    alive only its (t, K) arrangement and quotas, the three selection-group
+    tables and the (2, t) rows; the rest lives one row piece (_piece_rows)
+    at a time, so the bound is loose, but changing it would move every
+    stream. Raises CapacityError when a single row exceeds the budget,
+    which only a huge max_attempts M can cause at any realistic m.
     """
     row_bytes = 8 * (2 * m + (K + 3) * (M + 1) + 10 * K + 8)
     if row_bytes > _BLOCK_BYTES:
@@ -229,6 +236,12 @@ def _block_rows(m: int, K: int, M: int) -> int:
             f"K={K}, over the {_BLOCK_BYTES}-byte block budget; "
             "lower max_attempts")
     return min(_BLOCK, _BLOCK_BYTES // row_bytes)
+
+
+def _piece_rows(row_words: int) -> int:
+    """Rows of one block piece whose temporaries take row_words int64 words
+    per row: as many as _PIECE_BYTES holds, and at least one."""
+    return max(1, _PIECE_BYTES // (8 * row_words))
 
 
 def _capacity_classes(caps) -> tuple[np.ndarray, np.ndarray]:
@@ -280,20 +293,28 @@ def _class_round(k_req: int, classes: np.ndarray,
 
 
 def _arranged_quotas(caps: np.ndarray, k_req: int, K: int, trials: int,
-                     block: int, rng: np.random.Generator):
+                     block: int, piece: int, rng: np.random.Generator):
     """Yield (arrangement, quotas) for successive blocks of at most block rows.
 
     Each row is one round's first K QLANs of a uniformly random permutation,
-    in arrangement order, and quota_round applied to their capacities.
+    in arrangement order, and quota_round applied to their capacities. Both
+    are filled piece rows at a time: rng.permuted shuffles row after row, so
+    the pieces draw what one whole-block call would.
     """
     cap_bound = int(caps.max()) + 1
     qlan_ids = np.arange(len(caps), dtype=np.int64)
     for start in range(0, trials, block):
         t = min(block, trials - start)
-        # copy the (t, K) slice so the (t, m) permutation is freed at once
-        arrangement = rng.permuted(
-            np.tile(qlan_ids, (t, 1)), axis=1)[:, :K].copy()
-        yield arrangement, _quota_round_rows(k_req, caps[arrangement], cap_bound)
+        arrangement, quotas = np.empty((2, t, K), dtype=np.int64)
+        for first in range(0, t, piece):
+            part = slice(first, first + piece)
+            arrangement[part] = rng.permuted(
+                np.tile(qlan_ids, (min(piece, t - first), 1)), axis=1)[:, :K]
+            quotas[part] = _quota_round_rows(k_req, caps[arrangement[part]],
+                                             cap_bound)
+        yield arrangement, quotas
+        # free this block's (t, K) arrays before the next block is drawn
+        del arrangement, quotas
 
 
 def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
@@ -310,11 +331,13 @@ def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
     optimistic row requires and counts the winner group in stage one's
     success and attempts, the conservative row all three groups; both ship
     every selection qubit, conservative also the ancilla register, and both
-    share the quota blocks. Blocks fit a fixed memory budget, so peak
-    memory does not grow with m. The arguments are checked before anything
-    is drawn: raises CapacityError when one trial's outcome table alone
-    exceeds that budget, and ValueError when the largest latency a round
-    can take, summed or squared over the trials, would overflow a float.
+    share the quota blocks. Blocks fit a fixed memory budget, and inside a
+    block the arrangements are drawn and the quota blocks reduced a row
+    piece at a time, so peak memory does not grow with m. The arguments
+    are checked before anything is drawn: raises CapacityError when one
+    trial's outcome table alone exceeds that budget, and ValueError when
+    the largest latency a round can take, summed or squared over the
+    trials, would overflow a float.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -323,6 +346,9 @@ def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
     block = _block_rows(net.m, K, M)
     ell = ancilla_bits(net.caps)
     m = net.m
+    # per row of a piece: the tiled and permuted arrangement, the rounding
+    # temporaries, the quota-block outcome table and its attempt costs
+    piece = _piece_rows(2 * m + K * (M + 12))
     caps = np.asarray(net.caps, dtype=np.int64)
     pvals, cost = _delivery_law(params.q, M)
     base = params.t_gen + params.t_meas
@@ -336,22 +362,33 @@ def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
 
     def blocks_of_rounds():
         for arrangement, quotas in _arranged_quotas(
-                caps, req.k_req, K, trials, block, rng):
+                caps, req.k_req, K, trials, block, piece, rng):
             t = len(quotas)
             winners = rng.multinomial(K, pvals, size=t)
             others = rng.multinomial(m - K, pvals, size=t)
             ancilla = rng.multinomial(ell, pvals, size=t)
-            blocks = rng.multinomial(quotas, pvals)
+            # the quota blocks piece by piece (an array-n multinomial draws
+            # row after row), each piece's (rows, K, M + 1) outcome table
+            # reduced at once to whether every block was delivered and to
+            # the sum and maximum of their attempts
+            delivered = np.empty(t, dtype=bool)
+            block_sum, block_max = np.empty((2, t), dtype=np.int64)
+            for first in range(0, t, piece):
+                part = slice(first, first + piece)
+                blocks = rng.multinomial(quotas[part], pvals)
+                delivered[part] = (blocks[:, :, M] == 0).all(axis=1)
+                block_att = blocks @ cost
+                del blocks
+                block_sum[part] = block_att.sum(axis=1)
+                block_max[part] = block_att.max(axis=1)
+                del block_att
             # rows filled in place: building them with np.stack measured
             # 3 MB more peak RSS on the mc_grid benchmark, though not more
             # traced memory (allocator fragmentation)
             ok = np.empty((2, t), dtype=bool)
-            np.logical_and(winners[:, M] == 0,
-                           (blocks[:, :, M] == 0).all(axis=1), out=ok[0])
+            np.logical_and(winners[:, M] == 0, delivered, out=ok[0])
             np.logical_and(ok[0], (others[:, M] == 0) & (ancilla[:, M] == 0),
                            out=ok[1])
-            block_att = blocks @ cost
-            del blocks
             # stage one ships every selection qubit, conservative also the
             # ancillas; the optimistic row counts only the winners' attempts
             win_att = winners @ cost
@@ -359,10 +396,10 @@ def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
             np.add(win_att, others @ cost, out=stage1[0])
             np.add(stage1[0], ancilla @ cost, out=stage1[1])
             attempts = np.stack((win_att, stage1[1]))
-            attempts += block_att.sum(axis=1)
+            attempts += block_sum
             lat = (base + params.t_dist * stage1) + (
-                base + params.t_dist * block_att.max(axis=1))
-            del winners, others, ancilla, block_att, stage1
+                base + params.t_dist * block_max)
+            del winners, others, ancilla, block_sum, block_max, stage1
             yield arrangement, quotas, ok, attempts, lat
             # free this block's (t, K) arrays before the next block is drawn
             del arrangement, quotas
@@ -458,11 +495,15 @@ def estimate_fairness(net: NetworkConfig, req: Request, trials: int,
     quota_sums = np.zeros(len(classes))
     # per row: the composition and its rounding temporaries
     block = min(_BLOCK, _BLOCK_BYTES // (8 * 16 * len(classes)))
+    piece = _piece_rows(16 * len(classes))
     for start in range(0, trials, block):
+        # drawn whole: method="count" draws differently when split
         counts = rng.multivariate_hypergeometric(
             sizes, K, size=min(block, trials - start), method="count")
-        floors, extras = _class_round(req.k_req, classes, counts)
-        quota_sums += (counts * floors + extras).sum(axis=0)
+        for first in range(0, len(counts), piece):
+            part = counts[first:first + piece]
+            floors, extras = _class_round(req.k_req, classes, part)
+            quota_sums += (part * floors + extras).sum(axis=0)
     return _node_probs(net.caps, classes, sizes, quota_sums, trials)
 
 

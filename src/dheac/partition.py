@@ -99,7 +99,8 @@ def enum_partitions(k: int, caps) -> tuple[tuple[int, ...], ...]:
 def split_chunks(k, caps: np.ndarray, max_rows: int, dtype=np.int64):
     """Yield (owner, vectors) chunks of at most max_rows rows: every bounded
     split of k (one int, or one per row) over each row of the (rows, n >= 1)
-    caps matrix, in dtype.
+    caps matrix, in dtype; owners are row indices in the smallest unsigned
+    dtype that holds them.
 
     Owners ascend, each with its splits in ``enum_partitions`` order. Slot
     j of a partial vector with r parts left takes max(0, r - rest_j) <= x
@@ -111,7 +112,10 @@ def split_chunks(k, caps: np.ndarray, max_rows: int, dtype=np.int64):
     caps = np.asarray(caps)
     k = np.broadcast_to(np.asarray(k, dtype=np.int64), caps.shape[:1])
     n = caps.shape[1]
-    owner = np.flatnonzero(caps.sum(axis=1, dtype=np.int64) >= k)
+    owner = np.flatnonzero(caps.sum(axis=1, dtype=np.int64) >= k).astype(
+        np.min_scalar_type(len(caps)))
+    # parts left in the smallest signed dtype that holds k
+    left_type = np.min_scalar_type(-1 - int(k.max(initial=0)))
     # slot-major, so a level gathers from one row, in a dtype that holds
     # n times the largest cap: caps and rest, not an int64 copy of each
     work = np.min_scalar_type(n * int(caps.max(initial=0)))
@@ -119,7 +123,7 @@ def split_chunks(k, caps: np.ndarray, max_rows: int, dtype=np.int64):
     rest = np.cumsum(caps[::-1], axis=0, dtype=work)[::-1] - caps
     # levels [slot set next, rows, owners, parts left, rows branched]
     stack = [[0, np.zeros((len(owner), n), dtype=dtype), owner,
-              k[owner], 0]] if len(owner) else []
+              k.astype(left_type)[owner], 0]] if len(owner) else []
     while stack:
         level = stack[-1]
         j, rows, owner, left, done = level
@@ -140,7 +144,8 @@ def split_chunks(k, caps: np.ndarray, max_rows: int, dtype=np.int64):
             parent = np.repeat(np.arange(done, stop), width[:take])
             child = rows.take(parent, axis=0)  # 10x faster than rows[parent]
             child[:, j] = x
-            child_left = left[parent] - x
+            child_left = left[parent]
+            child_left -= x  # x <= left: it fits left's dtype
         level[4] = stop
         if stop >= len(rows):
             stack.pop()

@@ -44,7 +44,7 @@ import numpy as np
 
 from .analytics import jain_index
 from .errors import CapacityError, InvariantViolationError, ResourceShortageError
-from .lottery import _capacity_classes, _class_round
+from .lottery import _capacity_classes, _class_round, _piece_rows
 from .netgen import NetworkConfig
 from .partition import split_chunks
 
@@ -55,7 +55,6 @@ MAX_SPARSE_OUTCOMES = 10 ** 6
 NORM_TOL = 1e-12
 MAX_DRAWS = 2 ** 63 - 1  # rng.multinomial takes an int64 count
 _BUILD_ROWS = 1 << 16  # quota vectors build_embedded enumerates at once
-_BOUND_BYTES = 16 << 20  # rounding temporaries _chain_bounds holds at once
 
 
 def _int_dtype(lo: int, hi: int) -> type:
@@ -155,7 +154,7 @@ def _chain_bounds(caps, k_req: int, subsets: np.ndarray,
     rows, K = subsets.shape
     lo, hi = np.empty((2, rows, K), dtype=dtype)
     # per subset: about six int64 words per slot and eight per class
-    step = max(1, _BOUND_BYTES // (8 * (6 * K + 8 * n)))
+    step = _piece_rows(6 * K + 8 * n)
     for start in range(0, rows, step):
         part = slice(start, start + step)
         # flat indices into the (t, n) class tables, one per slot

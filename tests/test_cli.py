@@ -683,7 +683,9 @@ def _reference_dump_rows(argv) -> str:
     (["--caps", "3", "--k-req", "3", "--t-dist", "0.012345678901"], 40, None),
     (["--m", "32", "--skew", "1", "--demand", "0.6"], 300, None),
     (["--m", "8", "--skew", "1", "--demand", "0.4", "--q", "0.2"], 40, 7),
-], ids=["K1", "m32", "rows-cross-blocks"])
+    # more rows than one dump piece (1057 at this point's K = 31)
+    (["--m", "32", "--skew", "1", "--demand", "0.6"], 2500, None),
+], ids=["K1", "m32", "rows-cross-blocks", "rows-cross-pieces"])
 def test_mc_dump_bytes_equal_a_csv_writer_reference(chi, point, trials, block,
                                                     tmp_path, capsys,
                                                     monkeypatch):

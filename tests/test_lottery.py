@@ -184,18 +184,137 @@ def test_kernel_refuses_latencies_that_overflow_over_the_trials():
     assert all(np.isfinite(lat).all() for *_, lat in rounds)
 
 
-def test_batch_memory_at_a_canonical_point_stays_under_20_mb():
-    net = generate_network(32, 2.0, 320)
-    k_req = demand_to_kreq(0.6, net.total)
-    params = ModelParams()
+def _traced_peak(run) -> int:
     tracemalloc.start()
     try:
-        simulate_batch(net, Request(k_req), params, "conservative", 20000,
-                       trial_rng(61))
+        run()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 20 * 10 ** 6
+    return peak
+
+
+def test_row_pieces_bound_the_traced_peak_at_a_canonical_point():
+    # whole-block temporaries peaked at 15.8 MB (batch_stats) and 6.8 MB
+    # (estimate_fairness) here; row pieces keep them near 6.1 and 1.6 MB
+    net = generate_network(32, 2.0, 320)
+    req = Request(demand_to_kreq(0.6, net.total))
+    assert _traced_peak(lambda: lottery.batch_stats(
+        net, req, ModelParams(), 20000, trial_rng(61))) < 10 * 10 ** 6
+    assert _traced_peak(lambda: estimate_fairness(
+        net, req, 100000, trial_rng(61))) < 4 * 10 ** 6
+
+
+def _whole_block_rounds(net, req, params, trials, rng):
+    """sample_rounds with every block drawn and reduced whole: the
+    reference the row pieces must reproduce array for array."""
+    K = safe_select_k(req.k_req, net.caps, params.beta)
+    M = params.max_attempts
+    block = _block_rows(net.m, K, M)
+    ell = ancilla_bits(net.caps)
+    caps = np.asarray(net.caps, dtype=np.int64)
+    pvals, cost = _delivery_law(params.q, M)
+    base = params.t_gen + params.t_meas
+    for start in range(0, trials, block):
+        t = min(block, trials - start)
+        arrangement = rng.permuted(
+            np.tile(np.arange(net.m), (t, 1)), axis=1)[:, :K]
+        quotas = _quota_round_rows(req.k_req, caps[arrangement],
+                                   int(caps.max()) + 1)
+        winners = rng.multinomial(K, pvals, size=t)
+        others = rng.multinomial(net.m - K, pvals, size=t)
+        ancilla = rng.multinomial(ell, pvals, size=t)
+        blocks = rng.multinomial(quotas, pvals)
+        ok = np.empty((2, t), dtype=bool)
+        ok[0] = (winners[:, M] == 0) & (blocks[:, :, M] == 0).all(axis=1)
+        ok[1] = ok[0] & (others[:, M] == 0) & (ancilla[:, M] == 0)
+        block_att = blocks @ cost
+        win_att = winners @ cost
+        stage1 = np.stack((win_att + others @ cost,
+                           win_att + others @ cost + ancilla @ cost))
+        attempts = np.stack((win_att, stage1[1])) + block_att.sum(axis=1)
+        lat = (base + params.t_dist * stage1) + (
+            base + params.t_dist * block_att.max(axis=1))
+        yield arrangement, quotas, ok, attempts, lat
+
+
+def _whole_block_fairness(net, req, trials, rng):
+    """estimate_fairness with each block's compositions rounded whole."""
+    K = safe_select_k(req.k_req, net.caps, lottery.DEFAULT_BETA)
+    classes, sizes = _capacity_classes(net.caps)
+    quota_sums = np.zeros(len(classes))
+    block = min(lottery._BLOCK, _BLOCK_BYTES // (8 * 16 * len(classes)))
+    for start in range(0, trials, block):
+        counts = rng.multivariate_hypergeometric(
+            sizes, K, size=min(block, trials - start), method="count")
+        floors, extras = _class_round(req.k_req, classes, counts)
+        quota_sums += (counts * floors + extras).sum(axis=0)
+    return lottery._node_probs(net.caps, classes, sizes, quota_sums, trials)
+
+
+def _assert_rounds_match(net, req, params, trials):
+    got = list(sample_rounds(net, req, params, trials, trial_rng(7)))
+    want = list(_whole_block_rounds(net, req, params, trials, trial_rng(7)))
+    assert len(got) == len(want)
+    for got_arrays, want_arrays in zip(got, want):
+        for a, b in zip(got_arrays, want_arrays):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+
+def _assert_fairness_matches(net, req, trials):
+    got = estimate_fairness(net, req, trials, trial_rng(7))
+    assert np.array_equal(
+        got, _whole_block_fairness(net, req, trials, trial_rng(7)))
+
+
+def _first_call_rows(monkeypatch, name, run) -> int:
+    """The rows lottery.<name> takes on its first call while run() runs."""
+    rows = []
+    step = getattr(lottery, name)
+
+    def spy(*args):
+        rows.append(next(len(a) for a in args if np.ndim(a) == 2))
+        return step(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lottery, name, spy)
+        run()
+    return rows[0]
+
+
+@pytest.mark.parametrize("pieces, plus", [(0, 1), (1, -1), (1, 0), (1, 1)],
+                         ids=["1", "piece-1", "piece", "piece+1"])
+def test_row_pieces_draw_what_whole_blocks_draw_around_a_piece(
+        pieces, plus, monkeypatch):
+    net = generate_network(16, 1.0, 160)
+    req = Request(demand_to_kreq(0.4, net.total))
+    # each sampler's piece, read off its first rounding call of a block
+    block = lottery._BLOCK
+    round_piece = _first_call_rows(monkeypatch, "_quota_round_rows", lambda: (
+        list(sample_rounds(net, req, LOSSY, block, trial_rng(1)))))
+    fair_piece = _first_call_rows(monkeypatch, "_class_round", lambda: (
+        estimate_fairness(net, req, block, trial_rng(1))))
+    assert 1 < round_piece < block and 1 < fair_piece < block
+    _assert_rounds_match(net, req, LOSSY, pieces * round_piece + plus)
+    _assert_fairness_matches(net, req, pieces * fair_piece + plus)
+
+
+@pytest.mark.parametrize("net, k_req, params, K", [
+    (generate_network(16, 1.0, 160), 64, LOSSY, 13),
+    # K = m: the non-winner multinomial draws n = 0
+    (NetworkConfig.from_caps((3, 3, 3, 3)), 12, LOSSY, 4),
+    (NetworkConfig.from_caps((10, 10, 10)), 3, LOSSY, 1),
+    (generate_network(24, 1.0, 240), 96, ModelParams(q=0.3, max_attempts=40),
+     20),
+    # six zero-capacity QLANs
+    (generate_network(16, 2.0, 160), 64, LOSSY, 16),
+], ids=["m16", "K=m", "K=1", "max_attempts=40", "zero-caps"])
+def test_row_pieces_draw_what_whole_blocks_draw_across_blocks(net, k_req,
+                                                              params, K):
+    assert safe_select_k(k_req, net.caps, params.beta) == K
+    _assert_rounds_match(net, Request(k_req), params, lottery._BLOCK + 1)
+    _assert_fairness_matches(net, Request(k_req), lottery._BLOCK + 1)
 
 
 @pytest.mark.parametrize("q", [0.0, 0.2])
