@@ -292,31 +292,6 @@ def _class_round(k_req: int, classes: np.ndarray,
     return floors, extras
 
 
-def _arranged_quotas(caps: np.ndarray, k_req: int, K: int, trials: int,
-                     block: int, piece: int, rng: np.random.Generator):
-    """Yield (arrangement, quotas) for successive blocks of at most block rows.
-
-    Each row is one round's first K QLANs of a uniformly random permutation,
-    in arrangement order, and quota_round applied to their capacities. Both
-    are filled piece rows at a time: rng.permuted shuffles row after row, so
-    the pieces draw what one whole-block call would.
-    """
-    cap_bound = int(caps.max()) + 1
-    qlan_ids = np.arange(len(caps), dtype=np.int64)
-    for start in range(0, trials, block):
-        t = min(block, trials - start)
-        arrangement, quotas = np.empty((2, t, K), dtype=np.int64)
-        for first in range(0, t, piece):
-            part = slice(first, first + piece)
-            arrangement[part] = rng.permuted(
-                np.tile(qlan_ids, (min(piece, t - first), 1)), axis=1)[:, :K]
-            quotas[part] = _quota_round_rows(k_req, caps[arrangement[part]],
-                                             cap_bound)
-        yield arrangement, quotas
-        # free this block's (t, K) arrays before the next block is drawn
-        del arrangement, quotas
-
-
 def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
                   trials: int, rng: np.random.Generator):
     """The one round kernel: an iterator of per-trial arrays, one per block.
@@ -350,6 +325,8 @@ def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
     # temporaries, the quota-block outcome table and its attempt costs
     piece = _piece_rows(2 * m + K * (M + 12))
     caps = np.asarray(net.caps, dtype=np.int64)
+    cap_bound = int(caps.max()) + 1
+    qlan_ids = np.arange(m, dtype=np.int64)
     pvals, cost = _delivery_law(params.q, M)
     base = params.t_gen + params.t_meas
     # every qubit of a round spends all M attempts; lat below is computed
@@ -361,9 +338,20 @@ def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
                          "overflow a float; lower the time constants")
 
     def blocks_of_rounds():
-        for arrangement, quotas in _arranged_quotas(
-                caps, req.k_req, K, trials, block, piece, rng):
-            t = len(quotas)
+        for start in range(0, trials, block):
+            t = min(block, trials - start)
+            # each row: one round's first K QLANs of a uniformly random
+            # permutation, in arrangement order, and quota_round of their
+            # capacities, filled a piece at a time (rng.permuted shuffles
+            # row after row, so the pieces draw what one whole call would)
+            arrangement, quotas = np.empty((2, t, K), dtype=np.int64)
+            for first in range(0, t, piece):
+                part = slice(first, first + piece)
+                arrangement[part] = rng.permuted(
+                    np.tile(qlan_ids, (min(piece, t - first), 1)),
+                    axis=1)[:, :K]
+                quotas[part] = _quota_round_rows(
+                    req.k_req, caps[arrangement[part]], cap_bound)
             winners = rng.multinomial(K, pvals, size=t)
             others = rng.multinomial(m - K, pvals, size=t)
             ancilla = rng.multinomial(ell, pvals, size=t)

@@ -16,28 +16,19 @@ quota vector, and one amplitude per label. ``build_embedded``, the CLI's
 ``--corrupt`` hook and the tests that damage or hand-build a state all
 call it. Building (one ``partition.split_chunks`` walk), normalization, the
 feasibility checks, marginals and sampling are array arithmetic over
-those rows. Python loops remain only where their count is small: one
-pass per QLAN in ``node_win_probs``, one per vector slot in the
-feasibility check, one per branch that enters the pooled chi-square
-(two or more labels, at least one draw), and one per branch holding two
-distinct probabilities (a damaged or hand-built state) in the exact
-totals. Labels become tuples only at the edges: the ``amplitudes`` view,
+those rows. Labels become tuples only at the edges: ``amplitudes``,
 ``marginal_outer`` and ``measure_many``.
 
 A measurement of ``draws`` shots is one multinomial over the normalized
 squares, drawn only after the norm has passed: ``verify_state`` takes the
 norm once and samples only if it and the other structural checks hold,
-and ``measure_many`` checks it first. The norm and the per-subset totals
-equal ``math.fsum``, which is correctly rounded: a run of c equal values
-v adds exactly c * v, so a built state, whose branches each hold one
-value, is summed per distinct value instead of per label.
+and ``measure_many`` checks it first.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,13 +48,6 @@ MAX_DRAWS = 2 ** 63 - 1  # rng.multinomial takes an int64 count
 _BUILD_ROWS = 1 << 16  # quota vectors build_embedded enumerates at once
 
 
-def _int_dtype(lo: int, hi: int) -> type:
-    """Smallest signed integer dtype that holds lo..hi."""
-    return next((dt for dt in (np.int8, np.int16, np.int32)
-                 if np.iinfo(dt).min <= lo and hi <= np.iinfo(dt).max),
-                np.int64)
-
-
 class SparseState:
     """Amplitudes over outcome labels (S, v); probabilities are amplitude^2.
 
@@ -81,7 +65,8 @@ class SparseState:
 
     The constructor checks that ``offsets`` runs from 0 to the label count
     and marks the arrays read-only; it does not copy them or check their
-    order. ``amplitudes`` is a read-only mapping view in label order.
+    order. ``amplitudes`` is a {label: amplitude} dict in label order,
+    built on each call.
     """
 
     def __init__(self, subsets: np.ndarray, offsets: np.ndarray,
@@ -97,12 +82,12 @@ class SparseState:
             setattr(self, name, arr)
 
     @property
-    def amplitudes(self) -> Mapping[Outcome, float]:
-        return _AmplitudeView(self)
+    def amplitudes(self) -> dict[Outcome, float]:
+        return dict(zip(_labels(self), self.amps.tolist()))
 
     def norm_sq(self) -> float:
-        """Sum of the squared amplitudes, equal to ``math.fsum``."""
-        return _exact_sum(np.square(self.amps))
+        """Sum of the squared amplitudes, correctly rounded."""
+        return math.fsum(np.square(self.amps))
 
     def check_normalized(self) -> None:
         dev = abs(self.norm_sq() - 1.0)
@@ -111,29 +96,13 @@ class SparseState:
                 f"state norm^2 deviates from 1 by {dev:.3e}")
 
 
-class _AmplitudeView(Mapping):
-    """{label: amplitude} over a SparseState's arrays, in label order. The
-    first lookup builds a dict of every label."""
-
-    def __init__(self, state: SparseState):
-        self._state = state
-        self._index = None
-
-    def __len__(self) -> int:
-        return len(self._state.amps)
-
-    def __iter__(self):
-        state = self._state
-        for s, subset in enumerate(state.subsets.tolist()):
-            subset = tuple(subset)
-            rows = state.vectors[state.offsets[s]:state.offsets[s + 1]]
-            for vec in rows.tolist():
-                yield subset, tuple(vec)
-
-    def __getitem__(self, label: Outcome) -> float:
-        if self._index is None:
-            self._index = dict(zip(self, self._state.amps.tolist()))
-        return self._index[label]
+def _labels(state: SparseState):
+    """Yield every label (subset, vector) as tuples, in label order."""
+    for s, subset in enumerate(state.subsets.tolist()):
+        subset = tuple(subset)
+        rows = state.vectors[state.offsets[s]:state.offsets[s + 1]]
+        for vec in rows.tolist():
+            yield subset, tuple(vec)
 
 
 def _chain_bounds(caps, k_req: int, subsets: np.ndarray,
@@ -199,11 +168,12 @@ def build_embedded(net: NetworkConfig, k_req: int, K: int) -> SparseState:
         raise CapacityError(
             f"C({net.m}, {K}) = {n_subsets} winner subsets exceed the "
             f"{MAX_SPARSE_OUTCOMES} sparse guard; reduce m or K")
+    # ids and quotas in the smallest signed dtypes that hold 0..m-1, 0..k_req
     subsets = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(net.m), K)),
-        dtype=_int_dtype(0, net.m - 1),
+        dtype=np.min_scalar_type(-net.m),
         count=n_subsets * K).reshape(n_subsets, K)
-    dtype = _int_dtype(0, k_req)
+    dtype = np.min_scalar_type(-1 - k_req)
     lo, free = _chain_bounds(net.caps, k_req, subsets, dtype)
     free -= lo  # 1 on the slots that may take an extra pair
     left = k_req - lo.sum(axis=1, dtype=np.int64)
@@ -233,7 +203,7 @@ def measure_many(state: SparseState, rng: np.random.Generator,
     deviates from 1."""
     state.check_normalized()
     counts = _sample_counts(state, rng, draws)
-    return dict(zip(state.amplitudes, counts.tolist()))
+    return dict(zip(_labels(state), counts.tolist()))
 
 
 def _sample_counts(state: SparseState, rng: np.random.Generator,
@@ -245,30 +215,6 @@ def _sample_counts(state: SparseState, rng: np.random.Generator,
     probs = np.square(state.amps)
     probs /= probs.sum()
     return rng.multinomial(draws, probs)
-
-
-def _exact_sum(values: np.ndarray) -> float:
-    """``math.fsum(values)``, summed over runs of equal values.
-
-    fsum is the correctly rounded exact sum, so a value v that fills c
-    entries adds exactly c * v to it. A built state's squares hold one
-    value per branch size, and this takes one rational product per
-    distinct value instead of one fsum step per label. Non-finite values,
-    and runs too short to pay for the products, go to fsum itself.
-    """
-    starts = np.flatnonzero(values[1:] != values[:-1]) + 1
-    if 64 * len(starts) >= len(values):
-        return math.fsum(values)
-    heads, where = np.unique(values[np.append(0, starts)],
-                             return_inverse=True)
-    if not np.isfinite(heads).all():
-        return math.fsum(values)
-    runs = np.diff(np.append(0, starts), append=len(values))
-    counts = np.bincount(where, weights=runs).astype(np.int64)
-    from fractions import Fraction  # only verification sums this way
-
-    return float(sum(Fraction(v) * c
-                     for v, c in zip(heads.tolist(), counts.tolist())))
 
 
 def _branch_stats(state: SparseState) -> tuple[np.ndarray, float]:
@@ -313,32 +259,28 @@ def node_win_probs(state: SparseState, caps) -> np.ndarray:
     """Per-node win probability if quotas were drawn from this state; on a
     built state, the chain's law that ``lottery.exact_node_probs`` gives.
 
-    Each QLAN's terms p * v / cap are added left to right in label order
-    (``np.cumsum``), so the sums do not depend on numpy's pairwise
-    reduction. One pass per QLAN, over flat arrays: its quota column is a
-    1-D ``take`` of ``vectors.ravel()`` at ``row * K + slot``.
+    Each label adds p * v / cap to each of its QLANs, label by label and
+    slot by slot, by one unbuffered ``np.add.at`` per row piece, so each
+    QLAN's sum is taken left to right in label order and does not depend
+    on numpy's pairwise reduction. Raises ValueError when a subset holds a
+    QLAN id outside 0..m-1.
     """
     caps = np.array([int(c) for c in caps], dtype=np.int64)
-    probs = np.square(state.amps)
-    offsets = state.offsets
-    sizes = np.diff(offsets)
-    K = state.vectors.shape[1]
-    flat = state.vectors.ravel()
+    subsets, offsets = state.subsets, state.offsets
+    if ((subsets < 0) | (subsets >= len(caps))).any():
+        raise ValueError(f"subsets must hold QLAN ids in 0..{len(caps) - 1}")
+    per_pair = np.maximum(caps, 1)  # zero-capacity QLANs are dropped below
     qlan_prob = np.zeros(len(caps))
-    for i in np.flatnonzero(caps > 0):
-        owner, slot = np.nonzero(state.subsets == i)
-        n = sizes[owner]
-        if not n.sum():
-            continue
-        # the label rows of every subset holding QLAN i, in label order
-        rows = np.arange(n.sum())
-        rows += np.repeat(offsets[owner] - (np.cumsum(n) - n), n)
-        terms = probs[rows]
-        rows *= K
-        rows += np.repeat(slot, n)
-        terms *= flat.take(rows)
-        terms /= caps[i]
-        qlan_prob[i] = np.cumsum(terms, out=terms)[-1]
+    n_labels, K = state.vectors.shape
+    # per label row: its owner, its QLANs and terms, and their gathers
+    step = _piece_rows(4 * K + 2)
+    for start in range(0, n_labels, step):
+        rows = np.arange(start, min(start + step, n_labels))
+        qlans = subsets[np.searchsorted(offsets, rows, side="right") - 1]
+        part = slice(start, start + step)
+        terms = np.square(state.amps[part])[:, None] * state.vectors[part]
+        terms /= per_pair[qlans]
+        np.add.at(qlan_prob, qlans.ravel(), terms.ravel())
     return np.repeat(qlan_prob, caps)
 
 
@@ -388,7 +330,7 @@ def _label_violations(state: SparseState, net: NetworkConfig,
              & (np.diff(subsets, axis=1) > 0).all(axis=1))
     sound[sound] = np.asarray(net.caps)[subsets[sound]].sum(axis=1) >= k_req
     # bounds in a dtype that holds the vectors and k_req
-    dtype = np.result_type(vectors.dtype, _int_dtype(0, k_req))
+    dtype = np.result_type(vectors.dtype, np.min_scalar_type(-1 - k_req))
     lo, hi = np.zeros((2, *subsets.shape), dtype=dtype)
     lo[sound], hi[sound] = _chain_bounds(net.caps, k_req, subsets[sound],
                                          dtype)

@@ -6,6 +6,7 @@ test_acceptance.py; these are targeted cases plus structural properties.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +157,22 @@ def test_split_chunks_match_enum_partitions_in_content_and_order(
             row_k, np.array([row_caps]), max_rows, np.int8)
             for vec in vecs.tolist()]
         assert alone == [vec for r, vec in got if r == row]
+
+
+def test_split_chunks_hold_no_first_level_row_matrix():
+    # 100,000 rows of 16 slots, one split each: the first level's rows are
+    # zeros that are only copied from, and a (rows, 16) int64 matrix of
+    # them would take 12.8 MB
+    caps = np.ones((100000, 16), dtype=np.int8)
+    tracemalloc.start()
+    try:
+        n_vectors = sum(len(vecs) for _, vecs in
+                        split_chunks(0, caps, 1 << 12, np.int64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n_vectors == len(caps)
+    assert peak < 8 * caps.size
 
 
 def test_count_unbounded_reduces_to_stars_and_bars():

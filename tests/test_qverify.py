@@ -12,7 +12,6 @@ import itertools
 import math
 import tracemalloc
 from collections import Counter
-from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
@@ -43,7 +42,6 @@ from dheac.qverify import (
     NORM_TOL,
     _branch_stats,
     _chisquare,
-    _exact_sum,
     _label_violations,
     _sample_counts,
     marginal_outer,
@@ -337,26 +335,20 @@ def test_verify_takes_one_full_norm_pass(monkeypatch):
     k_req = demand_to_kreq(0.4, net.total)
     K = safe_select_k(k_req, net.caps)
     state = build_embedded(net, k_req, K)
-    exact_lengths, fsum_lengths = [], []
-    exact_sum, fsum = qverify._exact_sum, math.fsum
-
-    def counting_exact_sum(values):
-        exact_lengths.append(len(values))
-        return exact_sum(values)
+    fsum_lengths = []
+    fsum = math.fsum
 
     def counting_fsum(values):
         values = list(values)
         fsum_lengths.append(len(values))
         return fsum(values)
 
-    monkeypatch.setattr(qverify, "_exact_sum", counting_exact_sum)
     monkeypatch.setattr(math, "fsum", counting_fsum)
     report = verify_state(state, net, k_req, K, 2000, trial_rng(1))
     assert report.passed
-    # the norm is one exact pass over every label, shared by the draws; a
-    # built state's branches are single-valued, so no label is fsum'd
-    assert exact_lengths == [len(state.amps)]
-    assert fsum_lengths == []
+    # the norm is one fsum pass over every label, shared by the draws; a
+    # built state's branches are single-valued, so no branch is fsum'd
+    assert fsum_lengths == [len(state.amps)]
     assert len(state.subsets) > 1
 
 
@@ -381,29 +373,6 @@ def test_sample_counts_are_one_multinomial_on_a_twin_generator(weights, draws,
     expected = twin.multinomial(draws, probs / probs.sum())
     assert np.array_equal(_sample_counts(state, rng, draws), expected)
     assert rng.bit_generator.state == twin.bit_generator.state
-
-
-@settings(max_examples=200, deadline=None)
-@given(runs=st.lists(st.tuples(st.floats(0.0, 1e300), st.integers(64, 300)),
-                     min_size=1, max_size=6))
-@example(runs=[(0.1, 64)])
-@example(runs=[(5e-324, 100), (2.5e-320, 70), (1e-310, 64)])
-@example(runs=[(1e300, 300), (1.7e305, 100), (1e-300, 64)])
-@example(runs=[(1 / 3, 999999)])
-def test_exact_sum_equals_fsum_over_long_runs(runs):
-    values = np.repeat([v for v, _ in runs], [c for _, c in runs])
-    expected = math.fsum(values)
-    # runs this long never reach fsum: the run products must match it alone
-    with mock.patch.object(math, "fsum", side_effect=AssertionError):
-        assert _exact_sum(values) == expected
-
-
-@pytest.mark.parametrize("values", [
-    [], [0.25], [0.1, 0.2, 0.3], [1e-320, 1e300, 0.5] * 30,
-    [math.inf] * 200, [0.5] * 100 + [math.nan] * 100])
-def test_exact_sum_equals_fsum_on_short_runs_and_non_finite(values):
-    got, expected = _exact_sum(np.array(values)), math.fsum(values)
-    assert got == expected or math.isnan(got) and math.isnan(expected)
 
 
 def _fsum_branch_stats(state):
@@ -663,6 +632,20 @@ def test_node_win_probs_equals_per_label_sums(caps, make_state):
     labels = zip(state.amplitudes, state.amps.tolist())
     assert np.array_equal(node_win_probs(state, caps),
                           _per_label_node_win_probs(labels, caps))
+
+
+@pytest.mark.parametrize("bad_id", [-1, 4, 100])
+def test_node_win_probs_rejects_qlan_ids_outside_the_network(bad_id):
+    # a negative id would wrap to another QLAN, and an id past m - 1 would
+    # name none; an id in a subset that owns no labels is refused too
+    amp = math.sqrt(0.5)
+    state = _hand_built({((0, 1), (2, 2)): amp, ((1, bad_id), (2, 2)): amp})
+    with pytest.raises(ValueError, match="QLAN ids"):
+        node_win_probs(state, SYM.caps)
+    empty = SparseState(np.array([[0, 1], [bad_id, 2]]), np.array([0, 1, 1]),
+                        np.array([[2, 2]]), np.array([1.0]))
+    with pytest.raises(ValueError, match="QLAN ids"):
+        node_win_probs(empty, SYM.caps)
 
 
 def _label_violations_reference(state, net, k_req, K):
