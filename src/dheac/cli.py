@@ -37,7 +37,6 @@ from .baselines import b1_evaluate, b2_evaluate
 from .errors import CapacityError, InvariantViolationError, ResourceShortageError
 from .lottery import (
     MAX_SUBSETS,
-    _piece_rows,
     batch_stats,
     estimate_fairness,
     exact_node_probs,
@@ -45,7 +44,7 @@ from .lottery import (
     trial_rng,
 )
 from .netgen import NetworkConfig, Request, demand_to_kreq, generate_network
-from .partition import safe_select_k
+from .partition import _piece_rows, safe_select_k
 from .qverify import MAX_DRAWS, SparseState, build_embedded, verify_state
 
 GRID_MS = (4, 8, 16, 32)

@@ -12,16 +12,11 @@ by position, so a fixed arrangement would systematically favour low
 indices; randomizing the arrangement restores the anonymity of the lottery
 (symmetric networks come out exactly symmetric in distribution).
 
-The rounding only sees capacities, so QLANs of equal capacity (one
-capacity class) are interchangeable, and inside a class the arrangement
-only decides which members get the extra pairs, not how many do. Where
-only those numbers matter, a round is a composition: how many winners
-each capacity class has. ``_class_round`` is the largest-remainder step
-over the classes of many compositions at once. The closed-form oracle
-``exact_node_probs`` walks every composition through it, and
-``estimate_fairness`` samples compositions directly (a multivariate
-hypergeometric draw, the law of the class counts among the first K QLANs
-of a uniform permutation). Both return one win probability per node.
+The quota law, in all its shapes, lives in ``partition``. The oracle
+``exact_node_probs`` rounds every capacity-class composition (how many
+winners each class has) with ``partition._class_round``, and
+``estimate_fairness`` samples compositions (a multivariate hypergeometric
+draw). Both return one win probability per node.
 
 Delivery only matters through two facts per group of qubits: the sum of
 their capped attempt counts and whether any of them ran out of attempts.
@@ -49,11 +44,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import ancilla_bits
-from .analytics import LATENCY_MODES, ModelParams
+from .analytics import LATENCY_MODES, ModelParams, ancilla_bits
 from .errors import CapacityError, InvariantViolationError
 from .netgen import NetworkConfig, Request
-from .partition import quota_round, safe_select_k, split_chunks
+from .partition import (_capacity_classes, _class_round, _piece_rows,
+                        _quota_round_rows, quota_round, safe_select_k,
+                        split_chunks)
 
 DEFAULT_BETA = ModelParams.beta
 # largest C(m, K) winner-subset count exact_node_probs takes on
@@ -62,9 +58,6 @@ _BLOCK = 8192
 # bytes one sample_rounds block may hold; every m <= 32 point at the
 # default max_attempts still fits a full _BLOCK of rows
 _BLOCK_BYTES = 64 << 20
-# bytes of the temporaries one row piece of a block holds: blocks set the
-# draws, pieces only how many rows are drawn or reduced at once
-_PIECE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -176,32 +169,6 @@ def run_trial(net: NetworkConfig, req: Request, params: ModelParams,
     )
 
 
-def _quota_round_rows(k_req: int, caps_rows: np.ndarray, cap_bound: int) -> np.ndarray:
-    """quota_round applied to each row of winner capacities.
-
-    Matches the scalar function bit for bit: exact integer remainders, ties
-    by larger capacity then earlier position (stable argsort on a composite
-    key; cap_bound must exceed every capacity so remainders dominate it).
-    """
-    rows, K = caps_rows.shape
-    floors, key = np.divmod(k_req * caps_rows,
-                            caps_rows.sum(axis=1, keepdims=True))
-    residual = k_req - floors.sum(axis=1)
-    # key = -(remainder * cap_bound + capacity), built in place
-    key *= -cap_bound
-    key -= caps_rows
-    order = np.argsort(key, axis=1, kind="stable")
-    del key
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.broadcast_to(np.arange(K), (rows, K)), axis=1)
-    quotas = floors + (ranks < residual[:, None])
-    if not (quotas <= caps_rows).all():
-        raise InvariantViolationError("rounding must respect caps")
-    if not (quotas.sum(axis=1) == k_req).all():
-        raise InvariantViolationError("rounding must conserve k_req")
-    return quotas
-
-
 def _delivery_law(q: float, M: int) -> tuple[np.ndarray, np.ndarray]:
     """Outcome probabilities and attempt costs of one capped delivery.
 
@@ -236,60 +203,6 @@ def _block_rows(m: int, K: int, M: int) -> int:
             f"K={K}, over the {_BLOCK_BYTES}-byte block budget; "
             "lower max_attempts")
     return min(_BLOCK, _BLOCK_BYTES // row_bytes)
-
-
-def _piece_rows(row_words: int) -> int:
-    """Rows of one block piece whose temporaries take row_words int64 words
-    per row: as many as _PIECE_BYTES holds, and at least one."""
-    return max(1, _PIECE_BYTES // (8 * row_words))
-
-
-def _capacity_classes(caps) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct capacities in ascending order, and how many QLANs hold each."""
-    return np.unique(np.asarray(caps, dtype=np.int64), return_counts=True)
-
-
-def _class_round(k_req: int, classes: np.ndarray,
-                 counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """quota_round over winner compositions, one row per composition.
-
-    Row r takes counts[r, c] winners of capacity classes[c] (ascending, as
-    _capacity_classes gives them); returns
-    (floors, extras): each of those winners gets floors[r, c] pairs and
-    extras[r, c] of them one more. Leftover pairs go to the classes by
-    descending remainder, then descending capacity. Distinct capacities
-    never tie, and the members of a class are exchangeable, so quota_round's
-    position tie-break only decides which members get an extra pair, not
-    how many do. Floors, remainders and the class order depend on a row
-    only through its capacity sum, so they are computed once per distinct
-    sum. Raises InvariantViolationError unless every quota is within its
-    cap and every row hands out exactly k_req pairs.
-    """
-    t, n = counts.shape
-    sums, row_sum = np.unique(counts @ classes, return_inverse=True)
-    floors, rems = np.divmod(k_req * classes, sums[:, None])
-    # descending (remainder, capacity): distinct keys within a row
-    order = np.argsort(-(rems * (int(classes[-1]) + 1) + classes), axis=1)
-    # a quota can pass its cap only where its floor already reaches it
-    at_cap = (floors >= classes).any()
-    floors = floors[row_sum]
-    residual = k_req - (counts * floors).sum(axis=1)
-    # flat indices into the (t, n) tables: ranked[r, i] is the count of
-    # row r's i-th class in rounding order
-    row_start = n * np.arange(t)[:, None]
-    ranked = counts.ravel()[order[row_sum] + row_start]
-    # a class takes what is left after the winners ranked before it
-    before = np.cumsum(ranked, axis=1)
-    before -= ranked
-    extras = before.ravel()[np.argsort(order, axis=1)[row_sum] + row_start]
-    np.subtract(residual[:, None], extras, out=extras)
-    np.maximum(extras, 0, out=extras)
-    np.minimum(extras, counts, out=extras)
-    if at_cap and ((counts > 0) & (floors + (extras > 0) > classes)).any():
-        raise InvariantViolationError("rounding must respect caps")
-    if not (extras.sum(axis=1) == residual).all():
-        raise InvariantViolationError("rounding must conserve k_req")
-    return floors, extras
 
 
 def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
@@ -496,8 +409,7 @@ def estimate_fairness(net: NetworkConfig, req: Request, trials: int,
 
 
 def exact_node_probs(net: NetworkConfig, req: Request,
-                     beta: float = DEFAULT_BETA,
-                     max_subsets: int = MAX_SUBSETS) -> np.ndarray:
+                     beta: float = DEFAULT_BETA) -> np.ndarray:
     """Exact per-node win probabilities over capacity-class compositions.
 
     P(node in QLAN i wins) = mean over K-subsets containing i of
@@ -507,13 +419,13 @@ def exact_node_probs(net: NetworkConfig, req: Request,
     prod C(n_c, j_c) subsets that share one _class_round row. split_chunks
     walks the compositions (bounded splits of K over the class sizes)
     under the _BLOCK_BYTES budget. The guard still counts subsets: raises
-    CapacityError when C(m, K) exceeds max_subsets; use estimate_fairness.
+    CapacityError when C(m, K) exceeds MAX_SUBSETS; use estimate_fairness.
     """
     K = safe_select_k(req.k_req, net.caps, beta)
     n_subsets = math.comb(net.m, K)
-    if n_subsets > max_subsets:
+    if n_subsets > MAX_SUBSETS:
         raise CapacityError(
-            f"C({net.m}, {K}) = {n_subsets} subsets exceed {max_subsets}; "
+            f"C({net.m}, {K}) = {n_subsets} subsets exceed {MAX_SUBSETS}; "
             "use estimate_fairness instead")
     classes, sizes = _capacity_classes(net.caps)
     n = len(classes)

@@ -1,4 +1,4 @@
-"""Winner-count selection, bounded partition enumeration, and quota rounding.
+"""Winner-count selection, bounded partition enumeration, and the quota law.
 
 These are the deterministic combinatorial kernels of the protocol: choose
 the smallest number of lottery winners K that makes every K-subset of QLANs
@@ -7,6 +7,11 @@ winner set, and split a request over concrete winners by largest-remainder
 rounding under hard capacity caps. ``split_chunks`` is the one array walk
 of bounded splits: the quota vectors of many winner sets, or the
 capacity-class compositions of the exact fairness oracle.
+
+The quota law lives here alone, in three shapes: ``quota_round`` states
+it and its tie rule, ``_quota_round_rows`` applies it to rows of
+arrangements and ``_class_round`` to class compositions. Beside it live
+the chain bounds (``_chain_bounds``) and the row budget (``_piece_rows``).
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ import math
 import numpy as np
 
 from .errors import InvariantViolationError, ResourceShortageError
+
+_PIECE_BYTES = 1 << 20  # bytes of the temporaries one block piece holds
 
 
 def _validate_caps(caps) -> tuple[int, ...]:
@@ -214,3 +221,115 @@ def quota_round(k_req: int, winner_caps) -> tuple[int, ...]:
     for j in order[:residual]:
         quotas[j] += 1
     return tuple(quotas)
+
+
+def _piece_rows(row_words: int) -> int:
+    """Rows of one block piece whose temporaries take row_words int64 words
+    per row: as many as _PIECE_BYTES holds, and at least one."""
+    return max(1, _PIECE_BYTES // (8 * row_words))
+
+
+def _quota_round_rows(k_req: int, caps_rows: np.ndarray, cap_bound: int) -> np.ndarray:
+    """quota_round applied to each row of winner capacities.
+
+    Matches the scalar function bit for bit, its tie rule included (stable
+    argsort on a composite key; cap_bound must exceed every capacity so
+    remainders dominate it).
+    """
+    rows, K = caps_rows.shape
+    floors, key = np.divmod(k_req * caps_rows,
+                            caps_rows.sum(axis=1, keepdims=True))
+    residual = k_req - floors.sum(axis=1)
+    # key = -(remainder * cap_bound + capacity), built in place
+    key *= -cap_bound
+    key -= caps_rows
+    order = np.argsort(key, axis=1, kind="stable")
+    del key
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.broadcast_to(np.arange(K), (rows, K)), axis=1)
+    quotas = floors + (ranks < residual[:, None])
+    if not (quotas <= caps_rows).all():
+        raise InvariantViolationError("rounding must respect caps")
+    if not (quotas.sum(axis=1) == k_req).all():
+        raise InvariantViolationError("rounding must conserve k_req")
+    return quotas
+
+
+def _capacity_classes(caps) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct capacities in ascending order, and how many QLANs hold each."""
+    return np.unique(np.asarray(caps, dtype=np.int64), return_counts=True)
+
+
+def _class_round(k_req: int, classes: np.ndarray,
+                 counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """quota_round over winner compositions, one row per composition.
+
+    Row r takes counts[r, c] winners of capacity classes[c] (ascending, as
+    _capacity_classes gives them); returns (floors, extras): each of those
+    winners gets floors[r, c] pairs and extras[r, c] of them one more.
+    Leftover pairs go to the classes in quota_round's order. Distinct
+    capacities never tie, and the members of a class are exchangeable, so
+    quota_round's position tie-break only decides which members get an
+    extra pair, not how many do. Floors, remainders and the class order depend on a row
+    only through its capacity sum, so they are computed once per distinct
+    sum. Raises InvariantViolationError unless every quota is within its
+    cap and every row hands out exactly k_req pairs.
+    """
+    t, n = counts.shape
+    sums, row_sum = np.unique(counts @ classes, return_inverse=True)
+    floors, rems = np.divmod(k_req * classes, sums[:, None])
+    # descending (remainder, capacity): distinct keys within a row
+    order = np.argsort(-(rems * (int(classes[-1]) + 1) + classes), axis=1)
+    # a quota can pass its cap only where its floor already reaches it
+    at_cap = (floors >= classes).any()
+    floors = floors[row_sum]
+    residual = k_req - (counts * floors).sum(axis=1)
+    # flat indices into the (t, n) tables: ranked[r, i] is the count of
+    # row r's i-th class in rounding order
+    row_start = n * np.arange(t)[:, None]
+    ranked = counts.ravel()[order[row_sum] + row_start]
+    # a class takes what is left after the winners ranked before it
+    before = np.cumsum(ranked, axis=1)
+    before -= ranked
+    extras = before.ravel()[np.argsort(order, axis=1)[row_sum] + row_start]
+    np.subtract(residual[:, None], extras, out=extras)
+    np.maximum(extras, 0, out=extras)
+    np.minimum(extras, counts, out=extras)
+    if at_cap and ((counts > 0) & (floors + (extras > 0) > classes)).any():
+        raise InvariantViolationError("rounding must respect caps")
+    if not (extras.sum(axis=1) == residual).all():
+        raise InvariantViolationError("rounding must conserve k_req")
+    return floors, extras
+
+
+def _chain_bounds(caps, k_req: int, subsets: np.ndarray,
+                  dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Per-slot bounds lo <= v <= hi, (n_subsets, K) in dtype, on the
+    quotas the chain rounds each winner subset (covering k_req) to.
+
+    ``_class_round`` gives j_c winners of a class their floor and e_c of
+    them one pair more, so lo = floor + (e_c == j_c) and hi = floor +
+    (e_c > 0). Only the boundary class (0 < e_c < j_c) has hi > lo, and
+    the uniform arrangement gives its extras to a uniform e_c-subset: the
+    chain's vectors are lo plus each 0/1 split of k_req - sum(lo) over
+    those slots, all equally likely.
+    """
+    classes, _ = _capacity_classes(caps)
+    n = len(classes)
+    class_of = np.searchsorted(classes, np.asarray(caps, dtype=np.int64))
+    rows, K = subsets.shape
+    lo, hi = np.empty((2, rows, K), dtype=dtype)
+    # per subset: about six int64 words per slot and eight per class
+    step = _piece_rows(6 * K + 8 * n)
+    for start in range(0, rows, step):
+        part = slice(start, start + step)
+        # flat indices into the (t, n) class tables, one per slot
+        slot = class_of[subsets[part]]
+        t = len(slot)
+        slot += n * np.arange(t)[:, None]
+        counts = np.bincount(slot.ravel(), minlength=t * n).reshape(t, n)
+        floor, extra = (a.ravel()[slot]
+                        for a in _class_round(k_req, classes, counts))
+        lo[part] = floor + (extra == counts.ravel()[slot])
+        hi[part] = floor + (extra > 0)
+    return lo, hi

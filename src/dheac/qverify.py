@@ -14,10 +14,10 @@ A state is its four arrays in sorted label order, and
 the winner subsets, where each subset's labels start, one integer row per
 quota vector, and one amplitude per label. ``build_embedded``, the CLI's
 ``--corrupt`` hook and the tests that damage or hand-build a state all
-call it. Building (one ``partition.split_chunks`` walk), normalization, the
-feasibility checks, marginals and sampling are array arithmetic over
-those rows. Labels become tuples only at the edges: ``amplitudes``,
-``marginal_outer`` and ``measure_many``.
+call it. Building (a ``split_chunks`` walk in ``_chain_bounds``, both from
+``partition``), normalization, the feasibility checks, marginals and
+sampling are array arithmetic over those rows. Labels become tuples only
+at the edges: ``amplitudes``, ``marginal_outer`` and ``measure_many``.
 
 A measurement of ``draws`` shots is one multinomial over the normalized
 squares, drawn only after the norm has passed: ``verify_state`` takes the
@@ -35,9 +35,8 @@ import numpy as np
 
 from .analytics import jain_index
 from .errors import CapacityError, InvariantViolationError, ResourceShortageError
-from .lottery import _capacity_classes, _class_round, _piece_rows
 from .netgen import NetworkConfig
-from .partition import split_chunks
+from .partition import _chain_bounds, _piece_rows, split_chunks
 
 # (winner subset, quota vector)
 Outcome = tuple[tuple[int, ...], tuple[int, ...]]
@@ -103,39 +102,6 @@ def _labels(state: SparseState):
         rows = state.vectors[state.offsets[s]:state.offsets[s + 1]]
         for vec in rows.tolist():
             yield subset, tuple(vec)
-
-
-def _chain_bounds(caps, k_req: int, subsets: np.ndarray,
-                  dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Per-slot bounds lo <= v <= hi, (n_subsets, K) in dtype, on the
-    quotas the chain rounds each winner subset (covering k_req) to.
-
-    ``lottery._class_round`` gives j_c winners of a class their floor and
-    e_c of them one pair more, so lo = floor + (e_c == j_c) and hi = floor
-    + (e_c > 0). Only the boundary class (0 < e_c < j_c) has hi > lo, and
-    the uniform arrangement gives its extras to a uniform e_c-subset: the
-    chain's vectors are lo plus each 0/1 split of k_req - sum(lo) over
-    those slots, all equally likely.
-    """
-    classes, _ = _capacity_classes(caps)
-    n = len(classes)
-    class_of = np.searchsorted(classes, np.asarray(caps, dtype=np.int64))
-    rows, K = subsets.shape
-    lo, hi = np.empty((2, rows, K), dtype=dtype)
-    # per subset: about six int64 words per slot and eight per class
-    step = _piece_rows(6 * K + 8 * n)
-    for start in range(0, rows, step):
-        part = slice(start, start + step)
-        # flat indices into the (t, n) class tables, one per slot
-        slot = class_of[subsets[part]]
-        t = len(slot)
-        slot += n * np.arange(t)[:, None]
-        counts = np.bincount(slot.ravel(), minlength=t * n).reshape(t, n)
-        floor, extra = (a.ravel()[slot]
-                        for a in _class_round(k_req, classes, counts))
-        lo[part] = floor + (extra == counts.ravel()[slot])
-        hi[part] = floor + (extra > 0)
-    return lo, hi
 
 
 def build_embedded(net: NetworkConfig, k_req: int, K: int) -> SparseState:

@@ -36,16 +36,18 @@ from dheac.analytics import ancilla_bits
 from dheac.lottery import (
     _BLOCK_BYTES,
     _block_rows,
-    _capacity_classes,
-    _class_round,
     _delivery_law,
-    _quota_round_rows,
     run_trial,
     sample_inner,
     sample_rounds,
 )
 from dheac.netgen import demand_to_kreq
-from dheac.partition import safe_select_k
+from dheac.partition import (
+    _capacity_classes,
+    _class_round,
+    _quota_round_rows,
+    safe_select_k,
+)
 
 SYM = NetworkConfig.from_caps((3, 3, 3, 3))
 LOSSFREE = ModelParams(q=0.0)
@@ -426,43 +428,6 @@ def test_batch_spans_block_boundaries():
     assert stats.success_se == 0.0
 
 
-@settings(max_examples=60, deadline=None)
-@given(k_req=st.integers(1, 25),
-       rows=st.lists(st.lists(st.integers(1, 12), min_size=3, max_size=3),
-                     min_size=1, max_size=6))
-def test_vectorized_rounding_matches_scalar(k_req, rows):
-    caps_rows = np.array(rows, dtype=np.int64)
-    totals = caps_rows.sum(axis=1)
-    if (totals < k_req).any():
-        k_req = int(totals.min())
-    got = _quota_round_rows(k_req, caps_rows, int(caps_rows.max()) + 1)
-    for row, expect_caps in zip(got, rows):
-        assert tuple(int(v) for v in row) == quota_round(k_req, expect_caps)
-
-
-@settings(max_examples=200, deadline=None)
-@given(caps=st.lists(st.integers(0, 12), min_size=1, max_size=9),
-       data=st.data())
-def test_class_rounding_matches_scalar(caps, data):
-    # rows of winner counts per capacity class, zero capacities included
-    classes, sizes = _capacity_classes(caps)
-    rows = data.draw(st.lists(
-        st.tuples(*(st.integers(0, int(n)) for n in sizes)),
-        min_size=1, max_size=6))
-    counts = np.array(rows, dtype=np.int64).reshape(len(rows), len(classes))
-    counts = counts[counts @ classes > 0]
-    assume(len(counts))
-    k_req = data.draw(st.integers(1, int((counts @ classes).min())))
-    floors, extras = _class_round(k_req, classes, counts)
-    for row, f_row, e_row in zip(counts, floors, extras):
-        # the winners class by class, members with an extra pair first
-        arranged = [int(c) for c, j in zip(classes, row) for _ in range(j)]
-        expect = tuple(int(f) + (i < e)
-                       for f, e, j in zip(f_row, e_row, row)
-                       for i in range(j))
-        assert quota_round(k_req, arranged) == expect
-
-
 def test_exact_probs_symmetric_network_is_flat():
     probs = exact_node_probs(SYM, Request(4))
     assert probs.shape == (12,)
@@ -581,9 +546,10 @@ def test_exact_walk_stays_within_block_budget_past_the_guard(monkeypatch):
     req = Request(demand_to_kreq(0.1, net.total))
     assert safe_select_k(req.k_req, net.caps, lottery.DEFAULT_BETA) == 14
     rounded = _count_rounded_rows(monkeypatch)
+    monkeypatch.setattr(lottery, "MAX_SUBSETS", math.comb(32, 14))
     tracemalloc.start()
     try:
-        probs = exact_node_probs(net, req, max_subsets=math.comb(32, 14))
+        probs = exact_node_probs(net, req)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

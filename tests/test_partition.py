@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from dheac import (
@@ -19,7 +19,13 @@ from dheac import (
     quota_round,
     safe_select_k,
 )
-from dheac.partition import count_partitions, split_chunks
+from dheac.partition import (
+    _capacity_classes,
+    _class_round,
+    _quota_round_rows,
+    count_partitions,
+    split_chunks,
+)
 
 caps_lists = st.lists(st.integers(1, 30), min_size=1, max_size=10)
 
@@ -226,3 +232,40 @@ def test_quota_scale_invariant(caps, factor, data):
     k = data.draw(st.integers(1, sum(caps)))
     scaled = [c * factor for c in caps]
     assert quota_round(k, scaled) == quota_round(k, caps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k_req=st.integers(1, 25),
+       rows=st.lists(st.lists(st.integers(1, 12), min_size=3, max_size=3),
+                     min_size=1, max_size=6))
+def test_vectorized_rounding_matches_scalar(k_req, rows):
+    caps_rows = np.array(rows, dtype=np.int64)
+    totals = caps_rows.sum(axis=1)
+    if (totals < k_req).any():
+        k_req = int(totals.min())
+    got = _quota_round_rows(k_req, caps_rows, int(caps_rows.max()) + 1)
+    for row, expect_caps in zip(got, rows):
+        assert tuple(int(v) for v in row) == quota_round(k_req, expect_caps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(caps=st.lists(st.integers(0, 12), min_size=1, max_size=9),
+       data=st.data())
+def test_class_rounding_matches_scalar(caps, data):
+    # rows of winner counts per capacity class, zero capacities included
+    classes, sizes = _capacity_classes(caps)
+    rows = data.draw(st.lists(
+        st.tuples(*(st.integers(0, int(n)) for n in sizes)),
+        min_size=1, max_size=6))
+    counts = np.array(rows, dtype=np.int64).reshape(len(rows), len(classes))
+    counts = counts[counts @ classes > 0]
+    assume(len(counts))
+    k_req = data.draw(st.integers(1, int((counts @ classes).min())))
+    floors, extras = _class_round(k_req, classes, counts)
+    for row, f_row, e_row in zip(counts, floors, extras):
+        # the winners class by class, members with an extra pair first
+        arranged = [int(c) for c, j in zip(classes, row) for _ in range(j)]
+        expect = tuple(int(f) + (i < e)
+                       for f, e, j in zip(f_row, e_row, row)
+                       for i in range(j))
+        assert quota_round(k_req, arranged) == expect

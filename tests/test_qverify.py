@@ -728,7 +728,7 @@ def test_largest_verify_cell_builds_and_verifies_in_bounded_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.n_outcomes == len(state.amplitudes) == 720720
+    assert report.n_outcomes == len(state.amps) == 720720
     assert report.n_subsets == 4368
     assert report.passed
     assert peak < 100e6

@@ -4,7 +4,9 @@ export list.
 Runtime invariants raise InvariantViolationError: an ``assert`` statement
 vanishes under ``python -O``, and a bare AssertionError bypasses the CLI's
 exit-code mapping. Every module-level import is used in its module (the
-package's __init__, which re-exports, aside). ``dheac.__all__`` is a
+package's __init__, which re-exports, aside). The quota law and the row
+budget live in ``partition``: ``qverify`` imports nothing from ``lottery``,
+and no module imports a private name from it. ``dheac.__all__`` is a
 ratchet: it may shrink, but not grow past MAX_EXPORTS. So is each
 subcommand's count of settable values, its flags other than --help: it may
 shrink, but not grow past MAX_FLAGS.
@@ -77,6 +79,38 @@ def test_package_modules_use_every_import():
     found = {path.name: names for path in SOURCES
              if path.name != "__init__.py"
              and (names := _unused_imports(ast.parse(path.read_text())))}
+    assert found == {}
+
+
+def _lottery_imports(name: str, tree: ast.Module) -> list[str]:
+    """Names a package module imports from .lottery that it may not: any,
+    in qverify; private ones, anywhere."""
+    return [alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level, node.module) in {(1, "lottery"),
+                                              (0, "dheac.lottery")}
+            for alias in node.names
+            if name == "qverify.py" or alias.name.startswith("_")]
+
+
+def test_the_boundary_rule_sees_lottery_imports():
+    code = ("from .lottery import MAX_SUBSETS, _piece_rows\n"
+            "from .partition import _class_round\n"
+            "from dheac.lottery import _BLOCK\n"
+            "def f():\n"
+            "    from .lottery import _class_round, exact_node_probs\n")
+    tree = ast.parse(code)
+    assert _lottery_imports("cli.py", tree) == [
+        "_piece_rows", "_BLOCK", "_class_round"]
+    assert _lottery_imports("qverify.py", tree) == [
+        "MAX_SUBSETS", "_piece_rows", "_BLOCK", "_class_round",
+        "exact_node_probs"]
+
+
+def test_package_modules_keep_the_lottery_boundary():
+    found = {path.name: names for path in SOURCES
+             if (names := _lottery_imports(path.name,
+                                           ast.parse(path.read_text())))}
     assert found == {}
 
 
