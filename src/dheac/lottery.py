@@ -16,7 +16,8 @@ The quota law, in all its shapes, lives in ``partition``. The oracle
 ``exact_node_probs`` rounds every capacity-class composition (how many
 winners each class has) with ``partition._class_round``, and
 ``estimate_fairness`` samples compositions (a multivariate hypergeometric
-draw). Both return one win probability per node.
+draw) and rounds each distinct one once per window of draws. Both return
+one win probability per node.
 
 Delivery only matters through two facts per group of qubits: the sum of
 their capped attempt counts and whether any of them ran out of attempts.
@@ -58,6 +59,9 @@ _BLOCK = 8192
 # bytes one sample_rounds block may hold; every m <= 32 point at the
 # default max_attempts still fits a full _BLOCK of rows
 _BLOCK_BYTES = 64 << 20
+# composition rows estimate_fairness draws before it rounds the distinct
+# ones: a canonical 10^5-trial cell is one window
+_KEY_WINDOW = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -388,23 +392,66 @@ def estimate_fairness(net: NetworkConfig, req: Request, trials: int,
     probability E[quota_i] / caps_i. Delivery loss is ignored on purpose:
     fairness concerns who is granted access, not whether the grant
     survives the channel.
+
+    Many rounds draw the same composition, so each is rounded once per
+    window of _KEY_WINDOW rows (whole blocks): a composition is one int64
+    key, digit c in base sizes[c] + 1, and np.unique counts each key's
+    rounds. Quota sums are whole numbers, exact in float64 while trials *
+    k_req stays below 2^53, so the grouping does not change a bit of the
+    result. Where the keys would overflow int64 (prod(sizes + 1) >= 2^63),
+    each block's rows are rounded as drawn.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     K = safe_select_k(req.k_req, net.caps, beta)
     classes, sizes = _capacity_classes(net.caps)
-    quota_sums = np.zeros(len(classes))
+    n = len(classes)
+    quota_sums = np.zeros(n)
     # per row: the composition and its rounding temporaries
-    block = min(_BLOCK, _BLOCK_BYTES // (8 * 16 * len(classes)))
-    piece = _piece_rows(16 * len(classes))
-    for start in range(0, trials, block):
+    block = min(_BLOCK, _BLOCK_BYTES // (8 * 16 * n))
+    piece = _piece_rows(16 * n)
+
+    def draw(rows):
         # drawn whole: method="count" draws differently when split
-        counts = rng.multivariate_hypergeometric(
-            sizes, K, size=min(block, trials - start), method="count")
-        for first in range(0, len(counts), piece):
-            part = counts[first:first + piece]
-            floors, extras = _class_round(req.k_req, classes, part)
-            quota_sums += (part * floors + extras).sum(axis=0)
+        return rng.multivariate_hypergeometric(sizes, K, size=rows,
+                                               method="count")
+
+    def quotas(rows):
+        # each row's quota total per class
+        floors, extras = _class_round(req.k_req, classes, rows)
+        return rows * floors + extras
+
+    bases = (sizes + 1).tolist()
+    if math.prod(bases) >= 2 ** 63:
+        for start in range(0, trials, block):
+            counts = draw(min(block, trials - start))
+            for first in range(0, len(counts), piece):
+                quota_sums += quotas(counts[first:first + piece]).sum(axis=0)
+        return _node_probs(net.caps, classes, sizes, quota_sums, trials)
+    radix = np.cumprod([1] + bases[:-1], dtype=np.int64)
+    window = max(1, _KEY_WINDOW // block) * block
+    # per distinct key: its digits, the rest and one product
+    span = _piece_rows(n + 2)
+    for start in range(0, trials, window):
+        stop = min(start + window, trials)
+        keys, mult = np.unique(
+            np.concatenate([draw(min(block, stop - first)) @ radix
+                            for first in range(start, stop, block)]),
+            return_counts=True)
+        for first in range(0, len(keys), span):
+            rest = keys[first:first + span].copy()
+            # digit rows, one scalar division per class, highest first
+            digits = np.empty((n, len(rest)), dtype=np.int64)
+            for c in range(n - 1, -1, -1):
+                np.floor_divide(rest, int(radix[c]), out=digits[c])
+                rest -= digits[c] * int(radix[c])
+            # each distinct row weighted by the rounds that drew it
+            weight = mult[first:first + span]
+            for sub in range(0, len(weight), piece):
+                quota_sums += weight[sub:sub + piece] @ quotas(
+                    digits[:, sub:sub + piece].T)
+        # free this window's arrays before the next window is drawn
+        del keys, mult, rest, digits, weight
     return _node_probs(net.caps, classes, sizes, quota_sums, trials)
 
 

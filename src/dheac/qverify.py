@@ -394,12 +394,22 @@ def verify_state(state: SparseState, net: NetworkConfig, k_req: int, K: int,
         means = obs_outer[keep] / sizes[keep]
         min_expected = min(min_expected, float(means.min(initial=np.inf)))
         pooled_dof = int((sizes[keep] - 1).sum())
-        pooled_chi2 = 0.0
-        for lo, hi, mean in zip(state.offsets[:-1][keep].tolist(),
-                                state.offsets[1:][keep].tolist(),
-                                means.tolist()):
-            obs = counts[lo:hi]
-            pooled_chi2 += float(((obs - mean) ** 2 / mean).sum())
+        # each branch's statistic from (g, s) blocks of equal-size branches:
+        # a C-contiguous row sums as the branch's own slice does; then
+        # added up in branch order
+        first = state.offsets[:-1][keep]
+        kept_sizes = sizes[keep]
+        branch_chi2 = np.empty(len(first))
+        for s in np.unique(kept_sizes).tolist():
+            group = np.flatnonzero(kept_sizes == s)
+            step = _piece_rows(4 * s)
+            for start in range(0, len(group), step):
+                part = group[start:start + step]
+                obs = counts[first[part][:, None] + np.arange(s)]
+                mean = means[part][:, None]
+                branch_chi2[part] = ((obs - mean) ** 2 / mean).sum(axis=1)
+        pooled_chi2 = (float(np.add.accumulate(branch_chi2)[-1])
+                       if len(branch_chi2) else 0.0)
         pooled_p = _chi2_pvalue(pooled_chi2, pooled_dof)
         if pooled_p < significance:
             failures.append(

@@ -207,6 +207,25 @@ def test_row_pieces_bound_the_traced_peak_at_a_canonical_point():
         net, req, 100000, trial_rng(61))) < 4 * 10 ** 6
 
 
+def test_sampled_fairness_memory_does_not_grow_with_the_trials():
+    # compositions are reduced one key window at a time: 10^6 trials hold
+    # the bound 10^5 hold above
+    net = generate_network(32, 2.0, 320)
+    req = Request(demand_to_kreq(0.6, net.total))
+    assert _traced_peak(lambda: estimate_fairness(
+        net, req, 10 ** 6, trial_rng(61))) < 4 * 10 ** 6
+    # and where most of a window's compositions are distinct, the peak of
+    # three windows is that of one (after a first call has paid numpy's
+    # lazy imports)
+    net = generate_network(32, 1.0, 320)
+    req = Request(demand_to_kreq(0.1, net.total))
+    estimate_fairness(net, req, 10, trial_rng(0))
+    one, three = (_traced_peak(lambda: estimate_fairness(
+        net, req, windows * _key_window(), trial_rng(61)))
+        for windows in (1, 3))
+    assert three < 1.1 * one
+
+
 def _whole_block_rounds(net, req, params, trials, rng):
     """sample_rounds with every block drawn and reduced whole: the
     reference the row pieces must reproduce array for array."""
@@ -265,9 +284,11 @@ def _assert_rounds_match(net, req, params, trials):
 
 
 def _assert_fairness_matches(net, req, trials):
-    got = estimate_fairness(net, req, trials, trial_rng(7))
+    rng, ref_rng = trial_rng(7), trial_rng(7)
+    got = estimate_fairness(net, req, trials, rng)
     assert np.array_equal(
-        got, _whole_block_fairness(net, req, trials, trial_rng(7)))
+        got, _whole_block_fairness(net, req, trials, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def _first_call_rows(monkeypatch, name, run) -> int:
@@ -291,15 +312,19 @@ def test_row_pieces_draw_what_whole_blocks_draw_around_a_piece(
         pieces, plus, monkeypatch):
     net = generate_network(16, 1.0, 160)
     req = Request(demand_to_kreq(0.4, net.total))
-    # each sampler's piece, read off its first rounding call of a block
+    # each sampler's piece, read off its first rounding call of a block;
+    # the fairness sampler rounds distinct compositions, so its piece is
+    # read where a block draws more of them than a piece holds
     block = lottery._BLOCK
     round_piece = _first_call_rows(monkeypatch, "_quota_round_rows", lambda: (
         list(sample_rounds(net, req, LOSSY, block, trial_rng(1)))))
+    fair_net = generate_network(32, 1.0, 320)
+    fair_req = Request(demand_to_kreq(0.1, fair_net.total))
     fair_piece = _first_call_rows(monkeypatch, "_class_round", lambda: (
-        estimate_fairness(net, req, block, trial_rng(1))))
+        estimate_fairness(fair_net, fair_req, block, trial_rng(1))))
     assert 1 < round_piece < block and 1 < fair_piece < block
     _assert_rounds_match(net, req, LOSSY, pieces * round_piece + plus)
-    _assert_fairness_matches(net, req, pieces * fair_piece + plus)
+    _assert_fairness_matches(fair_net, fair_req, pieces * fair_piece + plus)
 
 
 @pytest.mark.parametrize("net, k_req, params, K", [
@@ -317,6 +342,50 @@ def test_row_pieces_draw_what_whole_blocks_draw_across_blocks(net, k_req,
     assert safe_select_k(k_req, net.caps, params.beta) == K
     _assert_rounds_match(net, Request(k_req), params, lottery._BLOCK + 1)
     _assert_fairness_matches(net, Request(k_req), lottery._BLOCK + 1)
+
+
+def _key_window() -> int:
+    """Rows of one estimate_fairness key window at fewer than 65 classes."""
+    return lottery._KEY_WINDOW // lottery._BLOCK * lottery._BLOCK
+
+
+@pytest.mark.parametrize("plus", [-1, 0, 1],
+                         ids=["window-1", "window", "window+1"])
+def test_sampled_fairness_is_the_whole_block_array_around_a_window(plus):
+    # 16 classes, where most compositions are distinct (76,778 of 10^5 at
+    # the canonical grid's seed)
+    net = generate_network(32, 1.0, 320)
+    req = Request(demand_to_kreq(0.1, net.total))
+    # a canonical 10^5-trial cell is one window
+    assert _key_window() >= 10 ** 5
+    _assert_fairness_matches(net, req, _key_window() + plus)
+
+
+@pytest.mark.parametrize("net, k_req, trials", [
+    # one class: every round draws the one composition
+    (generate_network(32, 0.0, 320), 128, 2 * lottery._BLOCK + 1),
+    # prod(sizes + 1) = 2^70: no int64 key, rows rounded as drawn
+    (NetworkConfig.from_caps(tuple(range(1, 71))), 700, lottery._BLOCK + 1),
+], ids=["one-class", "key-overflow"])
+def test_sampled_fairness_is_the_whole_block_array_on_edge_networks(
+        net, k_req, trials):
+    _assert_fairness_matches(net, Request(k_req), trials)
+
+
+def test_sampled_fairness_does_not_depend_on_the_window(monkeypatch):
+    net = generate_network(32, 1.0, 320)
+    req = Request(demand_to_kreq(0.1, net.total))
+    trials = 3 * lottery._BLOCK + 5
+    rounded = _count_rounded_rows(monkeypatch)
+    want = estimate_fairness(net, req, trials, trial_rng(11))
+    whole = sum(rounded)
+    rounded.clear()
+    # one block per window: each block's compositions are counted alone
+    monkeypatch.setattr(lottery, "_KEY_WINDOW", 1)
+    got = estimate_fairness(net, req, trials, trial_rng(11))
+    assert sum(rounded) > whole
+    assert np.array_equal(got, want)
+    _assert_fairness_matches(net, req, trials)
 
 
 @pytest.mark.parametrize("q", [0.0, 0.2])

@@ -532,6 +532,12 @@ def _pooled_reference(counts, offsets, draws, n_subsets):
     # smallest expected count
     pytest.param(NetworkConfig.from_caps((1,) * 12), 4, 4, 20000,
                  id="one-label-branches-only"),
+    # 8008 branches of twelve sizes, 6 to 210 labels: each size's
+    # branches are one block of rows, and both a row of 8 or more (numpy
+    # sums it pairwise) and one past 128 (in halves) must sum as the
+    # branch's own slice does
+    pytest.param(NetworkConfig.from_caps((1,) * 4 + (2,) * 10 + (3,) * 2),
+                 14, 10, 200000, id="many-branches-of-many-sizes"),
 ])
 def test_pooled_statistic_is_the_sum_of_branch_chisquares(net, k_req, K,
                                                           draws):

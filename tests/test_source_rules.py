@@ -9,7 +9,8 @@ budget live in ``partition``: ``qverify`` imports nothing from ``lottery``,
 and no module imports a private name from it. ``dheac.__all__`` is a
 ratchet: it may shrink, but not grow past MAX_EXPORTS. So is each
 subcommand's count of settable values, its flags other than --help: it may
-shrink, but not grow past MAX_FLAGS.
+shrink, but not grow past MAX_FLAGS. No module reads the process
+environment: a command's inputs come from its parser alone.
 """
 
 import argparse
@@ -111,6 +112,37 @@ def test_package_modules_keep_the_lottery_boundary():
     found = {path.name: names for path in SOURCES
              if (names := _lottery_imports(path.name,
                                            ast.parse(path.read_text())))}
+    assert found == {}
+
+
+def _environment_reads(tree: ast.AST) -> list[int]:
+    """Lines that read the process environment: os.environ, os.environb or
+    os.getenv, as an attribute of any name or imported from os."""
+    names = {"environ", "environb", "getenv"}
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in names)
+        or (isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(alias.name in names for alias in node.names)))
+
+
+def test_the_environment_rule_sees_each_form():
+    code = ("import os\n"
+            "import os as system\n"
+            "a = os.environ['A']\n"
+            "b = os.environb.get(b'B')\n"
+            "c = os.getenv('C', '1')\n"
+            "from os import environ\n"
+            "from os import path, getenv as read\n"
+            "from os import environb\n"
+            "d = system.environ\n"
+            "e = os.path.join('a', 'b')\n")
+    assert _environment_reads(ast.parse(code)) == [3, 4, 5, 6, 7, 8, 9]
+
+
+def test_package_modules_read_no_environment():
+    found = {path.name: lines for path in SOURCES
+             if (lines := _environment_reads(ast.parse(path.read_text())))}
     assert found == {}
 
 
