@@ -45,7 +45,7 @@ from .lottery import (
 )
 from .netgen import NetworkConfig, Request, demand_to_kreq, generate_network
 from .partition import _piece_rows, safe_select_k
-from .qverify import MAX_DRAWS, SparseState, build_embedded, verify_state
+from .qverify import MAX_DRAWS, build_embedded, verify_state
 
 GRID_MS = (4, 8, 16, 32)
 GRID_QS = (0.01, 0.05, 0.10, 0.15)
@@ -327,7 +327,7 @@ def _grid_point(task) -> list[dict]:
     return [point | row for row in point_rows(idx, point, net, params)]
 
 
-def _sweep_rows(mode, chi, trials, seed, idx, point, net, params):
+def _sweep_rows(mode, trials, seed, idx, point, net, params):
     k_req = point["k_req"]
     rec = evaluate_point(net.caps, k_req, params)
     context = dict(K=rec.K, ell_anc=rec.ell_anc, k_max_b2=rec.k_max_b2)
@@ -335,12 +335,11 @@ def _sweep_rows(mode, chi, trials, seed, idx, point, net, params):
     if mode in ("analytic", "both"):
         rows.append(context | _analytic_row(rec) | {"mode": "analytic"})
     if mode in ("mc", "both"):
-        req = Request(k_req)
-        chis = LATENCY_MODES if chi == "both" else (chi,)
         row = dict(context, mode="mc", trials=trials, seed=seed)
-        # both accountings read the same rounds; chi only picks columns
-        stats = batch_stats(net, req, params, trials, trial_rng(seed, idx))
-        for lmode in chis:
+        # both accountings; _sweep_fieldnames keeps the --chi columns
+        stats = batch_stats(net, Request(k_req), params, trials,
+                            trial_rng(seed, idx))
+        for lmode in LATENCY_MODES:
             row[f"mc_p_{lmode}"] = stats[lmode].success_rate
             row[f"mc_p_{lmode}_se"] = stats[lmode].success_se
             row[f"mc_l_{lmode}"] = stats[lmode].latency_mean
@@ -352,8 +351,7 @@ def _sweep_rows(mode, chi, trials, seed, idx, point, net, params):
 def _cmd_sweep(args) -> int:
     _check_grid(args)
     rows = _grid_rows(args, SWEEP_AXES,
-                      partial(_sweep_rows, args.mode, args.chi, args.trials,
-                              args.seed),
+                      partial(_sweep_rows, args.mode, args.trials, args.seed),
                       workers=args.workers)
     comments = [f"dheac {__version__} sweep",
                 f"mode={args.mode} chi={args.chi} seed={args.seed} "
@@ -558,12 +556,6 @@ def _cmd_verify_quantum(args) -> int:
     net, _, k_req, params = _point_inputs(args)
     K = safe_select_k(k_req, net.caps, params.beta)
     state = build_embedded(net, k_req, K)
-    if args.corrupt:
-        # test hook: damage one amplitude so the norm and marginal checks trip
-        amps = state.amps.copy()
-        amps[0] *= 1.05
-        state = SparseState(state.subsets, state.offsets, state.vectors,
-                            amps)
     report = verify_state(state, net, k_req, K, args.draws,
                           trial_rng(args.seed), significance=args.alpha)
 
@@ -605,25 +597,25 @@ MC_FIELDS = ["trial", "succeeded", "attempts_total", "latency", "winners",
 
 
 def _ascii_cells(values: np.ndarray, sep: str) -> np.ndarray:
-    """The str() text of a (rows, cols) int array as (rows, cols * w) ASCII
-    bytes: each cell is its digits, right-aligned in w - 1 bytes padded
-    with NULs, then ``sep``; w - 1 is the longest text of any value.
+    """The str() text of a (rows, cols) array of ints >= 0 as (rows,
+    cols * w) ASCII bytes: each cell is its digits, right-aligned in w - 1
+    bytes padded with NULs, then ``sep``; w - 1 is the longest text of any
+    value.
 
-    Digits come from repeated % 10 and //= 10 on the magnitudes, in the
-    smallest unsigned dtype that holds them (uint64 holds the int64
-    minimum's); a position left of a value's leading digit stays NUL,
-    except the last position, which takes the digit 0.
+    Digits come from repeated % 10 and //= 10 in the smallest unsigned
+    dtype that holds the values; a position left of a value's leading digit
+    stays NUL, except the last position, which takes the digit 0. No dump
+    column can be negative, so a negative cell is an invariant violation.
     """
     rows, cols = values.shape
     lo, hi = int(values.min()), int(values.max())
-    width = max(len(str(lo)), len(str(hi)))
-    udtype = np.min_scalar_type(max(-lo, hi))
+    if lo < 0:
+        raise InvariantViolationError(f"negative dump cell {lo}")
+    width = len(str(hi))
     cells = np.zeros((rows, cols, width + 1), dtype=np.uint8)
     cells[:, :, width] = ord(sep)
-    rest = values.astype(udtype)
-    if lo < 0:
-        np.negative(rest, out=rest, where=values < 0)
-    quot, digit = np.empty((2, rows, cols), dtype=udtype)
+    rest = values.astype(np.min_scalar_type(hi))
+    quot, digit = np.empty((2, rows, cols), dtype=rest.dtype)
     for pos in range(width - 1, -1, -1):
         # rest % 10 as rest - 10 * (rest // 10): numpy divides by a scalar
         # with vector multiplies, but takes its remainder one by one
@@ -635,11 +627,6 @@ def _ascii_cells(values: np.ndarray, sep: str) -> np.ndarray:
             digit *= rest != 0
         cells[:, :, pos] = digit
         rest, quot = quot, rest
-    if lo < 0:
-        # the sign goes just left of the leading digit
-        neg = values < 0
-        lead = width - np.count_nonzero(cells[:, :, :width], axis=2)
-        cells[neg, lead[neg] - 1] = ord("-")
     return cells.reshape(rows, cols * (width + 1))
 
 
@@ -817,7 +804,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="significance for the uniformity tests")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--json", default=None, help="write the report here")
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_verify_quantum)
 
     p = sub.add_parser("mc", help="raw Monte-Carlo trial dump at one point")

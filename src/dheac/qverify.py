@@ -12,12 +12,12 @@ preparation must satisfy.
 A state is its four arrays in sorted label order, and
 ``SparseState(subsets, offsets, vectors, amps)`` is its one constructor:
 the winner subsets, where each subset's labels start, one integer row per
-quota vector, and one amplitude per label. ``build_embedded``, the CLI's
-``--corrupt`` hook and the tests that damage or hand-build a state all
-call it. Building (a ``split_chunks`` walk in ``_chain_bounds``, both from
-``partition``), normalization, the feasibility checks, marginals and
-sampling are array arithmetic over those rows. Labels become tuples only
-at the edges: ``amplitudes``, ``marginal_outer`` and ``measure_many``.
+quota vector, and one amplitude per label. ``build_embedded`` and the
+tests that damage or hand-build a state all call it. Building (a
+``split_chunks`` walk in ``_chain_bounds``, both from ``partition``),
+normalization, the feasibility checks, marginals and sampling are array
+arithmetic over those rows. Labels become tuples only at the edges:
+``amplitudes``, ``marginal_outer`` and ``measure_many``.
 
 A measurement of ``draws`` shots is one multinomial over the normalized
 squares, drawn only after the norm has passed: ``verify_state`` takes the
@@ -252,7 +252,11 @@ def node_win_probs(state: SparseState, caps) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class VerificationReport:
-    """Statistical and structural checks of an embedded selection state."""
+    """Statistical and structural checks of an embedded selection state.
+
+    ``drawn_violations`` is 0: only a state whose support holds no
+    infeasible label is sampled. The JSON and text reports still print it.
+    """
 
     n_subsets: int
     n_outcomes: int
@@ -347,8 +351,7 @@ def verify_state(state: SparseState, net: NetworkConfig, k_req: int, K: int,
     if not norm_dev <= NORM_TOL:
         failures.append(f"norm^2 deviates from 1 by {norm_dev:.3e}")
 
-    bad_labels = _label_violations(state, net, k_req, K)
-    support_violations = int(bad_labels.sum())
+    support_violations = int(_label_violations(state, net, k_req, K).sum())
     if support_violations:
         failures.append(f"{support_violations} infeasible labels in support")
 
@@ -371,12 +374,10 @@ def verify_state(state: SparseState, net: NetworkConfig, k_req: int, K: int,
 
     outer_chi2 = outer_p = pooled_chi2 = pooled_p = float("nan")
     outer_dof = pooled_dof = 0
-    drawn_violations = 0
     min_expected = float("inf")
     jain = float("nan")
     if not failures:
         counts = _sample_counts(state, rng, draws)
-        drawn_violations = int(counts[bad_labels].sum())
         obs_outer = np.add.reduceat(counts, state.offsets[:-1])
         min_expected = draws / n_subsets
         outer_chi2, outer_p = _chisquare(obs_outer)
@@ -415,8 +416,6 @@ def verify_state(state: SparseState, net: NetworkConfig, k_req: int, K: int,
             failures.append(
                 f"conditional uniformity rejected (p={pooled_p:.4g} < "
                 f"{significance})")
-        if drawn_violations:
-            failures.append(f"{drawn_violations} drawn outcomes infeasible")
         jain = jain_index(node_win_probs(state, net.caps))
 
     return VerificationReport(
@@ -427,7 +426,8 @@ def verify_state(state: SparseState, net: NetworkConfig, k_req: int, K: int,
         marginal_max_dev=marginal_max_dev,
         conditional_max_dev=conditional_max_dev,
         support_violations=support_violations,
-        drawn_violations=drawn_violations,
+        # sampling needs an all-feasible support, so no draw is infeasible
+        drawn_violations=0,
         outer_chi2=float(outer_chi2),
         outer_dof=outer_dof,
         outer_pvalue=float(outer_p),

@@ -22,6 +22,7 @@ import numpy as np
 import dheac
 from dheac import (
     LATENCY_MODES,
+    InvariantViolationError,
     ModelParams,
     Request,
     demand_to_kreq,
@@ -435,18 +436,24 @@ def test_verify_quantum_alpha_must_lie_in_the_unit_interval(alpha, capsys):
     assert captured.out == ""
 
 
-def test_verify_quantum_nan_amplitude_fails_with_null_statistics(
-        tmp_path, monkeypatch):
+def _damage_first_amplitude(monkeypatch, damage):
+    """Make verify-quantum check its built state with amps[0] replaced by
+    damage(amps[0])."""
     build = cli.build_embedded
 
-    def nan_state(*args):
+    def damaged(*args):
         state = build(*args)
         amps = state.amps.copy()
-        amps[0] = float("nan")
+        amps[0] = damage(amps[0])
         return dheac.SparseState(state.subsets, state.offsets, state.vectors,
                                  amps)
 
-    monkeypatch.setattr(cli, "build_embedded", nan_state)
+    monkeypatch.setattr(cli, "build_embedded", damaged)
+
+
+def test_verify_quantum_nan_amplitude_fails_with_null_statistics(
+        tmp_path, monkeypatch):
+    _damage_first_amplitude(monkeypatch, lambda amp: float("nan"))
     report = tmp_path / "report.json"
     assert main(["verify-quantum", "--caps", "3,3,3,3", "--k-req", "4",
                  "--draws", "2000", "--json", str(report)]) == EXIT_VERIFY
@@ -472,9 +479,26 @@ def test_verify_quantum_past_the_sparse_guard_is_a_usage_error(point,
     assert captured.out == ""
 
 
-def test_verify_quantum_corruption_hook():
+def test_verify_quantum_corruption_hook(capsys, monkeypatch):
+    # one amplitude 5% too large trips the norm and outer marginal checks,
+    # so nothing is sampled and every statistic prints as nan
+    _damage_first_amplitude(monkeypatch, lambda amp: amp * 1.05)
     assert main(["verify-quantum", "--caps", "3,3,3,3", "--k-req", "4",
-                 "--draws", "2000", "--corrupt"]) == EXIT_VERIFY
+                 "--draws", "2000"]) == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (
+        "state: m=4 K=2 k_req=4 subsets=6 outcomes=6 draws=2000\n"
+        "norm deviation: 1.708e-02\n"
+        "outer marginal max deviation: 1.708e-02\n"
+        "conditional max deviation: 0.000e+00\n"
+        "feasibility violations: support=0 drawn=0\n"
+        "outer uniformity: chi2=nan dof=0 p=nan\n"
+        "conditional uniformity (pooled): chi2=nan dof=0 p=nan\n"
+        "min expected cell count: inf\n"
+        "fairness: jain=nan\n"
+        "result: FAIL  (norm^2 deviates from 1 by 1.708e-02; outer marginal "
+        "deviates from uniform by 1.708e-02)\n")
 
 
 def _reject_constant(name):
@@ -484,9 +508,12 @@ def _reject_constant(name):
 @pytest.mark.parametrize("argv, code", [
     # K = m: one winner subset, so the outer test is vacuous
     (["--caps", "3,3,3,3", "--k-req", "10"], EXIT_OK),
-    (["--caps", "3,3,3,3", "--k-req", "4", "--corrupt"], EXIT_VERIFY),
+    # a damaged state (see test_verify_quantum_corruption_hook)
+    (["--caps", "3,3,3,3", "--k-req", "4"], EXIT_VERIFY),
 ])
-def test_verify_quantum_json_is_strict(tmp_path, argv, code):
+def test_verify_quantum_json_is_strict(tmp_path, monkeypatch, argv, code):
+    if code == EXIT_VERIFY:
+        _damage_first_amplitude(monkeypatch, lambda amp: amp * 1.05)
     report = tmp_path / "report.json"
     assert main(["verify-quantum", *argv, "--draws", "2000",
                  "--json", str(report)]) == code
@@ -603,7 +630,8 @@ def test_mc_dump_winners_follow_the_exact_win_law(tmp_path):
     assert exact.max() - exact.min() > 0.05
 
 
-_INTS = st.integers(-10 ** 6, 10 ** 12)
+# every dump column is >= 0
+_INTS = st.integers(0, 10 ** 12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -628,9 +656,8 @@ def test_dump_int_lists_format_as_the_generic_path(trial, ok, attempts,
 
 
 _INT64 = st.one_of(
-    st.integers(-2 ** 63, 2 ** 63 - 1),
-    st.sampled_from([0, 9, 10, 99, 100, -1, -9, -10, -99, -100]),
-    st.integers(10 ** 18, 2 ** 63 - 1), st.integers(-2 ** 63, -10 ** 18))
+    st.integers(0, 2 ** 63 - 1), st.sampled_from([0, 9, 10, 99, 100]),
+    st.integers(10 ** 18, 2 ** 63 - 1))
 
 
 @settings(max_examples=300, deadline=None)
@@ -640,7 +667,7 @@ _INT64 = st.one_of(
                                            max_size=shape[1]),
                                   min_size=shape[0], max_size=shape[0])),
        sep=st.sampled_from(",;"))
-@example(values=[[-2 ** 63, 2 ** 63 - 1], [0, -10]], sep=";")
+@example(values=[[0, 2 ** 63 - 1], [9, 10]], sep=";")
 def test_ascii_cells_are_str_of_each_int64_right_aligned(values, sep):
     rows, cols = len(values), len(values[0])
     out = _ascii_cells(np.array(values, dtype=np.int64), sep)
@@ -651,6 +678,12 @@ def test_ascii_cells_are_str_of_each_int64_right_aligned(values, sep):
             for r in range(rows)] == [
         [(str(v) + sep).rjust(width, "\0").encode() for v in row]
         for row in values]
+
+
+@pytest.mark.parametrize("values", [[[-1]], [[0, 5], [7, -2 ** 63]]])
+def test_ascii_cells_refuse_a_negative_cell(values):
+    with pytest.raises(InvariantViolationError, match="negative dump cell"):
+        _ascii_cells(np.array(values, dtype=np.int64), ",")
 
 
 def _reference_dump_rows(argv) -> str:
@@ -824,11 +857,7 @@ def test_verify_quantum_rejects_draws_beyond_int64(capsys, monkeypatch):
     draws = np.iinfo(np.int64).max + 1
     for argv in (["--caps", "3,3,3,3", "--k-req", "4"],
                  # the 720,720-label cell, which must not be built first
-                 ["--m", "16", "--skew", "0", "--demand", "0.6"],
-                 # a corrupted state samples nothing, so only the flag
-                 # check can refuse it
-                 ["--m", "16", "--skew", "0", "--demand", "0.6",
-                  "--corrupt"]):
+                 ["--m", "16", "--skew", "0", "--demand", "0.6"]):
         assert main(["verify-quantum", *argv,
                      "--draws", str(draws)]) == EXIT_USAGE
         captured = capsys.readouterr()
@@ -1073,7 +1102,7 @@ def test_reproduce_results_script_writes_every_artifact(tmp_path, capsys):
                for path in sorted(tmp_path.rglob("*")) if path.is_file()}
     assert digests == golden["sha256"]
     # a sparse-guard refusal, an oversized network, an underflowing
-    # success probability and the --corrupt hook
+    # success probability and a rejected outer uniformity test
     for edge in golden["edges"]:
         code = main(edge["argv"])
         captured = capsys.readouterr()

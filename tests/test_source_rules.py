@@ -9,21 +9,26 @@ budget live in ``partition``: ``qverify`` imports nothing from ``lottery``,
 and no module imports a private name from it. ``dheac.__all__`` is a
 ratchet: it may shrink, but not grow past MAX_EXPORTS. So is each
 subcommand's count of settable values, its flags other than --help: it may
-shrink, but not grow past MAX_FLAGS. No module reads the process
-environment: a command's inputs come from its parser alone.
+shrink, but not grow past MAX_FLAGS, and --help lists every one of them.
+No module reads the process environment: a command's inputs come from its
+parser alone. Each ``module.name`` or ``dheac.module.name`` the README
+names, for a module of the package, exists.
 """
 
 import argparse
 import ast
+import importlib
 import pathlib
+import re
 
 import dheac
 from dheac.cli import build_parser
 
 SOURCES = sorted(pathlib.Path(dheac.__file__).parent.glob("*.py"))
+README = pathlib.Path(__file__).parents[1] / "README.md"
 MAX_EXPORTS = 31
 MAX_FLAGS = {"sweep": 19, "fairness": 10, "breakeven": 14,
-             "verify-quantum": 12, "mc": 18}
+             "verify-quantum": 11, "mc": 18}
 
 
 def _assertion_sites(tree: ast.AST) -> list[int]:
@@ -154,11 +159,63 @@ def test_exports_are_sorted_unique_bound_and_within_the_ratchet():
     assert len(names) <= MAX_EXPORTS
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    return parser._subparsers._group_actions[0].choices
+
+
 def test_settable_values_per_subcommand_stay_within_the_ratchet():
-    commands = build_parser()._subparsers._group_actions[0].choices
+    commands = _subcommands(build_parser())
     counts = {name: sum(1 for action in sub._actions if action.option_strings
                         and not isinstance(action, argparse._HelpAction))
               for name, sub in commands.items()}
     assert counts.keys() == MAX_FLAGS.keys()
     assert {name: n for name, n in counts.items()
             if n > MAX_FLAGS[name]} == {}
+
+
+def _hidden_flags(parser: argparse.ArgumentParser) -> list[str]:
+    """'command dest' of each subcommand argument that --help hides."""
+    return [f"{name} {action.dest}"
+            for name, sub in _subcommands(parser).items()
+            for action in sub._actions if action.help == argparse.SUPPRESS]
+
+
+def test_the_hidden_flag_rule_sees_a_suppressed_help():
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers()
+    run = sub.add_parser("run")
+    run.add_argument("--shown", help="listed")
+    run.add_argument("--bare")
+    run.add_argument("--hook", action="store_true", help=argparse.SUPPRESS)
+    sub.add_parser("other").add_argument("level", help=argparse.SUPPRESS)
+    assert _hidden_flags(parser) == ["run hook", "other level"]
+
+
+def test_no_subcommand_hides_a_flag():
+    # a flag only tests set is no reason for a flag: tests reach the code
+    # through its seams (monkeypatch) instead
+    assert _hidden_flags(build_parser()) == []
+
+
+def _module_names(text: str) -> list[tuple[str, str]]:
+    """(module, name) of each module.name or dheac.module.name in text whose
+    module is one of the package's; a file name (module.py) is not one."""
+    modules = "|".join(path.stem for path in SOURCES
+                       if path.name != "__init__.py")
+    pattern = rf"\b(?:dheac\.)?({modules})\.(?!py\b)([A-Za-z_]\w*)"
+    return re.findall(pattern, text)
+
+
+def test_the_readme_rule_sees_module_names():
+    text = ("`cli.main` and dheac.qverify.SparseState, not cli.py, "
+            "mycli.x or dheac.cli; then lottery.gone.\n")
+    assert _module_names(text) == [
+        ("cli", "main"), ("qverify", "SparseState"), ("lottery", "gone")]
+
+
+def test_readme_module_names_resolve():
+    names = _module_names(README.read_text())
+    assert len(names) > 1
+    assert [f"{module}.{name}" for module, name in names
+            if not hasattr(importlib.import_module(f"dheac.{module}"),
+                           name)] == []
