@@ -185,20 +185,37 @@ def _delivery_law(q: float, M: int) -> tuple[np.ndarray, np.ndarray]:
     return pvals, cost
 
 
+def _attempts(outcomes: np.ndarray, qubits, cost: np.ndarray) -> np.ndarray:
+    """Delivery attempts of groups of qubits from their (..., M + 1)
+    outcome counts, qubits per group an int or an array of the groups'
+    shape: each qubit spends M attempts, less M - cost[o] for each one
+    delivered at outcome o. The terms of the last two outcomes vanish, so
+    this takes M - 1 products where `outcomes @ cost` takes M + 1.
+    """
+    M = len(cost) - 1
+    att = np.multiply(qubits, M,
+                      out=np.empty(outcomes.shape[:-1], dtype=np.int64))
+    for o in range(M - 1):
+        att -= (M - cost[o]) * outcomes[..., o]
+    return att
+
+
 def _block_rows(m: int, K: int, M: int) -> int:
     """Trials per block under the _BLOCK_BYTES budget.
 
     The block size sets how many rounds each whole-block draw takes, and so
     every stream. It bounds the int64 words per row by the sum over the
-    kernel's stages: the permuted arrangement and its tiled source (2m), up
-    to ten rounding temporaries (10K), the quota-block outcome counts
-    (K(M + 1)), the three selection-group outcome counts (3(M + 1)) and the
-    (2, t) accounting rows with their stage-one counts (8). A block keeps
-    alive only its (t, K) arrangement and quotas, the three selection-group
-    tables and the (2, t) rows; the rest lives one row piece (_piece_rows)
-    at a time, so the bound is loose, but changing it would move every
-    stream. Raises CapacityError when a single row exceeds the budget,
-    which only a huge max_attempts M can cause at any realistic m.
+    kernel's stages: the permuted arrangement and its identity source
+    (2m), ten words per winner for the rounding (10K, from an argsort
+    form; the threshold form holds at most four int64 words per winner at
+    once), the quota-block outcome counts (K(M + 1)), the three
+    selection-group outcome counts (3(M + 1)) and the (2, t) accounting
+    rows with their stage-one counts (8). A block keeps alive only its
+    (t, K) arrangement and quotas, the three selection-group tables and
+    the (2, t) rows; the rest lives one row piece (_piece_rows) at a time,
+    so the bound is loose, but changing it would move every stream.
+    Raises CapacityError when a single row exceeds the budget, which only
+    a huge max_attempts M can cause at any realistic m.
     """
     row_bytes = 8 * (2 * m + (K + 3) * (M + 1) + 10 * K + 8)
     if row_bytes > _BLOCK_BYTES:
@@ -228,8 +245,9 @@ def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
     piece at a time, so peak memory does not grow with m. The arguments
     are checked before anything is drawn: raises CapacityError when one
     trial's outcome table alone exceeds that budget, and ValueError when
-    the largest latency a round can take, summed or squared over the
-    trials, would overflow a float.
+    the capacities pass the bounds of the rounding's exact arithmetic
+    (partition._quota_round_rows) or when the largest latency a round can
+    take, summed or squared over the trials, would overflow a float.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -238,12 +256,16 @@ def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
     block = _block_rows(net.m, K, M)
     ell = ancilla_bits(net.caps)
     m = net.m
-    # per row of a piece: the tiled and permuted arrangement, the rounding
-    # temporaries, the quota-block outcome table and its attempt costs
+    # per row of a piece: the identity and permuted arrangements, the
+    # rounding temporaries, the quota-block outcome table and its attempts
     piece = _piece_rows(2 * m + K * (M + 12))
     caps = np.asarray(net.caps, dtype=np.int64)
     cap_bound = int(caps.max()) + 1
-    qlan_ids = np.arange(m, dtype=np.int64)
+    # net.total bounds every row total
+    if (net.total * cap_bound >= 2 ** 53
+            or net.total * cap_bound * max(K, cap_bound) >= 2 ** 63):
+        raise ValueError(f"capacities up to {cap_bound - 1} over a total of "
+                         f"{net.total} are too large for exact rounding")
     pvals, cost = _delivery_law(params.q, M)
     base = params.t_gen + params.t_meas
     # every qubit of a round spends all M attempts; lat below is computed
@@ -255,6 +277,10 @@ def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
                          "overflow a float; lower the time constants")
 
     def blocks_of_rounds():
+        # the identity rows each piece's permutations start from, and one
+        # buffer that holds each piece's permutations in turn
+        ident = np.tile(np.arange(m, dtype=np.int64), (min(piece, block), 1))
+        perm = np.empty_like(ident)
         for start in range(0, trials, block):
             t = min(block, trials - start)
             # each row: one round's first K QLANs of a uniformly random
@@ -264,11 +290,12 @@ def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
             arrangement, quotas = np.empty((2, t, K), dtype=np.int64)
             for first in range(0, t, piece):
                 part = slice(first, first + piece)
-                arrangement[part] = rng.permuted(
-                    np.tile(qlan_ids, (min(piece, t - first), 1)),
-                    axis=1)[:, :K]
+                rows = perm[:min(piece, t - first)]
+                rng.permuted(ident[:len(rows)], axis=1, out=rows)
+                arrangement[part] = rows[:, :K]
+                # gathered slot-major, the layout the rounding works in
                 quotas[part] = _quota_round_rows(
-                    req.k_req, caps[arrangement[part]], cap_bound)
+                    req.k_req, caps.take(arrangement[part].T).T, cap_bound)
             winners = rng.multinomial(K, pvals, size=t)
             others = rng.multinomial(m - K, pvals, size=t)
             ancilla = rng.multinomial(ell, pvals, size=t)
@@ -281,12 +308,16 @@ def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
             for first in range(0, t, piece):
                 part = slice(first, first + piece)
                 blocks = rng.multinomial(quotas[part], pvals)
-                delivered[part] = (blocks[:, :, M] == 0).all(axis=1)
-                block_att = blocks @ cost
+                # slot-major copies: a reduction over a row's K blocks is
+                # then K - 1 operations on whole columns
+                failed = np.ascontiguousarray(blocks[:, :, M].T)
+                block_att = np.ascontiguousarray(
+                    _attempts(blocks, quotas[part], cost).T)
                 del blocks
-                block_sum[part] = block_att.sum(axis=1)
-                block_max[part] = block_att.max(axis=1)
-                del block_att
+                np.logical_not(failed.any(axis=0), out=delivered[part])
+                block_att.sum(axis=0, out=block_sum[part])
+                block_att.max(axis=0, out=block_max[part])
+                del failed, block_att
             # rows filled in place: building them with np.stack measured
             # 3 MB more peak RSS on the mc_grid benchmark, though not more
             # traced memory (allocator fragmentation)
@@ -296,10 +327,10 @@ def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
                            out=ok[1])
             # stage one ships every selection qubit, conservative also the
             # ancillas; the optimistic row counts only the winners' attempts
-            win_att = winners @ cost
+            win_att = _attempts(winners, K, cost)
             stage1 = np.empty((2, t), dtype=np.int64)
-            np.add(win_att, others @ cost, out=stage1[0])
-            np.add(stage1[0], ancilla @ cost, out=stage1[1])
+            np.add(win_att, _attempts(others, m - K, cost), out=stage1[0])
+            np.add(stage1[0], _attempts(ancilla, ell, cost), out=stage1[1])
             attempts = np.stack((win_att, stage1[1]))
             attempts += block_sum
             lat = (base + params.t_dist * stage1) + (

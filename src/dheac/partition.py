@@ -12,6 +12,11 @@ The quota law lives here alone, in three shapes: ``quota_round`` states
 it and its tie rule, ``_quota_round_rows`` applies it to rows of
 arrangements and ``_class_round`` to class compositions. Beside it live
 the chain bounds (``_chain_bounds``) and the row budget (``_piece_rows``).
+
+``_quota_round_rows`` needs no per-row argsort: distinct keys rank a row's
+slots by the tie rule, and the leftover units go to the slots below the
+row's residual-th smallest key. Its floors are truncated float quotients,
+exact while k_req * capacity < 2^53 (its docstring gives the argument).
 """
 
 from __future__ import annotations
@@ -230,29 +235,58 @@ def _piece_rows(row_words: int) -> int:
 
 
 def _quota_round_rows(k_req: int, caps_rows: np.ndarray, cap_bound: int) -> np.ndarray:
-    """quota_round applied to each row of winner capacities.
+    """quota_round applied to each row of winner capacities; the quotas
+    come back as the transpose of a (K, rows) array.
 
-    Matches the scalar function bit for bit, its tie rule included (stable
-    argsort on a composite key; cap_bound must exceed every capacity so
-    remainders dominate it).
+    Matches the scalar function bit for bit, its tie rule included, by a
+    threshold instead of a per-row argsort. Slot j of a row gets the key
+    j - K * (remainder * cap_bound + capacity). cap_bound exceeds every
+    capacity, so ascending keys follow quota_round's order (remainder
+    down, then capacity down, then position up), and the position term
+    makes a row's keys distinct. The residual leftover units then go to
+    the slots whose key is below the row's residual-th smallest (0-based,
+    read from one sort of the keys); residual < K, as quota_round shows.
+    The work runs slot-major: a reduction over a row is K - 1 operations
+    on whole columns, not one short loop per row, and a caps_rows that is
+    the transpose of a (K, rows) array is read without a copy.
+
+    A floor is the float quotient of a = k_req * capacity by the row total
+    b, truncated. Both are exact in float64, and a / b lies in
+    [n, n + 1 - 1/b] for n = a // b; the quotient's rounding error is at
+    most a / b * 2^-53, below 1/b while a < 2^53, so it truncates to n. The
+    keys are built from these exact floors in int64: the products reach
+    k_req * cap_bound^2 and the keys K * b * cap_bound in magnitude. With
+    k_req <= b, all three bounds hold while b * cap_bound < 2^53 and
+    b * cap_bound * max(K, cap_bound) < 2^63. sample_rounds refuses a
+    network past them, and cli.MAX_NODES (2^20 nodes and QLANs) keeps any
+    network it builds far inside. A floor one off would pass the
+    conservation check below (the residual absorbs it), so these bounds,
+    not the check, make the floors right.
     """
     rows, K = caps_rows.shape
-    floors, key = np.divmod(k_req * caps_rows,
-                            caps_rows.sum(axis=1, keepdims=True))
-    residual = k_req - floors.sum(axis=1)
-    # key = -(remainder * cap_bound + capacity), built in place
-    key *= -cap_bound
-    key -= caps_rows
-    order = np.argsort(key, axis=1, kind="stable")
-    del key
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.broadcast_to(np.arange(K), (rows, K)), axis=1)
-    quotas = floors + (ranks < residual[:, None])
-    if not (quotas <= caps_rows).all():
+    caps = np.ascontiguousarray(caps_rows.T)
+    total = caps.sum(axis=0)
+    floors = np.empty_like(caps)
+    np.divide(caps * float(k_req), total, out=floors, casting="unsafe")
+    residual = k_req - floors.sum(axis=0)
+    # remainder * cap_bound + capacity = k_req * capacity * cap_bound
+    # + capacity - floor * total * cap_bound
+    key = caps * (k_req * cap_bound + 1)
+    key -= floors * (total * cap_bound)
+    key *= -K
+    key += np.arange(K)[:, None]
+    # each row's threshold: its sorted keys (a copy, as a one-row or
+    # one-slot transpose is already contiguous), read at flat index
+    # K * row + residual
+    ranked = key.T.copy()
+    ranked.sort(axis=1)
+    residual += K * np.arange(rows)
+    floors += key < ranked.ravel()[residual]
+    if not (floors <= caps).all():
         raise InvariantViolationError("rounding must respect caps")
-    if not (quotas.sum(axis=1) == k_req).all():
+    if not (floors.sum(axis=0) == k_req).all():
         raise InvariantViolationError("rounding must conserve k_req")
-    return quotas
+    return floors.T
 
 
 def _capacity_classes(caps) -> tuple[np.ndarray, np.ndarray]:

@@ -45,7 +45,6 @@ from dheac.netgen import demand_to_kreq
 from dheac.partition import (
     _capacity_classes,
     _class_round,
-    _quota_round_rows,
     safe_select_k,
 )
 
@@ -186,6 +185,24 @@ def test_kernel_refuses_latencies_that_overflow_over_the_trials():
     assert all(np.isfinite(lat).all() for *_, lat in rounds)
 
 
+def test_kernel_refuses_capacities_past_exact_rounding():
+    # total * cap_bound^2 = 2^23 * (2^22 + 1)^2 passes 2^63
+    net = NetworkConfig.from_caps((2 ** 22, 2 ** 22))
+    rng = trial_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="too large for exact rounding"):
+        sample_rounds(net, Request(2 ** 22), LOSSY, 5, rng)
+    assert rng.bit_generator.state == state
+    # 2^20 nodes, the CLI's limit, round as the scalar rule does
+    net = NetworkConfig.from_caps((2 ** 20 - 7, 5, 2))
+    k_req = 2 ** 20 - 3
+    for arrangement, quotas, *_ in sample_rounds(net, Request(k_req), LOSSY,
+                                                 100, trial_rng(1)):
+        for arranged, got in zip(arrangement.tolist(), quotas.tolist()):
+            assert tuple(got) == quota_round(
+                k_req, [net.caps[i] for i in arranged])
+
+
 def _traced_peak(run) -> int:
     tracemalloc.start()
     try:
@@ -240,8 +257,10 @@ def _whole_block_rounds(net, req, params, trials, rng):
         t = min(block, trials - start)
         arrangement = rng.permuted(
             np.tile(np.arange(net.m), (t, 1)), axis=1)[:, :K]
-        quotas = _quota_round_rows(req.k_req, caps[arrangement],
-                                   int(caps.max()) + 1)
+        # the scalar rule, one row at a time
+        quotas = np.array([quota_round(req.k_req, row)
+                           for row in caps[arrangement].tolist()],
+                          dtype=np.int64).reshape(t, K)
         winners = rng.multinomial(K, pvals, size=t)
         others = rng.multinomial(net.m - K, pvals, size=t)
         ancilla = rng.multinomial(ell, pvals, size=t)
@@ -274,13 +293,15 @@ def _whole_block_fairness(net, req, trials, rng):
 
 
 def _assert_rounds_match(net, req, params, trials):
-    got = list(sample_rounds(net, req, params, trials, trial_rng(7)))
-    want = list(_whole_block_rounds(net, req, params, trials, trial_rng(7)))
+    rng, ref_rng = trial_rng(7), trial_rng(7)
+    got = list(sample_rounds(net, req, params, trials, rng))
+    want = list(_whole_block_rounds(net, req, params, trials, ref_rng))
     assert len(got) == len(want)
     for got_arrays, want_arrays in zip(got, want):
         for a, b in zip(got_arrays, want_arrays):
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def _assert_fairness_matches(net, req, trials):
@@ -336,7 +357,15 @@ def test_row_pieces_draw_what_whole_blocks_draw_around_a_piece(
      20),
     # six zero-capacity QLANs
     (generate_network(16, 2.0, 160), 64, LOSSY, 16),
-], ids=["m16", "K=m", "K=1", "max_attempts=40", "zero-caps"])
+    # the attempt sum's edges: no term, and one
+    (generate_network(16, 1.0, 160), 64, ModelParams(q=0.3, max_attempts=1),
+     13),
+    (generate_network(16, 1.0, 160), 64, ModelParams(q=0.3, max_attempts=2),
+     13),
+    # skewed caps at K = m: every row has the same capacity sum
+    (generate_network(8, 2.0, 80), 32, LOSSY, 8),
+], ids=["m16", "K=m", "K=1", "max_attempts=40", "zero-caps",
+        "max_attempts=1", "max_attempts=2", "K=m-skew2"])
 def test_row_pieces_draw_what_whole_blocks_draw_across_blocks(net, k_req,
                                                               params, K):
     assert safe_select_k(k_req, net.caps, params.beta) == K

@@ -14,14 +14,19 @@ from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from dheac import (
+    ModelParams,
     ResourceShortageError,
     enum_partitions,
+    generate_network,
     quota_round,
     safe_select_k,
 )
+from dheac.netgen import demand_to_kreq
 from dheac.partition import (
+    _PIECE_BYTES,
     _capacity_classes,
     _class_round,
+    _piece_rows,
     _quota_round_rows,
     count_partitions,
     split_chunks,
@@ -234,18 +239,84 @@ def test_quota_scale_invariant(caps, factor, data):
     assert quota_round(k, scaled) == quota_round(k, caps)
 
 
-@settings(max_examples=60, deadline=None)
-@given(k_req=st.integers(1, 25),
-       rows=st.lists(st.lists(st.integers(1, 12), min_size=3, max_size=3),
-                     min_size=1, max_size=6))
-def test_vectorized_rounding_matches_scalar(k_req, rows):
+def _assert_rows_match_scalar(k_req, rows):
+    """_quota_round_rows on the rows, laid out row-major and slot-major (as
+    the kernel gathers them), is quota_round row by row."""
     caps_rows = np.array(rows, dtype=np.int64)
-    totals = caps_rows.sum(axis=1)
-    if (totals < k_req).any():
-        k_req = int(totals.min())
-    got = _quota_round_rows(k_req, caps_rows, int(caps_rows.max()) + 1)
-    for row, expect_caps in zip(got, rows):
-        assert tuple(int(v) for v in row) == quota_round(k_req, expect_caps)
+    want = [quota_round(k_req, row) for row in rows]
+    for layout in (caps_rows, np.ascontiguousarray(caps_rows.T).T):
+        got = _quota_round_rows(k_req, layout, int(caps_rows.max()) + 1)
+        assert got.dtype == np.int64
+        assert [tuple(row) for row in got.tolist()] == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(width=st.integers(1, 40), data=st.data())
+def test_vectorized_rounding_matches_scalar(width, data):
+    # caps 0-12, mostly from a pool of up to three values: zeros and
+    # heavy ties
+    pool = data.draw(st.lists(st.integers(0, 12), min_size=1, max_size=3))
+    cap = st.sampled_from(pool) | st.integers(0, 12)
+    rows = data.draw(st.lists(
+        st.lists(cap, min_size=width, max_size=width).filter(any),
+        min_size=1, max_size=6))
+    k_req = data.draw(st.integers(1, min(map(sum, rows))))
+    _assert_rows_match_scalar(k_req, rows)
+
+
+@pytest.mark.parametrize("k_req, caps, residual", [
+    # equal shares: the floors hand out every pair
+    (10, (4, 4, 4, 4, 4), 0),
+    (24, (10, 0, 10, 10), 0),
+    # every winner has a remainder, one too few units for them all
+    (4, (1, 1, 1, 1, 1), 4),
+    (5, (3, 1, 1, 1), 3),
+    (39, (1,) * 40, 39),
+])
+def test_vectorized_rounding_at_residual_zero_and_k_minus_one(
+        k_req, caps, residual):
+    assert k_req - sum(k_req * c // sum(caps) for c in caps) == residual
+    # every distinct arrangement (at most 24), so ties meet every position
+    rows = sorted(set(itertools.islice(itertools.permutations(caps), 2000)))
+    _assert_rows_match_scalar(k_req, rows[:24])
+
+
+@settings(max_examples=100, deadline=None)
+@given(width=st.integers(1, 6), data=st.data())
+def test_vectorized_rounding_matches_scalar_near_the_node_limit(width, data):
+    # caps up to 2^20 (cli.MAX_NODES) beside small ones: six of them keep
+    # total * cap_bound * max(K, cap_bound) within 2^62.6, where the
+    # docstring's exactness bound is 2^63
+    big = st.integers(2 ** 20 - 64, 2 ** 20)
+    rows = data.draw(st.lists(
+        st.lists(big | st.integers(0, 12), min_size=width,
+                 max_size=width).filter(lambda row: max(row) >= 2 ** 20 - 64),
+        min_size=1, max_size=6))
+    low = min(map(sum, rows))
+    k_req = data.draw(st.integers(max(1, low - 64), low) | st.integers(1, low))
+    bound = max(map(sum, rows)) * (max(map(max, rows)) + 1)
+    assert bound < 2 ** 53 and bound * max(width, 2 ** 20 + 1) < 2 ** 63
+    _assert_rows_match_scalar(k_req, rows)
+
+
+def test_one_rounding_piece_stays_within_the_piece_budget():
+    # one piece of the m = 32, K = 32 kernel at the default max_attempts
+    net = generate_network(32, 2.0, 320)
+    k_req = demand_to_kreq(0.4, net.total)
+    assert safe_select_k(k_req, net.caps, ModelParams().beta) == 32
+    rows = _piece_rows(2 * 32 + 32 * (ModelParams().max_attempts + 12))
+    caps = np.asarray(net.caps, dtype=np.int64)
+    arrangement = np.argsort(np.random.default_rng(3).random((rows, 32)),
+                             axis=1)
+    # row-major, and slot-major as the kernel gathers
+    for caps_rows in (caps[arrangement], caps.take(arrangement.T).T):
+        tracemalloc.start()
+        try:
+            _quota_round_rows(k_req, caps_rows, int(caps.max()) + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= _PIECE_BYTES
 
 
 @settings(max_examples=200, deadline=None)
