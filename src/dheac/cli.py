@@ -439,9 +439,10 @@ def _fairness_rows(args, idx, point, net, params):
         try:
             probs = exact_node_probs(net, req, beta=params.beta)
             method, trials = "exact", None
-        except CapacityError:
+        except CapacityError as exc:
             if args.method == "exact":
-                raise
+                raise CapacityError(
+                    f"{exc}; use --method auto or --method mc") from None
     if method == "mc":
         probs = estimate_fairness(net, req, args.trials,
                                   trial_rng(args.seed, idx), beta=params.beta)

@@ -14,10 +14,12 @@ indices; randomizing the arrangement restores the anonymity of the lottery
 
 The quota law, in all its shapes, lives in ``partition``. The oracle
 ``exact_node_probs`` rounds every capacity-class composition (how many
-winners each class has) with ``partition._class_round``, and
-``estimate_fairness`` samples compositions (a multivariate hypergeometric
-draw) and rounds each distinct one once per window of draws. Both return
-one win probability per node.
+winners each class has), and ``estimate_fairness`` samples compositions (a
+multivariate hypergeometric draw) and rounds each distinct one once per
+window of draws. Both hold compositions slot-major, one column each, and
+sum their quotas with ``_quota_totals``: one ``partition._class_law`` per
+block of columns, ``partition._class_round`` a piece at a time. Both
+return one win probability per node.
 
 Delivery only matters through two facts per group of qubits: the sum of
 their capped attempt counts and whether any of them ran out of attempts.
@@ -48,9 +50,9 @@ import numpy as np
 from .analytics import LATENCY_MODES, ModelParams, ancilla_bits
 from .errors import CapacityError, InvariantViolationError
 from .netgen import NetworkConfig, Request
-from .partition import (_capacity_classes, _class_round, _piece_rows,
-                        _quota_round_rows, quota_round, safe_select_k,
-                        split_chunks)
+from .partition import (_capacity_classes, _class_law, _class_round,
+                        _piece_rows, _quota_round_rows, quota_round,
+                        safe_select_k, split_chunks)
 
 DEFAULT_BETA = ModelParams.beta
 # largest C(m, K) winner-subset count exact_node_probs takes on
@@ -408,6 +410,26 @@ def _node_probs(caps, classes: np.ndarray, sizes: np.ndarray,
     return np.repeat(per_class[np.searchsorted(classes, caps)], caps)
 
 
+def _quota_totals(k_req: int, classes: np.ndarray, counts: np.ndarray,
+                  weight: np.ndarray) -> np.ndarray:
+    """Each class's quota total over the (n, t) compositions, composition r
+    counted weight[r] times, in int64: one law for all of them, rounded a
+    piece at a time under the _PIECE_BYTES budget."""
+    law, of = _class_law(k_req, classes, counts)
+    # per composition of a piece: seven words per class (at most six
+    # (n, rows) arrays, a strided piece's contiguous copy included)
+    piece = _piece_rows(7 * len(classes))
+    totals = np.zeros(len(classes), dtype=np.int64)
+    for first in range(0, counts.shape[1], piece):
+        part = slice(first, first + piece)
+        floors, extras = _class_round(k_req, classes, counts[:, part], law,
+                                      of[part])
+        floors *= counts[:, part]
+        floors += extras
+        totals += floors @ weight[part]
+    return totals
+
+
 def estimate_fairness(net: NetworkConfig, req: Request, trials: int,
                       rng: np.random.Generator,
                       beta: float = DEFAULT_BETA) -> np.ndarray:
@@ -438,31 +460,27 @@ def estimate_fairness(net: NetworkConfig, req: Request, trials: int,
     classes, sizes = _capacity_classes(net.caps)
     n = len(classes)
     quota_sums = np.zeros(n)
-    # per row: the composition and its rounding temporaries
+    # rows per draw: a stream constant, as in _block_rows (method="count"
+    # draws differently when split), once sized by sixteen words per class
     block = min(_BLOCK, _BLOCK_BYTES // (8 * 16 * n))
-    piece = _piece_rows(16 * n)
 
     def draw(rows):
         # drawn whole: method="count" draws differently when split
         return rng.multivariate_hypergeometric(sizes, K, size=rows,
                                                method="count")
 
-    def quotas(rows):
-        # each row's quota total per class
-        floors, extras = _class_round(req.k_req, classes, rows)
-        return rows * floors + extras
-
     bases = (sizes + 1).tolist()
     if math.prod(bases) >= 2 ** 63:
         for start in range(0, trials, block):
-            counts = draw(min(block, trials - start))
-            for first in range(0, len(counts), piece):
-                quota_sums += quotas(counts[first:first + piece]).sum(axis=0)
+            t = min(block, trials - start)
+            quota_sums += _quota_totals(req.k_req, classes, draw(t).T,
+                                        np.ones(t, dtype=np.int64))
         return _node_probs(net.caps, classes, sizes, quota_sums, trials)
     radix = np.cumprod([1] + bases[:-1], dtype=np.int64)
     window = max(1, _KEY_WINDOW // block) * block
-    # per distinct key: its digits, the rest and one product
-    span = _piece_rows(n + 2)
+    # per distinct key: its digits, the rest, and its capacity total with
+    # the sort and index that _class_law finds its law column by
+    span = _piece_rows(n + 6)
     for start in range(0, trials, window):
         stop = min(start + window, trials)
         keys, mult = np.unique(
@@ -476,13 +494,11 @@ def estimate_fairness(net: NetworkConfig, req: Request, trials: int,
             for c in range(n - 1, -1, -1):
                 np.floor_divide(rest, int(radix[c]), out=digits[c])
                 rest -= digits[c] * int(radix[c])
-            # each distinct row weighted by the rounds that drew it
-            weight = mult[first:first + span]
-            for sub in range(0, len(weight), piece):
-                quota_sums += weight[sub:sub + piece] @ quotas(
-                    digits[:, sub:sub + piece].T)
+            # each distinct composition weighted by the rounds that drew it
+            quota_sums += _quota_totals(req.k_req, classes, digits,
+                                        mult[first:first + span])
         # free this window's arrays before the next window is drawn
-        del keys, mult, rest, digits, weight
+        del keys, mult, rest, digits
     return _node_probs(net.caps, classes, sizes, quota_sums, trials)
 
 
@@ -494,27 +510,32 @@ def exact_node_probs(net: NetworkConfig, req: Request,
     E[quota_i] / caps_i, with E over the random winner arrangement. QLANs
     of equal capacity are exchangeable, so the subsets are grouped by
     composition: j_c winners from the n_c QLANs of capacity c, reached by
-    prod C(n_c, j_c) subsets that share one _class_round row. split_chunks
-    walks the compositions (bounded splits of K over the class sizes)
-    under the _BLOCK_BYTES budget. The guard still counts subsets: raises
-    CapacityError when C(m, K) exceeds MAX_SUBSETS; use estimate_fairness.
+    prod C(n_c, j_c) subsets that share one _class_round column.
+    split_chunks walks the compositions (bounded splits of K over the class
+    sizes) under the _BLOCK_BYTES budget, and each chunk is rounded
+    slot-major under one law (_class_law). The weighted quota sums are
+    whole numbers, exact in any order of addition while C(m, K) * k_req <
+    2^53, as for every network the CLI builds. The guard still counts
+    subsets: raises CapacityError when C(m, K) exceeds MAX_SUBSETS; use
+    estimate_fairness.
     """
     K = safe_select_k(req.k_req, net.caps, beta)
     n_subsets = math.comb(net.m, K)
     if n_subsets > MAX_SUBSETS:
         raise CapacityError(
-            f"C({net.m}, {K}) = {n_subsets} subsets exceed {MAX_SUBSETS}; "
-            "use estimate_fairness instead")
+            f"C({net.m}, {K}) = {n_subsets} subsets exceed {MAX_SUBSETS}")
     classes, sizes = _capacity_classes(net.caps)
     n = len(classes)
     # ways[c, j] = C(n_c, j) ways to pick j winners from class c
     ways = np.array([[math.comb(s, j) for j in range(min(K, sizes.max()) + 1)]
                      for s in sizes.tolist()], dtype=float)
     quota_sums = np.zeros(n)
-    # per row: n pending walk levels of n + 2 words, rounding temporaries
+    # per row: n pending walk levels of n + 2 words and 16 n more, loose
+    # now that the rounding goes a piece at a time and a chunk holds only
+    # its weights and its law's index
     max_rows = max(1, _BLOCK_BYTES // (8 * (n * (n + 2) + 16 * n)))
     for _, counts in split_chunks(K, sizes[None, :], max_rows):
-        floors, extras = _class_round(req.k_req, classes, counts)
-        weight = ways[np.arange(n), counts].prod(axis=1)
-        quota_sums += (weight[:, None] * (counts * floors + extras)).sum(axis=0)
+        # whole numbers, and their sums below C(m, K) * k_req
+        weight = ways[np.arange(n), counts].prod(axis=1).astype(np.int64)
+        quota_sums += _quota_totals(req.k_req, classes, counts.T, weight)
     return _node_probs(net.caps, classes, sizes, quota_sums, n_subsets)

@@ -13,10 +13,15 @@ it and its tie rule, ``_quota_round_rows`` applies it to rows of
 arrangements and ``_class_round`` to class compositions. Beside it live
 the chain bounds (``_chain_bounds``) and the row budget (``_piece_rows``).
 
+Both array shapes work slot-major, so a step over a row's slots or classes
+is a few passes over whole columns, not a short loop per row.
 ``_quota_round_rows`` needs no per-row argsort: distinct keys rank a row's
 slots by the tie rule, and the leftover units go to the slots below the
 row's residual-th smallest key. Its floors are truncated float quotients,
 exact while k_req * capacity < 2^53 (its docstring gives the argument).
+A composition's floors and class order depend only on its capacity total,
+so ``_class_law`` computes them once per distinct total of a block, and
+``_class_round`` rounds any column slice of that block with flat gathers.
 """
 
 from __future__ import annotations
@@ -294,44 +299,75 @@ def _capacity_classes(caps) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(np.asarray(caps, dtype=np.int64), return_counts=True)
 
 
-def _class_round(k_req: int, classes: np.ndarray,
-                 counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """quota_round over winner compositions, one row per composition.
+def _class_law(k_req: int, classes: np.ndarray, counts: np.ndarray):
+    """The part of _class_round that depends on a composition only through
+    its capacity total, computed once per distinct total.
 
-    Row r takes counts[r, c] winners of capacity classes[c] (ascending, as
-    _capacity_classes gives them); returns (floors, extras): each of those
-    winners gets floors[r, c] pairs and extras[r, c] of them one more.
+    counts is slot-major, (n, t): column r takes counts[c, r] winners of
+    capacity classes[c] (ascending, as _capacity_classes gives them), and
+    every column's total must be positive. Returns (law, of): law is three
+    (n, totals) tables, one column per distinct total (the floor of each
+    class's share, the classes in quota_round's order, and each class's
+    place in that order), and of[r] is the law column of composition r.
+    """
+    totals, of = np.unique(classes @ counts, return_inverse=True)
+    floors, rems = np.divmod(k_req * classes[:, None], totals)
+    # descending (remainder, capacity): distinct keys within a column
+    order = np.argsort(-(rems * (int(classes[-1]) + 1) + classes[:, None]),
+                       axis=0)
+    return (floors, order, np.argsort(order, axis=0)), of
+
+
+def _class_round(k_req: int, classes: np.ndarray, counts: np.ndarray,
+                 law, of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """quota_round over winner compositions, slot-major: one column per
+    composition, with the (law, of) that _class_law gives for a block of
+    columns that holds these (any column slice of it, strided or not).
+
+    Returns (n, t) floors and extras: each of the counts[c, r] winners of
+    class c gets floors[c, r] pairs and extras[c, r] of them one more.
     Leftover pairs go to the classes in quota_round's order. Distinct
     capacities never tie, and the members of a class are exchangeable, so
     quota_round's position tie-break only decides which members get an
-    extra pair, not how many do. Floors, remainders and the class order depend on a row
-    only through its capacity sum, so they are computed once per distinct
-    sum. Raises InvariantViolationError unless every quota is within its
-    cap and every row hands out exactly k_req pairs.
+    extra pair, not how many do. Every step works on whole rows of the
+    (n, t) block: a gather of each column's law, a flat gather of the
+    counts into rounding order, a running sum down the classes and a flat
+    gather back by rank. Raises InvariantViolationError unless every quota
+    is within its cap and every column hands out exactly k_req pairs.
     """
-    t, n = counts.shape
-    sums, row_sum = np.unique(counts @ classes, return_inverse=True)
-    floors, rems = np.divmod(k_req * classes, sums[:, None])
-    # descending (remainder, capacity): distinct keys within a row
-    order = np.argsort(-(rems * (int(classes[-1]) + 1) + classes), axis=1)
-    # a quota can pass its cap only where its floor already reaches it
-    at_cap = (floors >= classes).any()
-    floors = floors[row_sum]
-    residual = k_req - (counts * floors).sum(axis=1)
-    # flat indices into the (t, n) tables: ranked[r, i] is the count of
-    # row r's i-th class in rounding order
-    row_start = n * np.arange(t)[:, None]
-    ranked = counts.ravel()[order[row_sum] + row_start]
-    # a class takes what is left after the winners ranked before it
-    before = np.cumsum(ranked, axis=1)
-    before -= ranked
-    extras = before.ravel()[np.argsort(order, axis=1)[row_sum] + row_start]
-    np.subtract(residual[:, None], extras, out=extras)
+    n, t = counts.shape
+    # flat gathers need one contiguous int64 block (a copy only of a
+    # strided slice or another dtype)
+    counts = np.ascontiguousarray(counts, dtype=np.int64)
+    floors, order, rank = (a.take(of, axis=1) for a in law)
+    cols = np.arange(t)
+    residual = k_req - (counts * floors).sum(axis=0)
+    # ranked[i, r] is the count of column r's i-th class in rounding order
+    order *= t
+    order += cols
+    ranked = counts.take(order)
+    # a class takes what is left after the winners ranked before it: one
+    # pass per class (a cumsum down axis 0 runs column by column), in the
+    # gathered order's memory
+    before = order
+    before[0] = 0
+    for i in range(1, n):
+        np.add(before[i - 1], ranked[i - 1], out=before[i])
+    rank *= t
+    rank += cols
+    extras = before.take(rank, out=ranked)
+    np.subtract(residual, extras, out=extras)
     np.maximum(extras, 0, out=extras)
     np.minimum(extras, counts, out=extras)
-    if at_cap and ((counts > 0) & (floors + (extras > 0) > classes)).any():
+    # a quota can pass its cap only by an extra pair to the zero-capacity
+    # class (the first, if there is one), whose floor is always 0, or
+    # where a positive floor already reaches its cap
+    caps = classes[:, None]
+    if ((classes[0] == 0 and extras[0].any())
+            or (((law[0] >= caps) & (caps > 0)).any()
+                and ((counts > 0) & (floors + (extras > 0) > caps)).any())):
         raise InvariantViolationError("rounding must respect caps")
-    if not (extras.sum(axis=1) == residual).all():
+    if not (extras.sum(axis=0) == residual).all():
         raise InvariantViolationError("rounding must conserve k_req")
     return floors, extras
 
@@ -357,13 +393,15 @@ def _chain_bounds(caps, k_req: int, subsets: np.ndarray,
     step = _piece_rows(6 * K + 8 * n)
     for start in range(0, rows, step):
         part = slice(start, start + step)
-        # flat indices into the (t, n) class tables, one per slot
+        # flat indices into the slot-major (n, t) class tables, one per slot
         slot = class_of[subsets[part]]
         t = len(slot)
-        slot += n * np.arange(t)[:, None]
-        counts = np.bincount(slot.ravel(), minlength=t * n).reshape(t, n)
+        slot *= t
+        slot += np.arange(t)[:, None]
+        counts = np.bincount(slot.ravel(), minlength=n * t).reshape(n, t)
+        law, of = _class_law(k_req, classes, counts)
         floor, extra = (a.ravel()[slot]
-                        for a in _class_round(k_req, classes, counts))
+                        for a in _class_round(k_req, classes, counts, law, of))
         lo[part] = floor + (extra == counts.ravel()[slot])
         hi[part] = floor + (extra > 0)
     return lo, hi

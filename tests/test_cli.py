@@ -381,6 +381,18 @@ def test_fairness_exact_guard_is_a_usage_error(tmp_path):
     assert code == EXIT_USAGE
 
 
+def test_fairness_exact_guard_names_the_method_flag(tmp_path, capsys):
+    # the remedy is a flag of this command, not a Python function
+    code = main(["fairness", "--method", "exact", "--ms", "32", "--demands",
+                 "0.1", "--skews", "1", "--out", str(tmp_path / "f.csv")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "C(32, 14) = 471435600 subsets exceed 1000000" in err
+    assert "--method auto or --method mc" in err
+    assert "estimate_fairness" not in err
+    assert not (tmp_path / "f.csv").exists()
+
+
 def test_breakeven_matrix(tmp_path, capsys):
     out = tmp_path / "be.csv"
     assert main(["breakeven", "--ms", "4,32", "--qs", "0.01,0.15",

@@ -31,7 +31,7 @@ from dheac import (
     simulate_batch,
     trial_rng,
 )
-from dheac import lottery
+from dheac import lottery, partition
 from dheac.analytics import ancilla_bits
 from dheac.lottery import (
     _BLOCK_BYTES,
@@ -44,6 +44,7 @@ from dheac.lottery import (
 from dheac.netgen import demand_to_kreq
 from dheac.partition import (
     _capacity_classes,
+    _class_law,
     _class_round,
     safe_select_k,
 )
@@ -286,9 +287,10 @@ def _whole_block_fairness(net, req, trials, rng):
     block = min(lottery._BLOCK, _BLOCK_BYTES // (8 * 16 * len(classes)))
     for start in range(0, trials, block):
         counts = rng.multivariate_hypergeometric(
-            sizes, K, size=min(block, trials - start), method="count")
-        floors, extras = _class_round(req.k_req, classes, counts)
-        quota_sums += (counts * floors + extras).sum(axis=0)
+            sizes, K, size=min(block, trials - start), method="count").T
+        law, of = _class_law(req.k_req, classes, counts)
+        floors, extras = _class_round(req.k_req, classes, counts, law, of)
+        quota_sums += (counts * floors + extras).sum(axis=1)
     return lottery._node_probs(net.caps, classes, sizes, quota_sums, trials)
 
 
@@ -312,13 +314,14 @@ def _assert_fairness_matches(net, req, trials):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def _first_call_rows(monkeypatch, name, run) -> int:
-    """The rows lottery.<name> takes on its first call while run() runs."""
+def _first_call_rows(monkeypatch, name, run, axis) -> int:
+    """The rows lottery.<name> takes on its first call while run() runs:
+    the length along axis of its first 2-D argument."""
     rows = []
     step = getattr(lottery, name)
 
     def spy(*args):
-        rows.append(next(len(a) for a in args if np.ndim(a) == 2))
+        rows.append(next(np.shape(a)[axis] for a in args if np.ndim(a) == 2))
         return step(*args)
 
     with monkeypatch.context() as patch:
@@ -338,11 +341,12 @@ def test_row_pieces_draw_what_whole_blocks_draw_around_a_piece(
     # read where a block draws more of them than a piece holds
     block = lottery._BLOCK
     round_piece = _first_call_rows(monkeypatch, "_quota_round_rows", lambda: (
-        list(sample_rounds(net, req, LOSSY, block, trial_rng(1)))))
+        list(sample_rounds(net, req, LOSSY, block, trial_rng(1)))), axis=0)
     fair_net = generate_network(32, 1.0, 320)
     fair_req = Request(demand_to_kreq(0.1, fair_net.total))
+    # _class_round takes (n, rows) compositions
     fair_piece = _first_call_rows(monkeypatch, "_class_round", lambda: (
-        estimate_fairness(fair_net, fair_req, block, trial_rng(1))))
+        estimate_fairness(fair_net, fair_req, block, trial_rng(1))), axis=1)
     assert 1 < round_piece < block and 1 < fair_piece < block
     _assert_rounds_match(net, req, LOSSY, pieces * round_piece + plus)
     _assert_fairness_matches(fair_net, fair_req, pieces * fair_piece + plus)
@@ -415,6 +419,36 @@ def test_sampled_fairness_does_not_depend_on_the_window(monkeypatch):
     assert sum(rounded) > whole
     assert np.array_equal(got, want)
     _assert_fairness_matches(net, req, trials)
+
+
+@pytest.mark.parametrize("net, k_req, trials", [
+    # 16 classes, most compositions distinct
+    (generate_network(32, 1.0, 320), 32, 2 * lottery._BLOCK + 3),
+    # no int64 key: each block's rows are rounded as drawn
+    (NetworkConfig.from_caps(tuple(range(1, 71))), 700, lottery._BLOCK + 1),
+], ids=["keys", "key-overflow"])
+def test_sampled_fairness_does_not_depend_on_the_piece(net, k_req, trials,
+                                                       monkeypatch):
+    req = Request(k_req)
+    rng = trial_rng(5)
+    want = estimate_fairness(net, req, trials, rng)
+    n = len(_capacity_classes(net.caps)[0])
+    # three compositions per rounding piece, a few per decoded span
+    monkeypatch.setattr(partition, "_PIECE_BYTES", 8 * 7 * n * 3)
+    assert lottery._piece_rows(7 * n) == 3
+    small_rng = trial_rng(5)
+    assert np.array_equal(estimate_fairness(net, req, trials, small_rng), want)
+    assert small_rng.bit_generator.state == rng.bit_generator.state
+
+
+def test_exact_probs_do_not_depend_on_the_piece(monkeypatch):
+    # 2,608 compositions in one walk chunk, rounded three at a time
+    net = generate_network(32, 1.0, 320)
+    req = Request(demand_to_kreq(0.4, net.total))
+    want = exact_node_probs(net, req)
+    n = len(_capacity_classes(net.caps)[0])
+    monkeypatch.setattr(partition, "_PIECE_BYTES", 8 * 7 * n * 3)
+    assert np.array_equal(exact_node_probs(net, req), want)
 
 
 @pytest.mark.parametrize("q", [0.0, 0.2])
@@ -611,9 +645,9 @@ def _count_rounded_rows(monkeypatch) -> list[int]:
     rounded = []
     class_round = lottery._class_round
 
-    def counted(k_req, classes, counts):
-        rounded.append(len(counts))
-        return class_round(k_req, classes, counts)
+    def counted(k_req, classes, counts, law, of):
+        rounded.append(counts.shape[1])
+        return class_round(k_req, classes, counts, law, of)
 
     monkeypatch.setattr(lottery, "_class_round", counted)
     return rounded

@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from dheac import (
+    InvariantViolationError,
     ModelParams,
     ResourceShortageError,
     enum_partitions,
@@ -25,6 +26,7 @@ from dheac.netgen import demand_to_kreq
 from dheac.partition import (
     _PIECE_BYTES,
     _capacity_classes,
+    _class_law,
     _class_round,
     _piece_rows,
     _quota_round_rows,
@@ -319,24 +321,97 @@ def test_one_rounding_piece_stays_within_the_piece_budget():
         assert peak <= _PIECE_BYTES
 
 
-@settings(max_examples=200, deadline=None)
-@given(caps=st.lists(st.integers(0, 12), min_size=1, max_size=9),
-       data=st.data())
-def test_class_rounding_matches_scalar(caps, data):
-    # rows of winner counts per capacity class, zero capacities included
-    classes, sizes = _capacity_classes(caps)
-    rows = data.draw(st.lists(
-        st.tuples(*(st.integers(0, int(n)) for n in sizes)),
-        min_size=1, max_size=6))
-    counts = np.array(rows, dtype=np.int64).reshape(len(rows), len(classes))
-    counts = counts[counts @ classes > 0]
-    assume(len(counts))
-    k_req = data.draw(st.integers(1, int((counts @ classes).min())))
-    floors, extras = _class_round(k_req, classes, counts)
-    for row, f_row, e_row in zip(counts, floors, extras):
+def test_one_class_rounding_piece_stays_within_the_piece_budget():
+    # a strided piece of the largest sampled cell's compositions (16
+    # classes), rounded under the law of a whole span, as estimate_fairness
+    # rounds them
+    net = generate_network(32, 1.0, 320)
+    k_req = demand_to_kreq(0.1, net.total)
+    classes, sizes = _capacity_classes(net.caps)
+    n = len(classes)
+    K = safe_select_k(k_req, net.caps, ModelParams().beta)
+    block = np.random.default_rng(3).multivariate_hypergeometric(
+        sizes, K, size=_piece_rows(n + 6)).T.copy()
+    law, of = _class_law(k_req, classes, block)
+    part = slice(1, 1 + _piece_rows(7 * n))
+    tracemalloc.start()
+    try:
+        floors, extras = _class_round(k_req, classes, block[:, part], law,
+                                      of[part])
+        floors *= block[:, part]
+        floors += extras
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= _PIECE_BYTES
+
+
+def _assert_columns_round_as_scalar(k_req, classes, counts, floors, extras):
+    """Each column of the (n, t) tables is quota_round of its winners."""
+    assert floors.shape == extras.shape == counts.shape
+    for row, f_row, e_row in zip(counts.T, floors.T, extras.T):
         # the winners class by class, members with an extra pair first
         arranged = [int(c) for c, j in zip(classes, row) for _ in range(j)]
         expect = tuple(int(f) + (i < e)
                        for f, e, j in zip(f_row, e_row, row)
                        for i in range(j))
         assert quota_round(k_req, arranged) == expect
+
+
+@settings(max_examples=200, deadline=None)
+@given(caps=st.lists(st.integers(0, 12), min_size=1, max_size=9),
+       data=st.data())
+def test_class_rounding_matches_scalar(caps, data):
+    # columns of winner counts per capacity class, zero capacities included
+    classes, sizes = _capacity_classes(caps)
+    rows = data.draw(st.lists(
+        st.tuples(*(st.integers(0, int(n)) for n in sizes)),
+        min_size=1, max_size=6))
+    counts = np.array(rows, dtype=np.int64).reshape(len(rows), len(classes))
+    counts = np.ascontiguousarray(counts[counts @ classes > 0].T)
+    assume(counts.shape[1])
+    k_req = data.draw(st.integers(1, int((classes @ counts).min())))
+    law, of = _class_law(k_req, classes, counts)
+    floors, extras = _class_round(k_req, classes, counts, law, of)
+    _assert_columns_round_as_scalar(k_req, classes, counts, floors, extras)
+
+
+@settings(max_examples=200, deadline=None)
+@given(caps=st.lists(st.integers(0, 12), min_size=1, max_size=9),
+       data=st.data())
+def test_class_rounding_of_a_strided_slice_under_the_whole_law(caps, data):
+    # a wide (n, span) block, a law over all of it, and one strided column
+    # slice rounded under that law, as estimate_fairness rounds its pieces
+    classes, sizes = _capacity_classes(caps)
+    cols = data.draw(st.lists(
+        st.tuples(*(st.integers(0, int(n)) for n in sizes)),
+        min_size=1, max_size=12))
+    block = np.array(cols, dtype=np.int64).reshape(len(cols), len(classes))
+    block = np.ascontiguousarray(block[block @ classes > 0].T)
+    span = block.shape[1]
+    assume(span)
+    # k_req up to the smallest total, which one column then hands out whole
+    low = int((classes @ block).min())
+    k_req = data.draw(st.one_of(st.just(low), st.integers(1, low)))
+    start = data.draw(st.integers(0, span - 1))
+    stop = data.draw(st.integers(start + 1, span))
+    step = data.draw(st.integers(1, 3))
+    law, of = _class_law(k_req, classes, block)
+    part = slice(start, stop, step)
+    counts = block[:, part]
+    floors, extras = _class_round(k_req, classes, counts, law, of[part])
+    _assert_columns_round_as_scalar(k_req, classes, counts, floors, extras)
+
+
+@pytest.mark.parametrize("classes, column, k_req", [
+    # floors 1 and 3 over caps 1 and 2
+    ((1, 2), (1, 1), 5),
+    # the zero-capacity class as well: floor 5 over cap 4
+    ((0, 4), (3, 1), 5),
+], ids=["floor-over-cap", "zero-class"])
+def test_class_rounding_refuses_a_total_below_k_req(classes, column, k_req):
+    classes = np.array(classes, dtype=np.int64)
+    counts = np.array(column, dtype=np.int64)[:, None]
+    law, of = _class_law(k_req, classes, counts)
+    with pytest.raises(InvariantViolationError, match="respect caps"):
+        _class_round(k_req, classes, counts, law, of)
