@@ -514,16 +514,24 @@ def _cmd_breakeven(args) -> int:
 
 
 def _print_breakeven_summary(args, rows: list[dict]) -> None:
+    """Print, per (q, demand), the smallest grid m from which the lottery
+    wins: the ratio reads below 1 at that m and at every larger m of the
+    grid, whatever the `--ms` order. An empty ratio counts as not below."""
     for q in args.qs:
         for demand in args.demands:
-            group = [r for r in rows if r["q"] == q and r["demand"] == demand]
+            group = sorted((r for r in rows
+                            if r["q"] == q and r["demand"] == demand),
+                           key=lambda r: r["m"], reverse=True)
             parts = []
             for mode, key in (("optimistic", "ratio_thr_optimistic"),
                               ("conservative", "ratio_thr_conservative")):
-                hit = next((r["m"] for r in group
-                            if r[key] is not None and r[key] < 1.0), None)
-                parts.append(f"{mode}: "
-                             + (f"m >= {hit}" if hit else "not reached"))
+                hit = None
+                for r in group:
+                    if r[key] is None or not r[key] < 1.0:
+                        break
+                    hit = r["m"]
+                parts.append(f"{mode}: " + ("not reached" if hit is None
+                                            else f"m >= {hit}"))
             print(f"q={q:g} demand={demand:g}  " + "; ".join(parts))
 
 

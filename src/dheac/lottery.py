@@ -178,8 +178,9 @@ def run_trial(net: NetworkConfig, req: Request, params: ModelParams,
 def _delivery_law(q: float, M: int) -> tuple[np.ndarray, np.ndarray]:
     """Outcome probabilities and attempt costs of one capped delivery.
 
-    Outcome j < M is delivery on attempt j + 1, outcome M is running out
-    of attempts; the last attempt of a failed qubit still costs M.
+    Outcome j < M is delivery on attempt j + 1, with probability
+    (1 - q) q^j and cost j + 1; outcome M is running out of attempts, with
+    probability q^M and cost M.
     """
     j = np.arange(M)
     pvals = np.append((1.0 - q) * q ** j, q ** M)
@@ -203,19 +204,14 @@ def _attempts(outcomes: np.ndarray, qubits, cost: np.ndarray) -> np.ndarray:
 
 
 def _block_rows(m: int, K: int, M: int) -> int:
-    """Trials per block under the _BLOCK_BYTES budget.
+    """Trials per block: a stream constant, frozen.
 
     The block size sets how many rounds each whole-block draw takes, and so
-    every stream. It bounds the int64 words per row by the sum over the
-    kernel's stages: the permuted arrangement and its identity source
-    (2m), ten words per winner for the rounding (10K, from an argsort
-    form; the threshold form holds at most four int64 words per winner at
-    once), the quota-block outcome counts (K(M + 1)), the three
-    selection-group outcome counts (3(M + 1)) and the (2, t) accounting
-    rows with their stage-one counts (8). A block keeps alive only its
-    (t, K) arrangement and quotas, the three selection-group tables and
-    the (2, t) rows; the rest lives one row piece (_piece_rows) at a time,
-    so the bound is loose, but changing it would move every stream.
+    every kernel stream: the formula is frozen for that reason alone. Its
+    words per row no longer describe what a block holds, which is its
+    (t, K) arrangement and quotas, the three selection-group outcome
+    tables and the (2, t) accounting rows; everything else lives one row
+    piece (_piece_rows) at a time. A test pins its values over a grid.
     Raises CapacityError when a single row exceeds the budget, which only
     a huge max_attempts M can cause at any realistic m.
     """
@@ -242,7 +238,9 @@ def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
     optimistic row requires and counts the winner group in stage one's
     success and attempts, the conservative row all three groups; both ship
     every selection qubit, conservative also the ancilla register, and both
-    share the quota blocks. Blocks fit a fixed memory budget, and inside a
+    share the quota blocks. So a round that succeeds conservatively also
+    succeeds optimistically, and never takes fewer attempts or less
+    latency. Blocks fit a fixed memory budget, and inside a
     block the arrangements are drawn and the quota blocks reduced a row
     piece at a time, so peak memory does not grow with m. The arguments
     are checked before anything is drawn: raises CapacityError when one
@@ -444,7 +442,9 @@ def estimate_fairness(net: NetworkConfig, req: Request, trials: int,
     quota-subset of its nodes. Each node of QLAN i thus wins with
     probability E[quota_i] / caps_i. Delivery loss is ignored on purpose:
     fairness concerns who is granted access, not whether the grant
-    survives the channel.
+    survives the channel. The estimates are equal within each capacity
+    class and sum to k_req; when K = m every round has the same
+    composition, so the estimate equals exact_node_probs exactly.
 
     Many rounds draw the same composition, so each is rounded once per
     window of _KEY_WINDOW rows (whole blocks): a composition is one int64
@@ -460,8 +460,9 @@ def estimate_fairness(net: NetworkConfig, req: Request, trials: int,
     classes, sizes = _capacity_classes(net.caps)
     n = len(classes)
     quota_sums = np.zeros(n)
-    # rows per draw: a stream constant, as in _block_rows (method="count"
-    # draws differently when split), once sized by sixteen words per class
+    # rows per draw: a stream constant, frozen like _block_rows because it
+    # fixes every sampled cell's stream (method="count" draws differently
+    # when split); the rounding sizes its own pieces in _quota_totals
     block = min(_BLOCK, _BLOCK_BYTES // (8 * 16 * n))
 
     def draw(rows):
@@ -515,9 +516,11 @@ def exact_node_probs(net: NetworkConfig, req: Request,
     sizes) under the _BLOCK_BYTES budget, and each chunk is rounded
     slot-major under one law (_class_law). The weighted quota sums are
     whole numbers, exact in any order of addition while C(m, K) * k_req <
-    2^53, as for every network the CLI builds. The guard still counts
-    subsets: raises CapacityError when C(m, K) exceeds MAX_SUBSETS; use
-    estimate_fairness.
+    2^53, as for every network the CLI builds. At m = 32, K = 28 on the
+    skew-1 network the walk visits 2,608 compositions for 35,960 subsets.
+    The guard still counts subsets, so which cells ``fairness --method
+    auto`` computes exactly does not depend on the walk: raises
+    CapacityError when C(m, K) exceeds MAX_SUBSETS; use estimate_fairness.
     """
     K = safe_select_k(req.k_req, net.caps, beta)
     n_subsets = math.comb(net.m, K)

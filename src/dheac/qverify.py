@@ -111,7 +111,10 @@ def build_embedded(net: NetworkConfig, k_req: int, K: int) -> SparseState:
     over t_S slots, ``_chain_bounds``) with amplitude
     1 / sqrt(C(m, K) * C(t_S, r_S)), which keeps the outer marginal exactly
     uniform. The guard counts the labels exactly before one
-    ``split_chunks`` walk lists them.
+    ``split_chunks`` walk lists them. Every canonical m = 8 cell has at
+    most 74 labels; the largest canonical m = 16 state (skew 0, demand
+    0.6) has 720,720: each of its C(16, 11) = 4,368 subsets of 11 equal
+    QLANs hands 8 extra pairs to C(11, 8) = 165 splits.
 
     Raises InvariantViolationError, checked first, when the K smallest
     caps sum below k_req (K is too small for this request), and
@@ -175,7 +178,9 @@ def measure_many(state: SparseState, rng: np.random.Generator,
 def _sample_counts(state: SparseState, rng: np.random.Generator,
                    draws: int) -> np.ndarray:
     """measure_many without the labels or the norm check: draws per label
-    row, one multinomial over the normalized amp ** 2."""
+    row, one multinomial over the normalized amp ** 2. Its time and memory
+    do not grow with draws: it holds the probabilities and the counts, two
+    label-length arrays."""
     if not 1 <= draws <= MAX_DRAWS:
         raise ValueError(f"draws must lie in [1, 2**63 - 1], got {draws}")
     probs = np.square(state.amps)

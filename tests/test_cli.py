@@ -374,6 +374,17 @@ def test_fairness_ecdf_side_files(tmp_path):
     assert float(rows[-1]["cum_fraction"]) == pytest.approx(1.0)
 
 
+def test_fairness_ecdf_out_without_its_point_writes_no_file(tmp_path,
+                                                           capsys):
+    ecdf_dir = tmp_path / "ecdf"
+    assert main(["fairness", "--ms", "4", "--demands", "0.4", "--skews", "0",
+                 "--out", str(tmp_path / "fair.csv"),
+                 "--ecdf-out", str(ecdf_dir)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "no (m=16, demand=0.4) points in the grid; no ecdf files written\n")
+    assert list(ecdf_dir.iterdir()) == []
+
+
 def test_fairness_exact_guard_is_a_usage_error(tmp_path):
     code = main(["fairness", "--method", "exact", "--ms", "32", "--demands",
                  "0.4", "--skews", "0", "--trials", "10000",
@@ -407,6 +418,25 @@ def test_breakeven_matrix(tmp_path, capsys):
     assert "optimistic" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv,summary", [
+    ([], ["q=0.01 demand=0.4  optimistic: m >= 8; conservative: m >= 16",
+          "q=0.05 demand=0.4  optimistic: m >= 8; conservative: m >= 16",
+          "q=0.1 demand=0.4  optimistic: m >= 8; conservative: m >= 16",
+          "q=0.15 demand=0.4  optimistic: m >= 8; conservative: not reached"]),
+    # conservative reads 0.997 at m = 32 but 1.063 at m = 64
+    (["--skew", "0", "--qs", "0.11"],
+     ["q=0.11 demand=0.4  optimistic: m >= 8; conservative: not reached"]),
+    # all three m read below 1 in both modes, listed largest first
+    (["--ms", "64,32,16", "--qs", "0.05"],
+     ["q=0.05 demand=0.4  optimistic: m >= 16; conservative: m >= 16"]),
+])
+def test_breakeven_summary_names_the_m_from_which_every_larger_m_wins(
+        argv, summary, tmp_path, capsys):
+    assert main(["breakeven", *argv,
+                 "--out", str(tmp_path / "be.csv")]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == summary
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--ms", "32", "--qs", "0.99", "--demands", "0.6", "--skews", "1",
      "--max-attempts", "1"],
@@ -436,6 +466,20 @@ def test_verify_quantum_pass_and_json(tmp_path):
     payload = json.loads(report.read_text())
     assert payload["passed"] is True
     assert payload["support_violations"] == 0
+
+
+def test_verify_quantum_rejects_pooled_conditional_uniformity(tmp_path,
+                                                             capsys):
+    # at the default seed the pooled test reads p = 0.5162, below 0.999
+    report = tmp_path / "report.json"
+    assert main(["verify-quantum", "--caps", "2,2,2,2,2", "--k-req", "3",
+                 "--draws", "2000", "--alpha", "0.999",
+                 "--json", str(report)]) == EXIT_VERIFY
+    message = "conditional uniformity rejected (p=0.5162 < 0.999)"
+    assert message in capsys.readouterr().out
+    payload = json.loads(report.read_text(), parse_constant=_reject_constant)
+    assert payload["passed"] is False
+    assert message in payload["failures"]
 
 
 @pytest.mark.parametrize("alpha", ["nan", "2", "1", "0", "-0.5", "inf"])
@@ -980,6 +1024,21 @@ def test_negative_seed_is_a_usage_error(argv, tmp_path, capsys):
 def test_mc_shortage_exit():
     assert main(["mc", "--caps", "2,2", "--k-req", "5",
                  "--trials", "5"]) == EXIT_SHORTAGE
+
+
+def test_an_invariant_violation_exits_4_with_no_output(tmp_path, monkeypatch,
+                                                       capsys):
+    def violated(*args):
+        raise InvariantViolationError("quotas do not sum to k_req")
+
+    monkeypatch.setattr(cli, "sample_rounds", violated)
+    out = tmp_path / "trials.csv"
+    assert main(["mc", "--caps", "3,3,3,3", "--k-req", "4", "--trials", "5",
+                 "--out", str(out)]) == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert captured.err == "error: quotas do not sum to k_req\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_usage_errors():

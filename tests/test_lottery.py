@@ -171,6 +171,25 @@ def test_kernel_refuses_a_max_attempts_beyond_the_block_budget():
     assert _block_rows(32, 32, 3) == lottery._BLOCK
 
 
+@pytest.mark.parametrize("m, K, M, rows", [
+    (4, 2, 3, 8192),
+    (64, 60, 3, 8192),
+    (8, 7, 100, 7598),
+    # from here on the 64 MB budget, not _BLOCK, sets the block
+    (256, 100, 3, 4341),
+    (1024, 400, 3, 1093),
+    (1024, 400, 40, 371),
+    (1024, 1, 40, 3761),
+    (4096, 1, 3, 1019),
+    (4096, 1638, 3, 269),
+    (4096, 4096, 3, 127),
+])
+def test_block_rows_is_a_frozen_stream_constant(m, K, M, rows):
+    # each block is one whole-block draw of every selection multinomial, so
+    # a changed value moves every kernel stream and every mc output byte
+    assert _block_rows(m, K, M) == rows
+
+
 def test_kernel_refuses_latencies_that_overflow_over_the_trials():
     # each round's latency is finite, but batch_stats squares and sums them
     params = ModelParams(q=0.05, t_dist=1e300)

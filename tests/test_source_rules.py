@@ -12,7 +12,10 @@ subcommand's count of settable values, its flags other than --help: it may
 shrink, but not grow past MAX_FLAGS, and --help lists every one of them.
 No module reads the process environment: a command's inputs come from its
 parser alone. Each ``module.name`` or ``dheac.module.name`` the README
-names, for a module of the package, exists.
+names, for a module of the package, exists, and each ``dheac ...`` command
+in its code parses. The README's line count is a ratchet, MAX_README_LINES:
+it describes the system as it stands, and measurement history lives in
+CHANGES.md and the BENCH_*.json files.
 """
 
 import argparse
@@ -20,6 +23,7 @@ import ast
 import importlib
 import pathlib
 import re
+import shlex
 
 import dheac
 from dheac.cli import build_parser
@@ -27,6 +31,7 @@ from dheac.cli import build_parser
 SOURCES = sorted(pathlib.Path(dheac.__file__).parent.glob("*.py"))
 README = pathlib.Path(__file__).parents[1] / "README.md"
 MAX_EXPORTS = 31
+MAX_README_LINES = 274
 MAX_FLAGS = {"sweep": 19, "fairness": 10, "breakeven": 14,
              "verify-quantum": 11, "mc": 18}
 
@@ -219,3 +224,65 @@ def test_readme_module_names_resolve():
     assert [f"{module}.{name}" for module, name in names
             if not hasattr(importlib.import_module(f"dheac.{module}"),
                            name)] == []
+
+
+def _readme_commands(text: str) -> list[str]:
+    """Each ``dheac ...`` line of a fenced code block, and each inline code
+    span that starts with ``dheac ``, with a shell prompt dropped; a line
+    that names an @ argument file is skipped, since the file is not there."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S)
+    lines = [line.strip() for block in blocks for line in block.splitlines()]
+    lines += re.findall(r"(?<!`)`(dheac [^`]+)`", text)
+    commands = [line.removeprefix("$ ") for line in lines]
+    return [c for c in commands if c.startswith("dheac ")
+            and not any(token.startswith("@") for token in shlex.split(c))]
+
+
+def _unparsed(commands: list[str]) -> list[str]:
+    """The commands build_parser() refuses."""
+    parser = build_parser()
+    refused = []
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            refused.append(command)
+    return refused
+
+
+def test_the_command_rule_sees_code_and_skips_argument_files():
+    text = ("Run `dheac mc --m 4 --demand 0.4` or `dheac --stats x`.\n"
+            "```\n"
+            "# a comment\n"
+            "dheac sweep --ms 4,8 --out a.csv\n"
+            "$ dheac breakeven --q 0.05\n"
+            "$ dheac @run.args --out b.csv\n"
+            "```\n"
+            "Not code: dheac fairness --bogus.\n")
+    commands = _readme_commands(text)
+    assert commands == ["dheac sweep --ms 4,8 --out a.csv",
+                        "dheac breakeven --q 0.05",
+                        "dheac mc --m 4 --demand 0.4", "dheac --stats x"]
+    assert _unparsed(commands) == ["dheac breakeven --q 0.05",
+                                   "dheac --stats x"]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands(README.read_text())
+    assert len(commands) > 5
+    assert _unparsed(commands) == []
+
+
+def _line_count(text: str) -> int:
+    """Lines as ``wc -l`` counts them in a file that ends in a newline."""
+    return len(text.splitlines())
+
+
+def test_the_line_rule_counts_lines():
+    assert _line_count("") == 0
+    assert _line_count("one\n\nthree\n") == 3
+    assert _line_count("one\ntwo") == 2
+
+
+def test_readme_stays_within_the_line_ratchet():
+    assert _line_count(README.read_text()) <= MAX_README_LINES
