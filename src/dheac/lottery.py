@@ -16,10 +16,13 @@ The quota law, in all its shapes, lives in ``partition``. The oracle
 ``exact_node_probs`` rounds every capacity-class composition (how many
 winners each class has), and ``estimate_fairness`` samples compositions (a
 multivariate hypergeometric draw) and rounds each distinct one once per
-window of draws. Both hold compositions slot-major, one column each, and
-sum their quotas with ``_quota_totals``: one ``partition._class_law`` per
-block of columns, ``partition._class_round`` a piece at a time. Both
-return one win probability per node.
+window of draws; a network with only one composition (one capacity class,
+or every QLAN a winner) is not sampled at all. Both hold compositions
+slot-major, one column each, and sum their quotas with ``_quota_totals``:
+one ``partition._class_law`` per block of columns,
+``partition._class_round`` a piece at a time, each piece reduced in the
+rounding order it leaves the extra pairs in. Both return one win
+probability per node.
 
 Delivery only matters through two facts per group of qubits: the sum of
 their capped attempt counts and whether any of them ran out of attempts.
@@ -411,20 +414,27 @@ def _node_probs(caps, classes: np.ndarray, sizes: np.ndarray,
 def _quota_totals(k_req: int, classes: np.ndarray, counts: np.ndarray,
                   weight: np.ndarray) -> np.ndarray:
     """Each class's quota total over the (n, t) compositions, composition r
-    counted weight[r] times, in int64: one law for all of them, rounded a
-    piece at a time under the _PIECE_BYTES budget."""
+    counted weight[r] times: one law for all of them, rounded a piece at a
+    time under the _PIECE_BYTES budget.
+
+    Each piece is reduced in the layout _class_round leaves it in: the
+    pairs held from floors by one product with the weights, and the extra
+    pairs, weighted, by one bincount over each rank's class. The totals are
+    whole numbers, exact in float64 while they stay below 2^53.
+    """
     law, of = _class_law(k_req, classes, counts)
     # per composition of a piece: seven words per class (at most six
     # (n, rows) arrays, a strided piece's contiguous copy included)
     piece = _piece_rows(7 * len(classes))
-    totals = np.zeros(len(classes), dtype=np.int64)
+    totals = np.zeros(len(classes))
     for first in range(0, counts.shape[1], piece):
         part = slice(first, first + piece)
-        floors, extras = _class_round(k_req, classes, counts[:, part], law,
-                                      of[part])
-        floors *= counts[:, part]
-        floors += extras
-        totals += floors @ weight[part]
+        held, order, extras = _class_round(k_req, classes, counts[:, part],
+                                           law, of[part])
+        totals += held @ weight[part]
+        extras *= weight[part]
+        totals += np.bincount(order.ravel(), extras.ravel(),
+                              minlength=len(classes))
     return totals
 
 
@@ -443,8 +453,13 @@ def estimate_fairness(net: NetworkConfig, req: Request, trials: int,
     probability E[quota_i] / caps_i. Delivery loss is ignored on purpose:
     fairness concerns who is granted access, not whether the grant
     survives the channel. The estimates are equal within each capacity
-    class and sum to k_req; when K = m every round has the same
-    composition, so the estimate equals exact_node_probs exactly.
+    class and sum to k_req.
+
+    A network with one composition (one capacity class, or K = m, so every
+    round has the same composition) is not sampled: that composition is
+    weighted by trials, nothing is drawn and rng is left untouched. Its
+    quota sums are whole numbers, so the result is the drawn one bit for
+    bit, and equals exact_node_probs.
 
     Many rounds draw the same composition, so each is rounded once per
     window of _KEY_WINDOW rows (whole blocks): a composition is one int64
@@ -459,6 +474,13 @@ def estimate_fairness(net: NetworkConfig, req: Request, trials: int,
     K = safe_select_k(req.k_req, net.caps, beta)
     classes, sizes = _capacity_classes(net.caps)
     n = len(classes)
+    if n == 1 or K == net.m:
+        # one composition (K winners of the one class, or every QLAN):
+        # the whole numbers every draw would sum to, with nothing drawn
+        forced = np.minimum(sizes, K)[:, None]
+        quota_sums = _quota_totals(req.k_req, classes, forced,
+                                   np.array([trials], dtype=np.int64))
+        return _node_probs(net.caps, classes, sizes, quota_sums, trials)
     quota_sums = np.zeros(n)
     # rows per draw: a stream constant, frozen like _block_rows because it
     # fixes every sampled cell's stream (method="count" draws differently
@@ -480,7 +502,7 @@ def estimate_fairness(net: NetworkConfig, req: Request, trials: int,
     radix = np.cumprod([1] + bases[:-1], dtype=np.int64)
     window = max(1, _KEY_WINDOW // block) * block
     # per distinct key: its digits, the rest, and its capacity total with
-    # the sort and index that _class_law finds its law column by
+    # the table and index that _class_law finds its law column by
     span = _piece_rows(n + 6)
     for start in range(0, trials, window):
         stop = min(start + window, trials)

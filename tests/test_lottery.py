@@ -308,8 +308,12 @@ def _whole_block_fairness(net, req, trials, rng):
         counts = rng.multivariate_hypergeometric(
             sizes, K, size=min(block, trials - start), method="count").T
         law, of = _class_law(req.k_req, classes, counts)
-        floors, extras = _class_round(req.k_req, classes, counts, law, of)
-        quota_sums += (counts * floors + extras).sum(axis=1)
+        held, order, ranked = _class_round(req.k_req, classes, counts, law,
+                                           of)
+        # the extras back in class order
+        extras = np.empty_like(ranked)
+        np.put_along_axis(extras, order, ranked, axis=0)
+        quota_sums += (held + extras).sum(axis=1)
     return lottery._node_probs(net.caps, classes, sizes, quota_sums, trials)
 
 
@@ -330,7 +334,13 @@ def _assert_fairness_matches(net, req, trials):
     got = estimate_fairness(net, req, trials, rng)
     assert np.array_equal(
         got, _whole_block_fairness(net, req, trials, ref_rng))
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # a network with one composition (one capacity class, or every QLAN a
+    # winner) leaves the generator untouched; any other draws what the
+    # reference draws
+    K = safe_select_k(req.k_req, net.caps, lottery.DEFAULT_BETA)
+    forced = len(set(net.caps)) == 1 or K == net.m
+    drawn = trial_rng(7) if forced else ref_rng
+    assert rng.bit_generator.state == drawn.bit_generator.state
 
 
 def _first_call_rows(monkeypatch, name, run, axis) -> int:
@@ -736,8 +746,96 @@ def test_estimate_fairness_is_exact_when_every_qlan_wins(caps, data, seed):
     req = Request(data.draw(st.integers(1, net.total)))
     assume(safe_select_k(req.k_req, net.caps, lottery.DEFAULT_BETA) == net.m)
     sampled = estimate_fairness(net, req, 500, trial_rng(seed))
-    exact = exact_node_probs(net, req)
-    assert np.abs(sampled - exact).max(initial=0.0) <= 1e-15
+    assert np.array_equal(sampled, exact_node_probs(net, req))
+
+
+class _SpyRng:
+    """A generator that counts the composition draws made through it."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.draws = 0
+
+    def multivariate_hypergeometric(self, *args, **kwargs):
+        self.draws += 1
+        return self.rng.multivariate_hypergeometric(*args, **kwargs)
+
+
+@pytest.mark.parametrize("net, k_req, K", [
+    # equal caps: one class, whose K winners are the one composition
+    (NetworkConfig.from_caps((10, 10, 10)), 3, 1),
+    (SYM, 12, 4),
+    # every QLAN wins, six of them with no capacity
+    (generate_network(16, 2.0, 160), 64, 16),
+], ids=["one-class-K=1", "one-class-K=m", "K=m-zero-caps"])
+def test_a_forced_composition_is_exact_and_draws_nothing(net, k_req, K):
+    req = Request(k_req)
+    assert safe_select_k(k_req, net.caps, lottery.DEFAULT_BETA) == K
+    rng = _SpyRng(trial_rng(7))
+    probs = estimate_fairness(net, req, lottery._BLOCK + 1, rng)
+    assert np.array_equal(probs, exact_node_probs(net, req))
+    assert rng.draws == 0
+    assert rng.rng.bit_generator.state == trial_rng(7).bit_generator.state
+
+
+def _scalar_quota_totals(k_req, classes, counts, weight):
+    """Each class's quota total, composition by composition with
+    quota_round, weighted."""
+    totals = [0] * len(classes)
+    for column, w in zip(counts.T.tolist(), weight.tolist()):
+        winners = [c for c, j in zip(classes.tolist(), column)
+                   for _ in range(j)]
+        quotas = iter(quota_round(k_req, winners))
+        for c, j in enumerate(column):
+            totals[c] += w * sum(next(quotas) for _ in range(j))
+    return totals
+
+
+@settings(max_examples=200, deadline=None)
+@given(caps=st.lists(st.integers(1, 12), min_size=1, max_size=8),
+       data=st.data())
+def test_quota_totals_match_weighted_scalar_rounding(caps, data):
+    # a zero-capacity class always, compositions of winner counts per class
+    # and weights up to 1000
+    classes, sizes = _capacity_classes([0, 0] + caps)
+    cols = data.draw(st.lists(
+        st.tuples(*(st.integers(0, int(n)) for n in sizes)),
+        min_size=1, max_size=12))
+    counts = np.array(cols, dtype=np.int64).reshape(len(cols), len(classes))
+    counts = np.ascontiguousarray(counts[counts @ classes > 0].T)
+    assume(counts.shape[1])
+    k_req = data.draw(st.integers(1, int((classes @ counts).min())))
+    weight = np.array(data.draw(st.lists(
+        st.integers(1, 1000), min_size=counts.shape[1],
+        max_size=counts.shape[1])), dtype=np.int64)
+    got = lottery._quota_totals(k_req, classes, counts, weight)
+    assert got.tolist() == _scalar_quota_totals(k_req, classes, counts,
+                                                weight)
+
+
+def test_a_law_with_floors_one_too_high_is_refused_by_both_callers(
+        monkeypatch):
+    net = generate_network(16, 1.0, 160)
+    k_req = demand_to_kreq(0.4, net.total)
+    classes, sizes = _capacity_classes(net.caps)
+    K = safe_select_k(k_req, net.caps, lottery.DEFAULT_BETA)
+    counts = trial_rng(3).multivariate_hypergeometric(sizes, K, size=50).T
+
+    def one_too_high(k_req, classes, counts):
+        (floors, order), of = _class_law(k_req, classes, counts)
+        return (floors + 1, order), of
+
+    # the sampled and exact fairness paths' reduction
+    monkeypatch.setattr(lottery, "_class_law", one_too_high)
+    with pytest.raises(InvariantViolationError):
+        lottery._quota_totals(k_req, classes, counts,
+                              np.ones(50, dtype=np.int64))
+    # the verifier's per-slot bounds
+    monkeypatch.setattr(partition, "_class_law", one_too_high)
+    subsets = np.array(list(itertools.islice(
+        itertools.combinations(range(net.m), K), 50)))
+    with pytest.raises(InvariantViolationError):
+        partition._chain_bounds(net.caps, k_req, subsets, np.int64)
 
 
 def test_estimate_fairness_is_flat_within_each_qlan():
