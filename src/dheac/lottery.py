@@ -20,8 +20,7 @@ window of draws; a network with only one composition (one capacity class,
 or every QLAN a winner) is not sampled at all. Both hold compositions
 slot-major, one column each, and sum their quotas with ``_quota_totals``:
 one ``partition._class_law`` per block of columns,
-``partition._class_round`` a piece at a time, each piece reduced in the
-rounding order it leaves the extra pairs in. Both return one win
+``partition._class_round`` a piece at a time. Both return one win
 probability per node.
 
 Delivery only matters through two facts per group of qubits: the sum of
@@ -414,27 +413,20 @@ def _node_probs(caps, classes: np.ndarray, sizes: np.ndarray,
 def _quota_totals(k_req: int, classes: np.ndarray, counts: np.ndarray,
                   weight: np.ndarray) -> np.ndarray:
     """Each class's quota total over the (n, t) compositions, composition r
-    counted weight[r] times: one law for all of them, rounded a piece at a
-    time under the _PIECE_BYTES budget.
-
-    Each piece is reduced in the layout _class_round leaves it in: the
-    pairs held from floors by one product with the weights, and the extra
-    pairs, weighted, by one bincount over each rank's class. The totals are
-    whole numbers, exact in float64 while they stay below 2^53.
-    """
+    counted weight[r] times, in int64: one law for all of them, rounded a
+    piece at a time under the _PIECE_BYTES budget."""
     law, of = _class_law(k_req, classes, counts)
     # per composition of a piece: seven words per class (at most six
     # (n, rows) arrays, a strided piece's contiguous copy included)
     piece = _piece_rows(7 * len(classes))
-    totals = np.zeros(len(classes))
+    totals = np.zeros(len(classes), dtype=np.int64)
     for first in range(0, counts.shape[1], piece):
         part = slice(first, first + piece)
-        held, order, extras = _class_round(k_req, classes, counts[:, part],
-                                           law, of[part])
-        totals += held @ weight[part]
-        extras *= weight[part]
-        totals += np.bincount(order.ravel(), extras.ravel(),
-                              minlength=len(classes))
+        floors, extras = _class_round(k_req, classes, counts[:, part], law,
+                                      of[part])
+        floors *= counts[:, part]
+        floors += extras
+        totals += floors @ weight[part]
     return totals
 
 
@@ -502,7 +494,7 @@ def estimate_fairness(net: NetworkConfig, req: Request, trials: int,
     radix = np.cumprod([1] + bases[:-1], dtype=np.int64)
     window = max(1, _KEY_WINDOW // block) * block
     # per distinct key: its digits, the rest, and its capacity total with
-    # the table and index that _class_law finds its law column by
+    # the sort and index that _class_law finds its law column by
     span = _piece_rows(n + 6)
     for start in range(0, trials, window):
         stop = min(start + window, trials)

@@ -20,10 +20,8 @@ slots by the tie rule, and the leftover units go to the slots below the
 row's residual-th smallest key. Its floors are truncated float quotients,
 exact while k_req * capacity < 2^53 (its docstring gives the argument).
 A composition's floors and class order depend only on its capacity total,
-so ``_class_law`` computes them once per distinct total of a block (found
-in a table indexed by total), and ``_class_round`` rounds any column slice
-of that block with flat gathers. It leaves the extra pairs in rounding
-order, where its callers reduce them or scatter them back to class order.
+so ``_class_law`` computes them once per distinct total of a block, and
+``_class_round`` rounds any column slice of that block with flat gathers.
 """
 
 from __future__ import annotations
@@ -307,93 +305,71 @@ def _class_law(k_req: int, classes: np.ndarray, counts: np.ndarray):
 
     counts is slot-major, (n, t): column r takes counts[c, r] winners of
     capacity classes[c] (ascending, as _capacity_classes gives them), and
-    every column's total must be positive. Returns (law, of): law is two
-    (n, totals) tables, one column per distinct total in ascending order
-    (the floor of each class's share, and the classes in quota_round's
-    order), and of[r] is the law column of composition r: what
-    np.unique(..., return_inverse=True) gives, read from a table indexed by
-    capacity total, whose length is at most the spread of the totals + 1
-    (below K times the largest capacity).
+    every column's total must be positive. Returns (law, of): law is three
+    (n, totals) tables, one column per distinct total (the floor of each
+    class's share, the classes in quota_round's order, and each class's
+    place in that order), and of[r] is the law column of composition r.
     """
-    total = classes @ counts
-    low = int(total.min())
-    total -= low
-    seen = np.zeros(int(total.max()) + 1, dtype=bool)
-    seen[total] = True
-    of = np.cumsum(seen, dtype=np.intp).take(total)
-    of -= 1
-    totals = np.flatnonzero(seen)
-    totals += low
+    totals, of = np.unique(classes @ counts, return_inverse=True)
     floors, rems = np.divmod(k_req * classes[:, None], totals)
     # descending (remainder, capacity): distinct keys within a column
     order = np.argsort(-(rems * (int(classes[-1]) + 1) + classes[:, None]),
                        axis=0)
-    return (floors, order), of
+    return (floors, order, np.argsort(order, axis=0)), of
 
 
 def _class_round(k_req: int, classes: np.ndarray, counts: np.ndarray,
-                 law, of: np.ndarray) -> tuple[np.ndarray, ...]:
+                 law, of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """quota_round over winner compositions, slot-major: one column per
     composition, with the (law, of) that _class_law gives for a block of
     columns that holds these (any column slice of it, strided or not).
 
-    Returns three (n, t) tables (held, order, extras). held[c, r] =
-    counts[c, r] * floor is what class c's winners hold from their floors,
-    in class order. The rest is in rounding order: order[i, r] is column
-    r's i-th class in quota_round's order, and each of its winners gets one
-    more pair for extras[i, r] of them. Leftover pairs go to the classes in
-    that order. Distinct capacities never tie, and the members of a class
-    are exchangeable, so quota_round's position tie-break only decides
-    which members get an extra pair, not how many do. Every step works on
-    whole rows of the (n, t) block: a gather of each column's law, a flat
-    gather of the counts into rounding order and a running sum down the
-    ranks; nothing is gathered back to class order (a caller that needs
-    it scatters by order). Raises InvariantViolationError unless every
-    quota is within its cap and every column hands out exactly k_req pairs.
+    Returns (n, t) floors and extras: each of the counts[c, r] winners of
+    class c gets floors[c, r] pairs and extras[c, r] of them one more.
+    Leftover pairs go to the classes in quota_round's order. Distinct
+    capacities never tie, and the members of a class are exchangeable, so
+    quota_round's position tie-break only decides which members get an
+    extra pair, not how many do. Every step works on whole rows of the
+    (n, t) block: a gather of each column's law, a flat gather of the
+    counts into rounding order, a running sum down the classes and a flat
+    gather back by rank. Raises InvariantViolationError unless every quota
+    is within its cap and every column hands out exactly k_req pairs.
     """
     n, t = counts.shape
     # flat gathers need one contiguous int64 block (a copy only of a
     # strided slice or another dtype)
     counts = np.ascontiguousarray(counts, dtype=np.int64)
-    held, order = (a.take(of, axis=1) for a in law)
-    held *= counts
-    residual = k_req - held.sum(axis=0)
+    floors, order, rank = (a.take(of, axis=1) for a in law)
+    cols = np.arange(t)
+    residual = k_req - (counts * floors).sum(axis=0)
     # ranked[i, r] is the count of column r's i-th class in rounding order
-    flat = order * t
-    flat += np.arange(t)
-    ranked = counts.take(flat)
-    # the leftover pairs the classes up to rank i take: their winners'
-    # running sum, capped at the residual (one pass per rank, as a cumsum
-    # down axis 0 runs column by column), in the flat indices' memory;
-    # a rank's extras are the step its cap takes
-    cap = flat
-    cap[0] = ranked[0]
+    order *= t
+    order += cols
+    ranked = counts.take(order)
+    # a class takes what is left after the winners ranked before it: one
+    # pass per class (a cumsum down axis 0 runs column by column), in the
+    # gathered order's memory
+    before = order
+    before[0] = 0
     for i in range(1, n):
-        np.add(cap[i - 1], ranked[i], out=cap[i])
-    np.minimum(cap, np.maximum(residual, 0), out=cap)
-    extras = ranked
-    extras[0] = cap[0]
-    np.subtract(cap[1:], cap[:-1], out=extras[1:])
+        np.add(before[i - 1], ranked[i - 1], out=before[i])
+    rank *= t
+    rank += cols
+    extras = before.take(rank, out=ranked)
+    np.subtract(residual, extras, out=extras)
+    np.maximum(extras, 0, out=extras)
+    np.minimum(extras, counts, out=extras)
     # a quota can pass its cap only by an extra pair to the zero-capacity
-    # class (the first, if there is one), whose floor is always 0 and whose
-    # key (remainder and capacity 0) ranks it last, or where a positive
-    # floor already reaches its cap. That takes a total of at most k_req,
-    # and then the largest class's floor reaches its cap in the law's
-    # first column (the smallest total); such columns are checked in class
-    # order
-    if classes[0] == 0 and extras[n - 1].any():
+    # class (the first, if there is one), whose floor is always 0, or
+    # where a positive floor already reaches its cap
+    caps = classes[:, None]
+    if ((classes[0] == 0 and extras[0].any())
+            or (((law[0] >= caps) & (caps > 0)).any()
+                and ((counts > 0) & (floors + (extras > 0) > caps)).any())):
         raise InvariantViolationError("rounding must respect caps")
-    if law[0][-1, 0] >= classes[-1]:
-        by_class = np.empty_like(extras)
-        np.put_along_axis(by_class, order, extras, axis=0)
-        if ((counts > 0) & (law[0].take(of, axis=1) + (by_class > 0)
-                            > classes[:, None])).any():
-            raise InvariantViolationError("rounding must respect caps")
-    # the extras sum to the last cap, which is the residual unless the
-    # winners are too few or the floors hand out too much
-    if not (cap[n - 1] == residual).all():
+    if not (extras.sum(axis=0) == residual).all():
         raise InvariantViolationError("rounding must conserve k_req")
-    return held, order, extras
+    return floors, extras
 
 
 def _chain_bounds(caps, k_req: int, subsets: np.ndarray,
@@ -424,12 +400,8 @@ def _chain_bounds(caps, k_req: int, subsets: np.ndarray,
         slot += np.arange(t)[:, None]
         counts = np.bincount(slot.ravel(), minlength=n * t).reshape(n, t)
         law, of = _class_law(k_req, classes, counts)
-        _, order, ranked = _class_round(k_req, classes, counts, law, of)
-        # the extras back in class order, scattered by rank
-        extra = np.empty_like(ranked)
-        np.put_along_axis(extra, order, ranked, axis=0)
-        extra = extra.ravel()[slot]
-        floor = law[0].take(of, axis=1).ravel()[slot]
+        floor, extra = (a.ravel()[slot]
+                        for a in _class_round(k_req, classes, counts, law, of))
         lo[part] = floor + (extra == counts.ravel()[slot])
         hi[part] = floor + (extra > 0)
     return lo, hi

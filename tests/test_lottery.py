@@ -308,12 +308,8 @@ def _whole_block_fairness(net, req, trials, rng):
         counts = rng.multivariate_hypergeometric(
             sizes, K, size=min(block, trials - start), method="count").T
         law, of = _class_law(req.k_req, classes, counts)
-        held, order, ranked = _class_round(req.k_req, classes, counts, law,
-                                           of)
-        # the extras back in class order
-        extras = np.empty_like(ranked)
-        np.put_along_axis(extras, order, ranked, axis=0)
-        quota_sums += (held + extras).sum(axis=1)
+        floors, extras = _class_round(req.k_req, classes, counts, law, of)
+        quota_sums += (counts * floors + extras).sum(axis=1)
     return lottery._node_probs(net.caps, classes, sizes, quota_sums, trials)
 
 
@@ -822,8 +818,8 @@ def test_a_law_with_floors_one_too_high_is_refused_by_both_callers(
     counts = trial_rng(3).multivariate_hypergeometric(sizes, K, size=50).T
 
     def one_too_high(k_req, classes, counts):
-        (floors, order), of = _class_law(k_req, classes, counts)
-        return (floors + 1, order), of
+        (floors, *rest), of = _class_law(k_req, classes, counts)
+        return (floors + 1, *rest), of
 
     # the sampled and exact fairness paths' reduction
     monkeypatch.setattr(lottery, "_class_law", one_too_high)

@@ -334,73 +334,28 @@ def test_one_class_rounding_piece_stays_within_the_piece_budget():
         sizes, K, size=_piece_rows(n + 6)).T.copy()
     law, of = _class_law(k_req, classes, block)
     part = slice(1, 1 + _piece_rows(7 * n))
-    weight = np.ones(block.shape[1], dtype=np.int64)[part]
     tracemalloc.start()
     try:
-        # and reduced as lottery._quota_totals reduces it
-        held, order, extras = _class_round(k_req, classes, block[:, part],
-                                           law, of[part])
-        held @ weight
-        extras *= weight
-        np.bincount(order.ravel(), extras.ravel(), minlength=n)
+        floors, extras = _class_round(k_req, classes, block[:, part], law,
+                                      of[part])
+        floors *= block[:, part]
+        floors += extras
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= _PIECE_BYTES
 
 
-def _unique_law(k_req, classes, counts):
-    """_class_law by np.unique: the distinct totals, sorted, and each
-    column's index among them."""
-    totals, of = np.unique(classes @ counts, return_inverse=True)
-    floors, rems = np.divmod(k_req * classes[:, None], totals)
-    order = np.argsort(-(rems * (int(classes[-1]) + 1) + classes[:, None]),
-                       axis=0)
-    return (floors, order), of
-
-
-_SKEW1_CLASSES, _SKEW1_SIZES = _capacity_classes(
-    generate_network(32, 1.0, 320).caps)
-
-
-@pytest.mark.parametrize("classes, counts", [
-    # one column
-    ((1, 3, 8), [[2], [1], [1]]),
-    # 70 compositions of 14 winners of the canonical skew-1 network
-    (_SKEW1_CLASSES, np.random.default_rng(5).multivariate_hypergeometric(
-        _SKEW1_SIZES, 14, size=70).T),
-    # totals from 1 to past a million, so the table is sparse
-    ((0, 1, 1000, 999_983), [[0, 4, 1, 2, 0], [1, 0, 3, 7, 2],
-                            [0, 0, 0, 1, 1], [0, 1, 0, 0, 1]]),
-], ids=["one-column", "70-columns", "spread"])
-def test_class_law_table_finds_what_unique_finds(classes, counts):
-    classes = np.array(classes, dtype=np.int64)
-    counts = np.array(counts, dtype=np.int64)
-    k_req = int((classes @ counts).min())
-    (floors, order), of = _class_law(k_req, classes, counts)
-    (want_floors, want_order), want_of = _unique_law(k_req, classes, counts)
-    assert np.array_equal(of, want_of)
-    assert np.array_equal(floors, want_floors)
-    assert np.array_equal(order, want_order)
-
-
-def _assert_columns_round_as_scalar(k_req, classes, counts, rounded):
-    """Each column of _class_round's (n, t) tables is quota_round of its
-    winners."""
-    held, order, ranked = rounded
-    assert held.shape == order.shape == ranked.shape == counts.shape
-    # each column's rounding order ranks every class once
-    assert (np.sort(order, axis=0) == np.arange(len(classes))[:, None]).all()
-    extras = np.empty_like(ranked)
-    np.put_along_axis(extras, order, ranked, axis=0)
-    for row, h_row, e_row in zip(counts.T, held.T, extras.T):
+def _assert_columns_round_as_scalar(k_req, classes, counts, floors, extras):
+    """Each column of the (n, t) tables is quota_round of its winners."""
+    assert floors.shape == extras.shape == counts.shape
+    for row, f_row, e_row in zip(counts.T, floors.T, extras.T):
         # the winners class by class, members with an extra pair first
         arranged = [int(c) for c, j in zip(classes, row) for _ in range(j)]
-        expect = tuple(int(h) // j + (i < e)
-                       for h, e, j in zip(h_row, e_row, row)
+        expect = tuple(int(f) + (i < e)
+                       for f, e, j in zip(f_row, e_row, row)
                        for i in range(j))
         assert quota_round(k_req, arranged) == expect
-        assert not h_row[row == 0].any()
 
 
 @settings(max_examples=200, deadline=None)
@@ -417,8 +372,8 @@ def test_class_rounding_matches_scalar(caps, data):
     assume(counts.shape[1])
     k_req = data.draw(st.integers(1, int((classes @ counts).min())))
     law, of = _class_law(k_req, classes, counts)
-    _assert_columns_round_as_scalar(
-        k_req, classes, counts, _class_round(k_req, classes, counts, law, of))
+    floors, extras = _class_round(k_req, classes, counts, law, of)
+    _assert_columns_round_as_scalar(k_req, classes, counts, floors, extras)
 
 
 @settings(max_examples=200, deadline=None)
@@ -444,9 +399,8 @@ def test_class_rounding_of_a_strided_slice_under_the_whole_law(caps, data):
     law, of = _class_law(k_req, classes, block)
     part = slice(start, stop, step)
     counts = block[:, part]
-    _assert_columns_round_as_scalar(
-        k_req, classes, counts,
-        _class_round(k_req, classes, counts, law, of[part]))
+    floors, extras = _class_round(k_req, classes, counts, law, of[part])
+    _assert_columns_round_as_scalar(k_req, classes, counts, floors, extras)
 
 
 @pytest.mark.parametrize("classes, column, k_req", [
