@@ -43,7 +43,8 @@ from .lottery import (
     sample_rounds,
     trial_rng,
 )
-from .netgen import NetworkConfig, Request, demand_to_kreq, generate_network
+from .netgen import (NetworkConfig, Request, check_network_size,
+                     demand_to_kreq, generate_network)
 from .partition import _piece_rows, safe_select_k
 from .qverify import MAX_DRAWS, build_embedded, verify_state
 
@@ -61,7 +62,6 @@ EXIT_VERIFY = 4
 EXIT_IO = 5
 
 MAX_WORKERS = 256  # a pool forks all its workers at once
-MAX_NODES = 2 ** 20  # QLANs, and nodes, of one network; bounds its arrays
 
 # each grid command's axis flags, in the order of its '#' axes comment;
 # breakeven has one skew and writes its rows q-major
@@ -93,14 +93,7 @@ def _check_grid(args) -> None:
         if not getattr(args, key, True):  # fairness has no q axis
             raise ValueError(f"{key} must hold at least one value")
     m = max(args.ms)
-    _check_network_size(m, args.nodes_per_qlan * m)
-
-
-def _check_network_size(qlans: int, nodes: int) -> None:
-    """Refuse, before it is built, a network too large to hold in memory."""
-    if max(qlans, nodes) > MAX_NODES:
-        raise ValueError(f"a network of {qlans} QLANs and {nodes} nodes "
-                         f"exceeds the limit of {MAX_NODES} of each")
+    check_network_size(m, args.nodes_per_qlan * m)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -543,7 +536,6 @@ def _point_inputs(args) -> tuple[NetworkConfig, float | None, int,
         if (args.m, args.skew, args.total) != (None, None, None):
             raise ValueError("--caps gives the network: drop --m, --skew "
                              "and --total")
-        _check_network_size(len(args.caps), sum(args.caps))
         net, skew = NetworkConfig.from_caps(args.caps), None
     elif args.m is None:
         raise ValueError("either --caps or --m is required")
@@ -552,7 +544,6 @@ def _point_inputs(args) -> tuple[NetworkConfig, float | None, int,
         if not 0.0 <= skew < math.inf:
             raise ValueError(f"skew must be >= 0 and finite, got {skew}")
         total = NODES_PER_QLAN * args.m if args.total is None else args.total
-        _check_network_size(args.m, total)
         net = generate_network(args.m, skew, total)
     if (args.k_req is None) == (args.demand is None):
         raise ValueError("exactly one of --k-req and --demand is required")

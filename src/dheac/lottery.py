@@ -214,15 +214,15 @@ def _block_rows(m: int, K: int, M: int) -> int:
     (t, K) arrangement and quotas, the three selection-group outcome
     tables and the (2, t) accounting rows; everything else lives one row
     piece (_piece_rows) at a time. A test pins its values over a grid.
-    Raises CapacityError when a single row exceeds the budget, which only
-    a huge max_attempts M can cause at any realistic m.
+    Raises CapacityError when a single row exceeds the budget: a huge
+    max_attempts M, or m and K near netgen.MAX_NODES.
     """
     row_bytes = 8 * (2 * m + (K + 3) * (M + 1) + 10 * K + 8)
     if row_bytes > _BLOCK_BYTES:
         raise CapacityError(
             f"max_attempts={M} needs {row_bytes} bytes per trial at m={m}, "
             f"K={K}, over the {_BLOCK_BYTES}-byte block budget; "
-            "lower max_attempts")
+            "lower max_attempts, m or the request")
     return min(_BLOCK, _BLOCK_BYTES // row_bytes)
 
 
@@ -241,14 +241,12 @@ def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
     success and attempts, the conservative row all three groups; both ship
     every selection qubit, conservative also the ancilla register, and both
     share the quota blocks. So a round that succeeds conservatively also
-    succeeds optimistically, and never takes fewer attempts or less
-    latency. Blocks fit a fixed memory budget, and inside a
-    block the arrangements are drawn and the quota blocks reduced a row
-    piece at a time, so peak memory does not grow with m. The arguments
-    are checked before anything is drawn: raises CapacityError when one
-    trial's outcome table alone exceeds that budget, and ValueError when
-    the capacities pass the bounds of the rounding's exact arithmetic
-    (partition._quota_round_rows) or when the largest latency a round can
+    succeeds optimistically, and never takes fewer attempts or less latency.
+    Blocks fit a fixed memory budget, and inside a block the arrangements
+    are drawn and the quota blocks reduced a row piece at a time, so peak
+    memory does not grow with m. The arguments are checked before anything
+    is drawn: raises CapacityError when one trial's outcome table alone
+    exceeds that budget, and ValueError when the largest latency a round can
     take, summed or squared over the trials, would overflow a float.
     """
     if trials < 1:
@@ -262,12 +260,6 @@ def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
     # rounding temporaries, the quota-block outcome table and its attempts
     piece = _piece_rows(2 * m + K * (M + 12))
     caps = np.asarray(net.caps, dtype=np.int64)
-    cap_bound = int(caps.max()) + 1
-    # net.total bounds every row total
-    if (net.total * cap_bound >= 2 ** 53
-            or net.total * cap_bound * max(K, cap_bound) >= 2 ** 63):
-        raise ValueError(f"capacities up to {cap_bound - 1} over a total of "
-                         f"{net.total} are too large for exact rounding")
     pvals, cost = _delivery_law(params.q, M)
     base = params.t_gen + params.t_meas
     # every qubit of a round spends all M attempts; lat below is computed
@@ -297,7 +289,7 @@ def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
                 arrangement[part] = rows[:, :K]
                 # gathered slot-major, the layout the rounding works in
                 quotas[part] = _quota_round_rows(
-                    req.k_req, caps.take(arrangement[part].T).T, cap_bound)
+                    req.k_req, caps.take(arrangement[part].T)).T
             winners = rng.multinomial(K, pvals, size=t)
             others = rng.multinomial(m - K, pvals, size=t)
             ancilla = rng.multinomial(ell, pvals, size=t)
@@ -456,13 +448,16 @@ def estimate_fairness(net: NetworkConfig, req: Request, trials: int,
     Many rounds draw the same composition, so each is rounded once per
     window of _KEY_WINDOW rows (whole blocks): a composition is one int64
     key, digit c in base sizes[c] + 1, and np.unique counts each key's
-    rounds. Quota sums are whole numbers, exact in float64 while trials *
-    k_req stays below 2^53, so the grouping does not change a bit of the
-    result. Where the keys would overflow int64 (prod(sizes + 1) >= 2^63),
-    each block's rows are rounded as drawn.
+    rounds. Quota sums are whole numbers below trials * net.total, which
+    must stay below 2^53 (ValueError before any draw), so they, _node_probs'
+    denominators and the grouping are exact to the bit. Where the keys
+    would overflow int64 (prod(sizes + 1) >= 2^63), each block's rows are
+    rounded as drawn.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if trials * net.total >= 2 ** 53:
+        raise ValueError(f"trials={trials} times {net.total} nodes reach 2^53")
     K = safe_select_k(req.k_req, net.caps, beta)
     classes, sizes = _capacity_classes(net.caps)
     n = len(classes)
@@ -530,10 +525,10 @@ def exact_node_probs(net: NetworkConfig, req: Request,
     sizes) under the _BLOCK_BYTES budget, and each chunk is rounded
     slot-major under one law (_class_law). The weighted quota sums are
     whole numbers, exact in any order of addition while C(m, K) * k_req <
-    2^53, as for every network the CLI builds. At m = 32, K = 28 on the
-    skew-1 network the walk visits 2,608 compositions for 35,960 subsets.
-    The guard still counts subsets, so which cells ``fairness --method
-    auto`` computes exactly does not depend on the walk: raises
+    2^53, as MAX_SUBSETS and netgen.MAX_NODES keep it. At m = 32, K = 28
+    on the skew-1 network the walk visits 2,608 compositions for 35,960
+    subsets. The guard still counts subsets, so which cells ``fairness
+    --method auto`` computes exactly does not depend on the walk: raises
     CapacityError when C(m, K) exceeds MAX_SUBSETS; use estimate_fairness.
     """
     K = safe_select_k(req.k_req, net.caps, beta)

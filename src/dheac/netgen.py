@@ -11,6 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+MAX_NODES = 2 ** 20  # QLANs, and nodes, of one network; bounds its arrays
+
+
+def check_network_size(qlans: int, nodes: int) -> None:
+    """Refuse, before it is built, a network past MAX_NODES QLANs or nodes."""
+    if max(qlans, nodes) > MAX_NODES:
+        raise ValueError(f"a network of {qlans} QLANs and {nodes} nodes "
+                         f"exceeds the limit of {MAX_NODES} of each")
+
 
 @dataclass(frozen=True)
 class NetworkConfig:
@@ -19,8 +28,9 @@ class NetworkConfig:
     Attributes
     ----------
     caps:  per-QLAN node capacities, non-negative integers.
-    m:     number of QLANs, len(caps), at least 1.
-    total: sum of caps, kept so result tables are self-describing.
+    m:     number of QLANs, len(caps), from 1 to MAX_NODES.
+    total: sum of caps, at most MAX_NODES, kept so result tables are
+           self-describing.
     """
 
     caps: tuple[int, ...]
@@ -30,6 +40,7 @@ class NetworkConfig:
     def __post_init__(self):
         object.__setattr__(self, "m", len(self.caps))
         object.__setattr__(self, "total", sum(self.caps))
+        check_network_size(self.m, self.total)
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if any(c < 0 or c != int(c) for c in self.caps):
@@ -57,8 +68,10 @@ def generate_network(m: int, skew: float, total: int) -> NetworkConfig:
     Each QLAN first receives the floor of its ideal share total*w_i/sum(w);
     leftover units then go one at a time to the bins of largest weight
     (ties resolved toward the lower index). Capacities are therefore
-    non-increasing in the QLAN index and sum exactly to ``total``.
+    non-increasing in the QLAN index and sum exactly to ``total``. Raises
+    ValueError past MAX_NODES QLANs or nodes, before anything is allocated.
     """
+    check_network_size(m, total)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if total < 0:

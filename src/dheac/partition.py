@@ -183,8 +183,8 @@ def split_chunks(k, caps: np.ndarray, max_rows: int, dtype=np.int64):
 def count_partitions(k: int, caps) -> int:
     """Number of bounded splits of k over caps, by dynamic programming.
 
-    Sliding-window convolution over the caps, O(len(caps) * k); used to
-    size enumerations before materializing them.
+    Sliding-window convolution over the caps, O(len(caps) * k); a check
+    for tests and a name the bench tracer binds, with no caller here.
     """
     caps = _validate_caps(caps)
     if k < 0:
@@ -239,21 +239,21 @@ def _piece_rows(row_words: int) -> int:
     return max(1, _PIECE_BYTES // (8 * row_words))
 
 
-def _quota_round_rows(k_req: int, caps_rows: np.ndarray, cap_bound: int) -> np.ndarray:
-    """quota_round applied to each row of winner capacities; the quotas
-    come back as the transpose of a (K, rows) array.
+def _quota_round_rows(k_req: int, caps: np.ndarray) -> np.ndarray:
+    """quota_round applied to each column of a slot-major (K, rows) array
+    of winner capacities; the quotas come back in the same layout.
 
     Matches the scalar function bit for bit, its tie rule included, by a
     threshold instead of a per-row argsort. Slot j of a row gets the key
-    j - K * (remainder * cap_bound + capacity). cap_bound exceeds every
-    capacity, so ascending keys follow quota_round's order (remainder
-    down, then capacity down, then position up), and the position term
-    makes a row's keys distinct. The residual leftover units then go to
-    the slots whose key is below the row's residual-th smallest (0-based,
-    read from one sort of the keys); residual < K, as quota_round shows.
-    The work runs slot-major: a reduction over a row is K - 1 operations
-    on whole columns, not one short loop per row, and a caps_rows that is
-    the transpose of a (K, rows) array is read without a copy.
+    j - K * (remainder * cap_bound + capacity), with cap_bound one above
+    the largest capacity of the array. Any bound above every capacity of a
+    row gives the same order: ascending keys follow quota_round's
+    (remainder down, then capacity down, then position up), and the
+    position term makes a row's keys distinct. The residual leftover units
+    then go to the slots whose key is below the row's residual-th smallest
+    (0-based, read from one sort of the keys); residual < K, as quota_round
+    shows. A reduction over a row is K - 1 operations on whole columns,
+    not one short loop per row.
 
     A floor is the float quotient of a = k_req * capacity by the row total
     b, truncated. Both are exact in float64, and a / b lies in
@@ -262,14 +262,14 @@ def _quota_round_rows(k_req: int, caps_rows: np.ndarray, cap_bound: int) -> np.n
     keys are built from these exact floors in int64: the products reach
     k_req * cap_bound^2 and the keys K * b * cap_bound in magnitude. With
     k_req <= b, all three bounds hold while b * cap_bound < 2^53 and
-    b * cap_bound * max(K, cap_bound) < 2^63. sample_rounds refuses a
-    network past them, and cli.MAX_NODES (2^20 nodes and QLANs) keeps any
-    network it builds far inside. A floor one off would pass the
-    conservation check below (the residual absorbs it), so these bounds,
-    not the check, make the floors right.
+    b * cap_bound * max(K, cap_bound) < 2^63. A network holds at most
+    netgen.MAX_NODES = 2^20 nodes and QLANs, so b, K and cap_bound - 1 are
+    at most 2^20 and the two products stay below 2^41 and 2^61. A floor
+    one off would pass the conservation check below (the residual absorbs
+    it), so these bounds, not the check, make the floors right.
     """
-    rows, K = caps_rows.shape
-    caps = np.ascontiguousarray(caps_rows.T)
+    K, rows = caps.shape
+    cap_bound = int(caps.max()) + 1
     total = caps.sum(axis=0)
     floors = np.empty_like(caps)
     np.divide(caps * float(k_req), total, out=floors, casting="unsafe")
@@ -291,7 +291,7 @@ def _quota_round_rows(k_req: int, caps_rows: np.ndarray, cap_bound: int) -> np.n
         raise InvariantViolationError("rounding must respect caps")
     if not (floors.sum(axis=0) == k_req).all():
         raise InvariantViolationError("rounding must conserve k_req")
-    return floors.T
+    return floors
 
 
 def _capacity_classes(caps) -> tuple[np.ndarray, np.ndarray]:

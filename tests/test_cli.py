@@ -33,7 +33,7 @@ from dheac import (
     simulate_batch,
     trial_rng,
 )
-from dheac import cli, lottery
+from dheac import cli, lottery, netgen
 from dheac.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -951,7 +951,7 @@ def test_oversized_networks_exit_before_they_are_built(argv):
     assert proc.returncode == EXIT_USAGE, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: a network of ")
-    assert f"limit of {cli.MAX_NODES}" in proc.stderr
+    assert f"limit of {netgen.MAX_NODES}" in proc.stderr
     assert proc.stdout == ""
     assert elapsed < 2.0
 
@@ -1103,6 +1103,16 @@ def test_fairness_rejects_nonpositive_trials(method, tmp_path, capsys):
                  *ONE_CELL, "--skews", "0", "--out", str(out)]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith(
         "error: --trials must be >= 1, got 0")
+    assert not out.exists()
+
+
+def test_fairness_refuses_trials_past_exact_quota_sums(tmp_path, capsys):
+    # skew 0: one capacity class, so the trials only scale one composition
+    out = tmp_path / "fair.csv"
+    assert main(["fairness", "--ms", "32", "--demands", "0.4", "--skews", "0",
+                 "--trials", str(10 ** 18), "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: trials={10 ** 18} times 320 nodes reach 2^53\n")
     assert not out.exists()
 
 

@@ -171,6 +171,14 @@ def test_kernel_refuses_a_max_attempts_beyond_the_block_budget():
     assert _block_rows(32, 32, 3) == lottery._BLOCK
 
 
+def test_block_budget_refusal_names_each_way_down():
+    # at K = m = 2^20 the 2m + 10K words alone pass the budget, so lowering
+    # max_attempts, already 1, cannot help
+    with pytest.raises(CapacityError, match=r"^max_attempts=1 needs .*; "
+                       r"lower max_attempts, m or the request$"):
+        _block_rows(2 ** 20, 2 ** 20, 1)
+
+
 @pytest.mark.parametrize("m, K, M, rows", [
     (4, 2, 3, 8192),
     (64, 60, 3, 8192),
@@ -205,15 +213,8 @@ def test_kernel_refuses_latencies_that_overflow_over_the_trials():
     assert all(np.isfinite(lat).all() for *_, lat in rounds)
 
 
-def test_kernel_refuses_capacities_past_exact_rounding():
-    # total * cap_bound^2 = 2^23 * (2^22 + 1)^2 passes 2^63
-    net = NetworkConfig.from_caps((2 ** 22, 2 ** 22))
-    rng = trial_rng(1)
-    state = rng.bit_generator.state
-    with pytest.raises(ValueError, match="too large for exact rounding"):
-        sample_rounds(net, Request(2 ** 22), LOSSY, 5, rng)
-    assert rng.bit_generator.state == state
-    # 2^20 nodes, the CLI's limit, round as the scalar rule does
+def test_kernel_rounds_as_the_scalar_rule_does_at_the_node_limit():
+    # netgen.MAX_NODES nodes; test_partition checks the rounding's bounds
     net = NetworkConfig.from_caps((2 ** 20 - 7, 5, 2))
     k_req = 2 ** 20 - 3
     for arrangement, quotas, *_ in sample_rounds(net, Request(k_req), LOSSY,
@@ -365,11 +366,12 @@ def test_row_pieces_draw_what_whole_blocks_draw_around_a_piece(
     # the fairness sampler rounds distinct compositions, so its piece is
     # read where a block draws more of them than a piece holds
     block = lottery._BLOCK
+    # both roundings take slot-major arrays: (K, rows) winner capacities
+    # and (n, rows) compositions
     round_piece = _first_call_rows(monkeypatch, "_quota_round_rows", lambda: (
-        list(sample_rounds(net, req, LOSSY, block, trial_rng(1)))), axis=0)
+        list(sample_rounds(net, req, LOSSY, block, trial_rng(1)))), axis=1)
     fair_net = generate_network(32, 1.0, 320)
     fair_req = Request(demand_to_kreq(0.1, fair_net.total))
-    # _class_round takes (n, rows) compositions
     fair_piece = _first_call_rows(monkeypatch, "_class_round", lambda: (
         estimate_fairness(fair_net, fair_req, block, trial_rng(1))), axis=1)
     assert 1 < round_piece < block and 1 < fair_piece < block
@@ -772,6 +774,34 @@ def test_a_forced_composition_is_exact_and_draws_nothing(net, k_req, K):
     assert np.array_equal(probs, exact_node_probs(net, req))
     assert rng.draws == 0
     assert rng.rng.bit_generator.state == trial_rng(7).bit_generator.state
+
+
+class _NoDrawRng:
+    """A generator whose first composition draw fails the test."""
+
+    def multivariate_hypergeometric(self, *args, **kwargs):
+        raise AssertionError("drew a composition")
+
+
+def test_sampled_fairness_refuses_trials_past_exact_quota_sums():
+    rng = trial_rng(1)
+    state = rng.bit_generator.state
+    # a forced cell, and a sampled one whose draws fail at once, so a check
+    # that came too late cannot draw 2^53 / 320 rows first
+    sampled = generate_network(32, 1.0, 320)
+    for net, k_req, gen in ((SYM, 4, rng), (sampled, 32, _NoDrawRng())):
+        # the fewest trials whose trials * total reaches 2^53, and 10^18,
+        # where the forced cell's int64 quota sums would overflow
+        for many in (-(-2 ** 53 // net.total), 10 ** 18):
+            with pytest.raises(ValueError, match=f"trials={many} times "
+                               f"{net.total} nodes reach 2\\^53"):
+                estimate_fairness(net, Request(k_req), many, gen)
+    assert rng.bit_generator.state == state
+    # one trial fewer is taken, draws nothing and stays exact
+    probs = estimate_fairness(SYM, Request(4), -(-2 ** 53 // SYM.total) - 1,
+                              rng)
+    assert np.array_equal(probs, exact_node_probs(SYM, Request(4)))
+    assert rng.bit_generator.state == state
 
 
 def _scalar_quota_totals(k_req, classes, counts, weight):

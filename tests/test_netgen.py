@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from dheac import NetworkConfig, Request, demand_to_kreq, generate_network
+from dheac.netgen import MAX_NODES
 
 
 def test_zero_skew_splits_evenly():
@@ -74,6 +76,29 @@ def test_capacities_are_the_only_init_field():
 def test_config_rejects_negative_caps():
     with pytest.raises(ValueError):
         NetworkConfig.from_caps((3, -1, 3))
+
+
+def test_networks_past_the_node_limit_are_refused_before_they_are_built():
+    assert NetworkConfig((MAX_NODES,)).total == MAX_NODES
+    assert generate_network(2, 1.0, MAX_NODES).total == MAX_NODES
+    over = f"exceeds the limit of {MAX_NODES} of each"
+    # the size is checked first, so a negative capacity or m = 0 beside
+    # too many nodes still reports the size
+    for caps in ((0,) * (MAX_NODES + 1), (MAX_NODES + 1,),
+                 (MAX_NODES + 2, -1)):
+        with pytest.raises(ValueError, match=over):
+            NetworkConfig(caps)
+    tracemalloc.start()
+    try:
+        for m, total in ((MAX_NODES + 1, 10), (4, MAX_NODES + 1),
+                         (0, MAX_NODES + 1)):
+            with pytest.raises(ValueError, match=over):
+                generate_network(m, 1.0, total)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the weights of 2^20 + 1 QLANs alone would take over 8 MB
+    assert peak < 1 << 16
 
 
 def test_demand_rounds_half_up():

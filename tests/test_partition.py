@@ -22,7 +22,7 @@ from dheac import (
     quota_round,
     safe_select_k,
 )
-from dheac.netgen import demand_to_kreq
+from dheac.netgen import MAX_NODES, demand_to_kreq
 from dheac.partition import (
     _PIECE_BYTES,
     _capacity_classes,
@@ -242,14 +242,12 @@ def test_quota_scale_invariant(caps, factor, data):
 
 
 def _assert_rows_match_scalar(k_req, rows):
-    """_quota_round_rows on the rows, laid out row-major and slot-major (as
-    the kernel gathers them), is quota_round row by row."""
-    caps_rows = np.array(rows, dtype=np.int64)
-    want = [quota_round(k_req, row) for row in rows]
-    for layout in (caps_rows, np.ascontiguousarray(caps_rows.T).T):
-        got = _quota_round_rows(k_req, layout, int(caps_rows.max()) + 1)
-        assert got.dtype == np.int64
-        assert [tuple(row) for row in got.tolist()] == want
+    """_quota_round_rows on the rows, laid out slot-major as the kernel
+    gathers them, is quota_round row by row."""
+    got = _quota_round_rows(k_req, np.array(rows, dtype=np.int64).T.copy())
+    assert got.dtype == np.int64
+    assert [tuple(row) for row in got.T.tolist()] == [
+        quota_round(k_req, row) for row in rows]
 
 
 @settings(max_examples=200, deadline=None)
@@ -286,8 +284,8 @@ def test_vectorized_rounding_at_residual_zero_and_k_minus_one(
 @settings(max_examples=100, deadline=None)
 @given(width=st.integers(1, 6), data=st.data())
 def test_vectorized_rounding_matches_scalar_near_the_node_limit(width, data):
-    # caps up to 2^20 (cli.MAX_NODES) beside small ones: six of them keep
-    # total * cap_bound * max(K, cap_bound) within 2^62.6, where the
+    # caps up to 2^20 (netgen.MAX_NODES) beside small ones: six of them
+    # keep total * cap_bound * max(K, cap_bound) within 2^62.6, where the
     # docstring's exactness bound is 2^63
     big = st.integers(2 ** 20 - 64, 2 ** 20)
     rows = data.draw(st.lists(
@@ -301,6 +299,16 @@ def test_vectorized_rounding_matches_scalar_near_the_node_limit(width, data):
     _assert_rows_match_scalar(k_req, rows)
 
 
+def test_rounding_bounds_hold_at_the_node_limit():
+    # the largest row total b, capacity and K a network can hold; the
+    # _quota_round_rows docstring needs b * cap_bound < 2^53 and
+    # b * cap_bound * max(K, cap_bound) < 2^63
+    b = cap = K = MAX_NODES
+    cap_bound = cap + 1
+    assert b * cap_bound < 2 ** 53
+    assert b * cap_bound * max(K, cap_bound) < 2 ** 63
+
+
 def test_one_rounding_piece_stays_within_the_piece_budget():
     # one piece of the m = 32, K = 32 kernel at the default max_attempts
     net = generate_network(32, 2.0, 320)
@@ -310,15 +318,15 @@ def test_one_rounding_piece_stays_within_the_piece_budget():
     caps = np.asarray(net.caps, dtype=np.int64)
     arrangement = np.argsort(np.random.default_rng(3).random((rows, 32)),
                              axis=1)
-    # row-major, and slot-major as the kernel gathers
-    for caps_rows in (caps[arrangement], caps.take(arrangement.T).T):
-        tracemalloc.start()
-        try:
-            _quota_round_rows(k_req, caps_rows, int(caps.max()) + 1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= _PIECE_BYTES
+    # slot-major, as the kernel gathers
+    caps_slots = caps.take(arrangement.T)
+    tracemalloc.start()
+    try:
+        _quota_round_rows(k_req, caps_slots)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= _PIECE_BYTES
 
 
 def test_one_class_rounding_piece_stays_within_the_piece_budget():

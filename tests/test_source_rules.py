@@ -6,7 +6,8 @@ vanishes under ``python -O``, and a bare AssertionError bypasses the CLI's
 exit-code mapping. Every module-level import is used in its module (the
 package's __init__, which re-exports, aside). The quota law and the row
 budget live in ``partition``: ``qverify`` imports nothing from ``lottery``,
-and no module imports a private name from it. ``dheac.__all__`` is a
+and no module imports a private name from it. The network-size limit
+lives in ``netgen``: no other module names MAX_NODES. ``dheac.__all__`` is a
 ratchet: it may shrink, but not grow past MAX_EXPORTS. So is each
 subcommand's count of settable values, its flags other than --help: it may
 shrink, but not grow past MAX_FLAGS, and --help lists every one of them.
@@ -123,6 +124,32 @@ def test_package_modules_keep_the_lottery_boundary():
              if (names := _lottery_imports(path.name,
                                            ast.parse(path.read_text())))}
     assert found == {}
+
+
+def _node_limit_names(tree: ast.AST) -> list[int]:
+    """Lines that name MAX_NODES in code: bound, read, as an attribute or
+    imported; prose in docstrings and comments is not code."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "MAX_NODES")
+        or (isinstance(node, ast.Attribute) and node.attr == "MAX_NODES")
+        or (isinstance(node, ast.ImportFrom)
+            and any(alias.name == "MAX_NODES" for alias in node.names)))
+
+
+def test_the_node_limit_rule_sees_each_form():
+    code = ('"""netgen.MAX_NODES in a docstring"""\n'
+            "from .netgen import MAX_NODES\n"
+            "from . import netgen\n"
+            "MAX_NODES = 2 ** 20  # MAX_NODES in a comment\n"
+            "cap = netgen.MAX_NODES\n"
+            "ok = MAX_NODES_SEEN = 1\n")
+    assert _node_limit_names(ast.parse(code)) == [2, 4, 5]
+
+
+def test_only_netgen_names_the_node_limit():
+    assert [path.name for path in SOURCES
+            if _node_limit_names(ast.parse(path.read_text()))] == ["netgen.py"]
 
 
 def _environment_reads(tree: ast.AST) -> list[int]:
