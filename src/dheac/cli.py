@@ -92,8 +92,7 @@ def _check_grid(args) -> None:
     for key in ("ms", "qs", "demands", "skews"):
         if not getattr(args, key, True):  # fairness has no q axis
             raise ValueError(f"{key} must hold at least one value")
-    m = max(args.ms)
-    check_network_size(m, args.nodes_per_qlan * m)
+    check_network_size(max(args.ms), NODES_PER_QLAN * max(args.ms))
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -114,9 +113,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _fmt_input(value) -> str:
+    """An input as '#' lines and file names record it: a float's 'g' text
+    if that reads back as the float, else its str (a float's always does)."""
+    if isinstance(value, float) and float(format(value, "g")) == value:
+        return format(value, "g")
+    return str(value)
+
+
 def _fmt_seq(values) -> str:
-    return ",".join(format(v, "g") if isinstance(v, float) else str(v)
-                    for v in values)
+    return ",".join(map(_fmt_input, values))
 
 
 def _dict_lines(fieldnames: list[str], rows):
@@ -150,7 +156,7 @@ def _write_csv(dest: str, comments: list[str], fieldnames: list[str],
 
 
 def _param_comment(params: ModelParams) -> str:
-    return " ".join(f"{key}={_fmt_seq([getattr(params, key)])}"
+    return " ".join(f"{key}={_fmt_input(getattr(params, key))}"
                     for key in _PARAM_KEYS)
 
 
@@ -172,7 +178,7 @@ _AXIS_FLAGS = {
 def _axes_comment(args, axes: tuple[str, ...]) -> str:
     cells = [f"{flag}={_fmt_seq(getattr(args, _AXIS_FLAGS[flag]['dest']))}"
              for flag in axes]
-    return " ".join(cells + [f"nodes_per_qlan={args.nodes_per_qlan}"])
+    return " ".join(cells + [f"nodes_per_qlan={NODES_PER_QLAN}"])
 
 
 # ModelParams field -> (type, help); each command names the fields it reads
@@ -219,8 +225,6 @@ def _add_point_flags(parser) -> None:
 def _add_grid_flags(parser, axes: tuple[str, ...]) -> None:
     for flag in axes:
         parser.add_argument("--" + flag, **_AXIS_FLAGS[flag])
-    parser.add_argument("--nodes-per-qlan", dest="nodes_per_qlan", type=int,
-                        default=NODES_PER_QLAN, help="total nodes = this * m")
 
 
 _CONTEXT_FIELDS = ["mode", "status", "m", "q", "demand", "skew", "total",
@@ -291,8 +295,8 @@ def _grid_rows(args, axes: tuple[str, ...], point_rows,
     grid = itertools.product(*(getattr(args, _AXIS_FLAGS[flag]["dest"])
                                for flag in axes))
     params = _model_params(args)
-    tasks = [(point_rows, args.nodes_per_qlan, params, idx,
-              dict(zip(names, values))) for idx, values in enumerate(grid)]
+    tasks = [(point_rows, params, idx, dict(zip(names, values)))
+             for idx, values in enumerate(grid)]
     workers = min(workers, len(tasks))
     if workers > 1:
         # only a pool pays for the import
@@ -311,9 +315,9 @@ def _grid_point(task) -> list[dict]:
 
     demand_to_kreq keeps k_req <= total, so no point is short of capacity.
     """
-    point_rows, nodes_per_qlan, params, idx, point = task
+    point_rows, params, idx, point = task
     m = point["m"]
-    net = generate_network(m, point["skew"], nodes_per_qlan * m)
+    net = generate_network(m, point["skew"], NODES_PER_QLAN * m)
     point.update(status="ok", total=net.total,
                  k_req=demand_to_kreq(point["demand"], net.total))
     params = replace(params, q=point.get("q", params.q))
@@ -385,7 +389,7 @@ def _ratio_svg(path: str, args, rows: list[dict], key: str,
     cell = {(r["m"], r["q"]): r[key] for r in rows
             if key in r and r["demand"] == demand and r["skew"] == skew}
     values = [[cell.get((m, q)) for m in args.ms] for q in args.qs]
-    title = f"{title}, demand={demand:g}, skew={skew:g}"
+    title = f"{title}, demand={_fmt_input(demand)}, skew={_fmt_input(skew)}"
     cw, ch = 86, 42
     left, top = 96, 64
     width = left + cw * len(args.ms) + 24
@@ -403,9 +407,9 @@ def _ratio_svg(path: str, args, rows: list[dict], key: str,
     for c, m in enumerate(args.ms):
         out.append(f'<text x="{left + c * cw + cw // 2 - 8}" '
                    f'y="{top - 8}">{m}</text>')
-    for r, q in enumerate(args.qs):
+    for r, q in enumerate(map(_fmt_input, args.qs)):
         y = top + r * ch
-        out.append(f'<text x="12" y="{y + ch // 2 + 4}">{q:g}</text>')
+        out.append(f'<text x="12" y="{y + ch // 2 + 4}">{q}</text>')
         for c, value in enumerate(values[r]):
             x = left + c * cw
             color = _ratio_color(value, lo, hi)
@@ -465,11 +469,11 @@ def _cmd_fairness(args) -> int:
         os.makedirs(args.ecdf_out, exist_ok=True)
         ecdf_rows = [r for r in rows if r["m"] == 16 and r["demand"] == 0.40]
         for r in ecdf_rows:
-            m, demand, skew = r["m"], r["demand"], r["skew"]
-            name = f"ecdf_m{m}_demand{demand:g}_skew{skew:g}.csv"
+            m, demand, skew = map(_fmt_input, (r["m"], r["demand"], r["skew"]))
+            name = f"ecdf_m{m}_demand{demand}_skew{skew}.csv"
             _write_csv(os.path.join(args.ecdf_out, name),
                        [f"dheac {__version__} fairness ecdf",
-                        f"m={m} demand={demand:g} skew={skew:g}"],
+                        f"m={m} demand={demand} skew={skew}"],
                        ["win_prob", "cum_fraction"],
                        (f"{_fmt(v)},{_fmt(c)}\n" for v, c in ecdf(r["probs"])))
         if not ecdf_rows and args.out != "-":
@@ -525,7 +529,8 @@ def _print_breakeven_summary(args, rows: list[dict]) -> None:
                     hit = r["m"]
                 parts.append(f"{mode}: " + ("not reached" if hit is None
                                             else f"m >= {hit}"))
-            print(f"q={q:g} demand={demand:g}  " + "; ".join(parts))
+            print(f"q={_fmt_input(q)} demand={_fmt_input(demand)}  "
+                  + "; ".join(parts))
 
 
 def _point_inputs(args) -> tuple[NetworkConfig, float | None, int,
@@ -541,8 +546,6 @@ def _point_inputs(args) -> tuple[NetworkConfig, float | None, int,
         raise ValueError("either --caps or --m is required")
     else:
         skew = 0.0 if args.skew is None else args.skew
-        if not 0.0 <= skew < math.inf:
-            raise ValueError(f"skew must be >= 0 and finite, got {skew}")
         total = NODES_PER_QLAN * args.m if args.total is None else args.total
         net = generate_network(args.m, skew, total)
     if (args.k_req is None) == (args.demand is None):
@@ -706,12 +709,13 @@ def _cmd_mc(args) -> int:
             del arrangement, quotas
 
     # a --caps network was generated from no skew
-    shape = f"m={net.m}" if skew is None else f"m={net.m} skew={skew:g}"
+    shape = (f"m={net.m}" if skew is None
+             else f"m={net.m} skew={_fmt_input(skew)}")
     comments = [f"dheac {__version__} mc",
                 f"chi={args.chi} seed={args.seed} trials={args.trials}",
                 f"{shape} total={net.total} "
                 f"caps={_fmt_seq(net.caps)} k_req={k_req} K={rec.K}",
-                _param_comment(params) + f" q={params.q:g}"]
+                _param_comment(params) + f" q={_fmt_input(params.q)}"]
     _write_csv(args.out, comments, MC_FIELDS, blocks())
 
     if args.out != "-":

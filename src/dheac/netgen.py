@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .errors import InvariantViolationError
+
 MAX_NODES = 2 ** 20  # QLANs, and nodes, of one network; bounds its arrays
 
 
@@ -66,10 +68,10 @@ def generate_network(m: int, skew: float, total: int) -> NetworkConfig:
     """Split ``total`` nodes over ``m`` QLANs with Zipf weight 1/i^skew.
 
     Each QLAN first receives the floor of its ideal share total*w_i/sum(w);
-    leftover units then go one at a time to the bins of largest weight
-    (ties resolved toward the lower index). Capacities are therefore
-    non-increasing in the QLAN index and sum exactly to ``total``. Raises
-    ValueError past MAX_NODES QLANs or nodes, before anything is allocated.
+    the 0 to m units left over go one each to the bins of largest weight
+    (ties toward the lower index), so capacities are non-increasing in the
+    QLAN index and sum exactly to ``total``. Raises ValueError past
+    MAX_NODES QLANs or nodes, before anything is allocated.
     """
     check_network_size(m, total)
     if m < 1:
@@ -83,21 +85,14 @@ def generate_network(m: int, skew: float, total: int) -> NetworkConfig:
     wsum = math.fsum(weights)
     caps = [math.floor(total * w / wsum) for w in weights]
     residual = total - sum(caps)
-    # residual < m in exact arithmetic; the loops below also absorb any
-    # off-by-one drift from the float shares without breaking conservation
+    # float shares lie within ulps of exact and total <= MAX_NODES, so the
+    # floors fall 0 to m short: m when every share rounds just below an int
+    if not 0 <= residual <= m:
+        raise InvariantViolationError(f"floors leave {residual} of {total} "
+                                      f"nodes over {m} QLANs")
     order = sorted(range(m), key=lambda i: (-weights[i], i))
-    j = 0
-    while residual > 0:
-        caps[order[j % m]] += 1
-        residual -= 1
-        j += 1
-    j = 0
-    while residual < 0:
-        i = order[m - 1 - (j % m)]
-        if caps[i] > 0:
-            caps[i] -= 1
-            residual += 1
-        j += 1
+    for i in order[:residual]:
+        caps[i] += 1
     return NetworkConfig(tuple(caps))
 
 

@@ -43,7 +43,9 @@ from dheac.cli import (
     MC_FIELDS,
     _ascii_cells,
     _dump_text,
+    _float_list,
     _fmt,
+    _fmt_seq,
     main,
 )
 
@@ -176,6 +178,17 @@ def test_ratio_heatmaps_have_one_cell_per_m_and_q(argv, tmp_path):
     assert "n/a" not in text
 
 
+def test_heatmap_labels_name_inputs_as_given(tmp_path):
+    svg = tmp_path / "map.svg"
+    assert main(["breakeven", "--ms", "4,8", "--qs", "0.0512345678",
+                 "--demands", "0.4000001", "--skew", "1.0000001",
+                 "--out", str(tmp_path / "be.csv"),
+                 "--svg", str(svg)]) == EXIT_OK
+    text = svg.read_text()
+    assert "demand=0.4000001, skew=1.0000001</text>" in text
+    assert '">0.0512345678</text>' in text
+
+
 def test_breakeven_rows_are_the_sweep_analytic_rows(tmp_path):
     axes = ["--ms", "2,4,8", "--qs", "0.01,0.1", "--demands", "0.2,0.6"]
     sweep = tmp_path / "sweep.csv"
@@ -219,8 +232,7 @@ def test_grid_points_are_never_short_of_capacity(m, skew, nodes_per_qlan,
 # one run of each command, one argument per line as an args file holds it
 ARGS_FILE_RUNS = {
     "sweep": ["--ms=4,8", "--qs=0.05", "--demands=0.4", "--skews=0,1",
-              "--nodes-per-qlan=6", "--t-dist=0.1", "--mode=both",
-              "--trials=50"],
+              "--t-dist=0.1", "--mode=both", "--trials=50"],
     "fairness": ["--ms=4", "--demands=0.4", "--skews=1", "--beta=0.2",
                  "--method=mc", "--trials=200"],
     "breakeven": ["--ms=4,8", "--qs=0.05,0.1", "--skew=0.5", "--rounds=2"],
@@ -278,7 +290,9 @@ def test_args_file_overrides_and_validation(tmp_path):
     pytest.param("--ms=4.7", "argument --ms: ", id="ms-4.7"),
     # a count is written as one: 4.0 is no QLAN count
     pytest.param("--ms=4.0", "argument --ms: ", id="ms-4.0"),
-    pytest.param("--nodes-per-qlan=10.5", "argument --nodes-per-qlan: ",
+    # grid networks hold NODES_PER_QLAN nodes per QLAN; no flag sets it
+    pytest.param("--nodes-per-qlan=10.5",
+                 "unrecognized arguments: --nodes-per-qlan=10.5",
                  id="nodes_per_qlan-10.5"),
     pytest.param("--rounds=true", "argument --rounds: ", id="rounds-true"),
     pytest.param("--ms=,", "ms must hold at least one value", id="ms-empty"),
@@ -374,6 +388,29 @@ def test_fairness_ecdf_side_files(tmp_path):
     assert float(rows[-1]["cum_fraction"]) == pytest.approx(1.0)
 
 
+def test_fairness_ecdf_files_of_distinct_skews_stay_distinct(tmp_path):
+    ecdf_dir = tmp_path / "ecdf"
+    assert main(["fairness", "--trials", "10000", "--ms", "16", "--demands",
+                 "0.4", "--skews", "1,1.0000001",
+                 "--out", str(tmp_path / "fair.csv"),
+                 "--ecdf-out", str(ecdf_dir)]) == EXIT_OK
+    headers = {}
+    for path in ecdf_dir.iterdir():
+        comments, _, _ = read_csv(path)
+        headers[path.name] = comments[1]
+    assert headers == {
+        "ecdf_m16_demand0.4_skew1.csv": "# m=16 demand=0.4 skew=1",
+        "ecdf_m16_demand0.4_skew1.0000001.csv":
+            "# m=16 demand=0.4 skew=1.0000001"}
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=4))
+def test_recorded_float_inputs_read_back_as_themselves(values):
+    assert _float_list(_fmt_seq(values)) == tuple(values)
+
+
 def test_fairness_ecdf_out_without_its_point_writes_no_file(tmp_path,
                                                            capsys):
     ecdf_dir = tmp_path / "ecdf"
@@ -429,6 +466,10 @@ def test_breakeven_matrix(tmp_path, capsys):
     # all three m read below 1 in both modes, listed largest first
     (["--ms", "64,32,16", "--qs", "0.05"],
      ["q=0.05 demand=0.4  optimistic: m >= 16; conservative: m >= 16"]),
+    # inputs are named as given, not rounded to 6 digits
+    (["--ms", "64,32,16", "--qs", "0.0512345678", "--demands", "0.4000001"],
+     ["q=0.0512345678 demand=0.4000001  optimistic: m >= 16; "
+      "conservative: m >= 16"]),
 ])
 def test_breakeven_summary_names_the_m_from_which_every_larger_m_wins(
         argv, summary, tmp_path, capsys):
@@ -923,11 +964,11 @@ def test_verify_quantum_rejects_draws_beyond_int64(capsys, monkeypatch):
 
 # each names more than MAX_NODES QLANs or nodes
 @pytest.mark.parametrize("argv", [
-    ["fairness", "--ms", "4", "--demands", "0.4", "--skews", "1",
-     "--nodes-per-qlan", "1000000000"],
-    ["sweep", "--ms", "4", "--qs", "0.05", "--demands", "0.4", "--skews",
-     "1", "--nodes-per-qlan", "1000000000", "--mode", "mc", "--trials", "10"],
-    ["breakeven", "--ms", "2000000", "--qs", "0.05", "--nodes-per-qlan", "0"],
+    # 1,100,000 nodes over fewer than MAX_NODES QLANs
+    ["fairness", "--ms", "110000", "--demands", "0.4", "--skews", "1"],
+    ["sweep", "--ms", "110000", "--qs", "0.05", "--demands", "0.4", "--skews",
+     "1", "--mode", "mc", "--trials", "10"],
+    ["breakeven", "--ms", "2000000", "--qs", "0.05"],
     ["mc", "--m", "4", "--total", "4000000000", "--demand", "0.4",
      "--trials", "10"],
     ["mc", "--m", str(2 ** 20 + 1), "--total", "10", "--k-req", "4"],

@@ -25,13 +25,11 @@ FILE_PARAMS = ("t_gen=3.5 t_dist=0.05 t_meas=1 t_ctl=0.5 rounds=2 beta=0.2 "
                "max_attempts=4")
 # the lines of the args file that "@FILE" names, per command
 SWEEP_FILE = ["--ms=4,8", "--qs=0.1", "--demands=0.2", "--skews=0.5",
-              "--nodes-per-qlan=6", "--t-gen=3.5", "--rounds=2",
-              "--max-attempts=4", "--beta=0.2"]
+              "--t-gen=3.5", "--rounds=2", "--max-attempts=4", "--beta=0.2"]
 ARGS_FILES = {
     "sweep": SWEEP_FILE,
     # fairness has no q axis and takes no constant but --beta
-    "fairness": ["--ms=4,8", "--demands=0.2", "--skews=0.5",
-                 "--nodes-per-qlan=6", "--beta=0.2"],
+    "fairness": ["--ms=4,8", "--demands=0.2", "--skews=0.5", "--beta=0.2"],
     # breakeven has one skew
     "breakeven": [line.replace("--skews", "--skew") for line in SWEEP_FILE],
 }
@@ -53,7 +51,7 @@ BREAKEVEN_TAIL = ["# ratio_thr_* = baseline throughput / lottery throughput; "
      SWEEP_HEAD + ["# ms=4,8 qs=0.05,0.1 demands=0.4 skews=0,0.5,1,1.5,2 "
                    "nodes_per_qlan=10", "# " + PARAMS] + SWEEP_TAIL),
     (["sweep", "@FILE"], SWEEP_HEAD + [
-        "# ms=4,8 qs=0.1 demands=0.2 skews=0.5 nodes_per_qlan=6",
+        "# ms=4,8 qs=0.1 demands=0.2 skews=0.5 nodes_per_qlan=10",
         "# " + FILE_PARAMS] + SWEEP_TAIL),
     (["fairness", "--trials", "10"], FAIRNESS_HEAD + [
         "# ms=4,8,16,32 demands=0.1,0.2,0.4,0.6 skews=0,0.5,1,1.5,2 "
@@ -63,7 +61,7 @@ BREAKEVEN_TAIL = ["# ratio_thr_* = baseline throughput / lottery throughput; "
                       "nodes_per_qlan=10", "# " + PARAMS] + FAIRNESS_TAIL),
     # fairness takes beta alone, and prints the other constants' defaults
     (["fairness", "@FILE", "--trials", "10"], FAIRNESS_HEAD + [
-        "# ms=4,8 demands=0.2 skews=0.5 nodes_per_qlan=6",
+        "# ms=4,8 demands=0.2 skews=0.5 nodes_per_qlan=10",
         "# " + PARAMS.replace("beta=0.1", "beta=0.2")] + FAIRNESS_TAIL),
     (["breakeven"], ["# dheac 0.1.0 breakeven",
                      "# skew=1 ms=2,4,8,16,32,64 qs=0.01,0.05,0.1,0.15 "
@@ -75,7 +73,7 @@ BREAKEVEN_TAIL = ["# ratio_thr_* = baseline throughput / lottery throughput; "
       "# " + PARAMS] + BREAKEVEN_TAIL),
     (["breakeven", "@FILE"], [
         "# dheac 0.1.0 breakeven",
-        "# skew=0.5 ms=4,8 qs=0.1 demands=0.2 nodes_per_qlan=6",
+        "# skew=0.5 ms=4,8 qs=0.1 demands=0.2 nodes_per_qlan=10",
         "# " + FILE_PARAMS] + BREAKEVEN_TAIL),
     (["mc", "--m", "4", "--k-req", "4", "--trials", "5"], [
         "# dheac 0.1.0 mc", "# chi=conservative seed=42 trials=5",
@@ -88,6 +86,17 @@ BREAKEVEN_TAIL = ["# ratio_thr_* = baseline throughput / lottery throughput; "
         "# m=4 skew=0 total=40 caps=10,10,10,10 k_req=4 K=1",
         "# t_gen=2 t_dist=0.05 t_meas=1 t_ctl=0.25 rounds=3 beta=0.2 "
         "max_attempts=2 q=0.1"]),
+    # an input that 'g' would round to 6 digits is recorded as given
+    (["sweep", "--ms", "4", "--qs", "0.0512345678", "--demands", "0.4",
+      "--skews", "1", "--t-dist", "0.1234567"], SWEEP_HEAD + [
+        "# ms=4 qs=0.0512345678 demands=0.4 skews=1 nodes_per_qlan=10",
+        "# " + PARAMS.replace("t_dist=0.05", "t_dist=0.1234567")]
+     + SWEEP_TAIL),
+    (["mc", "--m", "4", "--skew", "1.0000001", "--k-req", "4", "--trials",
+      "5", "--q", "0.0512345678"], [
+        "# dheac 0.1.0 mc", "# chi=conservative seed=42 trials=5",
+        "# m=4 skew=1.0000001 total=40 caps=20,10,6,4 k_req=4 K=2",
+        "# " + PARAMS + " q=0.0512345678"]),
 ])
 def test_comment_lines_keep_their_bytes(argv, comments, tmp_path):
     args_file = tmp_path / "run.args"

@@ -3,10 +3,12 @@ import math
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from dheac import NetworkConfig, Request, demand_to_kreq, generate_network
+from dheac import (InvariantViolationError, NetworkConfig, Request,
+                   demand_to_kreq, generate_network)
+from dheac import netgen
 from dheac.netgen import MAX_NODES
 
 
@@ -38,6 +40,62 @@ def test_network_invariants(m, skew, scale):
     assert sum(net.caps) == net.total == scale * m
     assert all(c >= 0 for c in net.caps)
     assert net.caps == tuple(sorted(net.caps, reverse=True))
+
+
+def _two_loop_caps(m, skew, total):
+    """The earlier leftover step: units go round the weight order one at a
+    time while any are left, and come back off its tail while too many
+    were given."""
+    weights = [float(i) ** -skew for i in range(1, m + 1)]
+    wsum = math.fsum(weights)
+    caps = [math.floor(total * w / wsum) for w in weights]
+    residual = total - sum(caps)
+    order = sorted(range(m), key=lambda i: (-weights[i], i))
+    j = 0
+    while residual > 0:
+        caps[order[j % m]] += 1
+        residual -= 1
+        j += 1
+    j = 0
+    while residual < 0:
+        i = order[m - 1 - (j % m)]
+        if caps[i] > 0:
+            caps[i] -= 1
+            residual += 1
+        j += 1
+    return tuple(caps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 2000), skew=st.floats(0.0, 8.0),
+       total=st.integers(0, MAX_NODES))
+@example(m=4, skew=1.0, total=431075)  # a leftover of m
+def test_the_one_step_leftover_gives_the_caps_of_the_two_loops(m, skew,
+                                                               total):
+    assert generate_network(m, skew, total).caps == _two_loop_caps(m, skew,
+                                                                   total)
+
+
+def test_every_share_can_floor_one_low():
+    # the exact shares 206916, 103458, 68972, 51729 are integers, and each
+    # float share falls just below one, so all four units come back
+    weights = [1.0, 1 / 2, 1 / 3, 1 / 4]
+    wsum = math.fsum(weights)
+    assert [math.floor(431075 * w / wsum) for w in weights] == [
+        206915, 103457, 68971, 51728]
+    assert generate_network(4, 1.0, 431075).caps == (206916, 103458, 68972,
+                                                     51729)
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+def test_a_leftover_outside_zero_to_m_is_an_invariant_violation(scale,
+                                                                monkeypatch):
+    # a weight sum off by half or double makes the floors overshoot total,
+    # or fall short of it by more than m
+    fsum = math.fsum
+    monkeypatch.setattr(netgen.math, "fsum", lambda ws: scale * fsum(ws))
+    with pytest.raises(InvariantViolationError, match="floors leave"):
+        generate_network(4, 1.0, 40)
 
 
 def test_generate_network_rejects_bad_args():

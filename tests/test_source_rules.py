@@ -33,7 +33,7 @@ SOURCES = sorted(pathlib.Path(dheac.__file__).parent.glob("*.py"))
 README = pathlib.Path(__file__).parents[1] / "README.md"
 MAX_EXPORTS = 31
 MAX_README_LINES = 274
-MAX_FLAGS = {"sweep": 19, "fairness": 10, "breakeven": 14,
+MAX_FLAGS = {"sweep": 18, "fairness": 9, "breakeven": 13,
              "verify-quantum": 11, "mc": 18}
 
 
