@@ -211,9 +211,10 @@ def _block_rows(m: int, K: int, M: int) -> int:
     The block size sets how many rounds each whole-block draw takes, and so
     every kernel stream: the formula is frozen for that reason alone. Its
     words per row no longer describe what a block holds, which is its
-    (t, K) arrangement and quotas, the three selection-group outcome
-    tables and the (2, t) accounting rows; everything else lives one row
-    piece (_piece_rows) at a time. A test pins its values over a grid.
+    (t, K) arrangement and quotas in the narrowest unsigned dtypes and a
+    few per-row results; every outcome table and int64 (rows, K) array
+    lives one row piece (_piece_rows) at a time. A test pins its values
+    over a grid.
     Raises CapacityError when a single row exceeds the budget: a huge
     max_attempts M, or m and K near netgen.MAX_NODES.
     """
@@ -232,8 +233,10 @@ def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
 
     Each tuple is (arrangement, quotas, succeeded, attempts_total, latency):
     the (t, K) winners in arrangement order (not sorted) with their quotas,
-    then three (2, t) arrays holding run_trial's accounting of the same
-    rounds, one row per LATENCY_MODES entry. Delivery is one multinomial per
+    in the smallest unsigned dtypes that hold m - 1 and k_req (widen them
+    before arithmetic: numpy computes uint8 * int in uint8), then three
+    (2, t) arrays holding run_trial's accounting of the same rounds, one
+    row per LATENCY_MODES entry. Delivery is one multinomial per
     group of qubits (the K winner selection qubits, the m - K non-winner
     ones, the ancilla register, and each quota block), with the law of
     run_trial's per-qubit draws; node identities are not drawn. The
@@ -242,8 +245,12 @@ def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
     every selection qubit, conservative also the ancilla register, and both
     share the quota blocks. So a round that succeeds conservatively also
     succeeds optimistically, and never takes fewer attempts or less latency.
-    Blocks fit a fixed memory budget, and inside a block the arrangements
-    are drawn and the quota blocks reduced a row piece at a time, so peak
+    Blocks fit a fixed memory budget. Inside a block every draw goes a row
+    piece at a time, in the order one whole-block draw takes them (the
+    permutations, the winner, non-winner and ancilla groups, then the quota
+    blocks, each piece rounded just before its draw), and each piece is
+    reduced at once to per-row flags and attempts. So a block keeps only
+    those per-row results and its narrow arrangement and quotas, and peak
     memory does not grow with m. The arguments are checked before anything
     is drawn: raises CapacityError when one trial's outcome table alone
     exceeds that budget, and ValueError when the largest latency a round can
@@ -259,7 +266,11 @@ def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
     # per row of a piece: the identity and permuted arrangements, the
     # rounding temporaries, the quota-block outcome table and its attempts
     piece = _piece_rows(2 * m + K * (M + 12))
+    # per row of a selection group's piece: its outcome counts, attempts
+    # and their temporaries
+    group_piece = _piece_rows(M + 5)
     caps = np.asarray(net.caps, dtype=np.int64)
+    ids = np.min_scalar_type(m - 1)
     pvals, cost = _delivery_law(params.q, M)
     base = params.t_gen + params.t_meas
     # every qubit of a round spends all M attempts; lat below is computed
@@ -272,64 +283,84 @@ def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
 
     def blocks_of_rounds():
         # the identity rows each piece's permutations start from, and one
-        # buffer that holds each piece's permutations in turn
+        # int64 buffer that holds each piece's permutations in turn
+        # (rng.permuted is slower on narrower rows)
         ident = np.tile(np.arange(m, dtype=np.int64), (min(piece, block), 1))
         perm = np.empty_like(ident)
+
+        def drawn(n, t):
+            # the outcome counts of one selection group of n qubits over t
+            # rounds, piece by piece (a scalar-n multinomial draws row
+            # after row)
+            for first in range(0, t, group_piece):
+                rows = min(group_piece, t - first)
+                yield (slice(first, first + rows),
+                       rng.multinomial(n, pvals, size=rows))
+
         for start in range(0, trials, block):
             t = min(block, trials - start)
             # each row: one round's first K QLANs of a uniformly random
-            # permutation, in arrangement order, and quota_round of their
-            # capacities, filled a piece at a time (rng.permuted shuffles
-            # row after row, so the pieces draw what one whole call would)
-            arrangement, quotas = np.empty((2, t, K), dtype=np.int64)
+            # permutation, in arrangement order, filled a piece at a time
+            # (rng.permuted shuffles row after row, so the pieces draw what
+            # one whole call would)
+            arrangement = np.empty((t, K), dtype=ids)
             for first in range(0, t, piece):
-                part = slice(first, first + piece)
                 rows = perm[:min(piece, t - first)]
                 rng.permuted(ident[:len(rows)], axis=1, out=rows)
-                arrangement[part] = rows[:, :K]
-                # gathered slot-major, the layout the rounding works in
-                quotas[part] = _quota_round_rows(
-                    req.k_req, caps.take(arrangement[part].T)).T
-            winners = rng.multinomial(K, pvals, size=t)
-            others = rng.multinomial(m - K, pvals, size=t)
-            ancilla = rng.multinomial(ell, pvals, size=t)
+                arrangement[first:first + len(rows)] = rows[:, :K]
+
+            # rows filled in place: building them with np.stack measured
+            # 3 MB more peak RSS on the mc_grid benchmark, though not more
+            # traced memory (allocator fragmentation). ok[1] holds the
+            # non-winner and ancilla flags until the quota blocks are in;
+            # stage one ships every selection qubit, conservative also the
+            # ancillas, and the optimistic row counts only the winners'
+            # attempts
+            ok = np.empty((2, t), dtype=bool)
+            attempts = np.empty((2, t), dtype=np.int64)
+            stage1 = np.empty((2, t), dtype=np.int64)
+            for part, out in drawn(K, t):
+                np.equal(out[:, M], 0, out=ok[0, part])
+                attempts[0, part] = _attempts(out, K, cost)
+            for part, out in drawn(m - K, t):
+                np.equal(out[:, M], 0, out=ok[1, part])
+                np.add(attempts[0, part], _attempts(out, m - K, cost),
+                       out=stage1[0, part])
+            for part, out in drawn(ell, t):
+                ok[1, part] &= out[:, M] == 0
+                np.add(stage1[0, part], _attempts(out, ell, cost),
+                       out=stage1[1, part])
+            attempts[1] = stage1[1]
             # the quota blocks piece by piece (an array-n multinomial draws
-            # row after row), each piece's (rows, K, M + 1) outcome table
-            # reduced at once to whether every block was delivered and to
-            # the sum and maximum of their attempts
-            delivered = np.empty(t, dtype=bool)
-            block_sum, block_max = np.empty((2, t), dtype=np.int64)
+            # row after row), each piece rounded just before its draw and
+            # its (rows, K, M + 1) outcome table reduced at once to whether
+            # every block was delivered and to the sum and maximum of their
+            # attempts; the block keeps only a narrow copy of the quotas
+            quotas = np.empty((t, K), dtype=np.min_scalar_type(req.k_req))
+            block_max = np.empty(t, dtype=np.int64)
             for first in range(0, t, piece):
                 part = slice(first, first + piece)
-                blocks = rng.multinomial(quotas[part], pvals)
+                # rounded slot-major, then copied to contiguous int64 rows
+                # for the draw and _attempts: narrow quotas would wrap in
+                # its products
+                arranged = np.ascontiguousarray(_quota_round_rows(
+                    req.k_req, caps.take(arrangement[part].T)).T)
+                quotas[part] = arranged
+                blocks = rng.multinomial(arranged, pvals)
                 # slot-major copies: a reduction over a row's K blocks is
                 # then K - 1 operations on whole columns
                 failed = np.ascontiguousarray(blocks[:, :, M].T)
                 block_att = np.ascontiguousarray(
-                    _attempts(blocks, quotas[part], cost).T)
-                del blocks
-                np.logical_not(failed.any(axis=0), out=delivered[part])
-                block_att.sum(axis=0, out=block_sum[part])
+                    _attempts(blocks, arranged, cost).T)
+                del blocks, arranged
+                ok[0, part] &= ~failed.any(axis=0)
+                attempts[:, part] += block_att.sum(axis=0)
                 block_att.max(axis=0, out=block_max[part])
                 del failed, block_att
-            # rows filled in place: building them with np.stack measured
-            # 3 MB more peak RSS on the mc_grid benchmark, though not more
-            # traced memory (allocator fragmentation)
-            ok = np.empty((2, t), dtype=bool)
-            np.logical_and(winners[:, M] == 0, delivered, out=ok[0])
-            np.logical_and(ok[0], (others[:, M] == 0) & (ancilla[:, M] == 0),
-                           out=ok[1])
-            # stage one ships every selection qubit, conservative also the
-            # ancillas; the optimistic row counts only the winners' attempts
-            win_att = _attempts(winners, K, cost)
-            stage1 = np.empty((2, t), dtype=np.int64)
-            np.add(win_att, _attempts(others, m - K, cost), out=stage1[0])
-            np.add(stage1[0], _attempts(ancilla, ell, cost), out=stage1[1])
-            attempts = np.stack((win_att, stage1[1]))
-            attempts += block_sum
+            ok[1] &= ok[0]
             lat = (base + params.t_dist * stage1) + (
                 base + params.t_dist * block_max)
-            del winners, others, ancilla, block_sum, block_max, stage1
+            del stage1, block_max
             yield arrangement, quotas, ok, attempts, lat
             # free this block's (t, K) arrays before the next block is drawn
             del arrangement, quotas

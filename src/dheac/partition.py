@@ -46,44 +46,50 @@ def _validate_caps(caps) -> tuple[int, ...]:
     return ints
 
 
-def _ceil_stable(x: float) -> int:
-    """Ceiling that forgives float dust just above an integer.
-
-    (1 + 0.1) * 20 evaluates to 22.000000000000004 in binary floating
-    point; a bare ceil would inflate the target by one unit.
-    """
-    f = math.floor(x)
-    if x - f <= 1e-9 * max(1.0, abs(x)):
-        return f
-    return f + 1
-
-
 def safe_select_k(k_req: int, caps, beta: float = 0.0) -> int:
     """Smallest K such that every K-subset of QLANs can cover the request.
 
     The margin beta inflates the coverage target to ceil((1+beta)*k_req)
     when total capacity allows it, and falls back to k_req otherwise (an
-    overflow to infinity, from a huge beta, included).
+    overflow to infinity, from a huge beta, included). The ceiling forgives
+    float dust just above an integer: (1 + 0.1) * 20 evaluates to
+    22.000000000000004, and a bare ceil would inflate the target by one.
     Because the minimum over K-subsets of the capacity sum is attained by
     the K smallest caps, K is found by scanning ascending prefix sums.
 
     Raises ResourceShortageError when sum(caps) < k_req.
     """
-    caps = _validate_caps(caps)
-    if k_req < 1:
-        raise ValueError(f"k_req must be >= 1, got {k_req}")
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    total = sum(caps)
-    if total < k_req:
-        raise ResourceShortageError(
-            f"total capacity {total} cannot cover k_req={k_req}")
+    try:
+        # a tuple of valid caps is read once: its sum is an int only when
+        # every cap is an int (a bool counts as its int)
+        ordered = sorted(caps) if type(caps) is tuple else None
+        total = sum(ordered)
+        valid = (type(total) is int and total >= k_req >= 1 and beta >= 0
+                 and ordered[0] >= 0)
+    except TypeError:
+        valid = False
+    if not valid:
+        # other containers and every error, checked in this order
+        ordered = sorted(_validate_caps(caps))
+        if k_req < 1:
+            raise ValueError(f"k_req must be >= 1, got {k_req}")
+        if beta < 0:
+            raise ValueError(f"beta must be >= 0, got {beta}")
+        total = sum(ordered)
+        if total < k_req:
+            raise ResourceShortageError(
+                f"total capacity {total} cannot cover k_req={k_req}")
     target = (1.0 + beta) * k_req
-    target = _ceil_stable(target) if math.isfinite(target) else k_req
+    if math.isfinite(target):
+        floor = math.floor(target)
+        target = (floor if target - floor <= 1e-9 * max(1.0, abs(target))
+                  else floor + 1)
+    else:
+        target = k_req
     if target > total:
         target = k_req
     prefix = 0
-    for count, c in enumerate(sorted(caps), start=1):
+    for count, c in enumerate(ordered, start=1):
         prefix += c
         if prefix >= target:
             return count

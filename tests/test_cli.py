@@ -1,5 +1,6 @@
 """End-to-end command tests through main(), exercising every exit code."""
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -409,6 +410,43 @@ def test_fairness_ecdf_files_of_distinct_skews_stay_distinct(tmp_path):
                 min_size=1, max_size=4))
 def test_recorded_float_inputs_read_back_as_themselves(values):
     assert _float_list(_fmt_seq(values)) == tuple(values)
+
+
+def test_grid_rows_of_distinct_points_stay_distinct(capsys):
+    # .10g text would write 0.05123456789 in both q cells
+    assert main(["sweep", "--ms", "4", "--qs",
+                 "0.051234567891,0.051234567892", "--demands", "0.4",
+                 "--skews", "1", "--out", "-"]) == EXIT_OK
+    rows = list(csv.DictReader(
+        line for line in capsys.readouterr().out.splitlines()
+        if not line.startswith("#")))
+    assert [r["q"] for r in rows] == ["0.051234567891", "0.051234567892"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.floats(0.0, 0.99), demand=st.floats(0.01, 1.0),
+       skew=st.floats(0.0, 3.0), m=st.integers(1, 40))
+def test_grid_axis_cells_read_back_as_their_point(q, demand, skew, m):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["breakeven", "--ms", str(m), "--qs", repr(q),
+                     "--demands", repr(demand), "--skew", repr(skew),
+                     "--out", "-"]) == EXIT_OK
+    row, = csv.DictReader(line for line in out.getvalue().splitlines()
+                          if not line.startswith("#"))
+    assert ((int(row["m"]), float(row["q"]), float(row["demand"]),
+             float(row["skew"])) == (m, q, demand, skew))
+
+
+def test_canonical_axis_values_keep_their_grid_cell_text():
+    # every default and benchmark axis value, and the golden edge argv's,
+    # writes the same text as the .10g cells did, so no golden file moves
+    values = {*cli.GRID_MS, *cli.GRID_QS, *cli.GRID_DEMANDS,
+              *cli.GRID_SKEWS, *cli.BREAKEVEN_MS, 1.0, 0.99, 0.6, 32}
+    values |= {float(v) for text in ("0.05,0.15", "0.1,0.2,0.4,0.6", "0,2")
+               for v in text.split(",")}
+    assert {v: cli._fmt_input(v) for v in values} == {
+        v: _fmt(v) for v in values}
 
 
 def test_fairness_ecdf_out_without_its_point_writes_no_file(tmp_path,

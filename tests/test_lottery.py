@@ -7,8 +7,10 @@ tolerances. Lossy behaviour is checked statistically under frozen seeds.
 
 import itertools
 import math
+import operator
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -236,13 +238,28 @@ def _traced_peak(run) -> int:
 
 def test_row_pieces_bound_the_traced_peak_at_a_canonical_point():
     # whole-block temporaries peaked at 15.8 MB (batch_stats) and 6.8 MB
-    # (estimate_fairness) here; row pieces keep them near 6.1 and 1.6 MB
+    # (estimate_fairness) here; row pieces keep them near 2.0 and 1.6 MB
     net = generate_network(32, 2.0, 320)
     req = Request(demand_to_kreq(0.6, net.total))
     assert _traced_peak(lambda: lottery.batch_stats(
         net, req, ModelParams(), 20000, trial_rng(61))) < 10 * 10 ** 6
     assert _traced_peak(lambda: estimate_fairness(
         net, req, 100000, trial_rng(61))) < 4 * 10 ** 6
+
+
+@pytest.mark.parametrize("m, M, bound", [(32, 3, 3), (32, 40, 3),
+                                         (1024, 3, 4)])
+def test_a_kernel_block_keeps_no_int64_block_state(m, M, bound):
+    # a block keeps its ids and quotas narrow and each selection group as
+    # per-row results (traced here: 2.0, 2.1 and 2.7 MB); int64 (t, K)
+    # arrays or whole-block (t, M + 1) outcome tables break these bounds
+    net = generate_network(m, 2.0, 10 * m)
+    req = Request(demand_to_kreq(0.6, net.total))
+    params = ModelParams(max_attempts=M)
+    # a first call pays numpy's lazy imports
+    lottery.batch_stats(net, req, params, 10, trial_rng(0))
+    assert _traced_peak(lambda: lottery.batch_stats(
+        net, req, params, 20000, trial_rng(61))) <= bound * 10 ** 6
 
 
 def test_sampled_fairness_memory_does_not_grow_with_the_trials():
@@ -314,16 +331,27 @@ def _whole_block_fairness(net, req, trials, rng):
     return lottery._node_probs(net.caps, classes, sizes, quota_sums, trials)
 
 
+def _narrow(top: int):
+    """The unsigned dtype the kernel keeps values 0..top in."""
+    assert 0 <= top < 2 ** 16
+    return np.dtype(np.uint8 if top < 2 ** 8 else np.uint16)
+
+
 def _assert_rounds_match(net, req, params, trials):
+    """sample_rounds yields the reference's values, block for block, with
+    its ids and quotas narrowed and every per-row array at full width."""
     rng, ref_rng = trial_rng(7), trial_rng(7)
     got = list(sample_rounds(net, req, params, trials, rng))
     want = list(_whole_block_rounds(net, req, params, trials, ref_rng))
     assert len(got) == len(want)
+    dtypes = (_narrow(net.m - 1), _narrow(req.k_req), np.dtype(bool),
+              np.dtype(np.int64), np.dtype(np.float64))
     for got_arrays, want_arrays in zip(got, want):
-        for a, b in zip(got_arrays, want_arrays):
-            assert a.dtype == b.dtype
+        for a, b, dtype in zip(got_arrays, want_arrays, dtypes, strict=True):
+            assert a.dtype == dtype
             assert np.array_equal(a, b)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return len(got)
 
 
 def _assert_fairness_matches(net, req, trials):
@@ -395,13 +423,26 @@ def test_row_pieces_draw_what_whole_blocks_draw_around_a_piece(
      13),
     # skewed caps at K = m: every row has the same capacity sum
     (generate_network(8, 2.0, 80), 32, LOSSY, 8),
+    # uint16 QLAN ids
+    (generate_network(300, 1.0, 3000), 1800, LOSSY, 296),
+    # uint8 quotas up to 200 whose attempts reach 600: they must be widened
+    # before any arithmetic
+    (NetworkConfig.from_caps((250, 250, 250)), 200,
+     ModelParams(q=0.3, max_attempts=3), 1),
+    # uint16 quotas
+    (generate_network(64, 2.0, 640), 600, LOSSY, 64),
+    # the canonical m = 32 point at max_attempts 40
+    (generate_network(32, 2.0, 320), 192, ModelParams(q=0.3, max_attempts=40),
+     32),
 ], ids=["m16", "K=m", "K=1", "max_attempts=40", "zero-caps",
-        "max_attempts=1", "max_attempts=2", "K=m-skew2"])
+        "max_attempts=1", "max_attempts=2", "K=m-skew2", "m300",
+        "quota*M>255", "k_req600", "m32-max_attempts=40"])
 def test_row_pieces_draw_what_whole_blocks_draw_across_blocks(net, k_req,
                                                               params, K):
     assert safe_select_k(k_req, net.caps, params.beta) == K
-    _assert_rounds_match(net, Request(k_req), params, lottery._BLOCK + 1)
-    _assert_fairness_matches(net, Request(k_req), lottery._BLOCK + 1)
+    trials = lottery._BLOCK + 1
+    assert _assert_rounds_match(net, Request(k_req), params, trials) >= 2
+    _assert_fairness_matches(net, Request(k_req), trials)
 
 
 def _key_window() -> int:
@@ -665,6 +706,67 @@ def test_exact_probs_over_compositions_match_subset_enumeration(caps, data):
     fixed = (ref == 0) | (ref == 1)
     assert np.array_equal(got[fixed], ref[fixed])
     assert np.array_equal((got == 0) | (got == 1), fixed)
+
+
+def _fair_share_probs(net, req, beta=lottery.DEFAULT_BETA) -> list:
+    """Per-node win probabilities, as Fractions, of any floor-or-ceiling
+    quota policy whose expected quota is each winner's exact share
+    k_req * c / C_S: a node of a winner QLAN then wins k_req / C_S in
+    expectation, so it wins E[k_req / C_S * 1{i in S}] over the uniform
+    K-subsets S. Summed over capacity-class compositions: j_c winners of
+    the n_c QLANs of capacity c, reached by prod C(n_c, j_c) subsets, in
+    j_c / n_c of which a given class-c QLAN wins."""
+    K = safe_select_k(req.k_req, net.caps, beta)
+    classes, sizes = (a.tolist() for a in _capacity_classes(net.caps))
+    per_class = [Fraction(0)] * len(classes)
+    for counts in partition.enum_partitions(K, sizes):
+        ways = math.prod(map(math.comb, sizes, counts))
+        share = Fraction(ways * req.k_req, sum(map(
+            operator.mul, classes, counts)))
+        for c, (j, n) in enumerate(zip(counts, sizes)):
+            per_class[c] += share * Fraction(j, n)
+    by_cap = dict(zip(classes, per_class))
+    n_sets = math.comb(net.m, K)
+    return [by_cap[c] / n_sets for c in net.caps for _ in range(c)]
+
+
+def _fair_share_by_subsets(net, req, beta=lottery.DEFAULT_BETA) -> list:
+    """_fair_share_probs by direct enumeration of the K-subsets."""
+    K = safe_select_k(req.k_req, net.caps, beta)
+    qlan_prob = [Fraction(0)] * net.m
+    for subset in itertools.combinations(range(net.m), K):
+        share = Fraction(req.k_req, sum(net.caps[i] for i in subset))
+        for i in subset:
+            qlan_prob[i] += share
+    n_sets = math.comb(net.m, K)
+    return [qlan_prob[i] / n_sets for i, c in enumerate(net.caps)
+            for _ in range(c)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(caps=st.lists(st.integers(0, 5), min_size=1, max_size=8)
+       .filter(lambda caps: sum(caps) > 0),
+       data=st.data())
+def test_fair_share_bound_over_compositions_matches_subset_enumeration(
+        caps, data):
+    net = NetworkConfig.from_caps(tuple(caps))
+    req = Request(data.draw(st.integers(1, net.total)))
+    bound = _fair_share_probs(net, req)
+    assert bound == _fair_share_by_subsets(net, req)
+    # every winner set hands out exactly k_req pairs
+    assert sum(bound) == req.k_req
+
+
+def test_fair_share_bound_is_level_where_the_chain_is_red():
+    # criterion 05a's red cell: every QLAN wins (K = m), and largest-
+    # remainder rounding of 64 pairs over (101, 26, 12, 7, 5, 3, 3, 1, 1, 1,
+    # 0 x 6) gives the three capacity-1 QLANs nothing; exact expected
+    # shares give every node 64 / 160
+    net = generate_network(16, 2.0, 160)
+    req = Request(demand_to_kreq(0.4, net.total))
+    bound = np.array(_fair_share_probs(net, req), dtype=float)
+    assert f"{jain_index(bound):.6f}" == "1.000000"
+    assert f"{jain_index(exact_node_probs(net, req)):.6f}" == "0.979600"
 
 
 def _count_rounded_rows(monkeypatch) -> list[int]:

@@ -84,6 +84,80 @@ def test_rejects_bad_inputs():
         safe_select_k(2, ())
 
 
+def _reference_select_k(k_req, caps, beta=0.0):
+    """safe_select_k as it read before its valid path was made lean: every
+    cap validated into a tuple of ints first, then the stable ceiling."""
+    caps = tuple(caps)
+    ints = tuple(map(int, caps))
+    if not ints:
+        raise ValueError("caps must be non-empty")
+    if ints != caps or min(ints) < 0:
+        raise ValueError(f"caps must be non-negative integers, got {caps}")
+    caps = ints
+    if k_req < 1:
+        raise ValueError(f"k_req must be >= 1, got {k_req}")
+    if beta < 0:
+        raise ValueError(f"beta must be >= 0, got {beta}")
+    total = sum(caps)
+    if total < k_req:
+        raise ResourceShortageError(
+            f"total capacity {total} cannot cover k_req={k_req}")
+    target = (1.0 + beta) * k_req
+    if math.isfinite(target):
+        f = math.floor(target)
+        target = f if target - f <= 1e-9 * max(1.0, abs(target)) else f + 1
+    else:
+        target = k_req
+    if target > total:
+        target = k_req
+    prefix = 0
+    for count, c in enumerate(sorted(caps), start=1):
+        prefix += c
+        if prefix >= target:
+            return count
+    raise InvariantViolationError("unreachable: target is at most sum(caps)")
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:  # the outcome is the exception
+        return type(exc), str(exc)
+
+
+_odd_caps = st.one_of(st.integers(-3, 40), st.booleans(),
+                      st.sampled_from([1.0, 2.0, 2.5, -1.0, 0.0]),
+                      st.floats(allow_nan=True, allow_infinity=True),
+                      st.sampled_from([np.int64(3), "3", None]))
+
+
+@settings(max_examples=500)
+@given(caps=st.one_of(st.lists(st.integers(-2, 40), max_size=8),
+                      st.lists(_odd_caps, max_size=5)),
+       as_tuple=st.booleans(),
+       k_req=st.one_of(st.integers(-2, 200), st.sampled_from([2.5, 0.5])),
+       beta=st.one_of(st.sampled_from([0.0, 0.1, 0.25, -0.1, -math.inf,
+                                       math.inf, math.nan, 1e308]),
+                      st.floats(allow_nan=True, allow_infinity=True)))
+def test_select_k_answers_and_refuses_as_the_reference_does(caps, as_tuple,
+                                                            k_req, beta):
+    # the same answer, or the same exception type and message
+    caps = tuple(caps) if as_tuple else caps
+    assert (_outcome(safe_select_k, k_req, caps, beta)
+            == _outcome(_reference_select_k, k_req, caps, beta))
+
+
+@pytest.mark.parametrize("k_req, caps, beta", [
+    (2, (1.0, 2), 0.1), (3, (True, 2, False), 0.0), (1, (), 0.0),
+    (2, (3, -1), 0.0), (7, (3, 3), 0.0), (2, (3, 3), math.inf),
+    (2, (3, 3), math.nan), (2, (3, 3), -1e-300), (2, [3, 3], 0.1),
+    (2, (np.int64(3), 3), 0.1), (2, (2.5, 3), 0.0), (2, ("3", 3), 0.0),
+])
+def test_select_k_edge_inputs_match_the_reference(k_req, caps, beta):
+    assert (_outcome(safe_select_k, k_req, caps, beta)
+            == _outcome(_reference_select_k, k_req, caps, beta))
+
+
 @given(caps=caps_lists, beta=st.sampled_from([0.0, 0.1, 0.25]),
        data=st.data())
 def test_select_k_permutation_invariant(caps, beta, data):
