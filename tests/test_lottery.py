@@ -7,7 +7,6 @@ tolerances. Lossy behaviour is checked statistically under frozen seeds.
 
 import itertools
 import math
-import operator
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -721,8 +720,8 @@ def _fair_share_probs(net, req, beta=lottery.DEFAULT_BETA) -> list:
     per_class = [Fraction(0)] * len(classes)
     for counts in partition.enum_partitions(K, sizes):
         ways = math.prod(map(math.comb, sizes, counts))
-        share = Fraction(ways * req.k_req, sum(map(
-            operator.mul, classes, counts)))
+        share = Fraction(ways * req.k_req,
+                         sum(c * j for c, j in zip(classes, counts)))
         for c, (j, n) in enumerate(zip(counts, sizes)):
             per_class[c] += share * Fraction(j, n)
     by_cap = dict(zip(classes, per_class))
