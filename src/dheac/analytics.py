@@ -131,6 +131,17 @@ def success_b2(k_req: int, params: ModelParams) -> float:
     return params.unit_success ** k_req
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in LATENCY_MODES:
+        raise ValueError(f"mode must be one of {LATENCY_MODES}, got {mode!r}")
+
+
+def _stage(params: ModelParams, pairs: int) -> float:
+    """Expected time of one distribution stage of pairs qubits, in ms."""
+    return (params.t_gen + params.expected_attempts * params.t_dist * pairs
+            + params.t_meas)
+
+
 def latency_dheac(m: int, K: int, k_req: int, ell_anc: int,
                   params: ModelParams, mode: str = "conservative") -> float:
     """Expected two-stage latency of the quantum lottery, in ms.
@@ -139,25 +150,21 @@ def latency_dheac(m: int, K: int, k_req: int, ell_anc: int,
     two ships ceil(k_req / K) pairs to the largest winner in parallel with
     the rest. chi is 0 in optimistic mode and ell_anc in conservative mode.
     """
-    if mode not in LATENCY_MODES:
-        raise ValueError(f"mode must be one of {LATENCY_MODES}, got {mode!r}")
+    _check_mode(mode)
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     if m < 1 or k_req < 1 or ell_anc < 0:
         raise ValueError("m, k_req must be >= 1 and ell_anc >= 0")
     chi = 0 if mode == "optimistic" else ell_anc
-    a = params.expected_attempts
-    k_bar_max = -(-k_req // K)
-    outer = params.t_gen + a * params.t_dist * (m + chi) + params.t_meas
-    inner = params.t_gen + a * params.t_dist * k_bar_max + params.t_meas
-    return outer + inner
+    return _stage(params, m + chi) + _stage(params, -(-k_req // K))
 
 
 def latency_b2(m: int, k_max: int, params: ModelParams) -> float:
     """Expected latency of the classical-arbitration baseline, in ms.
 
     rounds * m * t_ctl of control traffic, then one distribution stage
-    sized by the largest per-QLAN quota k_max.
+    sized by the largest per-QLAN quota k_max. Not control + _stage(k_max):
+    the sum is taken control first, which rounds differently.
     """
     if m < 1 or k_max < 0:
         raise ValueError("m must be >= 1 and k_max >= 0")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analytics import ModelParams, latency_b2, success_b2
+from .analytics import ModelParams, _stage, latency_b2, success_b2
 from .errors import ResourceShortageError
 from .netgen import NetworkConfig, Request
 from .partition import quota_round
@@ -37,11 +37,8 @@ def b1_evaluate(net: NetworkConfig, req: Request,
     """
     if max(net.caps) < req.k_req:
         return None
-    p = params.unit_success ** req.k_req
-    lat = (params.t_gen
-           + params.expected_attempts * params.t_dist * req.k_req
-           + params.t_meas)
-    return BaselineResult(p, lat)
+    return BaselineResult(success_b2(req.k_req, params),
+                          _stage(params, req.k_req))
 
 
 def b2_evaluate(net: NetworkConfig, req: Request, params: ModelParams) -> BaselineResult:

@@ -45,7 +45,7 @@ from .lottery import (
 )
 from .netgen import (NetworkConfig, Request, check_network_size,
                      demand_to_kreq, generate_network)
-from .partition import _piece_rows, safe_select_k
+from .partition import _pieces, safe_select_k
 from .qverify import MAX_DRAWS, build_embedded, verify_state
 
 GRID_MS = (4, 8, 16, 32)
@@ -687,11 +687,6 @@ def _cmd_mc(args) -> int:
     rounds = sample_rounds(net, req, params, args.trials, trial_rng(args.seed))
     acct = LATENCY_MODES.index(args.chi)
 
-    # per row: the int32 ids, their int64 sort order, the sorted winners
-    # and quotas (in the kernel's narrow dtypes), and the row's text, a few
-    # bytes per cell
-    piece = _piece_rows(4 * rec.K)
-
     def blocks():
         nonlocal n_ok, lat_sum
         done = 0
@@ -699,8 +694,10 @@ def _cmd_mc(args) -> int:
             ok, attempts, lat = ok[acct], attempts[acct], lat[acct]
             n_ok += int(ok.sum())
             lat_sum += float(lat.sum())
-            for first in range(0, len(lat), piece):
-                part = slice(first, first + piece)
+            # per row: the int32 ids, their int64 sort order, the sorted
+            # winners and quotas (in the kernel's narrow dtypes), and the
+            # row's text, a few bytes per cell
+            for part in _pieces(len(lat), 4 * rec.K):
                 # winners in ascending order, each quota moved with its
                 # winner: flat indices, as a flat take is some 2x faster
                 # than take_along_axis; the ids sorted as int32 (they are
@@ -708,7 +705,7 @@ def _cmd_mc(args) -> int:
                 # faster than uint8
                 order = np.argsort(arrangement[part].astype(np.int32), axis=1)
                 order += arrangement.shape[1] * np.arange(len(order))[:, None]
-                yield _dump_text(done + first, ok[part], attempts[part],
+                yield _dump_text(done + part.start, ok[part], attempts[part],
                                  lat[part], arrangement[part].take(order),
                                  quotas[part].take(order))
                 del order

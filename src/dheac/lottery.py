@@ -49,11 +49,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import LATENCY_MODES, ModelParams, ancilla_bits
+from .analytics import (LATENCY_MODES, MAX_COUNT, ModelParams, _check_mode,
+                        ancilla_bits)
 from .errors import CapacityError, InvariantViolationError
 from .netgen import NetworkConfig, Request
 from .partition import (_capacity_classes, _class_law, _class_round,
-                        _piece_rows, _quota_round_rows, quota_round,
+                        _piece_rows, _pieces, _quota_round_rows, quota_round,
                         safe_select_k, split_chunks)
 
 DEFAULT_BETA = ModelParams.beta
@@ -63,9 +64,6 @@ _BLOCK = 8192
 # bytes one sample_rounds block may hold; every m <= 32 point at the
 # default max_attempts still fits a full _BLOCK of rows
 _BLOCK_BYTES = 64 << 20
-# composition rows estimate_fairness draws before it rounds the distinct
-# ones: a canonical 10^5-trial cell is one window
-_KEY_WINDOW = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -111,11 +109,6 @@ def sample_inner(n: int, k: int, rng: np.random.Generator) -> tuple[int, ...]:
         return ()
     picked = rng.choice(n, size=k, replace=False)
     return tuple(int(i) for i in sorted(picked))
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in LATENCY_MODES:
-        raise ValueError(f"mode must be one of {LATENCY_MODES}, got {mode!r}")
 
 
 def run_trial(net: NetworkConfig, req: Request, params: ModelParams,
@@ -213,7 +206,7 @@ def _block_rows(m: int, K: int, M: int) -> int:
     words per row no longer describe what a block holds, which is its
     (t, K) arrangement and quotas in the narrowest unsigned dtypes and a
     few per-row results; every outcome table and int64 (rows, K) array
-    lives one row piece (_piece_rows) at a time. A test pins its values
+    lives one row piece (_pieces) at a time. A test pins its values
     over a grid.
     Raises CapacityError when a single row exceeds the budget: a huge
     max_attempts M, or m and K near netgen.MAX_NODES.
@@ -265,10 +258,7 @@ def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
     m = net.m
     # per row of a piece: the identity and permuted arrangements, the
     # rounding temporaries, the quota-block outcome table and its attempts
-    piece = _piece_rows(2 * m + K * (M + 12))
-    # per row of a selection group's piece: its outcome counts, attempts
-    # and their temporaries
-    group_piece = _piece_rows(M + 5)
+    piece_words = 2 * m + K * (M + 12)
     caps = np.asarray(net.caps, dtype=np.int64)
     ids = np.min_scalar_type(m - 1)
     pvals, cost = _delivery_law(params.q, M)
@@ -285,17 +275,17 @@ def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
         # the identity rows each piece's permutations start from, and one
         # int64 buffer that holds each piece's permutations in turn
         # (rng.permuted is slower on narrower rows)
-        ident = np.tile(np.arange(m, dtype=np.int64), (min(piece, block), 1))
+        ident = np.tile(np.arange(m, dtype=np.int64),
+                        (min(_piece_rows(piece_words), block), 1))
         perm = np.empty_like(ident)
 
         def drawn(n, t):
             # the outcome counts of one selection group of n qubits over t
-            # rounds, piece by piece (a scalar-n multinomial draws row
-            # after row)
-            for first in range(0, t, group_piece):
-                rows = min(group_piece, t - first)
-                yield (slice(first, first + rows),
-                       rng.multinomial(n, pvals, size=rows))
+            # rounds, piece by piece (a scalar-n multinomial draws row after
+            # row; a row's counts, attempts and temporaries are M + 5 words)
+            for part in _pieces(t, M + 5):
+                yield part, rng.multinomial(n, pvals,
+                                            size=part.stop - part.start)
 
         for start in range(0, trials, block):
             t = min(block, trials - start)
@@ -304,10 +294,10 @@ def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
             # (rng.permuted shuffles row after row, so the pieces draw what
             # one whole call would)
             arrangement = np.empty((t, K), dtype=ids)
-            for first in range(0, t, piece):
-                rows = perm[:min(piece, t - first)]
+            for part in _pieces(t, piece_words):
+                rows = perm[:part.stop - part.start]
                 rng.permuted(ident[:len(rows)], axis=1, out=rows)
-                arrangement[first:first + len(rows)] = rows[:, :K]
+                arrangement[part] = rows[:, :K]
 
             # rows filled in place: building them with np.stack measured
             # 3 MB more peak RSS on the mc_grid benchmark, though not more
@@ -338,8 +328,7 @@ def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
             # attempts; the block keeps only a narrow copy of the quotas
             quotas = np.empty((t, K), dtype=np.min_scalar_type(req.k_req))
             block_max = np.empty(t, dtype=np.int64)
-            for first in range(0, t, piece):
-                part = slice(first, first + piece)
+            for part in _pieces(t, piece_words):
                 # rounded slot-major, then copied to contiguous int64 rows
                 # for the draw and _attempts: narrow quotas would wrap in
                 # its products
@@ -439,12 +428,10 @@ def _quota_totals(k_req: int, classes: np.ndarray, counts: np.ndarray,
     counted weight[r] times, in int64: one law for all of them, rounded a
     piece at a time under the _PIECE_BYTES budget."""
     law, of = _class_law(k_req, classes, counts)
+    totals = np.zeros(len(classes), dtype=np.int64)
     # per composition of a piece: seven words per class (at most six
     # (n, rows) arrays, a strided piece's contiguous copy included)
-    piece = _piece_rows(7 * len(classes))
-    totals = np.zeros(len(classes), dtype=np.int64)
-    for first in range(0, counts.shape[1], piece):
-        part = slice(first, first + piece)
+    for part in _pieces(counts.shape[1], 7 * len(classes)):
         floors, extras = _class_round(k_req, classes, counts[:, part], law,
                                       of[part])
         floors *= counts[:, part]
@@ -477,17 +464,18 @@ def estimate_fairness(net: NetworkConfig, req: Request, trials: int,
     bit, and equals exact_node_probs.
 
     Many rounds draw the same composition, so each is rounded once per
-    window of _KEY_WINDOW rows (whole blocks): a composition is one int64
-    key, digit c in base sizes[c] + 1, and np.unique counts each key's
-    rounds. Quota sums are whole numbers below trials * net.total, which
-    must stay below 2^53 (ValueError before any draw), so they, _node_probs'
+    window: the whole blocks (at least one) that fit the _piece_rows(1)
+    rows of one int64 key each. A composition is one key, digit c in base
+    sizes[c] + 1, and np.unique counts each key's rounds. Quota sums are
+    whole numbers below trials * net.total, which must stay below
+    MAX_COUNT = 2^53 (ValueError before any draw), so they, _node_probs'
     denominators and the grouping are exact to the bit. Where the keys
     would overflow int64 (prod(sizes + 1) >= 2^63), each block's rows are
     rounded as drawn.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if trials * net.total >= 2 ** 53:
+    if trials * net.total >= MAX_COUNT:
         raise ValueError(f"trials={trials} times {net.total} nodes reach 2^53")
     K = safe_select_k(req.k_req, net.caps, beta)
     classes, sizes = _capacity_classes(net.caps)
@@ -518,18 +506,18 @@ def estimate_fairness(net: NetworkConfig, req: Request, trials: int,
                                         np.ones(t, dtype=np.int64))
         return _node_probs(net.caps, classes, sizes, quota_sums, trials)
     radix = np.cumprod([1] + bases[:-1], dtype=np.int64)
-    window = max(1, _KEY_WINDOW // block) * block
-    # per distinct key: its digits, the rest, and its capacity total with
-    # the sort and index that _class_law finds its law column by
-    span = _piece_rows(n + 6)
+    # a canonical 10^5-trial cell is one window
+    window = max(1, _piece_rows(1) // block) * block
     for start in range(0, trials, window):
         stop = min(start + window, trials)
         keys, mult = np.unique(
             np.concatenate([draw(min(block, stop - first)) @ radix
                             for first in range(start, stop, block)]),
             return_counts=True)
-        for first in range(0, len(keys), span):
-            rest = keys[first:first + span].copy()
+        # per distinct key: its digits, the rest, and its capacity total
+        # with the sort and index that _class_law finds its law column by
+        for part in _pieces(len(keys), n + 6):
+            rest = keys[part].copy()
             # digit rows, one scalar division per class, highest first
             digits = np.empty((n, len(rest)), dtype=np.int64)
             for c in range(n - 1, -1, -1):
@@ -537,7 +525,7 @@ def estimate_fairness(net: NetworkConfig, req: Request, trials: int,
                 rest -= digits[c] * int(radix[c])
             # each distinct composition weighted by the rounds that drew it
             quota_sums += _quota_totals(req.k_req, classes, digits,
-                                        mult[first:first + span])
+                                        mult[part])
         # free this window's arrays before the next window is drawn
         del keys, mult, rest, digits
     return _node_probs(net.caps, classes, sizes, quota_sums, trials)

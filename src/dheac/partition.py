@@ -11,7 +11,9 @@ capacity-class compositions of the exact fairness oracle.
 The quota law lives here alone, in three shapes: ``quota_round`` states
 it and its tie rule, ``_quota_round_rows`` applies it to rows of
 arrangements and ``_class_round`` to class compositions. Beside it live
-the chain bounds (``_chain_bounds``) and the row budget (``_piece_rows``).
+the chain bounds (``_chain_bounds``) and the row budget with its walk:
+``_PIECE_BYTES`` is the package's one memory setting, ``_piece_rows`` the
+rows it holds, and every memory-bounded loop steps by ``_pieces``.
 
 Both array shapes work slot-major, so a step over a row's slots or classes
 is a few passes over whole columns, not a short loop per row.
@@ -245,6 +247,15 @@ def _piece_rows(row_words: int) -> int:
     return max(1, _PIECE_BYTES // (8 * row_words))
 
 
+def _pieces(rows: int, row_words: int):
+    """Consecutive slices that cover range(rows), each _piece_rows(row_words)
+    rows long but the last: the one walk of every memory-bounded loop. Lazy,
+    and it allocates no array."""
+    step = _piece_rows(row_words)
+    return (slice(first, min(first + step, rows))
+            for first in range(0, rows, step))
+
+
 def _quota_round_rows(k_req: int, caps: np.ndarray) -> np.ndarray:
     """quota_round applied to each column of a slot-major (K, rows) array
     of winner capacities; the quotas come back in the same layout.
@@ -396,9 +407,7 @@ def _chain_bounds(caps, k_req: int, subsets: np.ndarray,
     rows, K = subsets.shape
     lo, hi = np.empty((2, rows, K), dtype=dtype)
     # per subset: about six int64 words per slot and eight per class
-    step = _piece_rows(6 * K + 8 * n)
-    for start in range(0, rows, step):
-        part = slice(start, start + step)
+    for part in _pieces(rows, 6 * K + 8 * n):
         # flat indices into the slot-major (n, t) class tables, one per slot
         slot = class_of[subsets[part]]
         t = len(slot)

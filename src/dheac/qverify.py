@@ -36,7 +36,7 @@ import numpy as np
 from .analytics import jain_index
 from .errors import CapacityError, InvariantViolationError, ResourceShortageError
 from .netgen import NetworkConfig
-from .partition import _chain_bounds, _piece_rows, split_chunks
+from .partition import _chain_bounds, _piece_rows, _pieces, split_chunks
 
 # (winner subset, quota vector)
 Outcome = tuple[tuple[int, ...], tuple[int, ...]]
@@ -44,7 +44,6 @@ Outcome = tuple[tuple[int, ...], tuple[int, ...]]
 MAX_SPARSE_OUTCOMES = 10 ** 6
 NORM_TOL = 1e-12
 MAX_DRAWS = 2 ** 63 - 1  # rng.multinomial takes an int64 count
-_BUILD_ROWS = 1 << 16  # quota vectors build_embedded enumerates at once
 
 
 class SparseState:
@@ -155,8 +154,9 @@ def build_embedded(net: NetworkConfig, k_req: int, K: int) -> SparseState:
             f"exceed the {MAX_SPARSE_OUTCOMES} sparse guard; reduce m, K "
             "or k_req")
     sizes = np.array(sizes, dtype=np.int64)
+    # walk chunks of _piece_rows(2) quota vectors: 65,536 at the default
     vectors = np.concatenate([x + lo[owner] for owner, x in
-                              split_chunks(left, free, _BUILD_ROWS, dtype)])
+                              split_chunks(left, free, _piece_rows(2), dtype)])
     if len(vectors) != n_labels:
         raise InvariantViolationError(
             f"the walk gave {len(vectors)} quota vectors, {n_labels} counted")
@@ -244,11 +244,9 @@ def node_win_probs(state: SparseState, caps) -> np.ndarray:
     qlan_prob = np.zeros(len(caps))
     n_labels, K = state.vectors.shape
     # per label row: its owner, its QLANs and terms, and their gathers
-    step = _piece_rows(4 * K + 2)
-    for start in range(0, n_labels, step):
-        rows = np.arange(start, min(start + step, n_labels))
+    for part in _pieces(n_labels, 4 * K + 2):
+        rows = np.arange(part.start, part.stop)
         qlans = subsets[np.searchsorted(offsets, rows, side="right") - 1]
-        part = slice(start, start + step)
         terms = np.square(state.amps[part])[:, None] * state.vectors[part]
         terms /= per_pair[qlans]
         np.add.at(qlan_prob, qlans.ravel(), terms.ravel())
@@ -408,9 +406,8 @@ def verify_state(state: SparseState, net: NetworkConfig, k_req: int, K: int,
         branch_chi2 = np.empty(len(first))
         for s in np.unique(kept_sizes).tolist():
             group = np.flatnonzero(kept_sizes == s)
-            step = _piece_rows(4 * s)
-            for start in range(0, len(group), step):
-                part = group[start:start + step]
+            for piece in _pieces(len(group), 4 * s):
+                part = group[piece]
                 obs = counts[first[part][:, None] + np.arange(s)]
                 mean = means[part][:, None]
                 branch_chi2[part] = ((obs - mean) ** 2 / mean).sum(axis=1)

@@ -1,8 +1,11 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from dheac import (
+    LATENCY_MODES,
     ModelParams,
     NetworkConfig,
     Request,
@@ -12,6 +15,7 @@ from dheac import (
     enum_partitions,
     generate_network,
     latency_b2,
+    latency_dheac,
     quota_round,
 )
 
@@ -28,6 +32,37 @@ def test_b1_uses_the_largest_qlan():
     # only the largest QLAN decides: 9 pairs fit, 10 do not
     assert b1_evaluate(net, Request(9), PARAMS) is not None
     assert b1_evaluate(net, Request(10), PARAMS) is None
+
+
+# times as ModelParams takes them, both signed zeros included
+times = st.sampled_from([0.0, -0.0]) | st.floats(0.0, 1e6)
+params_st = st.builds(ModelParams, q=st.floats(0.0, 0.99),
+                      max_attempts=st.integers(1, 40), t_gen=times,
+                      t_dist=times, t_meas=times)
+
+
+def _same_bits(got: float, want: float) -> bool:
+    return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@given(params=params_st, m=st.integers(1, 64), K=st.integers(1, 64),
+       k_req=st.integers(1, 1000), ell=st.integers(0, 512),
+       mode=st.sampled_from(LATENCY_MODES))
+def test_the_shared_stage_price_keeps_the_inline_bits(params, m, K, k_req,
+                                                      ell, mode):
+    # the stage formulas as latency_dheac and b1_evaluate once wrote them
+    a = params.expected_attempts
+    chi = 0 if mode == "optimistic" else ell
+    outer = params.t_gen + a * params.t_dist * (m + chi) + params.t_meas
+    inner = params.t_gen + a * params.t_dist * -(-k_req // K) + params.t_meas
+    assert _same_bits(latency_dheac(m, K, k_req, ell, params, mode),
+                      outer + inner)
+    b1 = b1_evaluate(NetworkConfig.from_caps((k_req,)), Request(k_req),
+                     params)
+    assert _same_bits(b1.p_success, params.unit_success ** k_req)
+    assert _same_bits(b1.latency, params.t_gen
+                      + params.expected_attempts * params.t_dist * k_req
+                      + params.t_meas)
 
 
 def test_b1_inapplicable_when_no_qlan_is_big_enough():

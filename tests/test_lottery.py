@@ -445,8 +445,9 @@ def test_row_pieces_draw_what_whole_blocks_draw_across_blocks(net, k_req,
 
 
 def _key_window() -> int:
-    """Rows of one estimate_fairness key window at fewer than 65 classes."""
-    return lottery._KEY_WINDOW // lottery._BLOCK * lottery._BLOCK
+    """Rows of one estimate_fairness key window at fewer than 65 classes:
+    the whole blocks that fit the row budget's one-word rows."""
+    return partition._piece_rows(1) // lottery._BLOCK * lottery._BLOCK
 
 
 @pytest.mark.parametrize("plus", [-1, 0, 1],
@@ -481,7 +482,8 @@ def test_sampled_fairness_does_not_depend_on_the_window(monkeypatch):
     whole = sum(rounded)
     rounded.clear()
     # one block per window: each block's compositions are counted alone
-    monkeypatch.setattr(lottery, "_KEY_WINDOW", 1)
+    monkeypatch.setattr(partition, "_PIECE_BYTES", 8 * lottery._BLOCK)
+    assert _key_window() == lottery._BLOCK
     got = estimate_fairness(net, req, trials, trial_rng(11))
     assert sum(rounded) > whole
     assert np.array_equal(got, want)

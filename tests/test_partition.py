@@ -22,6 +22,7 @@ from dheac import (
     quota_round,
     safe_select_k,
 )
+from dheac import partition
 from dheac.netgen import MAX_NODES, demand_to_kreq
 from dheac.partition import (
     _PIECE_BYTES,
@@ -29,6 +30,7 @@ from dheac.partition import (
     _class_law,
     _class_round,
     _piece_rows,
+    _pieces,
     _quota_round_rows,
     count_partitions,
     split_chunks,
@@ -381,6 +383,32 @@ def test_rounding_bounds_hold_at_the_node_limit():
     cap_bound = cap + 1
     assert b * cap_bound < 2 ** 53
     assert b * cap_bound * max(K, cap_bound) < 2 ** 63
+
+
+@given(rows=st.integers(0, 300), row_words=st.integers(1, 50),
+       budget=st.integers(0, 2048))
+def test_pieces_tile_the_rows_in_budget_sized_slices(rows, row_words,
+                                                     budget):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(partition, "_PIECE_BYTES", budget)
+        step = _piece_rows(row_words)
+        walk = _pieces(rows, row_words)
+        assert iter(walk) is walk  # lazy: an iterator, not a list
+        pieces = list(walk)
+    lengths = [len(range(rows)[piece]) for piece in pieces]
+    assert all(n > 0 for n in lengths)
+    assert [i for piece in pieces for i in range(rows)[piece]] == list(
+        range(rows))
+    assert lengths[:-1] == [step] * (len(pieces) - 1)
+    assert not pieces or lengths[-1] <= step
+
+
+def test_the_default_budget_sets_the_key_window_and_the_build_chunk():
+    # estimate_fairness's key window holds one int64 key per drawn row,
+    # build_embedded's walk chunks are _piece_rows(2) quota vectors
+    assert _PIECE_BYTES == 1 << 20
+    assert _piece_rows(1) == 131_072
+    assert _piece_rows(2) == 65_536
 
 
 def test_one_rounding_piece_stays_within_the_piece_budget():

@@ -149,6 +149,19 @@ def test_embedded_sparse_guard(monkeypatch):
         build_embedded(NetworkConfig.from_caps((10,) * 24), 120, 14)
 
 
+def test_embedded_walks_in_chunks_of_the_row_budget(monkeypatch):
+    chunk_rows = []
+    walk = qverify.split_chunks
+
+    def recorded(k, caps, max_rows, dtype):
+        chunk_rows.append(max_rows)
+        return walk(k, caps, max_rows, dtype)
+
+    monkeypatch.setattr(qverify, "split_chunks", recorded)
+    build_embedded(SYM, 5, 2)
+    assert chunk_rows == [qverify._piece_rows(2)] == [65_536]
+
+
 def test_embedded_shortage():
     from dheac import ResourceShortageError
     with pytest.raises(ResourceShortageError):
