@@ -29,8 +29,9 @@ their capped attempt counts and whether any of them ran out of attempts.
 the arrangements, rounds them position by position, and samples each
 group's delivery as one multinomial over the outcomes {delivered on
 attempt 1, ..., delivered on attempt M, failed}, so its cost does not grow
-with k_req. Each round is drawn once and reported under both accounting
-modes. ``batch_stats`` reduces its blocks to both modes' batch statistics
+with k_req; a network with one composition is rounded once per call. Each
+round is drawn once and reported under both accounting modes.
+``batch_stats`` reduces its blocks to both modes' batch statistics
 (``simulate_batch`` is one mode's view) and the ``mc`` dump formats one
 mode's row, winners included. ``run_trial`` is the per-qubit reference:
 one truncated geometric per qubit and explicit winning nodes, kept for
@@ -54,6 +55,7 @@ from .analytics import (LATENCY_MODES, MAX_COUNT, ModelParams, _check_mode,
 from .errors import CapacityError, InvariantViolationError
 from .netgen import NetworkConfig, Request
 from .partition import (_capacity_classes, _class_law, _class_round,
+                        _forced_law, _forced_round, _one_composition,
                         _piece_rows, _pieces, _quota_round_rows, quota_round,
                         safe_select_k, split_chunks)
 
@@ -244,8 +246,12 @@ def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
     blocks, each piece rounded just before its draw), and each piece is
     reduced at once to per-row flags and attempts. So a block keeps only
     those per-row results and its narrow arrangement and quotas, and peak
-    memory does not grow with m. The arguments are checked before anything
-    is drawn: raises CapacityError when one trial's outcome table alone
+    memory does not grow with m. A network with one composition (one
+    capacity class, or K = m) is rounded once per call (_forced_law) and
+    each piece gathers its quotas (_forced_round); any other rounds each
+    piece (_quota_round_rows). Both give quota_round's integers, so the
+    draws are the same. The arguments are checked before anything is
+    drawn: raises CapacityError when one trial's outcome table alone
     exceeds that budget, and ValueError when the largest latency a round can
     take, summed or squared over the trials, would overflow a float.
     """
@@ -260,6 +266,8 @@ def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
     # rounding temporaries, the quota-block outcome table and its attempts
     piece_words = 2 * m + K * (M + 12)
     caps = np.asarray(net.caps, dtype=np.int64)
+    law = (_forced_law(req.k_req, caps, K) if _one_composition(net.caps, K)
+           else None)
     ids = np.min_scalar_type(m - 1)
     pvals, cost = _delivery_law(params.q, M)
     base = params.t_gen + params.t_meas
@@ -329,11 +337,13 @@ def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
             quotas = np.empty((t, K), dtype=np.min_scalar_type(req.k_req))
             block_max = np.empty(t, dtype=np.int64)
             for part in _pieces(t, piece_words):
-                # rounded slot-major, then copied to contiguous int64 rows
-                # for the draw and _attempts: narrow quotas would wrap in
-                # its products
-                arranged = np.ascontiguousarray(_quota_round_rows(
-                    req.k_req, caps.take(arrangement[part].T)).T)
+                # contiguous int64 rows for the draw and _attempts: narrow
+                # quotas would wrap in its products
+                if law is None:
+                    arranged = np.ascontiguousarray(_quota_round_rows(
+                        req.k_req, caps.take(arrangement[part].T)).T)
+                else:
+                    arranged = _forced_round(req.k_req, law, arrangement[part])
                 quotas[part] = arranged
                 blocks = rng.multinomial(arranged, pvals)
                 # slot-major copies: a reduction over a row's K blocks is
@@ -480,8 +490,7 @@ def estimate_fairness(net: NetworkConfig, req: Request, trials: int,
     K = safe_select_k(req.k_req, net.caps, beta)
     classes, sizes = _capacity_classes(net.caps)
     n = len(classes)
-    if n == 1 or K == net.m:
-        # one composition (K winners of the one class, or every QLAN):
+    if _one_composition(net.caps, K):
         # the whole numbers every draw would sum to, with nothing drawn
         forced = np.minimum(sizes, K)[:, None]
         quota_sums = _quota_totals(req.k_req, classes, forced,

@@ -8,12 +8,14 @@ rounding under hard capacity caps. ``split_chunks`` is the one array walk
 of bounded splits: the quota vectors of many winner sets, or the
 capacity-class compositions of the exact fairness oracle.
 
-The quota law lives here alone, in three shapes: ``quota_round`` states
-it and its tie rule, ``_quota_round_rows`` applies it to rows of
-arrangements and ``_class_round`` to class compositions. Beside it live
-the chain bounds (``_chain_bounds``) and the row budget with its walk:
-``_PIECE_BYTES`` is the package's one memory setting, ``_piece_rows`` the
-rows it holds, and every memory-bounded loop steps by ``_pieces``.
+The quota law lives here alone, in four shapes: ``quota_round`` states it
+and its tie rule, ``_quota_round_rows`` applies it to rows of
+arrangements, ``_class_round`` to class compositions, and
+``_forced_round`` to the arrangements of a network with one composition
+under its ``_forced_law``. Beside it live the chain bounds
+(``_chain_bounds``) and the row budget with its walk: ``_PIECE_BYTES`` is
+the package's one memory setting, ``_piece_rows`` the rows it holds, and
+every memory-bounded loop steps by ``_pieces``.
 
 Both array shapes work slot-major, so a step over a row's slots or classes
 is a few passes over whole columns, not a short loop per row.
@@ -387,6 +389,59 @@ def _class_round(k_req: int, classes: np.ndarray, counts: np.ndarray,
     if not (extras.sum(axis=0) == residual).all():
         raise InvariantViolationError("rounding must conserve k_req")
     return floors, extras
+
+
+def _one_composition(caps, K: int) -> bool:
+    """Whether every K-winner set of these QLANs has the same composition,
+    min(sizes, K) winners per class: one capacity class, or K = m (every
+    QLAN wins)."""
+    return K == len(caps) or min(caps) == max(caps)
+
+
+def _forced_law(k_req: int, caps: np.ndarray, K: int):
+    """Per-QLAN quota tables (fixed, boundary, extra) of a network whose
+    K-winner sets all have one composition (_one_composition).
+
+    _class_round gives class c's winners its floor f_c, and e_c of them one
+    pair more. QLAN i gets fixed[i] = f_c, plus one where e_c is the
+    class's count. Leftover pairs go down the classes in rounding order,
+    so at most one class is a boundary (0 < e_c < count): boundary[i] marks
+    its QLANs, and extra is its e_c (0 where there is none). Raises
+    InvariantViolationError when a quota could pass its cap.
+    """
+    classes, sizes = _capacity_classes(caps)
+    counts = np.minimum(sizes, K)
+    law, of = _class_law(k_req, classes, counts[:, None])
+    floors, extras = (a[:, 0] for a in _class_round(
+        k_req, classes, counts[:, None], law, of))
+    class_of = np.searchsorted(classes, caps)
+    fixed = (floors + (extras == counts))[class_of]
+    partial = (extras > 0) & (extras < counts)
+    boundary = partial[class_of]
+    if not (fixed + boundary <= caps).all():
+        raise InvariantViolationError("rounding must respect caps")
+    return fixed, boundary, int(extras[partial].sum())
+
+
+def _forced_round(k_req: int, law, arrangement: np.ndarray) -> np.ndarray:
+    """quota_round of each row of a (rows, K) array of QLAN ids, in
+    arrangement order, under a _forced_law law: int64 quotas, same layout.
+    quota_round breaks a class's ties by position, so the boundary class's
+    extra pairs go to its first extra winners along the row. Raises
+    InvariantViolationError unless every row hands out exactly k_req pairs.
+    """
+    fixed, boundary, extra = law
+    quotas = fixed.take(arrangement)
+    if extra:
+        slots = boundary.take(arrangement)
+        seen = np.cumsum(slots, axis=1,
+                         dtype=np.min_scalar_type(arrangement.shape[1]))
+        slots &= seen <= extra
+        quotas += slots
+    # einsum sums short rows several times faster than sum(axis=1)
+    if not (np.einsum("ij->i", quotas) == k_req).all():
+        raise InvariantViolationError("rounding must conserve k_req")
+    return quotas
 
 
 def _chain_bounds(caps, k_req: int, subsets: np.ndarray,

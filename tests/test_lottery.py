@@ -433,9 +433,14 @@ def test_row_pieces_draw_what_whole_blocks_draw_around_a_piece(
     # the canonical m = 32 point at max_attempts 40
     (generate_network(32, 2.0, 320), 192, ModelParams(q=0.3, max_attempts=40),
      32),
+    # one class whose extra pairs split a row: quotas (7, 6)
+    (NetworkConfig.from_caps((10,) * 8), 13, LOSSY, 2),
+    # K = m with a boundary class: the cap-3 class takes 2 of 3 extras
+    (NetworkConfig.from_caps((5, 5, 3, 3, 3, 1)), 17, LOSSY, 6),
 ], ids=["m16", "K=m", "K=1", "max_attempts=40", "zero-caps",
         "max_attempts=1", "max_attempts=2", "K=m-skew2", "m300",
-        "quota*M>255", "k_req600", "m32-max_attempts=40"])
+        "quota*M>255", "k_req600", "m32-max_attempts=40",
+        "one-class-mid-row", "K=m-boundary-class"])
 def test_row_pieces_draw_what_whole_blocks_draw_across_blocks(net, k_req,
                                                               params, K):
     assert safe_select_k(k_req, net.caps, params.beta) == K
@@ -593,6 +598,95 @@ def test_kernel_agrees_with_the_per_qubit_reference(mode):
                     for _ in range(3000)])
     se = math.sqrt(lat.var() / lat.size + ref.var() / ref.size)
     assert abs(lat.mean() - ref.mean()) < 5 * se
+
+
+def _forced_networks():
+    """A network with one composition and a request it covers: equal caps
+    (one class), or caps with ties and empty QLANs and a k_req at which
+    every QLAN wins."""
+    caps = st.one_of(
+        st.tuples(st.integers(1, 9), st.integers(1, 12)).map(
+            lambda cm: (cm[0],) * cm[1]),
+        st.lists(st.sampled_from((0, 0, 1, 2, 2, 5, 9)), min_size=1,
+                 max_size=12).filter(any).map(tuple))
+
+    def with_k_req(caps):
+        # the requests whose winner count leaves one composition (k_req =
+        # sum(caps) always does: every QLAN must win)
+        ks = [k for k in range(1, sum(caps) + 1)
+              if len(set(caps)) == 1
+              or safe_select_k(k, caps, LOSSY.beta) == len(caps)]
+        return st.tuples(st.just(NetworkConfig.from_caps(caps)),
+                         st.sampled_from(ks))
+
+    return caps.flatmap(with_k_req)
+
+
+@settings(max_examples=150, deadline=None)
+@given(net_k=_forced_networks(), seed=st.integers(0, 99))
+def test_forced_rounds_are_the_scalar_rule_of_each_row(net_k, seed):
+    net, k_req = net_k
+    K = safe_select_k(k_req, net.caps, LOSSY.beta)
+    assert partition._one_composition(net.caps, K)
+    caps = np.array(net.caps)
+    for arrangement, quotas, *_ in sample_rounds(
+            net, Request(k_req), LOSSY, 300, trial_rng(seed)):
+        for row, quota_row in zip(arrangement.tolist(), quotas.tolist()):
+            assert tuple(quota_row) == quota_round(k_req, caps[row])
+
+
+@pytest.mark.parametrize("net, k_req, forced", [
+    (NetworkConfig.from_caps((10,) * 8), 13, True),
+    (NetworkConfig.from_caps((5, 5, 3, 3, 3, 1)), 17, True),
+    (generate_network(16, 2.0, 160), 64, True),
+    (generate_network(16, 1.0, 160), 64, False),
+], ids=["one-class", "K=m-boundary-class", "K=m-zero-caps", "general"])
+def test_a_forced_network_is_rounded_once_per_call(net, k_req, forced,
+                                                   monkeypatch):
+    laws, rows = [], []
+    law_of, round_rows = lottery._forced_law, lottery._quota_round_rows
+
+    def spy_law(*args):
+        laws.append(args)
+        return law_of(*args)
+
+    def spy_rows(k_req, caps):
+        rows.append(caps.shape[1])
+        return round_rows(k_req, caps)
+
+    monkeypatch.setattr(lottery, "_forced_law", spy_law)
+    monkeypatch.setattr(lottery, "_quota_round_rows", spy_rows)
+    trials = lottery._BLOCK + 1
+    assert len(list(sample_rounds(net, Request(k_req), LOSSY, trials,
+                                  trial_rng(3)))) == 2
+    # a forced network: one law per call and no general rounding; any
+    # other: every row through _quota_round_rows
+    assert (len(laws), sum(rows)) == ((1, 0) if forced else (0, trials))
+
+
+@pytest.mark.parametrize("net, k_req, match", [
+    # floors 2 + 1 over caps 2, and 0 + 1 and the extra over cap 1:
+    # refused before anything is drawn
+    (NetworkConfig.from_caps((2, 2, 2)), 6, "respect caps"),
+    (NetworkConfig.from_caps((5, 5, 3, 3, 3, 1)), 17, "respect caps"),
+    # within the caps, but each row hands out K pairs too many
+    (NetworkConfig.from_caps((10,) * 8), 13, "conserve k_req"),
+    # K = m, the cap-5 class taking 1 of 3 extras
+    (NetworkConfig.from_caps((9, 9, 5, 5, 5)), 22, "conserve k_req"),
+], ids=["at-cap", "K=m-over-cap", "one-class", "K=m-boundary-class"])
+def test_a_forced_law_with_floors_one_too_high_is_refused(net, k_req, match,
+                                                          monkeypatch):
+    def one_too_high(*args):
+        floors, extras = _class_round(*args)
+        return floors + 1, extras
+
+    monkeypatch.setattr(partition, "_class_round", one_too_high)
+    rng = trial_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(InvariantViolationError, match=match):
+        list(sample_rounds(net, Request(k_req), LOSSY, 100, rng))
+    if match == "respect caps":
+        assert rng.bit_generator.state == state
 
 
 def test_kernel_rows_are_rounded_arrangements():

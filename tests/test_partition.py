@@ -513,6 +513,27 @@ def test_class_rounding_of_a_strided_slice_under_the_whole_law(caps, data):
     _assert_columns_round_as_scalar(k_req, classes, counts, floors, extras)
 
 
+@settings(max_examples=200, deadline=None)
+@given(caps=st.lists(st.integers(0, 12), min_size=1, max_size=9),
+       data=st.data())
+def test_at_most_one_class_of_a_composition_is_a_boundary(caps, data):
+    # leftover pairs go down the classes in rounding order, so only one
+    # class can take some of its winners' extras but not all: the forced
+    # path and _chain_bounds rely on it
+    classes, sizes = _capacity_classes(caps)
+    rows = data.draw(st.lists(
+        st.tuples(*(st.integers(0, int(n)) for n in sizes)),
+        min_size=1, max_size=6))
+    counts = np.array(rows, dtype=np.int64).reshape(len(rows), len(classes))
+    counts = np.ascontiguousarray(counts[counts @ classes > 0].T)
+    assume(counts.shape[1])
+    k_req = data.draw(st.integers(1, int((classes @ counts).min())))
+    law, of = _class_law(k_req, classes, counts)
+    _, extras = _class_round(k_req, classes, counts, law, of)
+    boundary = (extras > 0) & (extras < counts)
+    assert (boundary.sum(axis=0) <= 1).all()
+
+
 @pytest.mark.parametrize("classes, column, k_req", [
     # floors 1 and 3 over caps 1 and 2
     ((1, 2), (1, 1), 5),
