@@ -29,8 +29,9 @@ their capped attempt counts and whether any of them ran out of attempts.
 the arrangements, rounds them position by position, and samples each
 group's delivery as one multinomial over the outcomes {delivered on
 attempt 1, ..., delivered on attempt M, failed}, so its cost does not grow
-with k_req; a network with one composition is rounded once per call. Each
-round is drawn once and reported under both accounting modes.
+with k_req; a network with one composition is rounded once per call, its
+quota tables one winner set's ``partition._chain_bounds``. Each round is
+drawn once and reported under both accounting modes.
 ``batch_stats`` reduces its blocks to both modes' batch statistics
 (``simulate_batch`` is one mode's view) and the ``mc`` dump formats one
 mode's row, winners included. ``run_trial`` is the per-qubit reference:
@@ -247,13 +248,14 @@ def sample_rounds(net: NetworkConfig, req: Request, params: ModelParams,
     reduced at once to per-row flags and attempts. So a block keeps only
     those per-row results and its narrow arrangement and quotas, and peak
     memory does not grow with m. A network with one composition (one
-    capacity class, or K = m) is rounded once per call (_forced_law) and
-    each piece gathers its quotas (_forced_round); any other rounds each
-    piece (_quota_round_rows). Both give quota_round's integers, so the
-    draws are the same. The arguments are checked before anything is
-    drawn: raises CapacityError when one trial's outcome table alone
-    exceeds that budget, and ValueError when the largest latency a round can
-    take, summed or squared over the trials, would overflow a float.
+    capacity class, or K = m) is rounded once per call, its tables one
+    winner set's _chain_bounds (_forced_law), and each piece gathers its
+    quotas (_forced_round); any other rounds each piece
+    (_quota_round_rows). Both give quota_round's integers, so the draws are
+    the same. The arguments are checked before anything is drawn: raises
+    CapacityError when one trial's outcome table alone exceeds that budget,
+    and ValueError when the largest latency a round can take, summed or
+    squared over the trials, would overflow a float.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

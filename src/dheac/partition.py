@@ -11,11 +11,11 @@ capacity-class compositions of the exact fairness oracle.
 The quota law lives here alone, in four shapes: ``quota_round`` states it
 and its tie rule, ``_quota_round_rows`` applies it to rows of
 arrangements, ``_class_round`` to class compositions, and
-``_forced_round`` to the arrangements of a network with one composition
-under its ``_forced_law``. Beside it live the chain bounds
-(``_chain_bounds``) and the row budget with its walk: ``_PIECE_BYTES`` is
-the package's one memory setting, ``_piece_rows`` the rows it holds, and
-every memory-bounded loop steps by ``_pieces``.
+``_forced_round`` to the arrangements of a network with one composition,
+whose ``_forced_law`` is the chain bounds (``_chain_bounds``) of one
+winner set, shared by all. Beside it lives the row budget with its walk:
+``_PIECE_BYTES`` is the package's one memory setting, ``_piece_rows`` the
+rows it holds, and every memory-bounded loop steps by ``_pieces``.
 
 Both array shapes work slot-major, so a step over a row's slots or classes
 is a few passes over whole columns, not a short loop per row.
@@ -400,27 +400,22 @@ def _one_composition(caps, K: int) -> bool:
 
 def _forced_law(k_req: int, caps: np.ndarray, K: int):
     """Per-QLAN quota tables (fixed, boundary, extra) of a network whose
-    K-winner sets all have one composition (_one_composition).
-
-    _class_round gives class c's winners its floor f_c, and e_c of them one
-    pair more. QLAN i gets fixed[i] = f_c, plus one where e_c is the
-    class's count. Leftover pairs go down the classes in rounding order,
-    so at most one class is a boundary (0 < e_c < count): boundary[i] marks
-    its QLANs, and extra is its e_c (0 where there is none). Raises
-    InvariantViolationError when a quota could pass its cap.
+    K-winner sets all have one composition (_one_composition), from the
+    _chain_bounds of the first K QLANs, which every winner set shares:
+    fixed = lo, boundary = hi > lo (at one class every QLAN takes slot 0's)
+    and extra = k_req - sum(lo). Raises InvariantViolationError when a
+    quota could pass its cap, or unless 0 <= extra < the set's boundary
+    slots (extra = 0 with none).
     """
-    classes, sizes = _capacity_classes(caps)
-    counts = np.minimum(sizes, K)
-    law, of = _class_law(k_req, classes, counts[:, None])
-    floors, extras = (a[:, 0] for a in _class_round(
-        k_req, classes, counts[:, None], law, of))
-    class_of = np.searchsorted(classes, caps)
-    fixed = (floors + (extras == counts))[class_of]
-    partial = (extras > 0) & (extras < counts)
-    boundary = partial[class_of]
-    if not (fixed + boundary <= caps).all():
+    lo, hi = (np.resize(a[0], len(caps)) for a in _chain_bounds(
+        caps, k_req, np.arange(K)[None, :], np.int64))
+    boundary = hi > lo
+    extra = k_req - int(lo[:K].sum())
+    if not (lo + boundary <= caps).all():
         raise InvariantViolationError("rounding must respect caps")
-    return fixed, boundary, int(extras[partial].sum())
+    if not 0 <= extra < max(int(boundary[:K].sum()), 1):
+        raise InvariantViolationError("rounding must conserve k_req")
+    return lo, boundary, extra
 
 
 def _forced_round(k_req: int, law, arrangement: np.ndarray) -> np.ndarray:
@@ -451,10 +446,11 @@ def _chain_bounds(caps, k_req: int, subsets: np.ndarray,
 
     ``_class_round`` gives j_c winners of a class their floor and e_c of
     them one pair more, so lo = floor + (e_c == j_c) and hi = floor +
-    (e_c > 0). Only the boundary class (0 < e_c < j_c) has hi > lo, and
-    the uniform arrangement gives its extras to a uniform e_c-subset: the
-    chain's vectors are lo plus each 0/1 split of k_req - sum(lo) over
-    those slots, all equally likely.
+    (e_c > 0). Leftover pairs go down the classes in rounding order, so at
+    most one class is a boundary (0 < e_c < j_c), and only its slots have
+    hi > lo. The uniform arrangement gives its extras to a uniform
+    e_c-subset: the chain's vectors are lo plus each 0/1 split of
+    k_req - sum(lo) over those slots, all equally likely.
     """
     classes, _ = _capacity_classes(caps)
     n = len(classes)

@@ -669,7 +669,7 @@ def test_a_forced_network_is_rounded_once_per_call(net, k_req, forced,
     # refused before anything is drawn
     (NetworkConfig.from_caps((2, 2, 2)), 6, "respect caps"),
     (NetworkConfig.from_caps((5, 5, 3, 3, 3, 1)), 17, "respect caps"),
-    # within the caps, but each row hands out K pairs too many
+    # within the caps, but a winner set's floors alone pass k_req
     (NetworkConfig.from_caps((10,) * 8), 13, "conserve k_req"),
     # K = m, the cap-5 class taking 1 of 3 extras
     (NetworkConfig.from_caps((9, 9, 5, 5, 5)), 22, "conserve k_req"),
@@ -685,8 +685,8 @@ def test_a_forced_law_with_floors_one_too_high_is_refused(net, k_req, match,
     state = rng.bit_generator.state
     with pytest.raises(InvariantViolationError, match=match):
         list(sample_rounds(net, Request(k_req), LOSSY, 100, rng))
-    if match == "respect caps":
-        assert rng.bit_generator.state == state
+    # every case is refused before anything is drawn
+    assert rng.bit_generator.state == state
 
 
 def test_kernel_rows_are_rounded_arrangements():

@@ -534,6 +534,69 @@ def test_at_most_one_class_of_a_composition_is_a_boundary(caps, data):
     assert (boundary.sum(axis=0) <= 1).all()
 
 
+def _one_composition_cases():
+    """(caps, K, k_req) whose K-winner sets all share one composition, with
+    every K-subset covering k_req: one class with K <= m, or tied caps and
+    empty QLANs at K = m; m <= 9."""
+    one_class = st.tuples(st.integers(1, 9), st.integers(1, 9)).flatmap(
+        lambda cm: st.integers(1, cm[1]).flatmap(lambda K: st.tuples(
+            st.just((cm[0],) * cm[1]), st.just(K),
+            st.integers(1, K * cm[0]))))
+    every_qlan = st.lists(st.sampled_from((0, 0, 1, 2, 2, 5, 9)), min_size=1,
+                          max_size=9).filter(any).flatmap(
+        lambda caps: st.tuples(st.just(tuple(caps)), st.just(len(caps)),
+                               st.integers(1, sum(caps))))
+    return st.one_of(one_class, every_qlan)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_one_composition_cases())
+def test_every_winner_set_of_one_composition_has_the_forced_bounds(case):
+    # _forced_law reads one winner set's chain bounds; every K-subset of
+    # such a network must have the same ones
+    caps, K, k_req = case
+    assert partition._one_composition(caps, K)
+    fixed, boundary, extra = partition._forced_law(
+        k_req, np.array(caps, dtype=np.int64), K)
+    subsets = np.array(list(itertools.combinations(range(len(caps)), K)))
+    lo, hi = partition._chain_bounds(caps, k_req, subsets, np.int64)
+    assert np.array_equal(lo, fixed[subsets])
+    assert np.array_equal(hi, fixed[subsets] + boundary[subsets])
+    assert (k_req - fixed[subsets].sum(axis=1) == extra).all()
+
+
+@pytest.mark.parametrize("lo, hi, k_req, refused", [
+    ((3, 3), (3, 3), 6, False),
+    # no boundary slot, one pair short
+    ((3, 3), (3, 3), 7, True),
+    ((2, 2, 1), (2, 3, 2), 6, False),
+    # extras for every boundary slot
+    ((2, 2, 1), (2, 3, 2), 7, True),
+    # floors past k_req
+    ((3, 3), (3, 4), 5, True),
+], ids=["none", "none-short", "one-of-two", "two-of-two", "negative"])
+def test_a_forced_extra_must_leave_a_boundary_slot_free(lo, hi, k_req,
+                                                        refused, monkeypatch):
+    # 0 <= extra < the winner set's boundary slots, or 0 with none
+    monkeypatch.setattr(partition, "_chain_bounds",
+                        lambda *args: (np.array([lo]), np.array([hi])))
+    caps = np.full(len(lo), 9)
+    if refused:
+        with pytest.raises(InvariantViolationError, match="conserve k_req"):
+            partition._forced_law(k_req, caps, len(lo))
+    else:
+        assert partition._forced_law(k_req, caps, len(lo))[2] == k_req - sum(lo)
+
+
+def test_forced_rounding_refuses_rows_that_miss_k_req():
+    # floors one too high: each row hands out K pairs too many
+    fixed, boundary, extra = partition._forced_law(
+        13, np.array((10,) * 8, dtype=np.int64), 2)
+    with pytest.raises(InvariantViolationError, match="conserve k_req"):
+        partition._forced_round(13, (fixed + 1, boundary, extra),
+                                np.array([[0, 1], [5, 2]]))
+
+
 @pytest.mark.parametrize("classes, column, k_req", [
     # floors 1 and 3 over caps 1 and 2
     ((1, 2), (1, 1), 5),
