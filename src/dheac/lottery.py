@@ -441,8 +441,8 @@ def _quota_totals(k_req: int, classes: np.ndarray, counts: np.ndarray,
     piece at a time under the _PIECE_BYTES budget."""
     law, of = _class_law(k_req, classes, counts)
     totals = np.zeros(len(classes), dtype=np.int64)
-    # per composition of a piece: seven words per class (at most six
-    # (n, rows) arrays, a strided piece's contiguous copy included)
+    # per composition of a piece: seven words per class (_class_round holds
+    # at most six (n, rows) int64 arrays, a strided piece's copy included)
     for part in _pieces(counts.shape[1], 7 * len(classes)):
         floors, extras = _class_round(k_req, classes, counts[:, part], law,
                                       of[part])

@@ -25,7 +25,8 @@ row's residual-th smallest key. Its floors are truncated float quotients,
 exact while k_req * capacity < 2^53 (its docstring gives the argument).
 A composition's floors and class order depend only on its capacity total,
 so ``_class_law`` computes them once per distinct total of a block, and
-``_class_round`` rounds any column slice of that block with flat gathers.
+``_class_round`` rounds any column slice of that block through one flat
+index of rounding order: a gather in, and a scatter of the extras back.
 """
 
 from __future__ import annotations
@@ -324,17 +325,17 @@ def _class_law(k_req: int, classes: np.ndarray, counts: np.ndarray):
 
     counts is slot-major, (n, t): column r takes counts[c, r] winners of
     capacity classes[c] (ascending, as _capacity_classes gives them), and
-    every column's total must be positive. Returns (law, of): law is three
+    every column's total must be positive. Returns (law, of): law is two
     (n, totals) tables, one column per distinct total (the floor of each
-    class's share, the classes in quota_round's order, and each class's
-    place in that order), and of[r] is the law column of composition r.
+    class's share, and the classes in quota_round's order), and of[r] is
+    the law column of composition r.
     """
     totals, of = np.unique(classes @ counts, return_inverse=True)
     floors, rems = np.divmod(k_req * classes[:, None], totals)
     # descending (remainder, capacity): distinct keys within a column
     order = np.argsort(-(rems * (int(classes[-1]) + 1) + classes[:, None]),
                        axis=0)
-    return (floors, order, np.argsort(order, axis=0)), of
+    return (floors, order), of
 
 
 def _class_round(k_req: int, classes: np.ndarray, counts: np.ndarray,
@@ -349,35 +350,32 @@ def _class_round(k_req: int, classes: np.ndarray, counts: np.ndarray,
     capacities never tie, and the members of a class are exchangeable, so
     quota_round's position tie-break only decides which members get an
     extra pair, not how many do. Every step works on whole rows of the
-    (n, t) block: a gather of each column's law, a flat gather of the
-    counts into rounding order, a running sum down the classes and a flat
-    gather back by rank. Raises InvariantViolationError unless every quota
-    is within its cap and every column hands out exactly k_req pairs.
+    (n, t) block through one flat index of rounding order: the counts
+    gathered by it, a running sum down the classes, and the extras
+    scattered back by it. Raises InvariantViolationError unless every
+    quota is within its cap and every column hands out exactly k_req pairs.
     """
     n, t = counts.shape
     # flat gathers need one contiguous int64 block (a copy only of a
     # strided slice or another dtype)
     counts = np.ascontiguousarray(counts, dtype=np.int64)
-    floors, order, rank = (a.take(of, axis=1) for a in law)
-    cols = np.arange(t)
+    floors, order = (a.take(of, axis=1) for a in law)
     residual = k_req - (counts * floors).sum(axis=0)
     # ranked[i, r] is the count of column r's i-th class in rounding order
     order *= t
-    order += cols
+    order += np.arange(t)
     ranked = counts.take(order)
-    # a class takes what is left after the winners ranked before it: one
-    # pass per class (a cumsum down axis 0 runs column by column), in the
-    # gathered order's memory
-    before = order
+    # a class takes what is left after the winners ranked before it, at
+    # most its count (one pass per class: a cumsum down axis 0 is slower)
+    before = np.empty_like(ranked)
     before[0] = 0
     for i in range(1, n):
         np.add(before[i - 1], ranked[i - 1], out=before[i])
-    rank *= t
-    rank += cols
-    extras = before.take(rank, out=ranked)
-    np.subtract(residual, extras, out=extras)
-    np.maximum(extras, 0, out=extras)
-    np.minimum(extras, counts, out=extras)
+    np.subtract(residual, before, out=before)
+    np.maximum(before, 0, out=before)
+    np.minimum(before, ranked, out=before)
+    extras = ranked
+    extras.reshape(-1)[order] = before
     # a quota can pass its cap only by an extra pair to the zero-capacity
     # class (the first, if there is one), whose floor is always 0, or
     # where a positive floor already reaches its cap

@@ -10,6 +10,7 @@ import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -700,6 +701,85 @@ def test_kernel_rows_are_rounded_arrangements():
         for row, quota_row in zip(arrangement, quotas):
             assert len(set(row.tolist())) == K
             assert tuple(quota_row) == quota_round(k_req, caps[row])
+
+
+# the kernel's quota law by QLAN id, at 200,000 rounds of two cells: the
+# trial_dump cell (K = 7 < m, a two-QLAN cap-4 class) and a K = m cell whose
+# three cap-1 QLANs split the chain's two leftover pairs
+_QUOTA_LAW_CELLS = [(8, 1.0, 0.4), (12, 1.5, 0.6)]
+_QUOTA_LAW_ROUNDS = 200_000
+
+
+def _kernel_quota_law(m, skew, demand):
+    """(net, k_req, hist): hist[i, v] counts the rounds in which QLAN i
+    (0 when not a winner) took v pairs, read off sample_rounds through its
+    arrangement columns, under one fixed seed."""
+    net = generate_network(m, skew, 10 * m)
+    k_req = demand_to_kreq(demand, net.total)
+    hist = np.zeros((m, k_req + 1), dtype=np.int64)
+    for arrangement, quotas, *_ in sample_rounds(
+            net, Request(k_req), LOSSFREE, _QUOTA_LAW_ROUNDS, trial_rng(61)):
+        # widened first: the kernel hands back its narrow dtypes
+        np.add.at(hist, (arrangement.astype(np.intp).ravel(),
+                         quotas.astype(np.intp).ravel()), 1)
+    hist[:, 0] += _QUOTA_LAW_ROUNDS - hist.sum(axis=1)
+    return net, k_req, hist
+
+
+@pytest.mark.parametrize("m, skew, demand", _QUOTA_LAW_CELLS)
+def test_kernel_mean_quota_per_qlan_is_the_exact_chain_law(m, skew, demand):
+    """Each QLAN's mean quota in the kernel is exact_node_probs at one of
+    its nodes times its capacity, within a z bound Bonferroni-corrected
+    over the QLANs at family-wise alpha 5e-5 per cell: a correct kernel
+    fails this test with probability at most 1e-4 (normal approximation).
+    A QLAN whose quota never varies must match exactly."""
+    net, k_req, hist = _kernel_quota_law(m, skew, demand)
+    caps = np.array(net.caps)
+    expect = exact_node_probs(net, Request(k_req))[np.cumsum(caps) - caps]
+    expect *= caps
+    values = np.arange(k_req + 1)
+    n = _QUOTA_LAW_ROUNDS
+    # whole-number sums, exact in int64
+    total, squares = hist @ values, hist @ (values * values)
+    bound = NormalDist().inv_cdf(1 - 5e-5 / (2 * m))
+    for i in range(m):
+        mean = total[i] / n
+        var_n2 = int(squares[i]) * n - int(total[i]) ** 2
+        if var_n2 == 0:
+            assert mean == pytest.approx(expect[i], rel=1e-12), i
+        else:
+            z = (mean - expect[i]) / math.sqrt(var_n2 / n ** 3)
+            assert abs(z) < bound, (i, z)
+
+
+@pytest.mark.parametrize("m, skew, demand", _QUOTA_LAW_CELLS)
+def test_kernel_quota_law_is_the_same_within_each_capacity_class(m, skew,
+                                                                 demand):
+    """The lottery is anonymous: QLANs of one capacity class have the same
+    quota law. quota_round's tie rule favours early positions, and only the
+    uniform arrangement hides that, so the histograms are keyed by QLAN id.
+    A chi-square homogeneity test per class of two or more QLANs,
+    Bonferroni-corrected over the classes at family-wise alpha 5e-5 per
+    cell: a correct kernel fails this test with probability at most 1e-4
+    (chi-square approximation, every expected count at least 5). Each cell
+    has a class whose quota varies."""
+    from scipy.stats import chi2_contingency
+
+    net, _, hist = _kernel_quota_law(m, skew, demand)
+    classes, sizes = _capacity_classes(net.caps)
+    tied = classes[sizes >= 2]
+    caps = np.array(net.caps)
+    varied = 0
+    for c in tied:
+        table = hist[caps == c]
+        table = table[:, table.any(axis=0)]
+        if table.shape[1] == 1:
+            continue  # one constant quota: the same law for every member
+        varied += 1
+        chi2, p, _, expected = chi2_contingency(table, correction=False)
+        assert expected.min() >= 5, c
+        assert p > 5e-5 / len(tied), (c, chi2)
+    assert varied
 
 
 def test_batch_rate_tracks_the_matching_bound():
