@@ -442,7 +442,9 @@ def _quota_totals(k_req: int, classes: np.ndarray, counts: np.ndarray,
     law, of = _class_law(k_req, classes, counts)
     totals = np.zeros(len(classes), dtype=np.int64)
     # per composition of a piece: seven words per class (_class_round holds
-    # at most six (n, rows) int64 arrays, a strided piece's copy included)
+    # at most six (n, rows) int64 arrays, a strided piece's copy included);
+    # estimate_fairness' decode pieces budget these words too, so each of
+    # them is rounded in one piece
     for part in _pieces(counts.shape[1], 7 * len(classes)):
         floors, extras = _class_round(k_req, classes, counts[:, part], law,
                                       of[part])
@@ -476,14 +478,19 @@ def estimate_fairness(net: NetworkConfig, req: Request, trials: int,
     bit, and equals exact_node_probs.
 
     Many rounds draw the same composition, so each is rounded once per
-    window: the whole blocks (at least one) that fit the _piece_rows(1)
-    rows of one int64 key each. A composition is one key, digit c in base
-    sizes[c] + 1, and np.unique counts each key's rounds. Quota sums are
-    whole numbers below trials * net.total, which must stay below
-    MAX_COUNT = 2^53 (ValueError before any draw), so they, _node_probs'
-    denominators and the grouping are exact to the bit. Where the keys
-    would overflow int64 (prod(sizes + 1) >= 2^63), each block's rows are
-    rounded as drawn.
+    window: the whole blocks (at least one) that fit _piece_rows(1) rows.
+    A composition is one key, digit c in base sizes[c] + 1, in the
+    narrowest unsigned dtype that holds prod(sizes + 1) - 1 (uint32 on
+    every canonical cell). Each block's draw is keyed straight into one
+    window array, which is sorted in place; one != pass gives the bounds
+    of its runs of equal keys, so the distinct keys and their round counts
+    are those np.unique gives, without its copies. The distinct keys are
+    decoded and rounded a piece at a time, the digits and the rounding
+    sharing one _PIECE_BYTES budget. Quota sums are whole numbers below
+    trials * net.total, which must stay below MAX_COUNT = 2^53 (ValueError
+    before any draw), so they, _node_probs' denominators and the grouping
+    are exact to the bit. Where the keys would overflow int64
+    (prod(sizes + 1) >= 2^63), each block's rows are rounded as drawn.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -519,26 +526,36 @@ def estimate_fairness(net: NetworkConfig, req: Request, trials: int,
     radix = np.cumprod([1] + bases[:-1], dtype=np.int64)
     # a canonical 10^5-trial cell is one window
     window = max(1, _piece_rows(1) // block) * block
+    # one key array, filled a block's draw at a time, sorted in place
+    keys = np.empty(min(window, trials),
+                    dtype=np.min_scalar_type(math.prod(bases) - 1))
     for start in range(0, trials, window):
-        stop = min(start + window, trials)
-        keys, mult = np.unique(
-            np.concatenate([draw(min(block, stop - first)) @ radix
-                            for first in range(start, stop, block)]),
-            return_counts=True)
-        # per distinct key: its digits, the rest, and its capacity total
-        # with the sort and index that _class_law finds its law column by
-        for part in _pieces(len(keys), n + 6):
-            rest = keys[part].copy()
+        rows = keys[:min(window, trials - start)]
+        for first in range(0, len(rows), block):
+            rows[first:first + block] = draw(
+                min(block, len(rows) - first)) @ radix
+        rows.sort()
+        # run bounds: 0, each index whose key differs from the one before,
+        # and len(rows)
+        edge = np.ones(len(rows) + 1, dtype=bool)
+        np.not_equal(rows[1:], rows[:-1], out=edge[1:-1])
+        bounds = np.flatnonzero(edge)
+        del edge
+        # per distinct key: its digits, the decode temporaries and
+        # _quota_totals' rounding, in one piece of the row budget
+        for part in _pieces(len(bounds) - 1, 8 * n + 6):
+            # each distinct composition weighted by the rounds that drew it
+            mult = bounds[part.start + 1:part.stop + 1] - bounds[part]
+            # the piece's keys in int64, which the decode updates in place
+            rest = rows[bounds[part]].astype(np.int64)
             # digit rows, one scalar division per class, highest first
             digits = np.empty((n, len(rest)), dtype=np.int64)
             for c in range(n - 1, -1, -1):
                 np.floor_divide(rest, int(radix[c]), out=digits[c])
                 rest -= digits[c] * int(radix[c])
-            # each distinct composition weighted by the rounds that drew it
-            quota_sums += _quota_totals(req.k_req, classes, digits,
-                                        mult[part])
+            quota_sums += _quota_totals(req.k_req, classes, digits, mult)
         # free this window's arrays before the next window is drawn
-        del keys, mult, rest, digits
+        del bounds, mult, rest, digits
     return _node_probs(net.caps, classes, sizes, quota_sums, trials)
 
 
@@ -552,14 +569,16 @@ def exact_node_probs(net: NetworkConfig, req: Request,
     composition: j_c winners from the n_c QLANs of capacity c, reached by
     prod C(n_c, j_c) subsets that share one _class_round column.
     split_chunks walks the compositions (bounded splits of K over the class
-    sizes) under the _BLOCK_BYTES budget, and each chunk is rounded
-    slot-major under one law (_class_law). The weighted quota sums are
-    whole numbers, exact in any order of addition while C(m, K) * k_req <
-    2^53, as MAX_SUBSETS and netgen.MAX_NODES keep it. At m = 32, K = 28
-    on the skew-1 network the walk visits 2,608 compositions for 35,960
-    subsets. The guard still counts subsets, so which cells ``fairness
-    --method auto`` computes exactly does not depend on the walk: raises
-    CapacityError when C(m, K) exceeds MAX_SUBSETS; use estimate_fairness.
+    sizes) under the _BLOCK_BYTES budget, its levels in the smallest dtype
+    that holds K (the weights, the law and the rounding widen them), and
+    each chunk is rounded slot-major under one law (_class_law). The
+    weighted quota sums are whole numbers, exact in any order of addition
+    while C(m, K) * k_req < 2^53, as MAX_SUBSETS and netgen.MAX_NODES keep
+    it. At m = 32, K = 28 on the skew-1 network the walk visits 2,608
+    compositions for 35,960 subsets. The guard still counts subsets, so
+    which cells ``fairness --method auto`` computes exactly does not depend
+    on the walk: raises CapacityError when C(m, K) exceeds MAX_SUBSETS; use
+    estimate_fairness.
     """
     K = safe_select_k(req.k_req, net.caps, beta)
     n_subsets = math.comb(net.m, K)
@@ -573,10 +592,11 @@ def exact_node_probs(net: NetworkConfig, req: Request,
                      for s in sizes.tolist()], dtype=float)
     quota_sums = np.zeros(n)
     # per row: n pending walk levels of n + 2 words and 16 n more, loose
-    # now that the rounding goes a piece at a time and a chunk holds only
-    # its weights and its law's index
+    # now that the rounding goes a piece at a time, a chunk holds only its
+    # weights and its law's index, and a level's counts are narrow
     max_rows = max(1, _BLOCK_BYTES // (8 * (n * (n + 2) + 16 * n)))
-    for _, counts in split_chunks(K, sizes[None, :], max_rows):
+    for _, counts in split_chunks(K, sizes[None, :], max_rows,
+                                  np.min_scalar_type(K)):
         # whole numbers, and their sums below C(m, K) * k_req
         weight = ways[np.arange(n), counts].prod(axis=1).astype(np.int64)
         quota_sums += _quota_totals(req.k_req, classes, counts.T, weight)

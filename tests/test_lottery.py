@@ -247,6 +247,27 @@ def test_row_pieces_bound_the_traced_peak_at_a_canonical_point():
         net, req, 100000, trial_rng(61))) < 4 * 10 ** 6
 
 
+def test_a_key_window_is_deduplicated_in_place():
+    # the sampled cell where most compositions are distinct: one narrow
+    # key array sorted in place, its run bounds, and one decode-and-round
+    # piece (traced here: 1.75 MB; 3.55 MB with np.unique over int64 keys)
+    net = generate_network(32, 1.0, 320)
+    req = Request(demand_to_kreq(0.1, net.total))
+    # a first call pays numpy's lazy imports
+    estimate_fairness(net, req, 10, trial_rng(0))
+    assert _traced_peak(lambda: estimate_fairness(
+        net, req, 10 ** 5, trial_rng(61))) < 2.0 * 10 ** 6
+
+
+def test_the_exact_walk_keeps_narrow_levels():
+    # split_chunks' levels hold counts in the smallest dtype that holds K
+    # (traced here: 1.49 MB; 2.10 MB with int64 levels)
+    net = generate_network(32, 0.5, 320)
+    req = Request(demand_to_kreq(0.6, net.total))
+    exact_node_probs(net, req)
+    assert _traced_peak(lambda: exact_node_probs(net, req)) < 1.6 * 10 ** 6
+
+
 @pytest.mark.parametrize("m, M, bound", [(32, 3, 3), (32, 40, 3),
                                          (1024, 3, 4)])
 def test_a_kernel_block_keeps_no_int64_block_state(m, M, bound):
@@ -471,9 +492,13 @@ def test_sampled_fairness_is_the_whole_block_array_around_a_window(plus):
 @pytest.mark.parametrize("net, k_req, trials", [
     # one class: every round draws the one composition
     (generate_network(32, 0.0, 320), 128, 2 * lottery._BLOCK + 1),
+    # prod(sizes + 1) = 2^32: keys up to the largest uint32
+    (NetworkConfig.from_caps(tuple(range(1, 33))), 160, lottery._BLOCK + 1),
+    # prod(sizes + 1) = 2^33: uint64 keys
+    (NetworkConfig.from_caps(tuple(range(1, 34))), 160, lottery._BLOCK + 1),
     # prod(sizes + 1) = 2^70: no int64 key, rows rounded as drawn
     (NetworkConfig.from_caps(tuple(range(1, 71))), 700, lottery._BLOCK + 1),
-], ids=["one-class", "key-overflow"])
+], ids=["one-class", "uint32-keys", "uint64-keys", "key-overflow"])
 def test_sampled_fairness_is_the_whole_block_array_on_edge_networks(
         net, k_req, trials):
     _assert_fairness_matches(net, Request(k_req), trials)
@@ -499,16 +524,20 @@ def test_sampled_fairness_does_not_depend_on_the_window(monkeypatch):
 @pytest.mark.parametrize("net, k_req, trials", [
     # 16 classes, most compositions distinct
     (generate_network(32, 1.0, 320), 32, 2 * lottery._BLOCK + 3),
+    # keys up to the largest uint32, and uint64 keys
+    (NetworkConfig.from_caps(tuple(range(1, 33))), 160, lottery._BLOCK + 1),
+    (NetworkConfig.from_caps(tuple(range(1, 34))), 160, lottery._BLOCK + 1),
     # no int64 key: each block's rows are rounded as drawn
     (NetworkConfig.from_caps(tuple(range(1, 71))), 700, lottery._BLOCK + 1),
-], ids=["keys", "key-overflow"])
+], ids=["keys", "uint32-keys", "uint64-keys", "key-overflow"])
 def test_sampled_fairness_does_not_depend_on_the_piece(net, k_req, trials,
                                                        monkeypatch):
     req = Request(k_req)
     rng = trial_rng(5)
     want = estimate_fairness(net, req, trials, rng)
     n = len(_capacity_classes(net.caps)[0])
-    # three compositions per rounding piece, a few per decoded span
+    # three compositions per rounding piece where rows are rounded as
+    # drawn, two per decoded and rounded piece of distinct keys
     monkeypatch.setattr(partition, "_PIECE_BYTES", 8 * 7 * n * 3)
     assert lottery._piece_rows(7 * n) == 3
     small_rng = trial_rng(5)
